@@ -222,16 +222,14 @@ def _apply_config(args: argparse.Namespace) -> None:
         args.workers = int(os.environ.get("RXNKIT_WORKERS", "1"))
 
 
-def _fp_spec(args: argparse.Namespace) -> FingerprintSpec:
-    defaults = FingerprintSpec(kind=getattr(args, "fp_kind", None) or "circular")
-    return FingerprintSpec(
-        kind=defaults.kind,
-        radius=getattr(args, "radius", None) or defaults.radius,
-        width=getattr(args, "width", None) or defaults.width,
-        min_path=getattr(args, "min_path", None) or defaults.min_path,
-        max_path=getattr(args, "max_path", None) or defaults.max_path,
-        key_table=getattr(args, "key_table", None),
-    )
+def _fp_spec(args: argparse.Namespace, kind: str | None = None) -> FingerprintSpec:
+    """The fingerprint options given; an option left unset keeps its default."""
+    kind = kind or getattr(args, "fp_kind", None) or "circular"
+    options = {
+        name: getattr(args, name, None)
+        for name in ("radius", "width", "min_path", "max_path", "key_table")
+    }
+    return FingerprintSpec(kind=kind, **{k: v for k, v in options.items() if v is not None})
 
 
 def _parse_band(text: str) -> tuple[float, float]:
@@ -535,21 +533,7 @@ def _cmd_eval_gen(args):
          "reference": ref["reference"]}
         for ref, pred in pairs
     ]
-    fp_specs = None
-    if getattr(args, "width", None) or getattr(args, "radius", None):
-        fp_specs = {
-            "circular": FingerprintSpec(
-                kind="circular",
-                radius=args.radius or 2,
-                width=args.width or 2048,
-            ),
-            "path": FingerprintSpec(
-                kind="path",
-                min_path=args.min_path or 1,
-                max_path=args.max_path or 7,
-                width=args.width or 2048,
-            ),
-        }
+    fp_specs = {kind: _fp_spec(args, kind) for kind in ("circular", "path")}
     report = eval_generation(records, fp_specs=fp_specs)
     _write_report(args, report)
     return errors + report.errors

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .molgraph.model import AROMATIC_CODE, Molecule
+from .molgraph.model import Molecule, bond_code
 from .substructure import Pattern, find_matches, parse_pattern
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -80,6 +80,8 @@ class FingerprintSpec:
     def __post_init__(self):
         if self.kind not in ("circular", "path", "key"):
             raise ValueError(f"unknown fingerprint kind {self.kind!r}")
+        if self.width < 1:
+            raise ValueError(f"fingerprint width must be at least 1, got {self.width}")
 
 
 def fingerprint(mol: Molecule, spec: FingerprintSpec) -> BitFingerprint:
@@ -89,10 +91,6 @@ def fingerprint(mol: Molecule, spec: FingerprintSpec) -> BitFingerprint:
     if spec.kind == "path":
         return path_fingerprint(mol, spec)
     return key_fingerprint(mol, load_key_table(spec.key_table))
-
-
-def _bond_code(bond) -> int:
-    return AROMATIC_CODE if bond.is_aromatic else bond.order
 
 
 def circular_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> BitFingerprint:
@@ -113,7 +111,7 @@ def circular_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> 
         for i, a in enumerate(mol.atoms)
     ]
     adj = [
-        [( _bond_code(mol.bond_between(i, w)), w) for w in mol.neighbors[i]]
+        [(bond_code(mol.bond_between(i, w)), w) for w in mol.neighbors[i]]
         for i in range(len(mol.atoms))
     ]
     bits = {h % spec.width for h in env}
@@ -148,7 +146,7 @@ def path_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> BitF
         for i, atom in enumerate(path):
             if i:
                 bond = mol.bond_between(path[i - 1], atom)
-                seq.append(b"%d" % _bond_code(bond))
+                seq.append(b"%d" % bond_code(bond))
             seq.append(labels[atom])
         forward = b"|".join(seq)
         backward = b"|".join(reversed(seq))

@@ -1,11 +1,23 @@
 """Canonical ranking, canonical SMILES output, formula, graph records.
 
-The ranking is Morgan-style iterative refinement over the initial invariant
-(atomic number, degree, formal charge, implicit hydrogens, ring membership,
-isotope), refined by sorted multisets of (bond code, neighbor rank) pairs;
-remaining ties are broken by lowering the rank of the smallest-index tied
-atom and re-refining. Stereo annotations never participate in ranking and
-are re-emitted in their input-declared sense.
+Ranking is synchronous cell refinement. Atoms start in cells of equal
+initial invariant (atomic number, degree, formal charge, implicit hydrogens,
+ring membership, isotope), ordered by it. A cell's label is its start
+position in that order, stored once on the cell. Each round keys an atom by
+the sorted multiset of (bond code, neighbour label) pairs, computed from the
+labels at the start of the round, and splits each cell into sub-cells
+ordered by key. Only neighbours of atoms that moved to a new cell are
+re-keyed; the untouched atoms of a cell still share one key, so one of them
+stands for the rest. When a cell splits, its largest part keeps the cell
+and only the other parts count as moved (Hopcroft's rule), so the total
+work grows near-linearly with molecule size. When no cell splits and ties
+remain, the lowest-index atom of the first tied cell is split off in front
+of it and refinement resumes. Labels order cells as dense ranks would, so
+the ranks are those of Morgan refinement that re-ranks every atom each
+round.
+
+Stereo annotations never participate in ranking and are re-emitted in
+their input-declared sense.
 
 Known stereo limitation: meso compounds whose tied stereocenters are swapped
 by a mirror automorphism may serialize to either of two geometry-equal
@@ -21,14 +33,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .elements import ORGANIC_SUBSET, allowed_valences, fill_hydrogens
-from .model import AROMATIC_CODE, ChemistryError, GraphRecord, H_SLOT, Molecule, SmilesSyntaxError
+from .model import ChemistryError, GraphRecord, H_SLOT, Molecule, SmilesSyntaxError, bond_code
 
 _AROMATIC_BARE = {"b", "c", "n", "o", "p", "s"}
 _FLIP = {"@": "@@", "@@": "@", "/": "\\", "\\": "/"}
-
-
-def _bond_code(bond) -> int:
-    return AROMATIC_CODE if bond.is_aromatic else bond.order
 
 
 def canonical_ranks(mol: Molecule) -> list[int]:
@@ -38,55 +46,114 @@ def canonical_ranks(mol: Molecule) -> list[int]:
         return []
     ring = mol.ring_membership
     degrees = mol.degrees
+    neighbors = mol.neighbors
+    # Bond codes are kept times n: as labels are below n, code + label
+    # sorts as the (code, label) pair would.
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for bond in mol.bonds:
-        code = _bond_code(bond)
+        code = bond_code(bond) * n
         adj[bond.a].append((code, bond.b))
         adj[bond.b].append((code, bond.a))
 
-    seed = [
-        (
-            a.atomic_number,
-            degrees[i],
-            a.formal_charge,
-            a.implicit_hydrogens,
-            ring[i],
-            a.isotope or 0,
-        )
-        for i, a in enumerate(mol.atoms)
-    ]
-    ranks = _dense(seed)
+    by_seed: dict[tuple, list[int]] = defaultdict(list)
+    for i, a in enumerate(mol.atoms):
+        key = (a.atomic_number, degrees[i], a.formal_charge, a.implicit_hydrogens,
+               ring[i], a.isotope or 0)
+        by_seed[key].append(i)
 
-    def refine(ranks: list[int]) -> list[int]:
-        classes = len(set(ranks))
-        while classes < n:
-            keys = [
-                (ranks[i], tuple(sorted((code, ranks[j]) for code, j in adj[i])))
-                for i in range(n)
-            ]
-            new = _dense(keys)
-            new_classes = len(set(new))
-            if new_classes == classes:
-                return new
-            ranks, classes = new, new_classes
-        return ranks
+    # Cell c holds the atoms members[c] at positions start[c] onwards, and
+    # start[c] is their label; cell_at maps each cell's start back to it.
+    start: list[int] = []
+    members: list[set[int]] = []
+    cell_of = [0] * n
+    cell_at = [0] * n
+    pos = 0
+    for key in sorted(by_seed):
+        atoms = by_seed[key]
+        c = len(start)
+        cell_at[pos] = c
+        start.append(pos)
+        members.append(set(atoms))
+        for i in atoms:
+            cell_of[i] = c
+        pos += len(atoms)
 
-    ranks = refine(ranks)
-    while len(set(ranks)) < n:
-        counts = Counter(ranks)
-        tied_rank = min(r for r, c in counts.items() if c > 1)
-        chosen = min(i for i in range(n) if ranks[i] == tied_rank)
-        ranks = [
-            r + 1 if (r > tied_rank or (r == tied_rank and i != chosen)) else r
-            for i, r in enumerate(ranks)
-        ]
-        ranks = refine(ranks)
-    return ranks
+    def key_of(i: int) -> tuple[int, ...]:
+        return tuple(sorted([code + start[cell_of[j]] for code, j in adj[i]]))
 
+    def refine(changed) -> None:
+        while changed:
+            # Only neighbours of atoms that moved to a new cell are re-keyed.
+            touched: set[int] = set()
+            for v in changed:
+                touched.update(neighbors[v])
+            by_cell: dict[int, list[int]] = defaultdict(list)
+            for w in touched:
+                c = cell_of[w]
+                if len(members[c]) > 1:
+                    by_cell[c].append(w)
+            # Every split of a round is computed from the labels at its start.
+            splits = []
+            for c, atoms in by_cell.items():
+                groups: dict[tuple[int, ...], list[int]] = defaultdict(list)
+                for i in atoms:
+                    groups[key_of(i)].append(i)
+                rest_key = None
+                if len(atoms) < len(members[c]):
+                    # The untouched atoms still share one key; one stands for all.
+                    rest_key = key_of(next(i for i in members[c] if i not in touched))
+                    groups.setdefault(rest_key, [])
+                if len(groups) > 1:
+                    splits.append((c, groups, rest_key))
 
-def _dense(keys: list) -> list[int]:
-    rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
-    return [rank_of[k] for k in keys]
+            changed = []
+            for c, groups, rest_key in splits:
+                parts = {k: set(g) for k, g in groups.items() if k != rest_key}
+                if rest_key is not None:
+                    cell = members[c]
+                    for part in parts.values():
+                        cell -= part
+                    parts[rest_key] = cell
+                # The largest part keeps the cell; only the others are new.
+                order = sorted(parts)
+                keep = max(order, key=lambda k: len(parts[k]))
+                members[c] = parts[keep]
+                pos = start[c]
+                for k in order:
+                    part = parts[k]
+                    if k == keep:
+                        cid = c
+                    else:
+                        cid = len(start)
+                        start.append(0)
+                        members.append(part)
+                        for i in part:
+                            cell_of[i] = cid
+                        changed.extend(part)
+                    start[cid] = pos
+                    cell_at[pos] = cid
+                    pos += len(part)
+
+    refine(range(n))
+    # Tie-break: the lowest-index atom of the first tied cell goes in front.
+    pos = 0
+    while pos < n:
+        c = cell_at[pos]
+        cell = members[c]
+        if len(cell) == 1:
+            pos += 1
+            continue
+        chosen = min(cell)
+        cell.remove(chosen)
+        cid = len(start)
+        start.append(pos)
+        members.append({chosen})
+        cell_of[chosen] = cid
+        cell_at[pos] = cid
+        start[c] = pos + 1
+        cell_at[pos + 1] = c
+        refine([chosen])
+    return [start[c] for c in cell_of]
 
 
 def canonical_smiles(mol: Molecule) -> str:
@@ -386,7 +453,7 @@ def to_graph_record(mol: Molecule) -> GraphRecord:
             degrees[i],
         )
     edges = sorted(
-        (min(ranks[b.a], ranks[b.b]), max(ranks[b.a], ranks[b.b]), _bond_code(b))
+        (min(ranks[b.a], ranks[b.b]), max(ranks[b.a], ranks[b.b]), bond_code(b))
         for b in mol.bonds
     )
     return GraphRecord(nodes=tuple(nodes), edges=tuple(edges))

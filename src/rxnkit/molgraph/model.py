@@ -70,6 +70,11 @@ class Bond:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
 
+def bond_code(bond: Bond) -> int:
+    """Order code of a bond in ranking and hashing: AROMATIC_CODE or 1/2/3."""
+    return AROMATIC_CODE if bond.is_aromatic else bond.order
+
+
 # Marker used in stereo neighbor-order lists for an in-bracket hydrogen.
 H_SLOT = -1
 
@@ -93,12 +98,17 @@ class Molecule:
         chiral_tags: tuple[str | None, ...] | None = None,
         stereo_order: tuple[tuple[int, ...] | None, ...] | None = None,
         problems: tuple[str, ...] = (),
+        ring_bonds: frozenset[tuple[int, int]] | None = None,
     ) -> None:
         self.atoms = atoms
         self.bonds = bonds
         self.chiral_tags = chiral_tags or (None,) * len(atoms)
         self.stereo_order = stereo_order or (None,) * len(atoms)
         self.problems = problems
+        if ring_bonds is not None:
+            # A builder that already found the ring bonds hands them in, so
+            # the cached property below never searches for them again.
+            self.__dict__["ring_bonds"] = ring_bonds
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -10,6 +10,7 @@ in kekule form.
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 
 from .elements import allowed_valences, fill_hydrogens
@@ -151,7 +152,7 @@ def molecule_from_draft(draft: MolDraft) -> Molecule:
     stereo = tuple(
         tuple(a.slots) if a.chiral else None for a in draft.atoms  # type: ignore[misc]
     )
-    return Molecule(atoms, bonds, tags, stereo, tuple(problems))
+    return Molecule(atoms, bonds, tags, stereo, tuple(problems), ring_bonds=ring_keys)
 
 
 def _fold_explicit_h(draft: MolDraft) -> None:
@@ -256,24 +257,56 @@ def _kekulize(
             adj[b.a].append(b.b)
             adj[b.b].append(b.a)
 
+    # Depth-first search for a perfect matching. The next atom to pair is
+    # the free atom with the fewest free neighbours, ties broken by index;
+    # it tries its partners in adj order. A heap holds (free neighbours,
+    # atom) entries; each change pushes fresh ones and stale ones are
+    # skipped, so every free atom always has an entry matching its state.
     match: dict[int, int] = {}
+    free_deg = {a: len(adj[a]) for a in must}
+    heap = [(d, a) for a, d in free_deg.items()]
+    heapq.heapify(heap)
 
-    def solve() -> bool:
-        free = [a for a in must if a not in match]
-        if not free:
-            return True
-        a = min(free, key=lambda x: (sum(1 for y in adj[x] if y not in match), x))
-        for b in adj[a]:
+    def pair(a: int, b: int, step: int) -> None:
+        for x in (a, b):
+            for y in adj[x]:
+                free_deg[y] += step
+                heapq.heappush(heap, (free_deg[y], y))
+
+    def most_constrained() -> int | None:
+        while heap:
+            d, x = heap[0]
+            if x not in match and free_deg[x] == d:
+                return x
+            heapq.heappop(heap)
+        return None
+
+    # Each frame of the explicit stack is an atom and its untried partners.
+    first = most_constrained()
+    stack = [] if first is None else [(first, iter(adj[first]))]
+    solved = first is None
+    while stack and not solved:
+        a, options = stack[-1]
+        if a in match:  # the partner tried last led nowhere: undo it
+            b = match.pop(a)
+            del match[b]
+            pair(a, b, 1)
+        for b in options:
             if b in match:
                 continue
             match[a] = b
             match[b] = a
-            if solve():
-                return True
-            del match[a], match[b]
-        return False
+            pair(a, b, -1)
+            nxt = most_constrained()
+            if nxt is None:
+                solved = True
+            else:
+                stack.append((nxt, iter(adj[nxt])))
+            break
+        else:
+            stack.pop()
 
-    if not solve():
+    if not solved:
         raise ChemistryError(
             "cannot kekulize declared aromatic system "
             "(is a pyrrole-type nitrogen missing its [nH]?)"

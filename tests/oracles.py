@@ -1,16 +1,19 @@
 """Independent brute-force oracles the fast implementations are checked against.
 
 Everything here follows the plain written definitions with no shortcuts:
-all-injections subgraph matching, memoized recursive edit distance, and the
-confusion-entropy / Matthews-coefficient formulas expanded term by term.
+all-injections subgraph matching, memoized recursive edit distance, the
+confusion-entropy / Matthews-coefficient formulas expanded term by term, and
+canonical ranking that re-sorts every atom in every refinement round.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 
+from rxnkit.molgraph.model import bond_code
 from rxnkit.substructure import _atom_matches, _bond_matches
 
 
@@ -94,3 +97,58 @@ def brute_mcc(matrix: list[list[int]]) -> float:
     if d1 <= 0 or d2 <= 0:
         return 0.0
     return num / math.sqrt(d1 * d2)
+
+
+def full_resort_ranks(mol) -> list[int]:
+    """Canonical ranks by Morgan refinement that re-ranks all atoms each round.
+
+    Each round keys every atom by (rank, sorted (bond code, neighbour rank)
+    pairs) and densely re-ranks; a stable tie is broken by moving the
+    lowest-index atom of the lowest tied rank in front, then refining again.
+    """
+    n = len(mol.atoms)
+    if n == 0:
+        return []
+    ring = mol.ring_membership
+    degrees = mol.degrees
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for bond in mol.bonds:
+        code = bond_code(bond)
+        adj[bond.a].append((code, bond.b))
+        adj[bond.b].append((code, bond.a))
+
+    seed = [
+        (a.atomic_number, degrees[i], a.formal_charge, a.implicit_hydrogens,
+         ring[i], a.isotope or 0)
+        for i, a in enumerate(mol.atoms)
+    ]
+
+    def dense(keys: list) -> list[int]:
+        rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
+        return [rank_of[k] for k in keys]
+
+    def refine(ranks: list[int]) -> list[int]:
+        classes = len(set(ranks))
+        while classes < n:
+            keys = [
+                (ranks[i], tuple(sorted((code, ranks[j]) for code, j in adj[i])))
+                for i in range(n)
+            ]
+            new = dense(keys)
+            new_classes = len(set(new))
+            if new_classes == classes:
+                return new
+            ranks, classes = new, new_classes
+        return ranks
+
+    ranks = refine(dense(seed))
+    while len(set(ranks)) < n:
+        counts = Counter(ranks)
+        tied_rank = min(r for r, c in counts.items() if c > 1)
+        chosen = min(i for i in range(n) if ranks[i] == tied_rank)
+        ranks = [
+            r + 1 if (r > tied_rank or (r == tied_rank and i != chosen)) else r
+            for i, r in enumerate(ranks)
+        ]
+        ranks = refine(ranks)
+    return ranks

@@ -102,6 +102,30 @@ class TestValidateFpSimScaffold:
             assert int(width) == 256
             assert len(payload) == 64  # 256 bits hex-packed
 
+    def test_validate_survives_a_large_aromatic_ring(self, tmp_path):
+        src = tmp_path / "v.jsonl"
+        write_jsonl(src, [
+            {"id": 1, "smiles": "CCO"},
+            {"id": 2, "smiles": "c1" + "c" * 2198 + "c1"},
+            {"id": 3, "smiles": "c1ccccc1"},
+        ])
+        out = tmp_path / "out.jsonl"
+        assert run(["validate", "--in", str(src), "--out", str(out)]) == 0
+        assert [r["status"] for r in read_jsonl(out)] == ["valid"] * 3
+
+    def test_fp_radius_zero_is_radius_zero(self, tmp_path):
+        src = tmp_path / "butane.jsonl"
+        write_jsonl(src, [{"id": "a", "smiles": "CCCC"}])
+        out = tmp_path / "fp.jsonl"
+        assert run(["fp", "--in", str(src), "--out", str(out),
+                    "--radius", "0", "--width", "64"]) == 0
+        assert read_jsonl(out)[0]["fp"] == "64:0002000008000000"
+
+    def test_fp_width_zero_is_rejected(self, tmp_path, mols, capsys):
+        out = tmp_path / "fp.jsonl"
+        assert run(["fp", "--in", str(mols), "--out", str(out), "--width", "0"]) == 2
+        assert "width" in json.loads(capsys.readouterr().err)["error"]
+
     def test_sim(self, tmp_path, mols):
         out = tmp_path / "sim.jsonl"
         run(["sim", "--in", str(mols), "--ref", str(mols), "--out", str(out)])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from rxnkit.molgraph import (
     ChemistryError,
     GraphRecord,
     SmilesSyntaxError,
+    canonical_ranks,
     canonical_smiles,
     canonicalize,
     molecular_formula,
@@ -16,8 +18,10 @@ from rxnkit.molgraph import (
     to_graph_record,
     validate,
 )
+from rxnkit.molgraph import model, perception
 
 from conftest import build_random_molecule, shuffled
+from oracles import full_resort_ranks
 
 
 class TestParse:
@@ -79,6 +83,31 @@ class TestParse:
     def test_chemistry_errors(self, text):
         with pytest.raises(ChemistryError):
             parse_smiles(text)
+
+    def test_large_aromatic_ring_kekulizes(self):
+        mol = parse_smiles("c1" + "c" * 2198 + "c1")
+        assert len(mol) == 2200
+        assert all(b.is_aromatic for b in mol.bonds)
+        assert sum(b.order == 2 for b in mol.bonds) == 1100
+
+    def test_ring_bonds_found_once_per_parse(self, monkeypatch):
+        calls = []
+        find = model._non_bridge_edges
+
+        def counting(*args):
+            calls.append(args)
+            return find(*args)
+
+        monkeypatch.setattr(perception, "_non_bridge_edges", counting)
+        monkeypatch.setattr(model, "_non_bridge_edges", counting)
+        mol = parse_smiles("C1CC2CCC1CC2OCc1ccccc1")
+        canonical_smiles(mol)
+        assert len(calls) == 1
+        assert mol.ring_bonds == find(len(mol), mol.neighbors, mol.bond_lookup)
+        # Molecules built another way still find their ring bonds lazily.
+        again = mol.renumbered(list(reversed(range(len(mol)))))
+        assert "ring_bonds" not in vars(again)
+        assert sum(again.ring_membership) == sum(mol.ring_membership)
 
     def test_untabulated_element_warns_instead_of_failing(self):
         mol = parse_smiles("[Fe](Cl)(Cl)Cl")
@@ -160,6 +189,66 @@ class TestCanonical:
     def test_stereo_round_trip(self):
         for s in ["N[C@@H](C)C(=O)O", "F/C=C/F", "C/C=C\\C", "OC[C@H](N)C(=O)O"]:
             assert canonicalize(canonicalize(s)) == canonicalize(s)
+
+
+LADDER_SIZES = (48, 96, 192, 384)
+
+
+def ladder_smiles():
+    """Chains, glycine oligomers and aromatic macrocycles of 48-384 atoms."""
+    for n in LADDER_SIZES:
+        yield "C" * n
+        yield "NCC(=O)" * ((n - 1) // 4) + "O"
+        yield "c1" + "c" * (n - 2) + "c1"
+
+
+SYMMETRIC_SMILES = [
+    "C.C.C.C",
+    "C12C3C4C1C5C2C3C45",  # cubane
+    "C1CC2CCC1CC2",
+    "c1ccc2ccccc2c1",
+    "CCO.CCO.OCC",
+    "c1ccccc1.c1ccccc1.C1CCCCC1",
+    "C1C2CC3CC1CC(C2)C3",  # adamantane
+    "CC(C)(C)CC(C)(C)C",
+]
+
+
+class TestRanking:
+    """Cell refinement gives the ranks of full re-sorting Morgan refinement."""
+
+    def test_matches_full_resort_on_corpus_and_renumberings(self, corpus):
+        rng = random.Random(31)
+        for s in corpus:
+            mol = parse_smiles(s)
+            assert canonical_ranks(mol) == full_resort_ranks(mol)
+            for _ in range(3):
+                other = shuffled(mol, rng)
+                assert canonical_ranks(other) == full_resort_ranks(other)
+
+    def test_matches_full_resort_on_symmetric_molecules(self):
+        rng = random.Random(32)
+        for s in SYMMETRIC_SMILES:
+            mol = parse_smiles(s)
+            for other in [mol] + [shuffled(mol, rng) for _ in range(5)]:
+                assert canonical_ranks(other) == full_resort_ranks(other)
+
+    def test_matches_full_resort_on_size_ladder(self):
+        rng = random.Random(33)
+        for s in ladder_smiles():
+            mol = parse_smiles(s)
+            assert canonical_ranks(mol) == full_resort_ranks(mol)
+            other = shuffled(mol, rng)
+            assert canonical_ranks(other) == full_resort_ranks(other)
+
+    @pytest.mark.parametrize("unit, budget_s", [("C", 1.0), ("C(C)", 2.0)],
+                             ids=["chain", "branched_chain"])
+    def test_2000_units_within_budget(self, unit, budget_s):
+        mol = parse_smiles(unit * 2000)
+        t0 = time.perf_counter()
+        out = canonical_smiles(mol)
+        assert time.perf_counter() - t0 < budget_s
+        assert canonicalize(out) == out
 
 
 class TestFormula:
