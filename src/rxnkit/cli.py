@@ -223,12 +223,21 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def _fp_spec(args: argparse.Namespace, kind: str | None = None) -> FingerprintSpec:
-    """The fingerprint options given; an option left unset keeps its default."""
+    """The fingerprint options given; an option left unset keeps its default.
+
+    A key table file is read here, once per run, so that a table that cannot
+    be read or parsed fails the run instead of every record.
+    """
     kind = kind or getattr(args, "fp_kind", None) or "circular"
     options = {
         name: getattr(args, name, None)
         for name in ("radius", "width", "min_path", "max_path", "key_table")
     }
+    if kind == "key" and options["key_table"] is not None:
+        try:
+            options["key_table"] = load_key_table(options["key_table"])
+        except (OSError, ValueError) as exc:
+            raise Fatal(f"cannot load key table: {exc}")
     return FingerprintSpec(kind=kind, **{k: v for k, v in options.items() if v is not None})
 
 

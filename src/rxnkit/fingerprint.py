@@ -75,7 +75,7 @@ class FingerprintSpec:
     min_path: int = 1
     max_path: int = 7
     width: int = 2048
-    key_table: str | None = None
+    key_table: str | KeyTable | None = None  # a table file, or a loaded table
 
     def __post_init__(self):
         if self.kind not in ("circular", "path", "key"):
@@ -133,43 +133,70 @@ def path_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> BitF
 
     Each path hashes its direction-minimal atom/bond label sequence, so the
     bits are independent of atom numbering and traversal direction.
+
+    The walk is a loop over an explicit stack. It carries the label sequence
+    of the path as an interned id, extended by one "|bond code|atom label"
+    step per bond, so a step costs one dict lookup whatever the path length;
+    each distinct sequence is spelled out and hashed once, at the end.
+    Every walk extends its start atom by at least one bond.
     """
     spec = spec or FingerprintSpec(kind="path")
     labels = [
         b"%d.%d.%d" % (a.atomic_number, a.is_aromatic, a.formal_charge)
         for a in mol.atoms
     ]
-    bits: set[int] = set()
+    steps: list[list[tuple[int, bytes]]] = [[] for _ in mol.atoms]
+    for bond in mol.bonds:
+        code = b"|%d|" % bond_code(bond)
+        steps[bond.a].append((bond.b, code + labels[bond.b]))
+        steps[bond.b].append((bond.a, code + labels[bond.a]))
 
-    def emit(path: list[int]) -> None:
-        seq = []
-        for i, atom in enumerate(path):
-            if i:
-                bond = mol.bond_between(path[i - 1], atom)
-                seq.append(b"%d" % bond_code(bond))
-            seq.append(labels[atom])
-        forward = b"|".join(seq)
-        backward = b"|".join(reversed(seq))
-        bits.add(fnv1a(min(forward, backward)) % spec.width)
+    # Label sequences are interned as they grow: ids maps (id, step) to the
+    # id of the extended sequence, spelled holds each id's bytes; id 0 is
+    # the empty sequence, which a start atom's label extends.
+    ids: dict[tuple[int, bytes], int] = {}
+    spelled = [b""]
 
-    def extend(path: list[int], on_path: set[int]) -> None:
-        last = path[-1]
-        for w in mol.neighbors[last]:
-            if w in on_path:
-                continue
-            path.append(w)
-            n_bonds = len(path) - 1
-            if n_bonds >= spec.min_path and path[0] < path[-1]:
-                emit(path)
-            if n_bonds < spec.max_path:
-                on_path.add(w)
-                extend(path, on_path)
-                on_path.remove(w)
-            path.pop()
+    def extend(sid: int, step: bytes) -> int:
+        key = (sid, step)
+        new = ids.get(key)
+        if new is None:
+            new = ids[key] = len(spelled)
+            spelled.append(spelled[sid] + step)
+        return new
 
+    emitted: set[int] = set()
+    on_path = [False] * len(mol.atoms)
     for start in range(len(mol.atoms)):
-        extend([start], {start})
-    return BitFingerprint(width=spec.width, bits=frozenset(bits))
+        path = [start]
+        seqs = [extend(0, labels[start])]
+        walks = [iter(steps[start])]
+        on_path[start] = True
+        while walks:
+            for w, step in walks[-1]:
+                if on_path[w]:
+                    continue
+                sid = extend(seqs[-1], step)
+                n_bonds = len(path)
+                if n_bonds >= spec.min_path and start < w:
+                    emitted.add(sid)
+                if n_bonds < spec.max_path:
+                    path.append(w)
+                    seqs.append(sid)
+                    walks.append(iter(steps[w]))
+                    on_path[w] = True
+                    break
+            else:
+                walks.pop()
+                seqs.pop()
+                on_path[path.pop()] = False
+
+    keys = set()
+    for sid in emitted:
+        forward = spelled[sid]
+        keys.add(min(forward, b"|".join(forward.split(b"|")[::-1])))
+    bits = frozenset(fnv1a(k) % spec.width for k in keys)
+    return BitFingerprint(width=spec.width, bits=bits)
 
 
 @dataclass(frozen=True)
@@ -186,9 +213,14 @@ class KeyTable:
 _DEFAULT_TABLE: KeyTable | None = None
 
 
-def load_key_table(path: str | Path | None = None) -> KeyTable:
-    """Load a key table file; with no path, the shipped 166-key table."""
+def load_key_table(path: str | Path | KeyTable | None = None) -> KeyTable:
+    """Load a key table file; with no path, the shipped 166-key table.
+
+    A table that is already loaded is returned as it is.
+    """
     global _DEFAULT_TABLE
+    if isinstance(path, KeyTable):
+        return path
     if path is None:
         if _DEFAULT_TABLE is None:
             text = (

@@ -146,6 +146,16 @@ class Molecule:
         return tuple(flags)
 
     @cached_property
+    def match_memo(self) -> dict:
+        """Memo of the substructure matcher, kept with the molecule it describes.
+
+        ``rxnkit.substructure`` keeps here the atoms each atom predicate
+        admits and the neighbours each bond kind admits, so that matching
+        many patterns against one molecule derives each of them once.
+        """
+        return {}
+
+    @cached_property
     def fragments(self) -> tuple[tuple[int, ...], ...]:
         """Connected components, each as a sorted tuple of atom indices."""
         seen = [False] * len(self.atoms)

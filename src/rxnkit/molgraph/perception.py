@@ -473,6 +473,7 @@ def _shortest_paths(
     cap: int = 32,
 ) -> list[list[int]]:
     """Every shortest u-v path avoiding the skipped edge (up to cap)."""
+    s0, s1 = skip
     dist = {u: 0}
     preds: dict[int, list[int]] = defaultdict(list)
     frontier = [u]
@@ -480,7 +481,7 @@ def _shortest_paths(
         nxt = []
         for x in frontier:
             for y in adj[x]:
-                if {x, y} == {skip[0], skip[1]}:
+                if (x == s0 and y == s1) or (x == s1 and y == s0):
                     continue
                 if y not in dist:
                     dist[y] = dist[x] + 1
@@ -492,16 +493,18 @@ def _shortest_paths(
     if v not in dist:
         return []
 
+    # Depth-first from v back to u over the predecessor lists, as a loop:
+    # stack entries are (node, its distance from v), and acc holds the
+    # nodes from v up to, not including, the node popped last.
     paths: list[list[int]] = []
-
-    def walk(node: int, acc: list[int]) -> None:
-        if len(paths) >= cap:
-            return
+    acc: list[int] = []
+    stack = [(v, 0)]
+    while stack and len(paths) < cap:
+        node, depth = stack.pop()
+        del acc[depth:]
         if node == u:
             paths.append([u] + acc[::-1])
-            return
-        for p in preds[node]:
-            walk(p, acc + [node])
-
-    walk(v, [])
+            continue
+        acc.append(node)
+        stack.extend((p, depth + 1) for p in reversed(preds[node]))
     return paths

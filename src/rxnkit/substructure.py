@@ -3,14 +3,26 @@
 The query grammar covers what the shipped key table needs: element atoms
 ([#6], C, c, Cl, ...), aromatic/aliphatic by symbol case, [R] / [R0] ring
 membership, [Dn] degree, [Hn] hydrogen count, charges, '~' any-bond, ':'
-aromatic bond, and '!', '&', ',' logic inside brackets. Matching is
-subgraph monomorphism with candidate ordering by rarest predicate first;
-match counting collapses embeddings sharing the same atom set.
+aromatic bond, and '!', '&', ',' logic inside brackets. A parsed pattern
+carries its own adjacency.
+
+Matching is subgraph monomorphism. Per molecule, the matcher derives once
+the atoms having each primitive feature (element, aromatic, ring, degree,
+total H, charge) and, in a memo kept on the molecule, the atoms each atom
+predicate admits (a bit mask, composed from the features by set algebra)
+and the neighbours each bond kind admits. Matching many patterns against
+one molecule, as a key fingerprint does, thus evaluates each distinct
+predicate once. A one-atom pattern is answered from its candidate atoms; a
+larger one is searched depth first, as a loop over an explicit stack,
+rarest predicate first and then along pattern bonds, drawing each next
+atom from the admitted neighbours of an atom already placed. Match
+counting collapses embeddings sharing the same atom set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 
 from .molgraph.elements import AROMATIC_SYMBOLS, ATOMIC_NUMBER
 from .molgraph.model import Molecule
@@ -31,6 +43,17 @@ class Pattern:
     text: str
     atoms: tuple[tuple, ...]
     bonds: tuple[tuple[int, int, str], ...]
+    # Per pattern atom, its (neighbour, bond kind) pairs in bond order.
+    adjacency: tuple[tuple[tuple[int, str], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        adj: list[list[tuple[int, str]]] = [[] for _ in self.atoms]
+        for a, b, kind in self.bonds:
+            adj[a].append((b, kind))
+            adj[b].append((a, kind))
+        object.__setattr__(self, "adjacency", tuple(tuple(x) for x in adj))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -274,77 +297,161 @@ def _bond_matches(kind: str, bond) -> bool:
     return bond.order == 3 and not bond.is_aromatic  # triple
 
 
+_ALL = ()  # memo key of the mask of every atom
+
+
+def _atom_masks(mol: Molecule, memo: dict) -> None:
+    """Record each primitive feature's atoms as a bit mask, once per molecule."""
+    ring = mol.ring_membership
+    degrees = mol.degrees
+    for idx, atom in enumerate(mol.atoms):
+        bit = 1 << idx
+        features = [
+            ("elem", atom.atomic_number),
+            ("arom", atom.is_aromatic),
+            ("deg", degrees[idx]),
+            ("h", _total_h(mol, idx)),
+            ("charge", atom.formal_charge),
+        ]
+        if ring[idx]:
+            features.append(("ring",))
+        for feature in features:
+            memo[feature] = memo.get(feature, 0) | bit
+    memo[_ALL] = (1 << len(mol.atoms)) - 1
+
+
+def _predicate_mask(pred: tuple, memo: dict) -> int:
+    """Atoms matching an atom predicate, as a bit mask; memoized per molecule."""
+    mask = memo.get(pred)
+    if mask is None:
+        kind = pred[0]
+        if kind == "not":
+            mask = memo[_ALL] & ~_predicate_mask(pred[1], memo)
+        elif kind == "and":
+            mask = memo[_ALL]
+            for p in pred[1]:
+                mask &= _predicate_mask(p, memo)
+        elif kind == "or":
+            mask = 0
+            for p in pred[1]:
+                mask |= _predicate_mask(p, memo)
+        else:
+            mask = 0  # a primitive feature no atom has
+        memo[pred] = mask
+    return mask
+
+
+def _bond_neighbors(kind: str, mol: Molecule, memo: dict) -> tuple[list, list]:
+    """Per atom, the neighbours a bond kind admits: lists in neighbour order
+    and bit masks; memoized per molecule."""
+    hit = memo.get(kind)
+    if hit is None:
+        lists: list[list[int]] = [[] for _ in mol.atoms]
+        masks = [0] * len(mol.atoms)
+        # Bond order is the order Molecule.neighbors lists neighbours in.
+        for bond in mol.bonds:
+            if _bond_matches(kind, bond):
+                a, b = bond.a, bond.b
+                lists[a].append(b)
+                lists[b].append(a)
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+        hit = memo[kind] = (lists, masks)
+    return hit
+
+
+def _bits(mask: int):
+    """Set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _search_plan(
+    pattern: Pattern, masks: list[int], mol: Molecule, memo: dict
+) -> list[tuple]:
+    """Pattern atoms in search order, rarest predicate first, then along bonds.
+
+    Each step holds the pattern atom, its candidate mask, the placed
+    neighbour whose admitted neighbours are its pool (None: its candidates)
+    with that bond kind's neighbour lists, and the other bonds to placed
+    atoms with their kinds' neighbour masks.
+    """
+    n = len(masks)
+    counts = [mask.bit_count() for mask in masks]
+    placed = [False] * n
+    frontier: set[int] = set()
+    plan = []
+    for _ in range(n):
+        pool = frontier or [i for i in range(n) if not placed[i]]
+        p = min(pool, key=lambda i: (counts[i], i))
+        anchored = [
+            (j, _bond_neighbors(kind, mol, memo))
+            for j, kind in pattern.adjacency[p] if placed[j]
+        ]
+        anchor = (anchored[0][0], anchored[0][1][0]) if anchored else None
+        checks = [(j, kind_masks) for j, (_, kind_masks) in anchored[1:]]
+        plan.append((p, masks[p], anchor, checks))
+        placed[p] = True
+        frontier.discard(p)
+        frontier.update(j for j, _ in pattern.adjacency[p] if not placed[j])
+    return plan
+
+
 def find_matches(
     pattern: Pattern, mol: Molecule, max_matches: int | None = None
 ) -> list[tuple[int, ...]]:
     """Embeddings in pattern-atom order, one per distinct molecule atom set."""
-    np = len(pattern.atoms)
-    candidates = [
-        [i for i in range(len(mol.atoms)) if _atom_matches(pred, mol, i)]
-        for pred in pattern.atoms
-    ]
-    if any(not c for c in candidates):
+    memo = mol.match_memo
+    if _ALL not in memo:
+        _atom_masks(mol, memo)
+    masks = [_predicate_mask(pred, memo) for pred in pattern.atoms]
+    if not all(masks):
         return []
+    # The search stops once it holds this many results (at least one).
+    limit = None if max_matches is None else max(max_matches, 1)
+    if len(masks) == 1:
+        return [(m,) for m in islice(_bits(masks[0]), limit)]
 
-    p_adj: dict[int, list[tuple[int, str]]] = {i: [] for i in range(np)}
-    for a, b, kind in pattern.bonds:
-        p_adj[a].append((b, kind))
-        p_adj[b].append((a, kind))
-
-    # Rarest predicate first, then grow along pattern adjacency.
-    order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < np:
-        frontier = [
-            i for i in range(np)
-            if i not in placed and any(j in placed for j, _ in p_adj[i])
-        ]
-        pool = frontier or [i for i in range(np) if i not in placed]
-        nxt = min(pool, key=lambda i: (len(candidates[i]), i))
-        order.append(nxt)
-        placed.add(nxt)
-
-    candidate_sets = [set(c) for c in candidates]
+    plan = _search_plan(pattern, masks, mol, memo)
     results: list[tuple[int, ...]] = []
     seen_sets: set[frozenset[int]] = set()
-    mapping: dict[int, int] = {}
-
-    def backtrack(depth: int) -> bool:
-        if depth == np:
-            key = frozenset(mapping.values())
-            if key not in seen_sets:
-                seen_sets.add(key)
-                results.append(tuple(mapping[i] for i in range(np)))
-            return max_matches is not None and len(results) >= max_matches
-        p = order[depth]
-        anchored = [(j, kind) for j, kind in p_adj[p] if j in mapping]
-        if anchored:
-            j0, kind0 = anchored[0]
-            pool = [
-                w for w in mol.neighbors[mapping[j0]]
-                if _bond_matches(kind0, mol.bond_between(mapping[j0], w))
-            ]
-        else:
-            pool = candidates[p]
-        used = set(mapping.values())
-        for m in pool:
-            if m in used or m not in candidate_sets[p]:
+    mapping = [-1] * len(plan)  # molecule atom of each pattern atom placed
+    used = [False] * len(mol.atoms)
+    last = len(plan) - 1
+    pools = [_bits(plan[0][1])]
+    while pools:
+        d = len(pools) - 1
+        p, cand, _, checks = plan[d]
+        for m in pools[d]:
+            if used[m] or not cand >> m & 1:
                 continue
-            ok = True
-            for j, kind in anchored:
-                bond = mol.bond_between(mapping[j], m)
-                if bond is None or not _bond_matches(kind, bond):
-                    ok = False
-                    break
-            if not ok:
+            if checks and any(
+                not kind_masks[mapping[j]] >> m & 1 for j, kind_masks in checks
+            ):
                 continue
             mapping[p] = m
-            if backtrack(depth + 1):
-                return True
-            del mapping[p]
-        return False
-
-    backtrack(0)
+            if d == last:
+                key = frozenset(mapping)
+                if key not in seen_sets:
+                    seen_sets.add(key)
+                    results.append(tuple(mapping))
+                    if limit is not None and len(results) >= limit:
+                        return results
+                continue
+            used[m] = True
+            _, nxt_cand, nxt_anchor, _ = plan[d + 1]
+            if nxt_anchor is None:
+                pools.append(_bits(nxt_cand))
+            else:
+                j, kind_lists = nxt_anchor
+                pools.append(iter(kind_lists[mapping[j]]))
+            break
+        else:
+            pools.pop()
+            if pools:
+                used[mapping[plan[d - 1][0]]] = False
     return results
 
 

@@ -3,7 +3,10 @@
 Everything here follows the plain written definitions with no shortcuts:
 all-injections subgraph matching, memoized recursive edit distance, the
 confusion-entropy / Matthews-coefficient formulas expanded term by term, and
-canonical ranking that re-sorts every atom in every refinement round.
+canonical ranking that re-sorts every atom in every refinement round. The
+earlier, recursive key and path fingerprints are kept here as references:
+they evaluate every atom predicate per pattern and per candidate, and
+respell and rehash every path.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 
+from rxnkit.fingerprint import BitFingerprint, FingerprintSpec, fnv1a
 from rxnkit.molgraph.model import bond_code
 from rxnkit.substructure import _atom_matches, _bond_matches
 
@@ -152,3 +156,127 @@ def full_resort_ranks(mol) -> list[int]:
         ]
         ranks = refine(ranks)
     return ranks
+
+
+def backtracking_matches(pattern, mol, max_matches=None) -> list[tuple[int, ...]]:
+    """Embeddings by recursive backtracking, one per distinct atom set.
+
+    Candidates are re-evaluated predicate by predicate for every atom; the
+    search places the rarest predicate first, then grows along pattern bonds.
+    """
+    np = len(pattern.atoms)
+    candidates = [
+        [i for i in range(len(mol.atoms)) if _atom_matches(pred, mol, i)]
+        for pred in pattern.atoms
+    ]
+    if any(not c for c in candidates):
+        return []
+
+    p_adj: dict[int, list[tuple[int, str]]] = {i: [] for i in range(np)}
+    for a, b, kind in pattern.bonds:
+        p_adj[a].append((b, kind))
+        p_adj[b].append((a, kind))
+
+    order: list[int] = []
+    placed: set[int] = set()
+    while len(order) < np:
+        frontier = [
+            i for i in range(np)
+            if i not in placed and any(j in placed for j, _ in p_adj[i])
+        ]
+        pool = frontier or [i for i in range(np) if i not in placed]
+        nxt = min(pool, key=lambda i: (len(candidates[i]), i))
+        order.append(nxt)
+        placed.add(nxt)
+
+    candidate_sets = [set(c) for c in candidates]
+    results: list[tuple[int, ...]] = []
+    seen_sets: set[frozenset[int]] = set()
+    mapping: dict[int, int] = {}
+
+    def backtrack(depth: int) -> bool:
+        if depth == np:
+            key = frozenset(mapping.values())
+            if key not in seen_sets:
+                seen_sets.add(key)
+                results.append(tuple(mapping[i] for i in range(np)))
+            return max_matches is not None and len(results) >= max_matches
+        p = order[depth]
+        anchored = [(j, kind) for j, kind in p_adj[p] if j in mapping]
+        if anchored:
+            j0, kind0 = anchored[0]
+            pool = [
+                w for w in mol.neighbors[mapping[j0]]
+                if _bond_matches(kind0, mol.bond_between(mapping[j0], w))
+            ]
+        else:
+            pool = candidates[p]
+        used = set(mapping.values())
+        for m in pool:
+            if m in used or m not in candidate_sets[p]:
+                continue
+            ok = True
+            for j, kind in anchored:
+                bond = mol.bond_between(mapping[j], m)
+                if bond is None or not _bond_matches(kind, bond):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[p] = m
+            if backtrack(depth + 1):
+                return True
+            del mapping[p]
+        return False
+
+    backtrack(0)
+    return results
+
+
+def reference_key_fingerprint(mol, table) -> BitFingerprint:
+    """Bit i set iff backtracking finds key i at least min_count times."""
+    bits = set()
+    for i, (_, pattern, min_count) in enumerate(table.entries):
+        if len(backtracking_matches(pattern, mol, max_matches=min_count)) >= min_count:
+            bits.add(i)
+    return BitFingerprint(width=len(table), bits=frozenset(bits))
+
+
+def reference_path_fingerprint(mol, spec=None) -> BitFingerprint:
+    """Path bits by recursive enumeration, spelling and hashing every path."""
+    spec = spec or FingerprintSpec(kind="path")
+    labels = [
+        b"%d.%d.%d" % (a.atomic_number, a.is_aromatic, a.formal_charge)
+        for a in mol.atoms
+    ]
+    bits: set[int] = set()
+
+    def emit(path: list[int]) -> None:
+        seq = []
+        for i, atom in enumerate(path):
+            if i:
+                bond = mol.bond_between(path[i - 1], atom)
+                seq.append(b"%d" % bond_code(bond))
+            seq.append(labels[atom])
+        forward = b"|".join(seq)
+        backward = b"|".join(reversed(seq))
+        bits.add(fnv1a(min(forward, backward)) % spec.width)
+
+    def extend(path: list[int], on_path: set[int]) -> None:
+        last = path[-1]
+        for w in mol.neighbors[last]:
+            if w in on_path:
+                continue
+            path.append(w)
+            n_bonds = len(path) - 1
+            if n_bonds >= spec.min_path and path[0] < path[-1]:
+                emit(path)
+            if n_bonds < spec.max_path:
+                on_path.add(w)
+                extend(path, on_path)
+                on_path.remove(w)
+            path.pop()
+
+    for start in range(len(mol.atoms)):
+        extend([start], {start})
+    return BitFingerprint(width=spec.width, bits=frozenset(bits))

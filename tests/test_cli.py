@@ -113,6 +113,67 @@ class TestValidateFpSimScaffold:
         assert run(["validate", "--in", str(src), "--out", str(out)]) == 0
         assert [r["status"] for r in read_jsonl(out)] == ["valid"] * 3
 
+    def test_validate_survives_a_large_kekule_ring(self, tmp_path):
+        src = tmp_path / "v.jsonl"
+        write_jsonl(src, [
+            {"id": 1, "smiles": "CCO"},
+            {"id": 2, "smiles": "C1=C" + "C=C" * 499 + "1"},
+            {"id": 3, "smiles": "c1ccccc1"},
+        ])
+        out = tmp_path / "out.jsonl"
+        assert run(["validate", "--in", str(src), "--out", str(out)]) == 0
+        assert [r["status"] for r in read_jsonl(out)] == ["valid"] * 3
+
+    def test_fp_long_paths_on_a_long_chain(self, tmp_path):
+        src = tmp_path / "chain.jsonl"
+        write_jsonl(src, [{"id": "chain", "smiles": "C" * 1200}])
+        out = tmp_path / "fp.jsonl"
+        assert run(["fp", "--fp-kind", "path", "--max-path", "1100",
+                    "--in", str(src), "--out", str(out)]) == 0
+        (row,) = read_jsonl(out)
+        assert row["id"] == "chain" and row["fp"].startswith("2048:")
+
+    def test_fp_key_table_read_once_per_run(self, tmp_path, mols, monkeypatch):
+        from rxnkit import cli as cli_module
+        from rxnkit import fingerprint as fp_module
+
+        table = tmp_path / "keys.txt"
+        table.write_text("1\t[#8]\t1\n2\tc1ccccc1\t1\n")
+        loads = []
+        load = fp_module.load_key_table
+
+        def counting(path=None):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(fp_module, "load_key_table", counting)
+        monkeypatch.setattr(cli_module, "load_key_table", counting)
+        out = tmp_path / "fp.jsonl"
+        assert run(["fp", "--fp-kind", "key", "--key-table", str(table),
+                    "--in", str(mols), "--out", str(out)]) == 0
+        assert [r["fp"] for r in read_jsonl(out)] == ["2:01", "2:02", "2:01"]
+        assert sum(not isinstance(p, fp_module.KeyTable) for p in loads) == 1
+
+    def test_fp_malformed_key_table_is_fatal(self, tmp_path, mols, capsys):
+        table = tmp_path / "keys.txt"
+        table.write_text("1\t[#8]\t1\n2\t[Q]\t1\n")
+        out = tmp_path / "fp.jsonl"
+        assert run(["fp", "--fp-kind", "key", "--key-table", str(table),
+                    "--in", str(mols), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "key table" in json.loads(lines[0])["error"]
+        assert not out.exists()
+
+    def test_fp_missing_key_table_is_fatal(self, tmp_path, mols, capsys):
+        out = tmp_path / "fp.jsonl"
+        assert run(["fp", "--fp-kind", "key", "--key-table",
+                    str(tmp_path / "absent.txt"),
+                    "--in", str(mols), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "absent.txt" in json.loads(lines[0])["error"]
+
     def test_fp_radius_zero_is_radius_zero(self, tmp_path):
         src = tmp_path / "butane.jsonl"
         write_jsonl(src, [{"id": "a", "smiles": "CCCC"}])

@@ -16,7 +16,8 @@ from rxnkit.fingerprint import (
 )
 from rxnkit.molgraph import parse_smiles
 
-from conftest import shuffled
+from conftest import random_smiles, shuffled
+from oracles import reference_key_fingerprint, reference_path_fingerprint
 
 
 class TestTanimoto:
@@ -170,3 +171,72 @@ class TestSerialization:
         fp = circular_fingerprint(parse_smiles("C"), FingerprintSpec(radius=0, width=64))
         assert fp == BitFingerprint.deserialize(fp.serialize())
         assert len(fp.bits) == 1
+
+
+# A key table beyond the shipped one: counts above one, ring closures, and
+# the '~', ':', '!' and ',' query forms.
+CUSTOM_KEYS = """\
+1\t[#8]\t2
+2\tc1ccccc1\t1
+3\t[#6]1~[#6]~[#6]~[#6]~[#6]1\t1
+4\t[#6]~[#7]\t2
+5\tc:c:c\t2
+6\t[!#6&!#1]\t3
+7\t[#7,#8]~[#6]=[#8]\t1
+8\t[#6](~[#8])~[#8]\t2
+9\t[!R]-[R]\t3
+10\t[D3,D4]~[!#6]\t1
+11\t[#6]1[#6][#6][#6]1\t1
+12\t[#7,#8,#16&H1]\t1
+"""
+
+
+class TestReferenceEquality:
+    """The loop-based key and path fingerprints equal the recursive references."""
+
+    WINDOWS = [(1, 7), (0, 3), (2, 5)]
+
+    def test_conftest_molecules_with_renumberings(self):
+        rng = random.Random(40411)
+        table = load_key_table()
+        specs = [
+            FingerprintSpec(kind="path", min_path=lo, max_path=hi, width=64)
+            for lo, hi in self.WINDOWS
+        ]
+        checked = 0
+        for _ in range(1000):
+            mol = parse_smiles(random_smiles(rng, 5, 14))
+            key_ref = reference_key_fingerprint(mol, table).serialize()
+            twins = (mol, shuffled(mol, rng), shuffled(mol, rng))
+            # Each numbering checks the keys and one path window.
+            for spec, twin in zip(specs, twins):
+                assert key_fingerprint(twin, table).serialize() == key_ref
+                assert (
+                    path_fingerprint(twin, spec).serialize()
+                    == reference_path_fingerprint(mol, spec).serialize()
+                )
+                checked += 1
+        assert checked == 3000
+
+    def test_default_path_spec_on_corpus(self, corpus):
+        rng = random.Random(3)
+        for s in corpus:
+            mol = parse_smiles(s)
+            ref = reference_path_fingerprint(mol).serialize()
+            assert path_fingerprint(mol).serialize() == ref
+            assert path_fingerprint(shuffled(mol, rng)).serialize() == ref
+
+    def test_custom_key_table(self, tmp_path, corpus):
+        path = tmp_path / "keys.txt"
+        path.write_text(CUSTOM_KEYS)
+        table = load_key_table(path)
+        rng = random.Random(17)
+        smiles = corpus + [random_smiles(rng) for _ in range(150)]
+        set_bits = set()
+        for s in smiles:
+            mol = parse_smiles(s)
+            ref = reference_key_fingerprint(mol, table)
+            set_bits |= ref.bits
+            assert key_fingerprint(mol, table) == ref
+            assert key_fingerprint(shuffled(mol, rng), table) == ref
+        assert len(set_bits) == len(table)  # every key is hit somewhere

@@ -90,6 +90,13 @@ class TestParse:
         assert all(b.is_aromatic for b in mol.bonds)
         assert sum(b.order == 2 for b in mol.bonds) == 1100
 
+    def test_large_kekule_ring_parses(self):
+        # Ring perception walks the shortest paths around the ring as a loop.
+        mol = parse_smiles("C1=C" + "C=C" * 499 + "1")
+        assert len(mol) == 1000
+        assert sum(b.order == 2 for b in mol.bonds) == 500
+        assert all(mol.ring_membership)
+
     def test_ring_bonds_found_once_per_parse(self, monkeypatch):
         calls = []
         find = model._non_bridge_edges

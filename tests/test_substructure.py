@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from rxnkit.fingerprint import key_fingerprint, load_key_table
 from rxnkit.molgraph import parse_smiles
 from rxnkit.substructure import (
+    Pattern,
     PatternSyntaxError,
     count_matches,
     find_matches,
@@ -14,7 +16,7 @@ from rxnkit.substructure import (
 )
 
 from conftest import random_smiles, shuffled
-from oracles import all_injections_matches
+from oracles import all_injections_matches, backtracking_matches
 
 
 class TestParsePattern:
@@ -137,3 +139,47 @@ class TestOracleAgreement:
                 base = count_matches(pat, mol)
                 for _ in range(5):
                     assert count_matches(pat, shuffled(mol, rng)) == base
+
+
+class TestBacktrackingReference:
+    def test_same_embeddings_in_the_same_order(self, corpus):
+        patterns = [pattern for _, pattern, _ in load_key_table().entries]
+        patterns += [parse_pattern(p) for p in PATTERNS]
+        for s in corpus[:40]:
+            mol = parse_smiles(s)
+            for pat in patterns:
+                for limit in (None, 1, 3):
+                    assert find_matches(pat, mol, limit) == backtracking_matches(
+                        pat, mol, limit
+                    ), (pat.text, s, limit)
+
+    def test_disconnected_pattern(self):
+        # The grammar only builds connected patterns; a Pattern made by hand
+        # may have several components, each started from its candidates.
+        pat = Pattern(
+            text="[#8].[#6]~[#7]",
+            atoms=(("elem", 8), ("elem", 6), ("elem", 7)),
+            bonds=((1, 2, "any"),),
+        )
+        for s in ["OCCN", "OCC(N)CO", "CCN", "c1ccncc1O"]:
+            mol = parse_smiles(s)
+            for limit in (None, 1):
+                assert find_matches(pat, mol, limit) == backtracking_matches(
+                    pat, mol, limit
+                )
+        assert count_matches(pat, parse_smiles("OCC(N)CO")) == 2
+
+    def test_pattern_adjacency_built_at_parse(self):
+        pat = parse_pattern("C1CC1=O")
+        assert pat.adjacency == (
+            ((1, "default"), (2, "default")),
+            ((0, "default"), (2, "default")),
+            ((1, "default"), (0, "default"), (3, "double")),
+            ((2, "double"),),
+        )
+
+    def test_long_chain_key_does_not_recurse(self, tmp_path):
+        table = tmp_path / "keys.txt"
+        table.write_text("1\t" + "C" * 1100 + "\t1\n")
+        keys = load_key_table(table)
+        assert key_fingerprint(parse_smiles("C" * 1300), keys).bits == frozenset({0})
