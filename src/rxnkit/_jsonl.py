@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import sys
 from pathlib import Path
@@ -74,19 +75,17 @@ def write_json(path: str | Path | None, obj) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def parallel_map(
-    func: Callable,
-    items: list,
-    workers: int,
-    chunksize: int = 64,
-) -> Iterator:
+def parallel_map(func: Callable, items: list, workers: int) -> Iterator:
     """Map preserving input order; a process pool when workers > 1.
 
+    Items go to the workers in chunks of up to 64, and an input of fewer
+    than 64 items per worker is split evenly, so every worker gets a share.
     Results are identical for any worker count: the pool's ordered imap
     plus pure per-record functions make output independent of scheduling.
     """
     if workers <= 1 or len(items) <= 1:
         yield from map(func, items)
         return
+    chunksize = min(64, math.ceil(len(items) / workers))
     with multiprocessing.Pool(processes=workers) as pool:
         yield from pool.imap(func, items, chunksize=chunksize)

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from functools import lru_cache, partial
+from itertools import chain
 
 from ._jsonl import (
     SchemaError,
@@ -32,7 +33,7 @@ from .corpus import (
     build_interleaved,
     build_name_conversion,
 )
-from .fingerprint import FingerprintSpec, fingerprint, load_key_table, tanimoto
+from .fingerprint import FingerprintSpec, fingerprint, load_key_table
 from .metrics import (
     eval_classification,
     eval_generation,
@@ -40,7 +41,12 @@ from .metrics import (
     eval_selection,
 )
 from .molgraph import canonicalize, parse_smiles, validate
-from .scaffold import detect_leakage, murcko_scaffold, resample_test_set
+from .scaffold import (
+    detect_leakage,
+    max_similarity_to_set,
+    murcko_scaffold,
+    resample_test_set,
+)
 from .templates import render as render_template
 
 
@@ -55,8 +61,8 @@ class Fatal(Exception):
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args)
     try:
+        _apply_config(args)
         errors = args.handler(args)
     except Fatal as exc:
         sys.stderr.write(dumps({"error": str(exc)}) + "\n")
@@ -208,15 +214,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from --config JSON; explicit flags win."""
+    """Fill unset options from --config JSON; explicit flags win.
+
+    Every key must name an option of the subcommand being run.
+    """
     if getattr(args, "config", None):
         try:
             config = json.loads(open(args.config, encoding="utf-8").read())
         except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"cannot read config {args.config}: {exc}")
+            raise Fatal(f"cannot read config {args.config}: {exc}")
+        if not isinstance(config, dict):
+            raise Fatal(f"config {args.config} is not a JSON object")
         for key, value in config.items():
             attr = key.replace("-", "_")
-            if getattr(args, attr, None) is None:
+            if not hasattr(args, attr):
+                raise Fatal(f"config {args.config}: {key!r} is not an option of {args.command}")
+            if getattr(args, attr) is None:
                 setattr(args, attr, value)
     if getattr(args, "workers", None) is None:
         args.workers = int(os.environ.get("RXNKIT_WORKERS", "1"))
@@ -252,6 +265,8 @@ def _parse_band(text: str) -> tuple[float, float]:
     return low, high
 
 
+# --- the record driver ------------------------------------------------------
+
 def _load_records(path: str, errors: list[dict], strict: bool) -> list[tuple[int, dict]]:
     items = []
     for lineno, record in iter_jsonl(path):
@@ -264,107 +279,78 @@ def _load_records(path: str, errors: list[dict], strict: bool) -> list[tuple[int
     return items
 
 
-def _run_records(args, worker, out_path: str | None) -> list[dict]:
-    """Shared per-record pipeline: read, map (maybe parallel), write."""
+def _guarded(fn, item: tuple[int, dict]) -> tuple[dict | None, object]:
+    """(None, fn(lineno, record)), or (error row, None) when fn raises."""
+    lineno, record = item
+    try:
+        return None, fn(lineno, record)
+    except Exception as exc:
+        return {"line": lineno, "id": record.get("id"), "error": str(exc)}, None
+
+
+def _collect(guarded_results, errors: list[dict], strict: bool):
+    """Yield the results; error rows go to errors, or end the run under --strict."""
+    for error, result in guarded_results:
+        if error is None:
+            yield result
+        elif strict:
+            raise Fatal(dumps(error), code=1)
+        else:
+            errors.append(error)
+
+
+def _map_records(args, path: str, fn, errors: list[dict]):
+    """fn(lineno, record) over the records of path, in input order.
+
+    The file is read before the first result is asked for, so under --strict
+    a malformed line fails the run before any output file is opened.
+    """
+    items = _load_records(path, errors, args.strict)
+    return _collect(parallel_map(partial(_guarded, fn), items, args.workers),
+                    errors, args.strict)
+
+
+def _run_records(args, fn) -> list[dict]:
+    """Write the rows fn returns for each input record; return the error rows."""
     errors: list[dict] = []
-    items = _load_records(args.input, errors, args.strict)
-
-    def emit():
-        for result in parallel_map(worker, items, args.workers):
-            if result.get("ok"):
-                yield result["out"]
-            else:
-                if args.strict:
-                    raise Fatal(dumps(result["error"]), code=1)
-                errors.append(result["error"])
-
-    write_jsonl(out_path, emit())
+    write_jsonl(args.out, chain.from_iterable(_map_records(args, args.input, fn, errors)))
     return errors
 
 
-def _record_error(lineno: int, record: dict, exc: Exception) -> dict:
-    return {
-        "ok": False,
-        "error": {"line": lineno, "id": record.get("id"), "error": str(exc)},
-    }
+# --- per-record functions (module level so process pools can pickle them) ---
+
+def _canon(lineno, record):
+    return [{"id": record.get("id"), "smiles": canonicalize(record["smiles"])}]
 
 
-# --- per-record workers (module level so process pools can pickle them) ----
-
-def _w_canon(item):
-    lineno, record = item
-    try:
-        out = {"id": record.get("id"), "smiles": canonicalize(record["smiles"])}
-    except (KeyError, ValueError) as exc:
-        return _record_error(lineno, record, exc)
-    return {"ok": True, "out": out}
+def _validate(lineno, record):
+    verdict = validate(record["smiles"])
+    return [{"id": record.get("id"), "status": verdict.status, "detail": verdict.detail}]
 
 
-def _w_validate(item):
-    lineno, record = item
-    try:
-        verdict = validate(record["smiles"])
-    except KeyError as exc:
-        return _record_error(lineno, record, exc)
-    return {
-        "ok": True,
-        "out": {
-            "id": record.get("id"),
-            "status": verdict.status,
-            "detail": verdict.detail,
-        },
-    }
+def _fingerprint(lineno, record, spec: FingerprintSpec):
+    return fingerprint(parse_smiles(record["smiles"]), spec)
 
 
-def _w_fp(item, spec: FingerprintSpec):
-    lineno, record = item
-    try:
-        fp = fingerprint(parse_smiles(record["smiles"]), spec)
-    except (KeyError, ValueError) as exc:
-        return _record_error(lineno, record, exc)
-    return {"ok": True, "out": {"id": record.get("id"), "fp": fp.serialize()}}
+def _fp(lineno, record, spec: FingerprintSpec):
+    return [{"id": record.get("id"), "fp": _fingerprint(lineno, record, spec).serialize()}]
 
 
-def _w_sim(item, spec: FingerprintSpec, ref_fps: list):
-    lineno, record = item
-    try:
-        fp = fingerprint(parse_smiles(record["smiles"]), spec)
-        best = 0.0
-        for ref in ref_fps:
-            t = tanimoto(fp, ref)
-            if t > best:
-                best = t
-    except (KeyError, ValueError) as exc:
-        return _record_error(lineno, record, exc)
-    return {"ok": True, "out": {"id": record.get("id"), "max_similarity": best}}
+def _sim(lineno, record, spec: FingerprintSpec, ref_fps: list):
+    best = max_similarity_to_set(_fingerprint(lineno, record, spec), ref_fps)
+    return [{"id": record.get("id"), "max_similarity": best}]
 
 
-def _w_scaffold(item):
-    lineno, record = item
-    try:
-        key = murcko_scaffold(parse_smiles(record["smiles"]))
-    except (KeyError, ValueError) as exc:
-        return _record_error(lineno, record, exc)
-    return {"ok": True, "out": {"id": record.get("id"), "scaffold": key}}
+def _scaffold(lineno, record):
+    return [{"id": record.get("id"), "scaffold": murcko_scaffold(parse_smiles(record["smiles"]))}]
 
 
-def _w_interleave(item, entity_limit: int, token_limit: int):
-    lineno, record = item
-    try:
-        proc = AnnotatedProcedure.from_dict(record)
-        outcome = build_interleaved(proc, entity_limit, token_limit)
-    except (KeyError, ValueError) as exc:
-        return _record_error(lineno, record, exc)
-    return {"ok": True, "outcome": outcome}
+def _interleave(lineno, record, entity_limit: int, token_limit: int):
+    return build_interleaved(AnnotatedProcedure.from_dict(record), entity_limit, token_limit)
 
 
-def _w_nameconv(item):
-    lineno, record = item
-    try:
-        records = [r.to_dict() for r in build_name_conversion(record)]
-    except (KeyError, ValueError) as exc:
-        return _record_error(lineno, record, exc)
-    return {"ok": True, "records": records}
+def _nameconv(lineno, record):
+    return [r.to_dict() for r in build_name_conversion(record)]
 
 
 @lru_cache(maxsize=4)
@@ -380,55 +366,41 @@ def _render_registry(templates_path: str | None):
     return registry
 
 
-def _w_render(item, task, variant, seed, sentinel, templates_path):
-    lineno, record = item
+def _render(lineno, record, task, variant, seed, sentinel, templates_path):
     bindings = {k: v for k, v in record.items() if k != "id"}
     # Seeded per-record choice stays worker-count independent: the draw
     # depends only on the seed and the record's input line.
     record_seed = None if seed is None else f"{seed}:{lineno}"
-    try:
-        rendered = render_template(
-            task, bindings, registry=_render_registry(templates_path),
-            variant=variant, seed=record_seed, sentinel_molecules=sentinel,
-        )
-    except ValueError as exc:
-        return _record_error(lineno, record, exc)
-    out = {"id": record.get("id"), **rendered}
-    return {"ok": True, "out": out}
+    rendered = render_template(
+        task, bindings, registry=_render_registry(templates_path),
+        variant=variant, seed=record_seed, sentinel_molecules=sentinel,
+    )
+    return [{"id": record.get("id"), **rendered}]
 
 
 # --- subcommand handlers ----------------------------------------------------
 
 def _cmd_canon(args):
-    return _run_records(args, _w_canon, args.out)
+    return _run_records(args, _canon)
 
 
 def _cmd_validate(args):
-    return _run_records(args, _w_validate, args.out)
+    return _run_records(args, _validate)
 
 
 def _cmd_fp(args):
-    return _run_records(args, partial(_w_fp, spec=_fp_spec(args)), args.out)
+    return _run_records(args, partial(_fp, spec=_fp_spec(args)))
 
 
 def _cmd_sim(args):
     spec = _fp_spec(args)
     errors: list[dict] = []
-    ref_fps = []
-    for lineno, record in _load_records(args.ref, errors, args.strict):
-        try:
-            ref_fps.append(fingerprint(parse_smiles(record["smiles"]), spec))
-        except (KeyError, ValueError) as exc:
-            err = _record_error(lineno, record, exc)["error"]
-            if args.strict:
-                raise Fatal(dumps(err), code=1)
-            errors.append(err)
-    worker = partial(_w_sim, spec=spec, ref_fps=ref_fps)
-    return errors + _run_records(args, worker, args.out)
+    ref_fps = list(_map_records(args, args.ref, partial(_fingerprint, spec=spec), errors))
+    return errors + _run_records(args, partial(_sim, spec=spec, ref_fps=ref_fps))
 
 
 def _cmd_scaffold(args):
-    return _run_records(args, _w_scaffold, args.out)
+    return _run_records(args, _scaffold)
 
 
 def _cmd_split(args):
@@ -454,77 +426,71 @@ def _cmd_leakcheck(args):
     return []
 
 
-def _cmd_interleave(args):
-    entity_limit = args.entity_limit if args.entity_limit is not None else 20
-    token_limit = args.token_limit if args.token_limit is not None else 1024
-    errors: list[dict] = []
-    items = _load_records(args.input, errors, args.strict)
-    worker = partial(_w_interleave, entity_limit=entity_limit, token_limit=token_limit)
-    stats = CorpusStats()
+def _corpus_outcomes(args, errors: list[dict], stats: CorpusStats):
+    """Interleave outcomes of the input procedures, each observed by stats."""
+    worker = partial(
+        _interleave,
+        entity_limit=20 if args.entity_limit is None else args.entity_limit,
+        token_limit=1024 if args.token_limit is None else args.token_limit,
+    )
+    outcomes = _map_records(args, args.input, worker, errors)
 
-    def emit():
-        for result in parallel_map(worker, items, args.workers):
-            if not result.get("ok"):
-                if args.strict:
-                    raise Fatal(dumps(result["error"]), code=1)
-                errors.append(result["error"])
-                continue
-            outcome = result["outcome"]
+    def observed():
+        for outcome in outcomes:
             stats.observe(outcome)
-            if isinstance(outcome, InterleavedRecord):
-                yield outcome.to_dict()
+            yield outcome
 
-    write_jsonl(args.out, emit())
+    return observed()
+
+
+def _cmd_interleave(args):
+    errors: list[dict] = []
+    stats = CorpusStats()
+    outcomes = _corpus_outcomes(args, errors, stats)
+    write_jsonl(args.out, (o.to_dict() for o in outcomes if isinstance(o, InterleavedRecord)))
     if args.stats:
         write_json(args.stats, stats.to_dict())
     return errors
 
 
-def _cmd_nameconv(args):
+def _cmd_stats(args):
     errors: list[dict] = []
-    items = _load_records(args.input, errors, args.strict)
-
-    def emit():
-        for result in parallel_map(_w_nameconv, items, args.workers):
-            if result.get("ok"):
-                yield from result["records"]
-            else:
-                if args.strict:
-                    raise Fatal(dumps(result["error"]), code=1)
-                errors.append(result["error"])
-
-    write_jsonl(args.out, emit())
+    stats = CorpusStats()
+    for _ in _corpus_outcomes(args, errors, stats):
+        pass
+    write_json(args.out, stats.to_dict())
     return errors
 
 
+def _cmd_nameconv(args):
+    return _run_records(args, _nameconv)
+
+
 def _cmd_render(args):
-    worker = partial(
-        _w_render, task=args.task, variant=args.variant, seed=args.seed,
+    return _run_records(args, partial(
+        _render, task=args.task, variant=args.variant, seed=args.seed,
         sentinel=args.sentinel, templates_path=args.templates,
-    )
-    return _run_records(args, worker, args.out)
+    ))
 
 
-def _join_by_id(pred_path: str, ref_path: str) -> tuple[list[tuple[dict, dict]], list[dict]]:
-    """Pair reference records with predictions by id, in reference order."""
+def _join_by_id(args, row) -> tuple[list, list[dict]]:
+    """row(reference, prediction) for each reference, in reference order.
+
+    Predictions pair with references by id. A reference without a
+    prediction, or a pair whose row cannot be built, is an error row.
+    """
     errors: list[dict] = []
-    preds: dict[str, dict] = {}
-    for lineno, record in iter_jsonl(pred_path):
-        if isinstance(record, SchemaError):
-            errors.append({"line": record.lineno, "error": record.message})
-            continue
-        preds[str(record.get("id"))] = record
-    pairs = []
-    for lineno, record in iter_jsonl(ref_path):
-        if isinstance(record, SchemaError):
-            errors.append({"line": record.lineno, "error": record.message})
-            continue
-        rid = str(record.get("id"))
-        if rid not in preds:
-            errors.append({"line": lineno, "id": rid, "error": "no prediction"})
-            continue
-        pairs.append((record, preds[rid]))
-    return pairs, errors
+    preds = {str(p.get("id")): p for _, p in _load_records(args.pred, errors, args.strict)}
+
+    def pair(lineno, ref):
+        pred = preds.get(str(ref.get("id")))
+        if pred is None:
+            raise LookupError("no prediction")
+        return row(ref, pred)
+
+    refs = _load_records(args.ref, errors, args.strict)
+    rows = list(_collect(map(partial(_guarded, pair), refs), errors, args.strict))
+    return rows, errors
 
 
 def _write_report(args, report) -> None:
@@ -536,12 +502,9 @@ def _write_report(args, report) -> None:
 
 
 def _cmd_eval_gen(args):
-    pairs, errors = _join_by_id(args.pred, args.ref)
-    records = [
-        {"id": ref.get("id"), "prediction": pred.get("prediction", ""),
-         "reference": ref["reference"]}
-        for ref, pred in pairs
-    ]
+    records, errors = _join_by_id(args, lambda ref, pred: {
+        "id": ref.get("id"), "prediction": pred["prediction"], "reference": ref["reference"],
+    })
     fp_specs = {kind: _fp_spec(args, kind) for kind in ("circular", "path")}
     report = eval_generation(records, fp_specs=fp_specs)
     _write_report(args, report)
@@ -549,57 +512,28 @@ def _cmd_eval_gen(args):
 
 
 def _cmd_eval_cls(args):
-    pairs, errors = _join_by_id(args.pred, args.ref)
-    labeled = [
-        (int(ref["reference"]), int(pred["prediction"])) for ref, pred in pairs
-    ]
-    report = eval_classification(labeled, n_classes=args.n_classes)
-    _write_report(args, report)
+    labeled, errors = _join_by_id(
+        args, lambda ref, pred: (int(ref["reference"]), int(pred["prediction"])))
+    _write_report(args, eval_classification(labeled, n_classes=args.n_classes))
     return errors
 
 
 def _cmd_eval_reg(args):
-    pairs, errors = _join_by_id(args.pred, args.ref)
-    series = [
-        (float(ref["reference"]), float(pred["prediction"])) for ref, pred in pairs
-    ]
-    report = eval_regression(series)
-    _write_report(args, report)
+    series, errors = _join_by_id(
+        args, lambda ref, pred: (float(ref["reference"]), float(pred["prediction"])))
+    _write_report(args, eval_regression(series))
     return errors
 
 
 def _cmd_eval_sel(args):
-    pairs, errors = _join_by_id(args.pred, args.ref)
-    records = [
-        {
-            "id": ref.get("id"),
-            "gold_item": ref["reference"],
-            "predicted_item": pred.get("prediction"),
-            "candidates": ref["candidates"],
-            "candidate_yield_ranks": ref.get("candidate_yield_ranks"),
-        }
-        for ref, pred in pairs
-    ]
-    report = eval_selection(records)
-    _write_report(args, report)
-    return errors
-
-
-def _cmd_stats(args):
-    entity_limit = args.entity_limit if args.entity_limit is not None else 20
-    token_limit = args.token_limit if args.token_limit is not None else 1024
-    errors: list[dict] = []
-    items = _load_records(args.input, errors, args.strict)
-    stats = CorpusStats()
-    worker = partial(_w_interleave, entity_limit=entity_limit, token_limit=token_limit)
-    for result in parallel_map(worker, items, args.workers):
-        if not result.get("ok"):
-            if args.strict:
-                raise Fatal(dumps(result["error"]), code=1)
-            errors.append(result["error"])
-            continue
-        stats.observe(result["outcome"])
-    write_json(args.out, stats.to_dict())
+    records, errors = _join_by_id(args, lambda ref, pred: {
+        "id": ref.get("id"),
+        "gold_item": ref["reference"],
+        "predicted_item": pred["prediction"],
+        "candidates": list(ref["candidates"]),
+        "candidate_yield_ranks": ref.get("candidate_yield_ranks"),
+    })
+    _write_report(args, eval_selection(records))
     return errors
 
 

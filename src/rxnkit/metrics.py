@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fingerprint import FingerprintSpec, fingerprint, key_fingerprint, load_key_table, tanimoto
-from .molgraph import canonicalize, parse_smiles, validate
+from .molgraph import ChemistryError, SmilesSyntaxError, canonical_smiles, parse_smiles
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -185,7 +185,7 @@ def eval_generation(
         ref = str(record["reference"])
         try:
             ref_mol = parse_smiles(ref)
-            ref_canonical = canonicalize(ref)
+            ref_canonical = canonical_smiles(ref_mol)
         except ValueError as exc:
             errors.append({"id": rid, "error": f"invalid reference: {exc}"})
             continue
@@ -193,17 +193,19 @@ def eval_generation(
         bleu_pairs.append((pred, ref))
         distance = levenshtein(pred, ref)
         lev_total += distance
-        verdict = validate(pred)
+        try:
+            pred_mol = parse_smiles(pred)
+        except (SmilesSyntaxError, ChemistryError):
+            pred_mol = None
         row = {
             "id": rid,
-            "valid": verdict.is_valid,
+            "valid": pred_mol is not None,
             "exact": False,
             "levenshtein": distance,
         }
-        if verdict.is_valid:
+        if pred_mol is not None:
             valid_hits += 1
-            pred_mol = parse_smiles(pred)
-            row["exact"] = canonicalize(pred) == ref_canonical
+            row["exact"] = canonical_smiles(pred_mol) == ref_canonical
             exact_hits += row["exact"]
             pred_fps = fps(pred_mol)
             ref_fps = fps(ref_mol)

@@ -175,6 +175,21 @@ class Molecule:
             out.append(tuple(sorted(comp)))
         return tuple(out)
 
+    def subgraph(self, atoms: list[int] | tuple[int, ...]) -> "Molecule":
+        """The given atoms, in the given order, and the bonds among them.
+
+        Chirality is dropped: it is stated relative to neighbours that may
+        be left out. Directional bonds keep their direction.
+        """
+        new_of_old = {old: new for new, old in enumerate(atoms)}
+        bonds = tuple(
+            Bond(new_of_old[b.a], new_of_old[b.b], b.order, b.is_aromatic, b.stereo,
+                 new_of_old.get(b.stereo_from))
+            for b in self.bonds
+            if b.a in new_of_old and b.b in new_of_old
+        )
+        return Molecule(tuple(self.atoms[old] for old in atoms), bonds)
+
     def renumbered(self, order: list[int] | tuple[int, ...]) -> "Molecule":
         """Rebuild with atoms permuted: new atom i is old atom order[i].
 

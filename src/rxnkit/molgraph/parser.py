@@ -63,7 +63,9 @@ class MolDraft:
 
 def parse_draft(text: str) -> MolDraft:
     """Parse SMILES text into a draft graph, or raise SmilesSyntaxError."""
-    if text is None or not text.strip():
+    if not isinstance(text, str):
+        raise SmilesSyntaxError(f"SMILES must be a string, not {type(text).__name__}")
+    if not text.strip():
         raise SmilesSyntaxError("empty SMILES string")
     s = text.strip()
     if any(ch.isspace() for ch in s):

@@ -18,9 +18,8 @@ from functools import partial
 
 from ._jsonl import parallel_map
 from .fingerprint import BitFingerprint, FingerprintSpec, fingerprint, tanimoto
-from .molgraph import Molecule, canonical_smiles, parse_smiles
+from .molgraph import Atom, Molecule, canonical_smiles, parse_smiles
 from .molgraph.elements import allowed_valences, fill_hydrogens
-from .molgraph.model import Atom, Bond
 from .reaction import parse_reaction, reaction_key
 
 EMPTY_SCAFFOLD = "∅"  # ∅
@@ -54,39 +53,18 @@ def scaffold_molecule(mol: Molecule) -> Molecule | None:
     if not kept:
         return None
 
-    remap = {old: new for new, old in enumerate(sorted(kept))}
-    bonds = []
-    order_sum = {old: 0 for old in kept}
-    for b in mol.bonds:
-        if b.a in kept and b.b in kept:
-            bonds.append(
-                Bond(
-                    a=remap[b.a],
-                    b=remap[b.b],
-                    order=b.order,
-                    is_aromatic=b.is_aromatic,
-                    stereo=b.stereo,
-                    stereo_from=None if b.stereo_from is None else remap.get(b.stereo_from),
-                )
-            )
-            order_sum[b.a] += b.order
-            order_sum[b.b] += b.order
+    sub = mol.subgraph(sorted(kept))
+    order_sum = [0] * len(sub)
+    for b in sub.bonds:
+        order_sum[b.a] += b.order
+        order_sum[b.b] += b.order
     atoms = []
-    for old in sorted(kept):
-        a = mol.atoms[old]
+    for a, orders in zip(sub.atoms, order_sum):
         h = a.implicit_hydrogens
         if allowed_valences(a.atomic_number, a.formal_charge) is not None:
-            h = fill_hydrogens(a.atomic_number, a.formal_charge, order_sum[old])
-        atoms.append(
-            Atom(
-                atomic_number=a.atomic_number,
-                formal_charge=a.formal_charge,
-                implicit_hydrogens=h,
-                is_aromatic=a.is_aromatic,
-                isotope=a.isotope,
-            )
-        )
-    return Molecule(tuple(atoms), tuple(bonds))
+            h = fill_hydrogens(a.atomic_number, a.formal_charge, orders)
+        atoms.append(Atom(a.atomic_number, a.formal_charge, h, a.is_aromatic, a.isotope))
+    return Molecule(tuple(atoms), sub.bonds)
 
 
 def murcko_scaffold(mol: Molecule) -> str:
@@ -158,7 +136,8 @@ def principal_molecule(record: dict) -> Molecule:
                 heavy = sum(
                     1 for i in frag_atoms if product.atoms[i].atomic_number > 1
                 )
-                sub = _fragment_molecule(product, frag_atoms)
+                whole = len(frag_atoms) == len(product.atoms)
+                sub = product if whole else product.subgraph(frag_atoms)
                 key = (-heavy, canonical_smiles(sub))
                 if best_key is None or key < best_key:
                     best_key = key
@@ -168,20 +147,6 @@ def principal_molecule(record: dict) -> Molecule:
     if "smiles" in record:
         return parse_smiles(record["smiles"])
     raise ValueError(f"record {record.get('id')!r} has neither 'rxn' nor 'smiles'")
-
-
-def _fragment_molecule(mol: Molecule, frag_atoms: tuple[int, ...]) -> Molecule:
-    if len(frag_atoms) == len(mol.atoms):
-        return mol
-    remap = {old: new for new, old in enumerate(frag_atoms)}
-    atoms = tuple(mol.atoms[i] for i in frag_atoms)
-    bonds = tuple(
-        Bond(remap[b.a], remap[b.b], b.order, b.is_aromatic, b.stereo,
-             None if b.stereo_from is None else remap.get(b.stereo_from))
-        for b in mol.bonds
-        if b.a in remap and b.b in remap
-    )
-    return Molecule(atoms, bonds)
 
 
 def scaffold_fingerprint(record: dict, spec: FingerprintSpec) -> BitFingerprint:

@@ -6,7 +6,8 @@ confusion-entropy / Matthews-coefficient formulas expanded term by term, and
 canonical ranking that re-sorts every atom in every refinement round. The
 earlier, recursive key and path fingerprints are kept here as references:
 they evaluate every atom predicate per pattern and per candidate, and
-respell and rehash every path.
+respell and rehash every path. So are the two hand-written sub-molecule
+builders that ``Molecule.subgraph`` replaced.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from functools import lru_cache
 from itertools import permutations
 
 from rxnkit.fingerprint import BitFingerprint, FingerprintSpec, fnv1a
-from rxnkit.molgraph.model import bond_code
+from rxnkit.molgraph import Molecule
+from rxnkit.molgraph.elements import allowed_valences, fill_hydrogens
+from rxnkit.molgraph.model import Atom, Bond, bond_code
 from rxnkit.substructure import _atom_matches, _bond_matches
 
 
@@ -280,3 +283,68 @@ def reference_path_fingerprint(mol, spec=None) -> BitFingerprint:
     for start in range(len(mol.atoms)):
         extend([start], {start})
     return BitFingerprint(width=spec.width, bits=frozenset(bits))
+
+
+def reference_fragment_molecule(mol, frag_atoms) -> Molecule:
+    """The given atoms, in the given order, and their bonds; no chirality."""
+    remap = {old: new for new, old in enumerate(frag_atoms)}
+    atoms = tuple(mol.atoms[i] for i in frag_atoms)
+    bonds = tuple(
+        Bond(remap[b.a], remap[b.b], b.order, b.is_aromatic, b.stereo,
+             None if b.stereo_from is None else remap.get(b.stereo_from))
+        for b in mol.bonds
+        if b.a in remap and b.b in remap
+    )
+    return Molecule(atoms, bonds)
+
+
+def reference_scaffold_molecule(mol) -> Molecule | None:
+    """Murcko scaffold: prune degree-1 atoms, keep the rest, refill hydrogens."""
+    if not any(mol.ring_membership):
+        return None
+    kept = set(range(len(mol.atoms)))
+    degree = {i: set(mol.neighbors[i]) for i in kept}
+    changed = True
+    while changed:
+        changed = False
+        for idx in sorted(kept):
+            nbrs = degree[idx]
+            if len(nbrs) > 1:
+                continue
+            if nbrs:
+                (other,) = nbrs
+                bond = mol.bond_between(idx, other)
+                if bond.order >= 2 and mol.ring_membership[other]:
+                    continue
+            elif mol.ring_membership[idx]:
+                continue
+            kept.discard(idx)
+            for other in nbrs:
+                degree[other].discard(idx)
+            degree.pop(idx)
+            changed = True
+    if not kept:
+        return None
+    remap = {old: new for new, old in enumerate(sorted(kept))}
+    bonds = []
+    order_sum = {old: 0 for old in kept}
+    for b in mol.bonds:
+        if b.a in kept and b.b in kept:
+            bonds.append(Bond(
+                a=remap[b.a], b=remap[b.b], order=b.order, is_aromatic=b.is_aromatic,
+                stereo=b.stereo,
+                stereo_from=None if b.stereo_from is None else remap.get(b.stereo_from),
+            ))
+            order_sum[b.a] += b.order
+            order_sum[b.b] += b.order
+    atoms = []
+    for old in sorted(kept):
+        a = mol.atoms[old]
+        h = a.implicit_hydrogens
+        if allowed_valences(a.atomic_number, a.formal_charge) is not None:
+            h = fill_hydrogens(a.atomic_number, a.formal_charge, order_sum[old])
+        atoms.append(Atom(
+            atomic_number=a.atomic_number, formal_charge=a.formal_charge,
+            implicit_hydrogens=h, is_aromatic=a.is_aromatic, isotope=a.isotope,
+        ))
+    return Molecule(tuple(atoms), tuple(bonds))

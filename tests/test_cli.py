@@ -406,3 +406,181 @@ class TestConfig:
         run(["--config", str(config), "fp", "--in", str(mols), "--out", str(out2),
              "--width", "64"])
         assert read_jsonl(out2)[0]["fp"].startswith("64:")
+
+
+# Each per-record subcommand: its argv (before --in/--out) and one good record.
+PER_RECORD = {
+    "canon": (["canon"], {"id": "a", "smiles": "OCC"}),
+    "validate": (["validate"], {"id": "a", "smiles": "OCC"}),
+    "fp": (["fp", "--fp-kind", "path"], {"id": "a", "smiles": "OCC"}),
+    "scaffold": (["scaffold"], {"id": "a", "smiles": "CCc1ccccc1"}),
+    "sim": (["sim", "--ref", "REF"], {"id": "a", "smiles": "OCC"}),
+    "render": (["render", "--task", "forward"],
+               {"id": "a", "reactants": ["CCO"], "products": ["CC"]}),
+    "nameconv": (["corpus", "nameconv"], {"id": "a", "smiles": "CCO", "iupac": "ethanol"}),
+    "interleave": (["corpus", "interleave"],
+                   {"id": "a", "text": "add ethanol", "entities": [
+                       {"span": [4, 11], "smiles": "CCO"}]}),
+    "stats": (["stats"], {"id": "a", "text": "add ethanol", "entities": [
+        {"span": [4, 11], "smiles": "CCO"}]}),
+}
+
+
+class TestBadRecords:
+    """No bad record crashes a run: each becomes one error row on stderr."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(PER_RECORD))
+    def test_per_record_subcommands(self, tmp_path, capsys, name, workers):
+        argv, good = PER_RECORD[name]
+        ref = tmp_path / "ref.jsonl"
+        write_jsonl(ref, [{"id": "r", "smiles": "CCO"}])
+        argv = [str(ref) if a == "REF" else a for a in argv]
+        only_good = tmp_path / "good.jsonl"
+        write_jsonl(only_good, [good])
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("\n".join([
+            json.dumps(good), "[1, 2]", json.dumps({"id": "m"}),
+            json.dumps({"id": "b", "smiles": 5}),
+        ]) + "\n")
+        want, got = tmp_path / "want.out", tmp_path / "got.out"
+        assert run(argv + ["--in", str(only_good), "--out", str(want)]) == 0
+        capsys.readouterr()
+        assert run(argv + ["--in", str(mixed), "--out", str(got),
+                           "--workers", str(workers)]) == 0
+        errors = json.loads(capsys.readouterr().err)["record_errors"]
+        if name == "validate":
+            # A SMILES that is not a string is a verdict, not an error row.
+            assert [e["line"] for e in errors] == [2, 3]
+            rows = read_jsonl(got)
+            assert rows[0] == read_jsonl(want)[0]
+            assert rows[1]["id"] == "b" and rows[1]["status"] == "syntax_error"
+        else:
+            assert [e["line"] for e in errors] == [2, 3, 4]
+            assert [e.get("id") for e in errors] == [None, "m", "b"]
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_sim_reference_errors_are_rows(self, tmp_path, capsys, mols):
+        ref = tmp_path / "ref.jsonl"
+        write_jsonl(ref, [{"id": "r1", "smiles": 5}, {"id": "r2", "smiles": "CCO"}])
+        out = tmp_path / "sim.jsonl"
+        assert run(["sim", "--in", str(mols), "--ref", str(ref), "--out", str(out)]) == 0
+        (error,) = json.loads(capsys.readouterr().err)["record_errors"]
+        assert (error["line"], error["id"]) == (1, "r1")
+        assert read_jsonl(out)[0]["max_similarity"] == 1.0
+
+    def test_strict_fails_before_writing(self, tmp_path, capsys):
+        src = tmp_path / "bad.jsonl"
+        src.write_text('{"id": "a", "smiles": "C"}\nnot json\n')
+        out = tmp_path / "out.jsonl"
+        assert run(["canon", "--in", str(src), "--out", str(out), "--strict"]) == 1
+        assert not out.exists()
+        assert ":2: bad JSON" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_leakcheck_lists_a_non_string_smiles(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_jsonl(a, [{"id": "x", "smiles": "CCO"}, {"id": "bad", "smiles": 5}])
+        write_jsonl(b, [{"id": "y", "smiles": "OCC"}])
+        out = tmp_path / "leak.json"
+        assert run(["leakcheck", "--split", f"a={a}", "--split", f"b={b}",
+                    "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [e["id"] for e in report["errors"]] == ["bad"]
+        assert report["cross"][0]["count"] == 1
+
+
+# Each eval task: two good (reference, prediction) pairs, then pairs that
+# miss or mistype a field. One more reference has no prediction at all.
+EVAL_CASES = {
+    "cls": ([(0, 0), (1, 0)], [({}, {"prediction": 1}), ({"reference": 1}, {}),
+                               ({"reference": 1}, {"prediction": "x"})]),
+    "reg": ([(1.0, 1.5), (2.0, 2.0)], [({}, {"prediction": 1.0}),
+                                       ({"reference": 1.0}, {}),
+                                       ({"reference": None}, {"prediction": 1.0})]),
+    "sel": ([("A", "A"), ("B", "A")], [({"reference": "A"}, {"prediction": "A"}),
+                                       ({"candidates": ["A"]}, {"prediction": "A"}),
+                                       ({"reference": "A", "candidates": ["A"]}, {})]),
+    "gen": ([("CCO", "OCC"), ("CCN", "CCC")], [({}, {"prediction": "C"}),
+                                               ({"reference": "C"}, {})]),
+}
+
+
+def write_eval_pairs(tmp_path, task):
+    good, bad = EVAL_CASES[task]
+    refs, preds = [], []
+    for i, (reference, prediction) in enumerate(good):
+        ref = {"id": f"g{i}", "reference": reference}
+        if task == "sel":
+            ref["candidates"] = ["A", "B"]
+        refs.append(ref)
+        preds.append({"id": f"g{i}", "prediction": prediction})
+    for i, (ref, pred) in enumerate(bad):
+        refs.append({"id": f"b{i}", **ref})
+        preds.append({"id": f"b{i}", **pred})
+    refs.append({"id": "alone", "reference": good[0][0]})
+    ref_path, pred_path = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+    write_jsonl(ref_path, refs)
+    write_jsonl(pred_path, preds)
+    return ref_path, pred_path, len(bad) + 1
+
+
+class TestEvalBadPairs:
+    @pytest.mark.parametrize("task", sorted(EVAL_CASES))
+    def test_bad_pairs_become_error_rows(self, tmp_path, capsys, task):
+        ref, pred, n_bad = write_eval_pairs(tmp_path, task)
+        out = tmp_path / "m.json"
+        assert run(["eval", task, "--pred", str(pred), "--ref", str(ref),
+                    "--out", str(out)]) == 0
+        errors = json.loads(capsys.readouterr().err)["record_errors"]
+        assert [e["line"] for e in errors] == list(range(3, 3 + n_bad))
+        assert errors[-1] == {"line": 3 + n_bad - 1, "id": "alone", "error": "no prediction"}
+        assert json.loads(out.read_text())["sample_count"] == 2
+
+    @pytest.mark.parametrize("drop", ["row", "field"])
+    def test_gen_strict_missing_prediction_is_fatal(self, tmp_path, capsys, drop):
+        ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(ref, [{"id": 1, "reference": "CCO"}, {"id": 2, "reference": "CCN"}])
+        write_jsonl(pred, [{"id": 1, "prediction": "CCO"}] + [{"id": 2}] * (drop == "field"))
+        out = tmp_path / "m.json"
+        assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref),
+                    "--out", str(out), "--strict"]) == 1
+        assert json.loads(json.loads(capsys.readouterr().err)["error"])["id"] == 2
+        assert not out.exists()
+
+    def test_strict_schema_error_in_predictions(self, tmp_path, capsys):
+        ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(ref, [{"id": 1, "reference": 1}, {"id": 2, "reference": 2}])
+        pred.write_text('{"id": 1, "prediction": 1}\nnot json\n')
+        assert run(["eval", "reg", "--pred", str(pred), "--ref", str(ref), "--strict"]) == 1
+        assert "bad JSON" in json.loads(capsys.readouterr().err)["error"]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("text, wanted", [
+        ('{"wrokers": 4}', "wrokers"),
+        ('{"width": 64, "entity_limit": 3}', "entity_limit"),
+        ("{not json", "cannot read config"),
+        ("[1, 2]", "not a JSON object"),
+    ])
+    def test_bad_config_is_one_error_line(self, tmp_path, mols, capsys, text, wanted):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "o.jsonl"
+        assert run(["--config", str(config), "fp", "--in", str(mols),
+                    "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert wanted in json.loads(line)["error"]
+        assert not out.exists()
+
+    def test_missing_config_file(self, tmp_path, mols, capsys):
+        assert run(["--config", str(tmp_path / "absent.json"), "canon",
+                    "--in", str(mols)]) == 2
+        assert "absent.json" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_hyphenated_key_names_an_option(self, tmp_path, mols):
+        config = tmp_path / "config.json"
+        config.write_text('{"fp-kind": "path", "workers": 2}')
+        out = tmp_path / "o.jsonl"
+        assert run(["--config", str(config), "fp", "--in", str(mols),
+                    "--out", str(out), "--width", "64"]) == 0
+        assert read_jsonl(out)[0]["fp"].startswith("64:")

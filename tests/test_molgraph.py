@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rxnkit.molgraph import (
     ChemistryError,
@@ -120,6 +122,31 @@ class TestParse:
         mol = parse_smiles("[Fe](Cl)(Cl)Cl")
         assert mol.problems  # valence unchecked, flagged
         assert molecular_formula(mol) == "Cl3Fe"
+
+
+SMILES_ALPHABET = "CNOSPFIBrclnosp[]()=#$:/\\@+-.%0123456789H*"
+NON_TEXT = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.binary(),
+                     st.lists(st.text(max_size=3), max_size=3),
+                     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+class TestParseRaisesOnlyParseErrors:
+    """Parsing any input raises SmilesSyntaxError or ChemistryError, nothing else."""
+
+    @settings(max_examples=2000, deadline=None, database=None)
+    @given(st.text(alphabet=SMILES_ALPHABET, max_size=40))
+    def test_text_over_the_smiles_alphabet(self, text):
+        try:
+            parse_smiles(text)
+        except (SmilesSyntaxError, ChemistryError):
+            pass
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(NON_TEXT)
+    def test_values_that_are_not_text(self, value):
+        with pytest.raises(SmilesSyntaxError):
+            parse_smiles(value)
+        assert validate(value).status == "syntax_error"
 
 
 class TestValidate:

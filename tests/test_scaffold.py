@@ -14,10 +14,39 @@ from rxnkit.scaffold import (
     principal_molecule,
     resample_test_set,
     scaffold_fingerprint,
+    scaffold_molecule,
 )
 from rxnkit.fingerprint import BitFingerprint
 
 from conftest import shuffled
+from oracles import reference_fragment_molecule, reference_scaffold_molecule
+
+
+def same_molecule(a, b) -> bool:
+    return (a.atoms, a.bonds, a.chiral_tags, a.stereo_order) == (
+        b.atoms, b.bonds, b.chiral_tags, b.stereo_order)
+
+
+class TestSubgraph:
+    def test_equals_the_fragment_builder(self, corpus):
+        rng = random.Random(11)
+        for smiles in corpus + ["F/C=C/F.Cl", "C/C(F)=C(/Cl)C1CC1.[Na+]"]:
+            mol = shuffled(parse_smiles(smiles), rng)
+            subsets = list(mol.fragments)
+            for _ in range(4):
+                atoms = rng.sample(range(len(mol)), rng.randint(1, len(mol)))
+                subsets += [atoms, sorted(atoms)]
+            for atoms in subsets:
+                assert same_molecule(mol.subgraph(atoms),
+                                     reference_fragment_molecule(mol, atoms))
+
+    def test_scaffold_equals_the_scaffold_builder(self, corpus):
+        rng = random.Random(12)
+        for smiles in corpus + ["C/C=C/c1ccccc1C=O", "O=C1CC/C(=C/C)CC1"]:
+            mol = shuffled(parse_smiles(smiles), rng)
+            got, want = scaffold_molecule(mol), reference_scaffold_molecule(mol)
+            assert (got is None) == (want is None)
+            assert got is None or same_molecule(got, want)
 
 
 class TestMurcko:
