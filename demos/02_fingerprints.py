@@ -28,8 +28,8 @@ for name, mol in [("aspirin", aspirin), ("salicylic acid", salicylic),
     c = circular_fingerprint(mol)
     p = path_fingerprint(mol)
     k = key_fingerprint(mol, table)
-    print(f"{name:15s} circular={len(c.bits):3d} bits  "
-          f"path={len(p.bits):3d} bits  keys={len(k.bits):3d} bits")
+    print(f"{name:15s} circular={c.bits.bit_count():3d} bits  "
+          f"path={p.bits.bit_count():3d} bits  keys={k.bits.bit_count():3d} bits")
 
 # Tanimoto similarity |A&B| / |A|B| over each family. Related molecules
 # score high, unrelated ones low.

@@ -51,11 +51,12 @@ from .templates import render as render_template
 
 
 class Fatal(Exception):
-    """Unrecoverable CLI failure; carries the exit code."""
+    """Unrecoverable CLI failure; carries the exit code and any error rows."""
 
-    def __init__(self, message: str, code: int = 2) -> None:
+    def __init__(self, message: str, code: int = 2, errors: list[dict] | None = None) -> None:
         super().__init__(message)
         self.code = code
+        self.errors = errors or []
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -65,16 +66,19 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config(args)
         errors = args.handler(args)
     except Fatal as exc:
+        _write_record_errors(exc.errors)
         sys.stderr.write(dumps({"error": str(exc)}) + "\n")
         return exc.code
     except (OSError, ValueError) as exc:
         sys.stderr.write(dumps({"error": str(exc)}) + "\n")
         return 2
-    if errors:
-        sys.stderr.write(
-            dumps({"record_errors": errors, "count": len(errors)}) + "\n"
-        )
+    _write_record_errors(errors)
     return 0
+
+
+def _write_record_errors(errors: list[dict]) -> None:
+    if errors:
+        sys.stderr.write(dumps({"record_errors": errors, "count": len(errors)}) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -477,7 +481,8 @@ def _join_by_id(args, row) -> tuple[list, list[dict]]:
     """row(reference, prediction) for each reference, in reference order.
 
     Predictions pair with references by id. A reference without a
-    prediction, or a pair whose row cannot be built, is an error row.
+    prediction, or a pair whose row cannot be built, is an error row. When
+    no row is left the run fails, and its error rows are still reported.
     """
     errors: list[dict] = []
     preds = {str(p.get("id")): p for _, p in _load_records(args.pred, errors, args.strict)}
@@ -490,6 +495,8 @@ def _join_by_id(args, row) -> tuple[list, list[dict]]:
 
     refs = _load_records(args.ref, errors, args.strict)
     rows = list(_collect(map(partial(_guarded, pair), refs), errors, args.strict))
+    if not rows:
+        raise Fatal(f"no pair left to score ({len(errors)} error rows)", errors=errors)
     return rows, errors
 
 
@@ -525,14 +532,27 @@ def _cmd_eval_reg(args):
     return errors
 
 
-def _cmd_eval_sel(args):
-    records, errors = _join_by_id(args, lambda ref, pred: {
+def _selection_pair(ref, pred) -> dict:
+    """The eval_selection record of a pair; ranks, if given, are one int per candidate."""
+    candidates = list(ref["candidates"])
+    ranks = ref.get("candidate_yield_ranks")
+    if ranks is not None:
+        if not isinstance(ranks, list) or len(ranks) != len(candidates):
+            raise ValueError("candidate_yield_ranks must hold one rank per candidate")
+        for rank in ranks:
+            if type(rank) is not int:
+                raise ValueError(f"candidate_yield_ranks must be integers, got {rank!r}")
+    return {
         "id": ref.get("id"),
         "gold_item": ref["reference"],
         "predicted_item": pred["prediction"],
-        "candidates": list(ref["candidates"]),
-        "candidate_yield_ranks": ref.get("candidate_yield_ranks"),
-    })
+        "candidates": candidates,
+        "candidate_yield_ranks": ranks,
+    }
+
+
+def _cmd_eval_sel(args):
+    records, errors = _join_by_id(args, _selection_pair)
     _write_report(args, eval_selection(records))
     return errors
 

@@ -1,8 +1,8 @@
 """Bit fingerprints: circular environments, bond paths, structural keys.
 
 All hashing is a fixed 64-bit FNV-1a over canonical byte encodings, so bits
-are stable across platforms, runs, and atom renumberings. Bit vectors
-serialize as "width:hex" with bit i stored at byte i//8, bit i%8.
+are stable across platforms, runs, and atom renumberings. Bit vectors are
+int masks and serialize as "width:hex" of the little-endian mask bytes.
 """
 
 from __future__ import annotations
@@ -28,42 +28,39 @@ def fnv1a(data: bytes) -> int:
 
 @dataclass(frozen=True)
 class BitFingerprint:
-    """Fixed-width bit vector; the unit of Tanimoto similarity."""
+    """Fixed-width bit vector, bit i of the int ``bits``; the unit of Tanimoto."""
 
     width: int
-    bits: frozenset[int]
+    bits: int
 
     def __post_init__(self):
         if self.width <= 0:
             raise ValueError("fingerprint width must be positive")
-        if any(b < 0 or b >= self.width for b in self.bits):
+        if self.bits < 0 or self.bits >> self.width:
             raise ValueError("bit index out of range")
 
     def serialize(self) -> str:
-        packed = bytearray((self.width + 7) // 8)
-        for b in self.bits:
-            packed[b // 8] |= 1 << (b % 8)
-        return f"{self.width}:{packed.hex()}"
+        return f"{self.width}:{self.bits.to_bytes((self.width + 7) // 8, 'little').hex()}"
 
     @classmethod
     def deserialize(cls, text: str) -> "BitFingerprint":
+        """Parse "width:hex": exactly (width+7)//8 bytes, no bit past the width."""
         width_s, _, hex_s = text.partition(":")
         width = int(width_s)
         packed = bytes.fromhex(hex_s)
-        bits = {
-            i for i in range(width) if packed[i // 8] & (1 << (i % 8))
-        }
-        return cls(width=width, bits=frozenset(bits))
+        if len(packed) != (width + 7) // 8:
+            raise ValueError(f"fingerprint payload of {len(packed)} bytes for width {width}")
+        return cls(width=width, bits=int.from_bytes(packed, "little"))
 
 
 def tanimoto(a: BitFingerprint, b: BitFingerprint) -> float:
     """|A n B| / |A u B|; two empty fingerprints count as identical (1.0)."""
     if a.width != b.width:
         raise ValueError(f"fingerprint width mismatch: {a.width} != {b.width}")
-    union = len(a.bits | b.bits)
+    union = (a.bits | b.bits).bit_count()
     if union == 0:
         return 1.0
-    return len(a.bits & b.bits) / union
+    return (a.bits & b.bits).bit_count() / union
 
 
 @dataclass(frozen=True)
@@ -114,18 +111,20 @@ def circular_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> 
         [(bond_code(mol.bond_between(i, w)), w) for w in mol.neighbors[i]]
         for i in range(len(mol.atoms))
     ]
-    bits = {h % spec.width for h in env}
-    for _ in range(spec.radius):
-        nxt = []
-        for i in range(len(mol.atoms)):
-            parts = [env[i].to_bytes(8, "big")]
-            for code, w in sorted((code, env[w]) for code, w in adj[i]):
-                parts.append(code.to_bytes(1, "big"))
-                parts.append(w.to_bytes(8, "big"))
-            nxt.append(fnv1a(b"".join(parts)))
-        env = nxt
-        bits.update(h % spec.width for h in env)
-    return BitFingerprint(width=spec.width, bits=frozenset(bits))
+    bits = 0
+    for radius in range(spec.radius + 1):
+        if radius:
+            nxt = []
+            for i in range(len(mol.atoms)):
+                parts = [env[i].to_bytes(8, "big")]
+                for code, w in sorted((code, env[w]) for code, w in adj[i]):
+                    parts.append(code.to_bytes(1, "big"))
+                    parts.append(w.to_bytes(8, "big"))
+                nxt.append(fnv1a(b"".join(parts)))
+            env = nxt
+        for h in env:
+            bits |= 1 << (h % spec.width)
+    return BitFingerprint(width=spec.width, bits=bits)
 
 
 def path_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> BitFingerprint:
@@ -195,7 +194,9 @@ def path_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> BitF
     for sid in emitted:
         forward = spelled[sid]
         keys.add(min(forward, b"|".join(forward.split(b"|")[::-1])))
-    bits = frozenset(fnv1a(k) % spec.width for k in keys)
+    bits = 0
+    for key in keys:
+        bits |= 1 << (fnv1a(key) % spec.width)
     return BitFingerprint(width=spec.width, bits=bits)
 
 
@@ -260,9 +261,9 @@ def _parse_key_table(text: str, source: str) -> KeyTable:
 
 def key_fingerprint(mol: Molecule, table: KeyTable) -> BitFingerprint:
     """Bit i set iff the molecule matches key i at least min_count times."""
-    bits = set()
+    bits = 0
     for i, (_, pattern, min_count) in enumerate(table.entries):
         hits = find_matches(pattern, mol, max_matches=min_count)
         if len(hits) >= min_count:
-            bits.add(i)
-    return BitFingerprint(width=len(table), bits=frozenset(bits))
+            bits |= 1 << i
+    return BitFingerprint(width=len(table), bits=bits)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations, product
 
 from ._jsonl import parallel_map
-from .fingerprint import BitFingerprint, FingerprintSpec, fingerprint, tanimoto
+from .fingerprint import BitFingerprint, FingerprintSpec, fingerprint, load_key_table
 from .molgraph import Atom, Molecule, canonical_smiles, parse_smiles
 from .molgraph.elements import allowed_valences, fill_hydrogens
 from .reaction import parse_reaction, reaction_key
@@ -78,10 +79,18 @@ def murcko_scaffold(mol: Molecule) -> str:
 def max_similarity_to_set(
     query: BitFingerprint, reference: list[BitFingerprint]
 ) -> float:
-    """Max Tanimoto between the query and any reference; 0.0 when empty."""
+    """Max Tanimoto between the query and any reference; 0.0 when empty.
+
+    The query's bits are counted once; each union is |A| + |B| - |A n B|.
+    """
     best = 0.0
+    query_count = query.bits.bit_count()
     for ref in reference:
-        t = tanimoto(query, ref)
+        if ref.width != query.width:
+            raise ValueError(f"fingerprint width mismatch: {query.width} != {ref.width}")
+        common = (query.bits & ref.bits).bit_count()
+        union = query_count + ref.bits.bit_count() - common
+        t = common / union if union else 1.0
         if t > best:
             best = t
             if best == 1.0:
@@ -153,13 +162,8 @@ def scaffold_fingerprint(record: dict, spec: FingerprintSpec) -> BitFingerprint:
     """Fingerprint of the record's scaffold; empty bits for acyclic anchors."""
     scaffold = scaffold_molecule(principal_molecule(record))
     if scaffold is None:
-        if spec.kind == "key":
-            from .fingerprint import load_key_table
-
-            width = len(load_key_table(spec.key_table))
-        else:
-            width = spec.width
-        return BitFingerprint(width=width, bits=frozenset())
+        width = len(load_key_table(spec.key_table)) if spec.kind == "key" else spec.width
+        return BitFingerprint(width=width, bits=0)
     return fingerprint(scaffold, spec)
 
 
@@ -181,8 +185,8 @@ def resample_test_set(
     rest are filtered to max-train-similarity <= band[1], sorted ascending
     (ties by record id), and the first n selected. band[0] is diagnostic
     only: the selection rule is "lowest similarities", so the lower bound
-    never filters. The candidate scan parallelizes over ``workers`` with
-    output independent of the worker count (the final sort is total).
+    never filters. Train and candidate features are computed over ``workers``
+    with output independent of the worker count (the final sort is total).
     """
     if not candidates:
         raise ValueError("empty candidate pool")
@@ -192,15 +196,14 @@ def resample_test_set(
         raise ValueError("band low must be <= band high")
     spec = fp_spec or FingerprintSpec(kind="circular")
 
-    train_keys = {record_key(r) for r in train}
-    train_fps = [scaffold_fingerprint(r, spec) for r in train]
+    worker = partial(_candidate_features, spec=spec)
+    features = list(parallel_map(worker, train + candidates, workers))
+    train_keys = {key for key, _ in features[:len(train)]}
+    train_fps = [fp for _, fp in features[:len(train)]]
 
     rejected_overlap = 0
     scored: list[tuple[float, str]] = []
-    features = parallel_map(
-        partial(_candidate_features, spec=spec), candidates, workers
-    )
-    for record, (key, fp) in zip(candidates, features):
+    for record, (key, fp) in zip(candidates, features[len(train):]):
         if key in train_keys:
             rejected_overlap += 1
             continue
@@ -277,19 +280,15 @@ def detect_leakage(
         for b in names[i + 1 :]:
             pairs = []
             for key in keyed[a].keys() & keyed[b].keys():
-                for ida in keyed[a][key]:
-                    for idb in keyed[b][key]:
-                        pairs.append((ida, idb))
+                pairs.extend(product(keyed[a][key], keyed[b][key]))
             pairs.sort()
             if pairs:
                 cross.append((a, b, tuple(pairs)))
     within = []
     for name in names:
         pairs = []
-        for key, ids in keyed[name].items():
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    pairs.append((ids[i], ids[j]))
+        for ids in keyed[name].values():
+            pairs.extend(combinations(ids, 2))
         pairs.sort()
         if pairs:
             within.append((name, tuple(pairs)))

@@ -7,13 +7,16 @@ canonical ranking that re-sorts every atom in every refinement round. The
 earlier, recursive key and path fingerprints are kept here as references:
 they evaluate every atom predicate per pattern and per candidate, and
 respell and rehash every path. So are the two hand-written sub-molecule
-builders that ``Molecule.subgraph`` replaced.
+builders that ``Molecule.subgraph`` replaced, and the frozenset fingerprint
+with its bit-loop serialization, set Tanimoto and similarity scan that the
+int bitmask replaced.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -236,13 +239,73 @@ def backtracking_matches(pattern, mol, max_matches=None) -> list[tuple[int, ...]
     return results
 
 
+def mask_of(indices) -> int:
+    """The int with exactly the given bits set."""
+    return sum(1 << i for i in set(indices))
+
+
+@dataclass(frozen=True)
+class SetFingerprint:
+    """A fingerprint as a frozenset of bit indices."""
+
+    width: int
+    bits: frozenset[int]
+
+    def __post_init__(self):
+        if self.width <= 0:
+            raise ValueError("fingerprint width must be positive")
+        if any(b < 0 or b >= self.width for b in self.bits):
+            raise ValueError("bit index out of range")
+
+    def serialize(self) -> str:
+        packed = bytearray((self.width + 7) // 8)
+        for b in self.bits:
+            packed[b // 8] |= 1 << (b % 8)
+        return f"{self.width}:{packed.hex()}"
+
+    @classmethod
+    def deserialize(cls, text: str) -> "SetFingerprint":
+        """Bits past the width are dropped; a short payload raises IndexError."""
+        width_s, _, hex_s = text.partition(":")
+        width = int(width_s)
+        packed = bytes.fromhex(hex_s)
+        bits = {
+            i for i in range(width) if packed[i // 8] & (1 << (i % 8))
+        }
+        return cls(width=width, bits=frozenset(bits))
+
+
+def reference_tanimoto(a: SetFingerprint, b: SetFingerprint) -> float:
+    """|A n B| / |A u B| over sets; two empty fingerprints score 1.0."""
+    if a.width != b.width:
+        raise ValueError(f"fingerprint width mismatch: {a.width} != {b.width}")
+    union = len(a.bits | b.bits)
+    if union == 0:
+        return 1.0
+    return len(a.bits & b.bits) / union
+
+
+def reference_max_similarity_to_set(
+    query: SetFingerprint, reference: list[SetFingerprint]
+) -> float:
+    """Max reference_tanimoto over the references; stops at 1.0."""
+    best = 0.0
+    for ref in reference:
+        t = reference_tanimoto(query, ref)
+        if t > best:
+            best = t
+            if best == 1.0:
+                break
+    return best
+
+
 def reference_key_fingerprint(mol, table) -> BitFingerprint:
     """Bit i set iff backtracking finds key i at least min_count times."""
     bits = set()
     for i, (_, pattern, min_count) in enumerate(table.entries):
         if len(backtracking_matches(pattern, mol, max_matches=min_count)) >= min_count:
             bits.add(i)
-    return BitFingerprint(width=len(table), bits=frozenset(bits))
+    return BitFingerprint(width=len(table), bits=mask_of(bits))
 
 
 def reference_path_fingerprint(mol, spec=None) -> BitFingerprint:
@@ -282,7 +345,7 @@ def reference_path_fingerprint(mol, spec=None) -> BitFingerprint:
 
     for start in range(len(mol.atoms)):
         extend([start], {start})
-    return BitFingerprint(width=spec.width, bits=frozenset(bits))
+    return BitFingerprint(width=spec.width, bits=mask_of(bits))
 
 
 def reference_fragment_molecule(mol, frag_atoms) -> Molecule:

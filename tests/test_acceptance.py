@@ -186,8 +186,8 @@ class TestCriterion5HandDerivedValues:
         r2 = eval_regression([(1.0, 1.0), (2.0, 2.0), (3.0, 4.0)]).metrics["r2"]
         assert r2 == 0.5
         t = tanimoto(
-            BitFingerprint(8, frozenset({1, 2, 3})),
-            BitFingerprint(8, frozenset({2, 3, 4})),
+            BitFingerprint(8, 0b1110),
+            BitFingerprint(8, 0b11100),
         )
         assert t == 0.5
         assert molecular_formula(parse_smiles("CCO")) == "C2H6O"

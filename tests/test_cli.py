@@ -547,6 +547,52 @@ class TestEvalBadPairs:
         assert json.loads(json.loads(capsys.readouterr().err)["error"])["id"] == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_sel_ranks_are_checked_per_pair(self, tmp_path, capsys, strict):
+        ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        bad_ranks = [[1, "x"], [1, True], [1.0, 2], [1], [1, 2, 3], "12"]
+        write_jsonl(ref, [{"id": "g", "reference": "A", "candidates": ["A", "B"],
+                           "candidate_yield_ranks": [2, 1]}]
+                    + [{"id": f"b{i}", "reference": "A", "candidates": ["A", "B"],
+                        "candidate_yield_ranks": ranks} for i, ranks in enumerate(bad_ranks)])
+        write_jsonl(pred, [{"id": "g", "prediction": "B"}]
+                    + [{"id": f"b{i}", "prediction": "B"} for i in range(len(bad_ranks))])
+        out = tmp_path / "m.json"
+        code = run(["eval", "sel", "--pred", str(pred), "--ref", str(ref), "--out", str(out)]
+                   + ["--strict"] * strict)
+        err = json.loads(capsys.readouterr().err)
+        if strict:
+            assert code == 1
+            assert json.loads(err["error"])["id"] == "b0"
+            assert not out.exists()
+            return
+        assert code == 0
+        errors = err["record_errors"]
+        assert [e["id"] for e in errors] == [f"b{i}" for i in range(len(bad_ranks))]
+        assert [e["line"] for e in errors] == list(range(2, 2 + len(bad_ranks)))
+        assert "'x'" in errors[0]["error"] and "True" in errors[1]["error"]
+        assert all("one rank per candidate" in e["error"] for e in errors[3:])
+        report = json.loads(out.read_text())
+        assert report["sample_count"] == 1
+        assert report["metrics"] == {"selection_top1": 0.0, "selection_top50": 1.0}
+
+    @pytest.mark.parametrize("task", sorted(EVAL_CASES))
+    def test_nothing_left_to_score_lists_the_rows(self, tmp_path, capsys, task):
+        ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        reference = EVAL_CASES[task][0][0][0]
+        extra = {"candidates": ["A", "B"]} if task == "sel" else {}
+        write_jsonl(ref, [{"id": 1, **extra}, {"id": 2, "reference": reference, **extra}])
+        write_jsonl(pred, [{"id": 1, "prediction": reference}])
+        out = tmp_path / "m.json"
+        assert run(["eval", task, "--pred", str(pred), "--ref", str(ref),
+                    "--out", str(out)]) == 2
+        rows, fatal = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert rows == {"count": 2, "record_errors": [
+            {"line": 1, "id": 1, "error": "'reference'"},
+            {"line": 2, "id": 2, "error": "no prediction"}]}
+        assert fatal == {"error": "no pair left to score (2 error rows)"}
+        assert not out.exists()
+
     def test_strict_schema_error_in_predictions(self, tmp_path, capsys):
         ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
         write_jsonl(ref, [{"id": 1, "reference": 1}, {"id": 2, "reference": 2}])

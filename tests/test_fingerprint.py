@@ -1,6 +1,7 @@
 """Fingerprint families and Tanimoto similarity."""
 
 import random
+import re
 
 import pytest
 
@@ -15,41 +16,49 @@ from rxnkit.fingerprint import (
     tanimoto,
 )
 from rxnkit.molgraph import parse_smiles
+from rxnkit.scaffold import max_similarity_to_set
 
 from conftest import random_smiles, shuffled
-from oracles import reference_key_fingerprint, reference_path_fingerprint
+from oracles import (
+    SetFingerprint,
+    mask_of,
+    reference_key_fingerprint,
+    reference_max_similarity_to_set,
+    reference_path_fingerprint,
+    reference_tanimoto,
+)
 
 
 class TestTanimoto:
     def test_identical(self):
-        fp = BitFingerprint(width=16, bits=frozenset({1, 5, 9}))
+        fp = BitFingerprint(width=16, bits=(1 << 1) | (1 << 5) | (1 << 9))
         assert tanimoto(fp, fp) == 1.0
 
     def test_half_overlap(self):
-        a = BitFingerprint(width=16, bits=frozenset({1, 2, 3}))
-        b = BitFingerprint(width=16, bits=frozenset({2, 3, 4}))
+        a = BitFingerprint(width=16, bits=0b1110)
+        b = BitFingerprint(width=16, bits=0b11100)
         assert tanimoto(a, b) == 0.5
 
     def test_disjoint(self):
-        a = BitFingerprint(width=16, bits=frozenset({1}))
-        b = BitFingerprint(width=16, bits=frozenset({2}))
+        a = BitFingerprint(width=16, bits=1 << 1)
+        b = BitFingerprint(width=16, bits=1 << 2)
         assert tanimoto(a, b) == 0.0
 
     def test_both_empty_is_one(self):
-        a = BitFingerprint(width=16, bits=frozenset())
+        a = BitFingerprint(width=16, bits=0)
         assert tanimoto(a, a) == 1.0
 
     def test_width_mismatch(self):
-        a = BitFingerprint(width=16, bits=frozenset())
-        b = BitFingerprint(width=32, bits=frozenset())
+        a = BitFingerprint(width=16, bits=0)
+        b = BitFingerprint(width=32, bits=0)
         with pytest.raises(ValueError):
             tanimoto(a, b)
 
     def test_bounds_and_symmetry(self):
         rng = random.Random(5)
         for _ in range(50):
-            a = BitFingerprint(64, frozenset(rng.sample(range(64), rng.randint(0, 20))))
-            b = BitFingerprint(64, frozenset(rng.sample(range(64), rng.randint(0, 20))))
+            a = BitFingerprint(64, mask_of(rng.sample(range(64), rng.randint(0, 20))))
+            b = BitFingerprint(64, mask_of(rng.sample(range(64), rng.randint(0, 20))))
             t = tanimoto(a, b)
             assert 0.0 <= t <= 1.0
             assert t == tanimoto(b, a)
@@ -58,7 +67,7 @@ class TestTanimoto:
 class TestCircular:
     def test_single_atom_radius_zero(self):
         fp = circular_fingerprint(parse_smiles("C"), FingerprintSpec(radius=0))
-        assert len(fp.bits) == 1
+        assert fp.bits.bit_count() == 1
 
     def test_renumbering_invariance(self):
         assert circular_fingerprint(parse_smiles("OCC")) == circular_fingerprint(
@@ -67,7 +76,7 @@ class TestCircular:
 
     def test_bit_count_bound(self):
         fp = circular_fingerprint(parse_smiles("CCO"), FingerprintSpec(radius=2))
-        assert len(fp.bits) <= 9  # 3 atoms x 3 radii
+        assert fp.bits.bit_count() <= 9  # 3 atoms x 3 radii
 
     def test_radius_superset(self, corpus):
         for s in corpus[:30]:
@@ -75,7 +84,7 @@ class TestCircular:
             prev = circular_fingerprint(mol, FingerprintSpec(radius=0)).bits
             for r in (1, 2, 3):
                 cur = circular_fingerprint(mol, FingerprintSpec(radius=r)).bits
-                assert prev <= cur
+                assert prev & ~cur == 0
                 prev = cur
 
     def test_differs_between_molecules(self):
@@ -87,12 +96,12 @@ class TestCircular:
 class TestPath:
     def test_single_bond_single_bit(self):
         fp = path_fingerprint(parse_smiles("CC"))
-        assert len(fp.bits) == 1
+        assert fp.bits.bit_count() == 1
 
     def test_butane_bit_bound(self):
         # path multiset {C-C x3, C-C-C x2, C-C-C-C x1} collapses to <= 3 bits
         fp = path_fingerprint(parse_smiles("CCCC"))
-        assert 1 <= len(fp.bits) <= 3
+        assert 1 <= fp.bits.bit_count() <= 3
 
     def test_renumbering_invariance(self):
         assert path_fingerprint(parse_smiles("OCC")) == path_fingerprint(
@@ -102,7 +111,7 @@ class TestPath:
     def test_path_window(self):
         spec = FingerprintSpec(kind="path", min_path=2, max_path=2)
         fp = path_fingerprint(parse_smiles("CC"), spec)
-        assert len(fp.bits) == 0
+        assert fp.bits == 0
 
 
 class TestKeys:
@@ -113,15 +122,15 @@ class TestKeys:
         table = tmp_path / "keys.txt"
         table.write_text("1\t[#8]\t1\n")
         kt = load_key_table(table)
-        assert key_fingerprint(parse_smiles("c1ccccc1"), kt).bits == frozenset()
-        assert key_fingerprint(parse_smiles("CCO"), kt).bits == frozenset({0})
+        assert key_fingerprint(parse_smiles("c1ccccc1"), kt).bits == 0
+        assert key_fingerprint(parse_smiles("CCO"), kt).bits == 1
 
     def test_min_count(self, tmp_path):
         table = tmp_path / "keys.txt"
         table.write_text("1\t[#8]\t2\n")
         kt = load_key_table(table)
-        assert key_fingerprint(parse_smiles("CCO"), kt).bits == frozenset()
-        assert key_fingerprint(parse_smiles("OCCO"), kt).bits == frozenset({0})
+        assert key_fingerprint(parse_smiles("CCO"), kt).bits == 0
+        assert key_fingerprint(parse_smiles("OCCO"), kt).bits == 1
 
     def test_empty_table_rejected(self, tmp_path):
         table = tmp_path / "keys.txt"
@@ -170,7 +179,100 @@ class TestSerialization:
         # FNV-1a is seedless: a frozen value guards against drift
         fp = circular_fingerprint(parse_smiles("C"), FingerprintSpec(radius=0, width=64))
         assert fp == BitFingerprint.deserialize(fp.serialize())
-        assert len(fp.bits) == 1
+        assert fp.bits.bit_count() == 1
+
+
+class TestStrictDeserialize:
+    @pytest.mark.parametrize("text", [
+        "9:ff", "9:ff0100", "8:", "166:" + "00" * 20, "2048:" + "00" * 257,
+    ])
+    def test_payload_of_the_wrong_length(self, text):
+        with pytest.raises(ValueError, match="payload"):
+            BitFingerprint.deserialize(text)
+
+    @pytest.mark.parametrize("text", ["7:80", "9:0002", "1:02", "166:" + "00" * 20 + "40"])
+    def test_bit_past_the_width(self, text):
+        with pytest.raises(ValueError, match="out of range"):
+            BitFingerprint.deserialize(text)
+
+    def test_mask_range_check(self):
+        assert BitFingerprint(9, (1 << 9) - 1).serialize() == "9:ff01"
+        for bits in (1 << 9, -1, (1 << 20) | 1):
+            with pytest.raises(ValueError, match="out of range"):
+                BitFingerprint(9, bits)
+
+
+class TestSetOracleEquality:
+    """The int bitmask against the frozenset fingerprint it replaced."""
+
+    WIDTHS = (1, 7, 8, 9, 64, 166, 2048)
+
+    @staticmethod
+    def bit_sets(rng, width):
+        full = frozenset(range(width))
+        sets = [frozenset(), full, frozenset({0}), frozenset({width - 1})]
+        for density in (0.02, 0.1, 0.5, 0.9):
+            for _ in range(4):
+                sets.append(frozenset(i for i in range(width) if rng.random() < density))
+        return sets
+
+    def test_serialize_deserialize_tanimoto_scan(self):
+        rng = random.Random(2024)
+        pairs = 0
+        for width in self.WIDTHS:
+            sets = self.bit_sets(rng, width)
+            oracle = [SetFingerprint(width, bits) for bits in sets]
+            masks = [BitFingerprint(width, mask_of(bits)) for bits in sets]
+            for ref, fp in zip(oracle, masks):
+                text = ref.serialize()
+                assert fp.serialize() == text
+                assert BitFingerprint.deserialize(text) == fp
+                assert SetFingerprint.deserialize(text) == ref
+            for i in range(len(sets)):
+                for j in range(len(sets)):
+                    want = reference_tanimoto(oracle[i], oracle[j])
+                    assert tanimoto(masks[i], masks[j]).hex() == want.hex()
+                    pairs += 1
+                picks = rng.sample(range(len(sets)), rng.randint(0, len(sets)))
+                want = reference_max_similarity_to_set(oracle[i], [oracle[k] for k in picks])
+                got = max_similarity_to_set(masks[i], [masks[k] for k in picks])
+                assert got.hex() == want.hex()
+        assert pairs == len(self.WIDTHS) * 20 * 20
+
+    def test_corpus_fingerprints(self, corpus):
+        fps = [fingerprint(parse_smiles(s), FingerprintSpec(kind=kind))
+               for s in corpus[:30] for kind in ("circular", "path")]
+        sets = [SetFingerprint(fp.width, frozenset(i for i in range(fp.width) if fp.bits >> i & 1))
+                for fp in fps]
+        for i, (fp, ref) in enumerate(zip(fps, sets)):
+            assert fp.serialize() == ref.serialize()
+            for other, other_ref in zip(fps, sets):
+                assert tanimoto(fp, other).hex() == reference_tanimoto(ref, other_ref).hex()
+            got = max_similarity_to_set(fp, fps[:i] + fps[i + 1:])
+            assert got.hex() == reference_max_similarity_to_set(ref, sets[:i] + sets[i + 1:]).hex()
+
+    def test_width_mismatch_raises_the_same_error(self):
+        rng = random.Random(7)
+        for wa in self.WIDTHS:
+            for wb in self.WIDTHS:
+                if wa == wb:
+                    continue
+                sa = rng.choice(self.bit_sets(rng, wa))
+                sb = rng.choice(self.bit_sets(rng, wb))
+                a, b = BitFingerprint(wa, mask_of(sa)), BitFingerprint(wb, mask_of(sb))
+                oa, ob = SetFingerprint(wa, sa), SetFingerprint(wb, sb)
+                with pytest.raises(ValueError) as want:
+                    reference_tanimoto(oa, ob)
+                with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                    tanimoto(a, b)
+                # The scan raises on a mismatched reference it reaches ...
+                with pytest.raises(ValueError) as want:
+                    reference_max_similarity_to_set(oa, [ob, oa])
+                with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                    max_similarity_to_set(a, [b, a])
+                # ... and reaches none after a similarity of 1.0.
+                assert reference_max_similarity_to_set(oa, [oa, ob]) == 1.0
+                assert max_similarity_to_set(a, [a, b]) == 1.0
 
 
 # A key table beyond the shipped one: counts above one, ring closures, and
@@ -232,11 +334,11 @@ class TestReferenceEquality:
         table = load_key_table(path)
         rng = random.Random(17)
         smiles = corpus + [random_smiles(rng) for _ in range(150)]
-        set_bits = set()
+        set_bits = 0
         for s in smiles:
             mol = parse_smiles(s)
             ref = reference_key_fingerprint(mol, table)
             set_bits |= ref.bits
             assert key_fingerprint(mol, table) == ref
             assert key_fingerprint(shuffled(mol, rng), table) == ref
-        assert len(set_bits) == len(table)  # every key is hit somewhere
+        assert set_bits.bit_count() == len(table)  # every key is hit somewhere

@@ -88,17 +88,17 @@ class TestMurcko:
 
 class TestMaxSimilarity:
     def test_contains_query(self):
-        fp = BitFingerprint(16, frozenset({1, 2}))
-        assert max_similarity_to_set(fp, [BitFingerprint(16, frozenset({3})), fp]) == 1.0
+        fp = BitFingerprint(16, 0b110)
+        assert max_similarity_to_set(fp, [BitFingerprint(16, 1 << 3), fp]) == 1.0
 
     def test_empty_reference(self):
-        assert max_similarity_to_set(BitFingerprint(16, frozenset({1})), []) == 0.0
+        assert max_similarity_to_set(BitFingerprint(16, 1 << 1), []) == 0.0
 
     def test_spec_arithmetic_example(self):
-        q = BitFingerprint(16, frozenset({1, 2}))
+        q = BitFingerprint(16, 0b110)
         refs = [
-            BitFingerprint(16, frozenset({1, 2, 3, 4})),
-            BitFingerprint(16, frozenset({2})),
+            BitFingerprint(16, 0b11110),
+            BitFingerprint(16, 1 << 2),
         ]
         assert max_similarity_to_set(q, refs) == 0.5
 
@@ -162,6 +162,27 @@ class TestResample:
         report = resample_test_set(candidates, train, band=(0.5, 0.6), n=5)
         assert report.delivered_n <= 5
         assert all(sim <= 0.6 for _, sim in report.selected)
+
+    def test_same_report_at_two_workers(self):
+        rng = random.Random(5)
+        motifs = ["c1ccccc1", "c1ccncc1", "C1CCCCC1", "C1CCNCC1", "c1ccsc1", "C1CCOC1",
+                  "c1ccc2ccccc2c1", "C1CC2CCC1CC2"]
+        train = [_mol_record(f"t{i}", rng.choice(motifs[:4]) + "C" * i) for i in range(70)]
+        candidates = [_mol_record(f"c{i}", rng.choice(motifs) + "O" * (i % 4)) for i in range(90)]
+        reports = [
+            resample_test_set(candidates, train, band=(0.0, 0.9), n=20, workers=workers)
+            for workers in (1, 2)
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0].rejected_overlap > 0 and reports[0].delivered_n == 20
+        assert 0.0 < reports[0].selected[0][1] < reports[0].selected[-1][1] < 1.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_train_record_raises(self, workers):
+        train = [_mol_record("t0", "CCO"), {"id": "t1"}]
+        with pytest.raises(ValueError, match="'t1' has neither 'rxn' nor 'smiles'"):
+            resample_test_set([_mol_record("c", "C1CCCCC1")], train, band=(0.5, 0.6), n=1,
+                              workers=workers)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):

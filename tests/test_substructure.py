@@ -182,4 +182,4 @@ class TestBacktrackingReference:
         table = tmp_path / "keys.txt"
         table.write_text("1\t" + "C" * 1100 + "\t1\n")
         keys = load_key_table(table)
-        assert key_fingerprint(parse_smiles("C" * 1300), keys).bits == frozenset({0})
+        assert key_fingerprint(parse_smiles("C" * 1300), keys).bits == 1
