@@ -28,7 +28,8 @@ for seg in record.segments:
 print("reconstructs exactly:", record.reconstruct() == text)
 
 # Corpus filters reject records with no entities, too many entities (> 20),
-# or too many tokens (> 1024), with per-reason counts.
+# or too many tokens (> 1024), with per-reason counts. build_interleaved
+# applies the limits; filter_and_stat counts its outcomes.
 stream = [
     proc,
     AnnotatedProcedure(id="demo-2", text="no molecules here", entities=()),
@@ -38,7 +39,7 @@ stream = [
         entities=tuple((2 * i, 2 * i + 1, "C") for i in range(21)),
     ),
 ]
-kept, stats = filter_and_stat(stream)
+kept, stats = filter_and_stat(build_interleaved(p) for p in stream)
 kept = list(kept)
 print("\nfilter stats:", stats.to_dict()["rejected"])
 

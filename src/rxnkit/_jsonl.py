@@ -38,16 +38,6 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict | SchemaError]]:
             yield lineno, record
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """Read a whole file, raising on the first malformed line."""
-    records = []
-    for _, record in iter_jsonl(path):
-        if isinstance(record, SchemaError):
-            raise record
-        records.append(record)
-    return records
-
-
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

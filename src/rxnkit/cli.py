@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from functools import lru_cache, partial
 from itertools import chain
 
@@ -22,16 +23,16 @@ from ._jsonl import (
     dumps,
     iter_jsonl,
     parallel_map,
-    read_jsonl,
     write_json,
     write_jsonl,
 )
 from .corpus import (
+    DEFAULT_ENTITY_LIMIT,
+    DEFAULT_TOKEN_LIMIT,
     AnnotatedProcedure,
-    CorpusStats,
-    InterleavedRecord,
     build_interleaved,
     build_name_conversion,
+    filter_and_stat,
 )
 from .fingerprint import FingerprintSpec, fingerprint, load_key_table
 from .metrics import (
@@ -45,33 +46,39 @@ from .scaffold import (
     detect_leakage,
     max_similarity_to_set,
     murcko_scaffold,
+    record_key,
     resample_test_set,
+    split_features,
 )
 from .templates import render as render_template
 
 
 class Fatal(Exception):
-    """Unrecoverable CLI failure; carries the exit code and any error rows."""
+    """Unrecoverable CLI failure; carries the exit code."""
 
-    def __init__(self, message: str, code: int = 2, errors: list[dict] | None = None) -> None:
+    def __init__(self, message: str, code: int = 2) -> None:
         super().__init__(message)
         self.code = code
-        self.errors = errors or []
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    errors: list[dict] = []  # the handler appends one row per bad record
     try:
-        _apply_config(args)
-        errors = args.handler(args)
-    except Fatal as exc:
-        _write_record_errors(exc.errors)
+        if args.config:
+            args = _apply_config(parser, args, argv)
+        if args.workers is None:
+            args.workers = int(os.environ.get("RXNKIT_WORKERS", "1"))
+        if args.workers < 1:
+            raise Fatal(f"workers must be at least 1, got {args.workers}")
+        args.handler(args, errors)
+    except (Fatal, OSError, ValueError) as exc:
+        # The rows so far, and those the error carries (eval gen's
+        # unparseable references), are listed before the run's error.
+        _write_record_errors(errors + getattr(exc, "errors", []))
         sys.stderr.write(dumps({"error": str(exc)}) + "\n")
-        return exc.code
-    except (OSError, ValueError) as exc:
-        sys.stderr.write(dumps({"error": str(exc)}) + "\n")
-        return 2
+        return exc.code if isinstance(exc, Fatal) else 2
     _write_record_errors(errors)
     return 0
 
@@ -94,6 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes (env RXNKIT_WORKERS, default 1)")
         p.add_argument("--strict", action="store_true",
                        help="fail fast on the first bad record")
+        p.set_defaults(parser=p)  # for --config to check its keys against
         if fp:
             p.add_argument("--fp-kind", choices=["circular", "path", "key"],
                            default=None)
@@ -107,13 +115,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default=None)
     common(p)
-    p.set_defaults(handler=_cmd_canon)
+    p.set_defaults(handler=partial(_run_records, fn=_canon))
 
     p = sub.add_parser("validate", help="classify SMILES validity")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default=None)
     common(p)
-    p.set_defaults(handler=_cmd_validate)
+    p.set_defaults(handler=partial(_run_records, fn=_validate))
 
     p = sub.add_parser("fp", help="fingerprint molecule records")
     p.add_argument("--in", dest="input", required=True)
@@ -132,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default=None)
     common(p)
-    p.set_defaults(handler=_cmd_scaffold)
+    p.set_defaults(handler=partial(_run_records, fn=_scaffold))
 
     p = sub.add_parser("split", help="scaffold-similarity test-set resampling")
     p.add_argument("--candidates", required=True)
@@ -159,8 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--stats", default=None, help="also write a stats JSON")
-    p.add_argument("--entity-limit", type=int, default=None)
-    p.add_argument("--token-limit", type=int, default=None)
+    p.add_argument("--entity-limit", type=int, default=DEFAULT_ENTITY_LIMIT)
+    p.add_argument("--token-limit", type=int, default=DEFAULT_TOKEN_LIMIT)
     common(p)
     p.set_defaults(handler=_cmd_interleave)
 
@@ -168,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default=None)
     common(p)
-    p.set_defaults(handler=_cmd_nameconv)
+    p.set_defaults(handler=partial(_run_records, fn=_nameconv))
 
     p = sub.add_parser("render", help="render instruction templates")
     p.add_argument("--task", required=True)
@@ -209,34 +217,43 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="corpus filter statistics only")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--entity-limit", type=int, default=None)
-    p.add_argument("--token-limit", type=int, default=None)
+    p.add_argument("--entity-limit", type=int, default=DEFAULT_ENTITY_LIMIT)
+    p.add_argument("--token-limit", type=int, default=DEFAULT_TOKEN_LIMIT)
     common(p)
     p.set_defaults(handler=_cmd_stats)
 
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from --config JSON; explicit flags win.
+def _apply_config(parser, args, argv) -> argparse.Namespace:
+    """args parsed again with the --config values as defaults; flags win.
 
-    Every key must name an option of the subcommand being run.
+    Every key must name an optional flag of the subcommand, and its value
+    must have the type of that flag's value: true or false for a switch.
     """
-    if getattr(args, "config", None):
-        try:
-            config = json.loads(open(args.config, encoding="utf-8").read())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise Fatal(f"cannot read config {args.config}: {exc}")
-        if not isinstance(config, dict):
-            raise Fatal(f"config {args.config} is not a JSON object")
-        for key, value in config.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise Fatal(f"config {args.config}: {key!r} is not an option of {args.command}")
-            if getattr(args, attr) is None:
-                setattr(args, attr, value)
-    if getattr(args, "workers", None) is None:
-        args.workers = int(os.environ.get("RXNKIT_WORKERS", "1"))
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise Fatal(f"cannot read config {args.config}: {exc}")
+    if not isinstance(config, dict):
+        raise Fatal(f"config {args.config} is not a JSON object")
+    options = {a.dest: a for a in args.parser._actions
+               if a.option_strings and not a.required and a.default is not argparse.SUPPRESS}
+    for key, value in config.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise Fatal(f"config {args.config}: {key!r} is not an option of {args.command}")
+        if action.nargs == 0:
+            ok, want = type(value) is bool, "true or false"
+        elif action.choices:
+            ok, want = value in action.choices, f"one of {action.choices}"
+        else:
+            ok, want = type(value) is (action.type or str), (action.type or str).__name__
+        if not ok:
+            raise Fatal(f"config {args.config}: {key!r} must be {want}, got {value!r}")
+        args.parser.set_defaults(**{action.dest: value})
+    return parser.parse_args(argv)
 
 
 def _fp_spec(args: argparse.Namespace, kind: str | None = None) -> FingerprintSpec:
@@ -314,11 +331,9 @@ def _map_records(args, path: str, fn, errors: list[dict]):
                     errors, args.strict)
 
 
-def _run_records(args, fn) -> list[dict]:
-    """Write the rows fn returns for each input record; return the error rows."""
-    errors: list[dict] = []
+def _run_records(args, errors: list[dict], fn) -> None:
+    """Write the rows fn returns for each input record."""
     write_jsonl(args.out, chain.from_iterable(_map_records(args, args.input, fn, errors)))
-    return errors
 
 
 # --- per-record functions (module level so process pools can pickle them) ---
@@ -347,6 +362,18 @@ def _sim(lineno, record, spec: FingerprintSpec, ref_fps: list):
 
 def _scaffold(lineno, record):
     return [{"id": record.get("id"), "scaffold": murcko_scaffold(parse_smiles(record["smiles"]))}]
+
+
+def _split_train(lineno, record, spec: FingerprintSpec):
+    return split_features(record, spec)
+
+
+def _split_candidate(lineno, record, spec: FingerprintSpec):
+    return (str(record["id"]), *split_features(record, spec))
+
+
+def _leak_key(lineno, record, merge_agents: bool):
+    return str(record.get("id")), record_key(record, merge_agents)
 
 
 def _interleave(lineno, record, entity_limit: int, token_limit: int):
@@ -384,107 +411,74 @@ def _render(lineno, record, task, variant, seed, sentinel, templates_path):
 
 # --- subcommand handlers ----------------------------------------------------
 
-def _cmd_canon(args):
-    return _run_records(args, _canon)
+def _cmd_fp(args, errors):
+    _run_records(args, errors, partial(_fp, spec=_fp_spec(args)))
 
 
-def _cmd_validate(args):
-    return _run_records(args, _validate)
-
-
-def _cmd_fp(args):
-    return _run_records(args, partial(_fp, spec=_fp_spec(args)))
-
-
-def _cmd_sim(args):
+def _cmd_sim(args, errors):
     spec = _fp_spec(args)
-    errors: list[dict] = []
     ref_fps = list(_map_records(args, args.ref, partial(_fingerprint, spec=spec), errors))
-    return errors + _run_records(args, partial(_sim, spec=spec, ref_fps=ref_fps))
+    _run_records(args, errors, partial(_sim, spec=spec, ref_fps=ref_fps))
 
 
-def _cmd_scaffold(args):
-    return _run_records(args, _scaffold)
+def _cmd_split(args, errors):
+    band, spec = _parse_band(args.band), _fp_spec(args)
+    if args.n < 1:  # checked before the records are fingerprinted
+        raise Fatal(f"--n must be >= 1, got {args.n}")
+    train = list(_map_records(args, args.train, partial(_split_train, spec=spec), errors))
+    candidates = list(_map_records(
+        args, args.candidates, partial(_split_candidate, spec=spec), errors))
+    write_json(args.out, resample_test_set(candidates, train, band, args.n).to_dict())
 
 
-def _cmd_split(args):
-    candidates = read_jsonl(args.candidates)
-    train = read_jsonl(args.train)
-    report = resample_test_set(
-        candidates, train, band=_parse_band(args.band), n=args.n,
-        fp_spec=_fp_spec(args), workers=args.workers,
-    )
-    write_json(args.out, report.to_dict())
-    return []
-
-
-def _cmd_leakcheck(args):
-    splits = {}
-    for spec in args.split:
-        name, _, path = spec.partition("=")
+def _cmd_leakcheck(args, errors):
+    keyed, leak_errors = {}, []
+    key = partial(_leak_key, merge_agents=args.merge_agents)
+    for split in args.split:
+        name, _, path = split.partition("=")
         if not path:
-            raise Fatal(f"--split must be NAME=PATH, got {spec!r}")
-        splits[name] = read_jsonl(path)
-    report = detect_leakage(splits, merge_agents=args.merge_agents)
+            raise Fatal(f"--split must be NAME=PATH, got {split!r}")
+        first = len(errors)
+        keyed[name] = list(_map_records(args, path, key, errors))
+        leak_errors += [(name, str(row.get("id")), row["error"]) for row in errors[first:]]
+    report = replace(detect_leakage(keyed), errors=tuple(leak_errors))
     write_json(args.out, report.to_dict())
-    return []
 
 
-def _corpus_outcomes(args, errors: list[dict], stats: CorpusStats):
-    """Interleave outcomes of the input procedures, each observed by stats."""
-    worker = partial(
-        _interleave,
-        entity_limit=20 if args.entity_limit is None else args.entity_limit,
-        token_limit=1024 if args.token_limit is None else args.token_limit,
-    )
-    outcomes = _map_records(args, args.input, worker, errors)
-
-    def observed():
-        for outcome in outcomes:
-            stats.observe(outcome)
-            yield outcome
-
-    return observed()
+def _corpus(args, errors: list[dict]):
+    """The kept records and the stats of the input procedures."""
+    worker = partial(_interleave, entity_limit=args.entity_limit, token_limit=args.token_limit)
+    return filter_and_stat(_map_records(args, args.input, worker, errors))
 
 
-def _cmd_interleave(args):
-    errors: list[dict] = []
-    stats = CorpusStats()
-    outcomes = _corpus_outcomes(args, errors, stats)
-    write_jsonl(args.out, (o.to_dict() for o in outcomes if isinstance(o, InterleavedRecord)))
+def _cmd_interleave(args, errors):
+    kept, stats = _corpus(args, errors)
+    write_jsonl(args.out, (record.to_dict() for record in kept))
     if args.stats:
         write_json(args.stats, stats.to_dict())
-    return errors
 
 
-def _cmd_stats(args):
-    errors: list[dict] = []
-    stats = CorpusStats()
-    for _ in _corpus_outcomes(args, errors, stats):
+def _cmd_stats(args, errors):
+    kept, stats = _corpus(args, errors)
+    for _ in kept:
         pass
     write_json(args.out, stats.to_dict())
-    return errors
 
 
-def _cmd_nameconv(args):
-    return _run_records(args, _nameconv)
-
-
-def _cmd_render(args):
-    return _run_records(args, partial(
+def _cmd_render(args, errors):
+    _run_records(args, errors, partial(
         _render, task=args.task, variant=args.variant, seed=args.seed,
         sentinel=args.sentinel, templates_path=args.templates,
     ))
 
 
-def _join_by_id(args, row) -> tuple[list, list[dict]]:
+def _join_by_id(args, row, errors: list[dict]) -> list:
     """row(reference, prediction) for each reference, in reference order.
 
     Predictions pair with references by id. A reference without a
     prediction, or a pair whose row cannot be built, is an error row. When
     no row is left the run fails, and its error rows are still reported.
     """
-    errors: list[dict] = []
     preds = {str(p.get("id")): p for _, p in _load_records(args.pred, errors, args.strict)}
 
     def pair(lineno, ref):
@@ -496,8 +490,8 @@ def _join_by_id(args, row) -> tuple[list, list[dict]]:
     refs = _load_records(args.ref, errors, args.strict)
     rows = list(_collect(map(partial(_guarded, pair), refs), errors, args.strict))
     if not rows:
-        raise Fatal(f"no pair left to score ({len(errors)} error rows)", errors=errors)
-    return rows, errors
+        raise Fatal(f"no pair left to score ({len(errors)} error rows)")
+    return rows
 
 
 def _write_report(args, report) -> None:
@@ -508,28 +502,28 @@ def _write_report(args, report) -> None:
     write_json(args.out, payload)
 
 
-def _cmd_eval_gen(args):
-    records, errors = _join_by_id(args, lambda ref, pred: {
+def _cmd_eval_gen(args, errors):
+    records = _join_by_id(args, lambda ref, pred: {
         "id": ref.get("id"), "prediction": pred["prediction"], "reference": ref["reference"],
-    })
+    }, errors)
     fp_specs = {kind: _fp_spec(args, kind) for kind in ("circular", "path")}
     report = eval_generation(records, fp_specs=fp_specs)
+    if args.strict and report.errors:
+        raise Fatal(dumps(report.errors[0]), code=1)
     _write_report(args, report)
-    return errors + report.errors
+    errors.extend(report.errors)
 
 
-def _cmd_eval_cls(args):
-    labeled, errors = _join_by_id(
-        args, lambda ref, pred: (int(ref["reference"]), int(pred["prediction"])))
+def _cmd_eval_cls(args, errors):
+    labeled = _join_by_id(
+        args, lambda ref, pred: (int(ref["reference"]), int(pred["prediction"])), errors)
     _write_report(args, eval_classification(labeled, n_classes=args.n_classes))
-    return errors
 
 
-def _cmd_eval_reg(args):
-    series, errors = _join_by_id(
-        args, lambda ref, pred: (float(ref["reference"]), float(pred["prediction"])))
+def _cmd_eval_reg(args, errors):
+    series = _join_by_id(
+        args, lambda ref, pred: (float(ref["reference"]), float(pred["prediction"])), errors)
     _write_report(args, eval_regression(series))
-    return errors
 
 
 def _selection_pair(ref, pred) -> dict:
@@ -551,10 +545,8 @@ def _selection_pair(ref, pred) -> dict:
     }
 
 
-def _cmd_eval_sel(args):
-    records, errors = _join_by_id(args, _selection_pair)
-    _write_report(args, eval_selection(records))
-    return errors
+def _cmd_eval_sel(args, errors):
+    _write_report(args, eval_selection(_join_by_id(args, _selection_pair, errors)))
 
 
 if __name__ == "__main__":

@@ -255,22 +255,18 @@ class CorpusStats:
 
 
 def filter_and_stat(
-    procedures: Iterable[AnnotatedProcedure],
-    entity_limit: int = DEFAULT_ENTITY_LIMIT,
-    token_limit: int = DEFAULT_TOKEN_LIMIT,
-    tokenizer: Callable[[str], list[str]] = default_tokenizer,
+    outcomes: Iterable[InterleavedRecord | Rejection],
 ) -> tuple[Iterator[InterleavedRecord], CorpusStats]:
-    """Stream kept records while accumulating statistics.
+    """Stream the kept records of build outcomes while counting them all.
 
-    The stats object is complete only after the returned iterator is
-    exhausted; unique molecules are counted by canonical SMILES over kept
-    records.
+    The outcomes come from build_interleaved, which applies the limits. The
+    stats object is complete only after the returned iterator is exhausted;
+    unique molecules are counted by canonical SMILES over kept records.
     """
     stats = CorpusStats()
 
     def generate() -> Iterator[InterleavedRecord]:
-        for proc in procedures:
-            outcome = build_interleaved(proc, entity_limit, token_limit, tokenizer)
+        for outcome in outcomes:
             stats.observe(outcome)
             if isinstance(outcome, InterleavedRecord):
                 yield outcome

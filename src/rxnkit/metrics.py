@@ -144,6 +144,14 @@ class MetricReport:
 _FTS_KINDS = ("path", "key", "circular")
 
 
+class NoScorableRecords(ValueError):
+    """No record could be scored; errors holds the error row of each."""
+
+    def __init__(self, message: str, errors: list[dict]) -> None:
+        super().__init__(message)
+        self.errors = errors
+
+
 def eval_generation(
     records: list[dict],
     fp_specs: dict[str, FingerprintSpec] | None = None,
@@ -152,7 +160,8 @@ def eval_generation(
 
     Invalid predictions lower validity, count as missed exact matches, and
     are excluded from the fingerprint means. Invalid references are fatal
-    for their record and reported.
+    for their record and reported; when no record is left, NoScorableRecords
+    carries their error rows.
     """
     specs = {
         "path": FingerprintSpec(kind="path"),
@@ -217,7 +226,7 @@ def eval_generation(
         details.append(row)
 
     if scored == 0:
-        raise ValueError("no scorable records (every reference failed to parse)")
+        raise NoScorableRecords("no scorable records (every reference failed to parse)", errors)
     metrics: dict[str, float | None] = {
         "exact": exact_hits / scored,
         "bleu": bleu([p for p, _ in bleu_pairs], [r for _, r in bleu_pairs]),

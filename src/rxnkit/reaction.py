@@ -49,6 +49,8 @@ def parse_reaction(
     as percentage strings ("85%") are divided by 100; values outside [0, 1]
     after normalization are an error, never silently clamped.
     """
+    if not isinstance(text, str):
+        raise ReactionError(f"reaction SMILES must be a string, not {type(text).__name__}")
     parts = text.split(">")
     if len(parts) != 3:
         raise ReactionError(

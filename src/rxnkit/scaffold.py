@@ -13,11 +13,9 @@ acyclic scaffold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from itertools import combinations, product
 
-from ._jsonl import parallel_map
 from .fingerprint import BitFingerprint, FingerprintSpec, fingerprint, load_key_table
 from .molgraph import Atom, Molecule, canonical_smiles, parse_smiles
 from .molgraph.elements import allowed_valences, fill_hydrogens
@@ -167,26 +165,25 @@ def scaffold_fingerprint(record: dict, spec: FingerprintSpec) -> BitFingerprint:
     return fingerprint(scaffold, spec)
 
 
-def _candidate_features(record: dict, spec: FingerprintSpec):
+def split_features(record: dict, spec: FingerprintSpec) -> tuple[str, BitFingerprint]:
+    """(canonical key, scaffold fingerprint) of a record, as resample_test_set takes them."""
     return record_key(record), scaffold_fingerprint(record, spec)
 
 
 def resample_test_set(
-    candidates: list[dict],
-    train: list[dict],
+    candidates: list[tuple[str, str, BitFingerprint]],
+    train: list[tuple[str, BitFingerprint]],
     band: tuple[float, float],
     n: int,
-    fp_spec: FingerprintSpec | None = None,
-    workers: int = 1,
 ) -> SplitReport:
     """Pick up to n candidates least scaffold-similar to the train set.
 
-    Candidates whose canonical key appears in train are dropped first; the
-    rest are filtered to max-train-similarity <= band[1], sorted ascending
-    (ties by record id), and the first n selected. band[0] is diagnostic
-    only: the selection rule is "lowest similarities", so the lower bound
-    never filters. Train and candidate features are computed over ``workers``
-    with output independent of the worker count (the final sort is total).
+    A candidate is (record id, *split_features(record)), a train record
+    split_features(record). Candidates whose canonical key appears in train
+    are dropped first; the rest are filtered to max-train-similarity <=
+    band[1], sorted ascending (ties by record id), and the first n selected.
+    band[0] is diagnostic only: the selection rule is "lowest similarities",
+    so the lower bound never filters.
     """
     if not candidates:
         raise ValueError("empty candidate pool")
@@ -194,22 +191,18 @@ def resample_test_set(
         raise ValueError("n must be >= 1")
     if band[0] > band[1]:
         raise ValueError("band low must be <= band high")
-    spec = fp_spec or FingerprintSpec(kind="circular")
-
-    worker = partial(_candidate_features, spec=spec)
-    features = list(parallel_map(worker, train + candidates, workers))
-    train_keys = {key for key, _ in features[:len(train)]}
-    train_fps = [fp for _, fp in features[:len(train)]]
+    train_keys = {key for key, _ in train}
+    train_fps = [fp for _, fp in train]
 
     rejected_overlap = 0
     scored: list[tuple[float, str]] = []
-    for record, (key, fp) in zip(candidates, features[len(train):]):
+    for rid, key, fp in candidates:
         if key in train_keys:
             rejected_overlap += 1
             continue
         sim = max_similarity_to_set(fp, train_fps)
         if sim <= band[1]:
-            scored.append((sim, str(record["id"])))
+            scored.append((sim, rid))
     scored.sort()
     chosen = scored[:n]
     return SplitReport(
@@ -223,11 +216,15 @@ def resample_test_set(
 
 @dataclass(frozen=True)
 class LeakReport:
-    """Exact-duplicate pairs across and within named splits."""
+    """Exact-duplicate pairs across and within named splits.
+
+    errors lists the records that could not be keyed, as (split, record id,
+    message); detect_leakage never sees them, so its caller fills it.
+    """
 
     cross: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]
     within: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
-    errors: tuple[tuple[str, str, str], ...] = ()  # (split, record id, message)
+    errors: tuple[tuple[str, str, str], ...] = ()
 
     def pair_count(self, split_a: str, split_b: str) -> int:
         for a, b, pairs in self.cross:
@@ -251,45 +248,34 @@ class LeakReport:
         }
 
 
-def detect_leakage(
-    splits: dict[str, list[dict]], merge_agents: bool = False
-) -> LeakReport:
+def detect_leakage(keyed: dict[str, list[tuple[str, str]]]) -> LeakReport:
     """Find duplicate records across every split pair and within each split.
 
-    Records are keyed canonically, so duplicates disguised by fragment
-    reordering or SMILES rewriting are detected. Unparseable records are
-    collected, not fatal.
+    Each split lists (record id, record_key(record)) pairs. Canonical keys
+    catch duplicates disguised by fragment reordering or SMILES rewriting.
     """
-    errors: list[tuple[str, str, str]] = []
-    keyed: dict[str, dict[str, list[str]]] = {}
-    for name, records in splits.items():
-        table: dict[str, list[str]] = {}
-        for record in records:
-            rid = str(record.get("id"))
-            try:
-                key = record_key(record, merge_agents=merge_agents)
-            except ValueError as exc:
-                errors.append((name, rid, str(exc)))
-                continue
+    tables: dict[str, dict[str, list[str]]] = {}
+    for name, pairs in keyed.items():
+        table = tables[name] = {}
+        for rid, key in pairs:
             table.setdefault(key, []).append(rid)
-        keyed[name] = table
 
-    names = sorted(keyed)
+    names = sorted(tables)
     cross = []
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             pairs = []
-            for key in keyed[a].keys() & keyed[b].keys():
-                pairs.extend(product(keyed[a][key], keyed[b][key]))
+            for key in tables[a].keys() & tables[b].keys():
+                pairs.extend(product(tables[a][key], tables[b][key]))
             pairs.sort()
             if pairs:
                 cross.append((a, b, tuple(pairs)))
     within = []
     for name in names:
         pairs = []
-        for ids in keyed[name].values():
+        for ids in tables[name].values():
             pairs.extend(combinations(ids, 2))
         pairs.sort()
         if pairs:
             within.append((name, tuple(pairs)))
-    return LeakReport(cross=tuple(cross), within=tuple(within), errors=tuple(errors))
+    return LeakReport(cross=tuple(cross), within=tuple(within))

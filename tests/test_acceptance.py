@@ -37,7 +37,7 @@ from rxnkit.molgraph import (
     parse_smiles,
 )
 from rxnkit.reaction import reaction_key_of_text
-from rxnkit.scaffold import detect_leakage
+from rxnkit.scaffold import detect_leakage, record_key
 from rxnkit.substructure import find_matches, parse_pattern
 
 from conftest import build_random_molecule, shuffled
@@ -316,6 +316,12 @@ def _reverse_spelling(chain: str) -> str:
     return chain[::-1]
 
 
+def _detect_leakage(splits):
+    """detect_leakage on the (id, canonical key) pairs of each split's records."""
+    return detect_leakage({name: [(r["id"], record_key(r)) for r in records]
+                           for name, records in splits.items()})
+
+
 def _planted_leak_fixture(count: int, rng: random.Random, offset: int = 0):
     train, test = [], []
     for i in range(count):
@@ -340,7 +346,7 @@ class TestCriterion7LeakageAudit:
         train, test = _planted_leak_fixture(72, rng)
         train.append({"id": "k1", "rxn": "c1ccccc1.CCO>>CCOc1ccccc1"})
         test.append({"id": "k2", "rxn": "OCC.C1=CC=CC=C1>>C1=CC=CC=C1OCC"})
-        report = detect_leakage({"train": train, "test": test})
+        report = _detect_leakage({"train": train, "test": test})
         assert report.pair_count("train", "test") == 73  # 72 planted + kekule pair
         _passes(7, "72 planted cross-split duplicates (+1 kekule-disguised) "
                    "reported exactly")
@@ -348,7 +354,7 @@ class TestCriterion7LeakageAudit:
     def test_884_planted_second_scenario(self):
         rng = random.Random(884)
         train, test = _planted_leak_fixture(884, rng, offset=10_000)
-        report = detect_leakage({"reagent_train": train, "retro_test": test})
+        report = _detect_leakage({"reagent_train": train, "retro_test": test})
         assert report.pair_count("reagent_train", "retro_test") == 884
         _passes(7, "884 planted duplicates in the second scenario reported exactly")
 
@@ -357,7 +363,7 @@ class TestCriterion7LeakageAudit:
                      for i in range(100)]
         control_b = [{"id": f"b{i}", "rxn": f"{_chain(70_000 + i)}>>{_chain(80_000 + i)}N"}
                      for i in range(100)]
-        report = detect_leakage({"a": control_a, "b": control_b})
+        report = _detect_leakage({"a": control_a, "b": control_b})
         assert report.cross == () and report.within == ()
         _passes(7, "zero false positives on the disjoint control")
 

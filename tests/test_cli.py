@@ -25,7 +25,8 @@ def read_jsonl(path):
 
 
 def digest(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 @pytest.fixture
@@ -283,12 +284,38 @@ class TestSplitAndLeakcheck:
         assert all(s <= 0.6 for s in sims)
         assert sims == sorted(sims)
 
+    def test_split_same_bytes_at_two_workers(self, tmp_path):
+        rng = random.Random(5)
+        motifs = ["c1ccccc1", "c1ccncc1", "C1CCCCC1", "C1CCNCC1", "c1ccsc1", "C1CCOC1",
+                  "c1ccc2ccccc2c1", "C1CC2CCC1CC2"]
+        t, c = tmp_path / "t.jsonl", tmp_path / "c.jsonl"
+        write_jsonl(t, [{"id": f"t{i}", "smiles": rng.choice(motifs[:4]) + "C" * i}
+                        for i in range(70)])
+        write_jsonl(c, [{"id": f"c{i}", "smiles": rng.choice(motifs) + "O" * (i % 4)}
+                        for i in range(90)])
+        outs = [tmp_path / f"split{workers}.json" for workers in (1, 2)]
+        for workers, out in zip((1, 2), outs):
+            assert run(["split", "--candidates", str(c), "--train", str(t), "--band", "0:0.9",
+                        "--n", "20", "--out", str(out), "--workers", str(workers)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        report = json.loads(outs[0].read_text())
+        assert report["rejected_overlap"] > 0 and report["delivered_n"] == 20
+        sims = [s["max_train_similarity"] for s in report["selected"]]
+        assert 0.0 < sims[0] < sims[-1] < 1.0
+
     def test_bad_band_is_fatal(self, tmp_path, capsys):
         t = tmp_path / "t.jsonl"
         write_jsonl(t, [{"id": "x", "rxn": "C>>C"}])
         code = run(["split", "--candidates", str(t), "--train", str(t),
                     "--band", "high", "--n", "1"])
         assert code == 2
+
+    def test_n_below_one_is_fatal_before_fingerprinting(self, tmp_path, capsys, monkeypatch):
+        t = tmp_path / "t.jsonl"
+        write_jsonl(t, [{"id": "x", "rxn": "C>>C"}])
+        monkeypatch.setattr("rxnkit.cli.split_features", None)  # must not be reached
+        assert run(["split", "--candidates", str(t), "--train", str(t), "--n", "0"]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "--n must be >= 1, got 0"}
 
     def test_leakcheck(self, tmp_path):
         a = tmp_path / "a.jsonl"
@@ -300,6 +327,21 @@ class TestSplitAndLeakcheck:
                     "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["cross"][0]["count"] == 1
+
+    def test_leakcheck_collects_unparseable_records(self, tmp_path, capsys):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_jsonl(a, [{"id": "bad", "rxn": "not>>"}, {"id": "ok", "rxn": "C>>C"}])
+        write_jsonl(b, [{"id": "ok2", "rxn": "C>>C"}])
+        out = tmp_path / "leak.json"
+        assert run(["leakcheck", "--split", f"a={a}", "--split", f"b={b}",
+                    "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        (error,) = report["errors"]
+        assert (error["split"], error["id"]) == ("a", "bad")
+        assert error["error"].startswith("cannot parse reactants fragment 0")
+        assert report["cross"][0]["count"] == 1
+        (row,) = json.loads(capsys.readouterr().err)["record_errors"]
+        assert (row["line"], row["id"], row["error"]) == (1, "bad", error["error"])
 
 
 class TestRenderAndEval:
@@ -477,6 +519,99 @@ class TestBadRecords:
         assert not out.exists()
         assert ":2: bad JSON" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad_file", ["train", "candidates"])
+    def test_split_bad_rows(self, tmp_path, capsys, bad_file, workers):
+        files = {
+            "train": [{"id": "t0", "smiles": "c1ccccc1CC"}, {"id": "t1", "rxn": "CO>>C1CCCCC1O"}],
+            "candidates": [{"id": f"c{i}", "smiles": s} for i, s in enumerate(
+                ["c1ccncc1C", "C1CCOC1", "c1ccccc1CC", "C1CC2CCC1CC2", "CCO"])],
+        }
+        paths = {}
+        for name, good in files.items():
+            paths[name] = tmp_path / f"{name}.jsonl"
+            write_jsonl(paths[name], good)
+        want, got = tmp_path / "want.json", tmp_path / "got.json"
+        argv = ["split", "--candidates", str(paths["candidates"]), "--train",
+                str(paths["train"]), "--band", "0:0.9", "--n", "3", "--workers", str(workers)]
+        assert run(argv + ["--out", str(want)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(want.read_text())["rejected_overlap"] == 1
+        with open(paths[bad_file], "a") as fh:
+            fh.write("\n".join(["[1, 2]", json.dumps({"id": "m"}),
+                                json.dumps({"id": "b", "smiles": 5}),
+                                json.dumps({"id": "r", "rxn": 5})]) + "\n")
+        assert run(argv + ["--out", str(got)]) == 0
+        errors = json.loads(capsys.readouterr().err)["record_errors"]
+        first = len(files[bad_file]) + 1
+        assert [e["line"] for e in errors] == list(range(first, first + 4))
+        assert [e.get("id") for e in errors] == [None, "m", "b", "r"]
+        assert [e["error"] for e in errors] == [
+            "record is not an object", "record 'm' has neither 'rxn' nor 'smiles'",
+            "SMILES must be a string, not int", "reaction SMILES must be a string, not int"]
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_split_rows_list_train_before_candidates(self, tmp_path, capsys):
+        t, c = tmp_path / "t.jsonl", tmp_path / "c.jsonl"
+        write_jsonl(t, [{"id": "t0", "smiles": 5}, {"id": "t1", "smiles": "C1CCCCC1"}])
+        write_jsonl(c, [{"id": "c0", "smiles": "c1ccccc1"}, {"id": "c1", "smiles": 5}])
+        assert run(["split", "--candidates", str(c), "--train", str(t), "--n", "1",
+                    "--out", str(tmp_path / "s.json")]) == 0
+        errors = json.loads(capsys.readouterr().err)["record_errors"]
+        assert [(e["line"], e["id"]) for e in errors] == [(1, "t0"), (2, "c1")]
+
+    def test_split_every_candidate_fails(self, tmp_path, capsys):
+        t, c = tmp_path / "t.jsonl", tmp_path / "c.jsonl"
+        write_jsonl(t, [{"id": "t0", "smiles": "C1CCCCC1"}])
+        write_jsonl(c, [{"id": "c2", "smiles": 5}, {"id": "c3"}])
+        out = tmp_path / "s.json"
+        assert run(["split", "--candidates", str(c), "--train", str(t), "--n", "1",
+                    "--out", str(out)]) == 2
+        rows, fatal = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [(e["line"], e["id"]) for e in rows["record_errors"]] == [(1, "c2"), (2, "c3")]
+        assert fatal == {"error": "empty candidate pool"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_leakcheck_bad_rows(self, tmp_path, capsys, workers):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text("\n".join([
+            json.dumps({"id": "x", "rxn": "CCO.CC(=O)O>>CC(=O)OCC"}), "not json",
+            json.dumps({"id": "m"}), json.dumps({"rxn": 5}),
+        ]) + "\n")
+        b.write_text("\n".join([
+            "[1, 2]", json.dumps({"id": "y", "rxn": "CC(=O)O.OCC>>CC(=O)OCC"}),
+            json.dumps({"id": "b", "smiles": 5}),
+        ]) + "\n")
+        out = tmp_path / "leak.json"
+        assert run(["leakcheck", "--split", f"b={b}", "--split", f"a={a}",
+                    "--out", str(out), "--workers", str(workers)]) == 0
+        errors = json.loads(capsys.readouterr().err)["record_errors"]
+        assert [(e["line"], e.get("id")) for e in errors] == [
+            (1, None), (3, "b"), (2, None), (3, "m"), (4, None)]
+        report = json.loads(out.read_text())
+        assert report["cross"] == [{"count": 1, "pairs": [["x", "y"]], "splits": ["a", "b"]}]
+        assert [(e["split"], e["id"], e["error"]) for e in report["errors"]] == [
+            ("b", "None", "record is not an object"),
+            ("b", "b", "SMILES must be a string, not int"),
+            ("a", "None", errors[2]["error"]),
+            ("a", "m", "record 'm' has neither 'rxn' nor 'smiles'"),
+            ("a", "None", "reaction SMILES must be a string, not int")]
+        assert errors[2]["error"].startswith("bad JSON")
+
+    @pytest.mark.parametrize("command", ["split", "leakcheck"])
+    def test_split_and_leakcheck_strict(self, tmp_path, capsys, command):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        write_jsonl(good, [{"id": "g", "smiles": "C1CCCCC1"}])
+        write_jsonl(bad, [{"id": "c", "smiles": "c1ccccc1"}, {"id": "b", "rxn": 5}])
+        out = tmp_path / "out.json"
+        argv = (["split", "--candidates", str(bad), "--train", str(good), "--n", "1"]
+                if command == "split" else
+                ["leakcheck", "--split", f"a={good}", "--split", f"b={bad}"])
+        assert run(argv + ["--out", str(out), "--strict"]) == 1
+        assert json.loads(json.loads(capsys.readouterr().err)["error"])["id"] == "b"
+        assert not out.exists()
+
     def test_leakcheck_lists_a_non_string_smiles(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_jsonl(a, [{"id": "x", "smiles": "CCO"}, {"id": "bad", "smiles": 5}])
@@ -593,6 +728,34 @@ class TestEvalBadPairs:
         assert fatal == {"error": "no pair left to score (2 error rows)"}
         assert not out.exists()
 
+    def test_gen_unparseable_references_are_listed(self, tmp_path, capsys):
+        ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(ref, [{"id": 1, "reference": "C(C"}, {"id": 2, "reference": "C1CC"},
+                          {"id": 3, "reference": "CCO"}])
+        write_jsonl(pred, [{"id": 1, "prediction": "CCO"}, {"id": 2, "prediction": "CCO"}])
+        out = tmp_path / "m.json"
+        assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref),
+                    "--out", str(out)]) == 2
+        rows, fatal = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [(e.get("line"), e["id"]) for e in rows["record_errors"]] == [
+            (3, 3), (None, 1), (None, 2)]
+        assert rows["record_errors"][0]["error"] == "no prediction"
+        assert all(e["error"].startswith("invalid reference: ")
+                   for e in rows["record_errors"][1:])
+        assert fatal == {"error": "no scorable records (every reference failed to parse)"}
+        assert not out.exists()
+
+    def test_gen_strict_unparseable_reference_is_fatal(self, tmp_path, capsys):
+        ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(ref, [{"id": 1, "reference": "C(C"}, {"id": 2, "reference": "CCO"}])
+        write_jsonl(pred, [{"id": 1, "prediction": "CCO"}, {"id": 2, "prediction": "CCO"}])
+        out = tmp_path / "m.json"
+        assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref),
+                    "--out", str(out), "--strict"]) == 1
+        error = json.loads(json.loads(capsys.readouterr().err)["error"])
+        assert error["id"] == 1 and error["error"].startswith("invalid reference: ")
+        assert not out.exists()
+
     def test_strict_schema_error_in_predictions(self, tmp_path, capsys):
         ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
         write_jsonl(ref, [{"id": 1, "reference": 1}, {"id": 2, "reference": 2}])
@@ -616,6 +779,98 @@ class TestConfigErrors:
                     "--out", str(out)]) == 2
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert wanted in json.loads(line)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, wanted", [
+        ('{"workers": "2"}', "'workers' must be int, got '2'"),
+        ('{"radius": "3"}', "'radius' must be int, got '3'"),
+        ('{"width": 64.0}', "'width' must be int, got 64.0"),
+        ('{"strict": 1}', "'strict' must be true or false, got 1"),
+        ('{"fp_kind": "ring"}', "'fp_kind' must be one of"),
+        ('{"key_table": 3}', "'key_table' must be str, got 3"),
+        ('{"input": "x.jsonl"}', "'input' is not an option of fp"),
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, mols, capsys, text, wanted):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "o.jsonl"
+        assert run(["--config", str(config), "fp", "--in", str(mols),
+                    "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert wanted in json.loads(line)["error"]
+        assert not out.exists()
+
+    def test_config_switches_turn_on(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [{"id": "a", "smiles": "C"}, {"id": "b", "smiles": 5}])
+        config.write_text('{"strict": true}')
+        assert run(["--config", str(config), "canon", "--in", str(src)]) == 1
+        capsys.readouterr()
+
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_jsonl(a, [{"id": "x", "rxn": "CCO.CC(=O)O>>CC(=O)OCC"}])
+        write_jsonl(b, [{"id": "y", "rxn": "CCO>CC(=O)O>CC(=O)OCC"}])
+        counts = []
+        for merge in ("false", "true"):
+            config.write_text(f'{{"merge_agents": {merge}}}')
+            out = tmp_path / f"leak_{merge}.json"
+            assert run(["--config", str(config), "leakcheck", "--split", f"a={a}",
+                        "--split", f"b={b}", "--out", str(out)]) == 0
+            counts.append(len(json.loads(out.read_text())["cross"]))
+        assert counts == [0, 1]
+
+        bindings = tmp_path / "bind.jsonl"
+        write_jsonl(bindings, [{"id": "r", "reactants": ["CCO"], "products": ["CC"]}])
+        config.write_text('{"sentinel": true}')
+        plain, sentinel = tmp_path / "plain.jsonl", tmp_path / "sentinel.jsonl"
+        assert run(["render", "--task", "forward", "--in", str(bindings),
+                    "--out", str(plain)]) == 0
+        assert run(["--config", str(config), "render", "--task", "forward",
+                    "--in", str(bindings), "--out", str(sentinel)]) == 0
+        assert read_jsonl(sentinel) != read_jsonl(plain)
+        assert run(["render", "--task", "forward", "--in", str(bindings),
+                    "--out", str(plain), "--sentinel"]) == 0
+        assert read_jsonl(sentinel) == read_jsonl(plain)
+
+    def test_config_sets_options_that_have_defaults(self, tmp_path):
+        t, c = tmp_path / "t.jsonl", tmp_path / "c.jsonl"
+        write_jsonl(t, [{"id": "t0", "smiles": "c1ccccc1CC"}])
+        write_jsonl(c, [{"id": "c1", "smiles": "c1ccncc1C"}])
+        config = tmp_path / "config.json"
+        config.write_text('{"band": "0.1:0.2"}')
+        out = tmp_path / "split.json"
+        assert run(["--config", str(config), "split", "--candidates", str(c),
+                    "--train", str(t), "--n", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["threshold_band"] == [0.1, 0.2]
+        assert run(["--config", str(config), "split", "--candidates", str(c),
+                    "--train", str(t), "--n", "1", "--out", str(out), "--band", "0:1"]) == 0
+        assert json.loads(out.read_text())["threshold_band"] == [0.0, 1.0]
+
+        src = tmp_path / "procs.jsonl"
+        write_jsonl(src, [{"id": "a", "text": "add ethanol", "entities": [
+            {"span": [4, 11], "smiles": "CCO"}]}])
+        config.write_text('{"entity_limit": 0}')
+        assert run(["--config", str(config), "stats", "--in", str(src), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rejected"] == {"ENTITY_LIMIT": 1}
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_workers_below_one_is_fatal(self, tmp_path, mols, capsys, monkeypatch,
+                                        source, workers):
+        out = tmp_path / "o.jsonl"
+        argv = ["canon", "--in", str(mols), "--out", str(out)]
+        if source == "flag":
+            argv += ["--workers", str(workers)]
+        elif source == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"workers": workers}))
+            argv = ["--config", str(config)] + argv
+        else:
+            monkeypatch.setenv("RXNKIT_WORKERS", str(workers))
+        assert run(argv) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {"error": f"workers must be at least 1, got {workers}"}
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, mols, capsys):

@@ -153,7 +153,7 @@ class TestFilterAndStat:
             text = "w " * 40 + "X"
             stream.append(proc(f"t{i}", text, [(len(text) - 1, len(text), "C")]))
         stream.append(proc("n0", "nothing", []))  # no entity
-        kept, stats = filter_and_stat(stream, token_limit=30)
+        kept, stats = filter_and_stat(build_interleaved(p, token_limit=30) for p in stream)
         kept_list = list(kept)
         report = stats.to_dict()
         assert len(kept_list) == 6
@@ -166,7 +166,7 @@ class TestFilterAndStat:
             proc("b", "Y", [(0, 1, "OCC")]),
             proc("c", "Z", [(0, 1, "CCN")]),
         ]
-        kept, stats = filter_and_stat(stream)
+        kept, stats = filter_and_stat(map(build_interleaved, stream))
         list(kept)
         assert stats.to_dict()["unique_molecule_count"] == 2
 
@@ -176,7 +176,7 @@ class TestFilterAndStat:
         ]
 
         def kept_count(limit):
-            kept, _ = filter_and_stat(list(stream), entity_limit=limit)
+            kept, _ = filter_and_stat(build_interleaved(p, entity_limit=limit) for p in stream)
             return len(list(kept))
 
         counts = [kept_count(limit) for limit in (1, 2, 5, 20)]
@@ -187,7 +187,7 @@ class TestFilterAndStat:
             proc("a", "Mix X with Y carefully.", [(4, 5, "CCO"), (11, 12, "O")]),
             proc("b", "Heat Z.", [(5, 6, "c1ccccc1")]),
         ]
-        kept, _ = filter_and_stat(stream)
+        kept, _ = filter_and_stat(map(build_interleaved, stream))
         originals = {"a": "Mix X with Y carefully.", "b": "Heat Z."}
         for rec in kept:
             assert rec.reconstruct() == originals[rec.id]

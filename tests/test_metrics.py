@@ -246,5 +246,8 @@ class TestGeneration:
         assert len(report.errors) == 1
 
     def test_all_references_invalid_is_fatal(self):
-        with pytest.raises(ValueError):
-            eval_generation([{"id": 1, "prediction": "C", "reference": "C(C"}])
+        with pytest.raises(ValueError, match="no scorable records") as info:
+            eval_generation([{"id": 1, "prediction": "C", "reference": "C(C"},
+                             {"id": 2, "prediction": "C", "reference": "C1CC"}])
+        assert [e["id"] for e in info.value.errors] == [1, 2]
+        assert all(e["error"].startswith("invalid reference: ") for e in info.value.errors)

@@ -12,9 +12,11 @@ from rxnkit.scaffold import (
     max_similarity_to_set,
     murcko_scaffold,
     principal_molecule,
+    record_key,
     resample_test_set,
     scaffold_fingerprint,
     scaffold_molecule,
+    split_features,
 )
 from rxnkit.fingerprint import BitFingerprint
 
@@ -111,10 +113,41 @@ def _rxn_record(rid, rxn):
     return {"id": rid, "rxn": rxn}
 
 
+def _resample(candidates, train, band, n):
+    """resample_test_set on the split features of records."""
+    spec = FingerprintSpec(kind="circular")
+    return resample_test_set([(r["id"], *split_features(r, spec)) for r in candidates],
+                             [split_features(r, spec) for r in train], band, n)
+
+
+def _leakage(splits):
+    """detect_leakage on the (id, key) pairs of records."""
+    return detect_leakage({name: [(str(r["id"]), record_key(r)) for r in records]
+                           for name, records in splits.items()})
+
+
+class TestSplitFeatures:
+    def test_key_and_scaffold_fingerprint(self):
+        spec = FingerprintSpec(kind="circular")
+        record = _rxn_record("r", "CCO.CC(=O)O>>CC(=O)OCC")
+        assert split_features(record, spec) == (record_key(record),
+                                                scaffold_fingerprint(record, spec))
+
+    @pytest.mark.parametrize("record, match", [
+        ({"id": "t1"}, "'t1' has neither 'rxn' nor 'smiles'"),
+        (_rxn_record("r", "not>>"), "cannot parse reactants fragment 0"),
+        (_rxn_record("r", 5), "reaction SMILES must be a string, not int"),
+        (_mol_record("m", 5), "SMILES must be a string, not int"),
+    ])
+    def test_bad_record_raises(self, record, match):
+        with pytest.raises(ValueError, match=match):
+            split_features(record, FingerprintSpec(kind="circular"))
+
+
 class TestResample:
     def test_train_equals_candidates(self):
         pool = [_rxn_record(f"r{i}", f"CCO>>CC{'C' * i}N") for i in range(5)]
-        report = resample_test_set(pool, pool, band=(0.5, 0.6), n=3)
+        report = _resample(pool, pool, band=(0.5, 0.6), n=3)
         assert report.delivered_n == 0
         assert report.rejected_overlap == 5
 
@@ -122,7 +155,7 @@ class TestResample:
         candidates = [_mol_record(f"c{i}", "C1CCCCC1" + "C" * i) for i in range(4)]
         train = [_mol_record("t0", "CCCCO")]  # acyclic scaffold: empty fp
         # Candidate scaffolds are cyclohexane (non-empty) vs train empty: sim 0
-        report = resample_test_set(candidates, train, band=(0.0, 0.6), n=3)
+        report = _resample(candidates, train, band=(0.0, 0.6), n=3)
         assert report.delivered_n == 3
         assert [rid for rid, _ in report.selected] == ["c0", "c1", "c2"]
         assert all(sim == 0.0 for _, sim in report.selected)
@@ -139,7 +172,7 @@ class TestResample:
             for i in range(40)
         ]
         spec = FingerprintSpec(kind="circular")
-        report = resample_test_set(candidates, train, band=(0.5, 0.6), n=10)
+        report = _resample(candidates, train, band=(0.5, 0.6), n=10)
 
         # Independent scoring straight from fingerprints.
         train_fps = [scaffold_fingerprint(r, spec) for r in train]
@@ -159,39 +192,18 @@ class TestResample:
     def test_postconditions(self):
         candidates = [_mol_record(f"c{i}", "C1CCCCC1" + "O" * (i % 3)) for i in range(12)]
         train = [_mol_record("t", "c1ccccc1CC")]
-        report = resample_test_set(candidates, train, band=(0.5, 0.6), n=5)
+        report = _resample(candidates, train, band=(0.5, 0.6), n=5)
         assert report.delivered_n <= 5
         assert all(sim <= 0.6 for _, sim in report.selected)
 
-    def test_same_report_at_two_workers(self):
-        rng = random.Random(5)
-        motifs = ["c1ccccc1", "c1ccncc1", "C1CCCCC1", "C1CCNCC1", "c1ccsc1", "C1CCOC1",
-                  "c1ccc2ccccc2c1", "C1CC2CCC1CC2"]
-        train = [_mol_record(f"t{i}", rng.choice(motifs[:4]) + "C" * i) for i in range(70)]
-        candidates = [_mol_record(f"c{i}", rng.choice(motifs) + "O" * (i % 4)) for i in range(90)]
-        reports = [
-            resample_test_set(candidates, train, band=(0.0, 0.9), n=20, workers=workers)
-            for workers in (1, 2)
-        ]
-        assert reports[0] == reports[1]
-        assert reports[0].rejected_overlap > 0 and reports[0].delivered_n == 20
-        assert 0.0 < reports[0].selected[0][1] < reports[0].selected[-1][1] < 1.0
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_bad_train_record_raises(self, workers):
-        train = [_mol_record("t0", "CCO"), {"id": "t1"}]
-        with pytest.raises(ValueError, match="'t1' has neither 'rxn' nor 'smiles'"):
-            resample_test_set([_mol_record("c", "C1CCCCC1")], train, band=(0.5, 0.6), n=1,
-                              workers=workers)
-
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            resample_test_set([], [_mol_record("t", "C")], band=(0.5, 0.6), n=1)
+            _resample([], [_mol_record("t", "C")], band=(0.5, 0.6), n=1)
 
 
 class TestLeakage:
     def test_disjoint_splits_clean(self):
-        report = detect_leakage(
+        report = _leakage(
             {
                 "train": [_rxn_record("a", "CCO>>CCN")],
                 "test": [_rxn_record("b", "CCO>>CCF")],
@@ -209,12 +221,12 @@ class TestLeakage:
         test += [_rxn_record(f"ty{i}", f"CCF.C{'C' * i}O>>FCC{'C' * i}") for i in range(10)]
         rng.shuffle(train)
         rng.shuffle(test)
-        report = detect_leakage({"train": train, "test": test})
+        report = _leakage({"train": train, "test": test})
         assert report.pair_count("train", "test") == 72
         assert report.within == ()
 
     def test_permuted_fragments_still_detected(self):
-        report = detect_leakage(
+        report = _leakage(
             {
                 "a": [_rxn_record("x", "CCO.CC(=O)O>>CC(=O)OCC")],
                 "b": [_rxn_record("y", "CC(=O)O.OCC>>CC(=O)OCC")],
@@ -223,20 +235,11 @@ class TestLeakage:
         assert report.pair_count("a", "b") == 1
 
     def test_within_split_duplicates(self):
-        report = detect_leakage(
+        report = _leakage(
             {"a": [_rxn_record("x", "CCO>>CCN"), _rxn_record("y", "OCC>>NCC")]}
         )
         assert report.within[0][0] == "a"
         assert report.within[0][1] == (("x", "y"),)
-
-    def test_unparseable_collected_not_fatal(self):
-        report = detect_leakage(
-            {"a": [_rxn_record("bad", "not>>"), _rxn_record("ok", "C>>C")],
-             "b": [_rxn_record("ok2", "C>>C")]}
-        )
-        assert len(report.errors) == 1
-        assert report.errors[0][:2] == ("a", "bad")
-        assert report.pair_count("a", "b") == 1
 
     def test_randomized_fixture_no_false_results(self):
         rng = random.Random(99)
@@ -246,7 +249,7 @@ class TestLeakage:
         test = [_rxn_record(f"te{i}", base[i]) for i in planted]
         test += [_rxn_record(f"tn{i}", f"CCBr.C{'C' * i}O>>CCOC{'C' * i}") for i in range(20)]
         rng.shuffle(test)
-        report = detect_leakage({"train": train, "test": test})
+        report = _leakage({"train": train, "test": test})
         got = {(p[0], p[1]) for _, _, pairs in report.cross for p in pairs}
         # Split names sort alphabetically, so pairs read (test id, train id).
         expected = {(f"te{i}", f"tr{i}") for i in planted}
