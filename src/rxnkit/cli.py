@@ -14,12 +14,14 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack, closing
 from dataclasses import replace
 from functools import lru_cache, partial
 from itertools import chain
 
 from ._jsonl import (
     SchemaError,
+    Workers,
     dumps,
     iter_jsonl,
     parallel_map,
@@ -72,7 +74,9 @@ def main(argv: list[str] | None = None) -> int:
             args.workers = int(os.environ.get("RXNKIT_WORKERS", "1"))
         if args.workers < 1:
             raise Fatal(f"workers must be at least 1, got {args.workers}")
-        args.handler(args, errors)
+        # No worker outlives the run; streams close (listing held rows) before any report.
+        with Workers(args.workers) as args.pool, ExitStack() as args.streams:
+            args.handler(args, errors)
     except (Fatal, OSError, ValueError) as exc:
         # The rows so far, and those the error carries (eval gen's
         # unparseable references), are listed before the run's error.
@@ -206,10 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ref", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--details", default=None, help="per-sample detail JSONL")
-        if name == "gen":
-            common(p, fp=True)
-        else:
-            common(p)
+        common(p, fp=name == "gen")
         if name == "cls":
             p.add_argument("--n-classes", type=int, default=None)
         p.set_defaults(handler=handler)
@@ -288,21 +289,11 @@ def _parse_band(text: str) -> tuple[float, float]:
 
 # --- the record driver ------------------------------------------------------
 
-def _load_records(path: str, errors: list[dict], strict: bool) -> list[tuple[int, dict]]:
-    items = []
-    for lineno, record in iter_jsonl(path):
-        if isinstance(record, SchemaError):
-            if strict:
-                raise Fatal(str(record), code=1)
-            errors.append({"line": record.lineno, "error": record.message})
-            continue
-        items.append((lineno, record))
-    return items
-
-
-def _guarded(fn, item: tuple[int, dict]) -> tuple[dict | None, object]:
-    """(None, fn(lineno, record)), or (error row, None) when fn raises."""
+def _guarded(fn, item: tuple[int, dict | SchemaError]) -> tuple[object, object]:
+    """(None, fn(lineno, record)), or (the line's SchemaError or an error row, None)."""
     lineno, record = item
+    if isinstance(record, SchemaError):
+        return record, None
     try:
         return None, fn(lineno, record)
     except Exception as exc:
@@ -310,25 +301,29 @@ def _guarded(fn, item: tuple[int, dict]) -> tuple[dict | None, object]:
 
 
 def _collect(guarded_results, errors: list[dict], strict: bool):
-    """Yield the results; error rows go to errors, or end the run under --strict."""
-    for error, result in guarded_results:
-        if error is None:
-            yield result
-        elif strict:
-            raise Fatal(dumps(error), code=1)
-        else:
-            errors.append(error)
+    """Yield the results; error rows go to errors, or the first ends the run under --strict.
+
+    Per file, the rows of lines that are not JSON objects precede those of failed records.
+    """
+    failed = []
+    try:
+        for error, result in guarded_results:
+            if error is None:
+                yield result
+            elif strict:
+                raise Fatal(str(error) if isinstance(error, SchemaError) else dumps(error), code=1)
+            elif isinstance(error, SchemaError):
+                errors.append({"line": error.lineno, "error": error.message})
+            else:
+                failed.append(error)
+    finally:
+        errors.extend(failed)
 
 
 def _map_records(args, path: str, fn, errors: list[dict]):
-    """fn(lineno, record) over the records of path, in input order.
-
-    The file is read before the first result is asked for, so under --strict
-    a malformed line fails the run before any output file is opened.
-    """
-    items = _load_records(path, errors, args.strict)
-    return _collect(parallel_map(partial(_guarded, fn), items, args.workers),
-                    errors, args.strict)
+    """fn(lineno, record) over the records of path, in input order, on the run's workers."""
+    results = parallel_map(partial(_guarded, fn), iter_jsonl(path), args.pool)
+    return args.streams.enter_context(closing(_collect(results, errors, args.strict)))
 
 
 def _run_records(args, errors: list[dict], fn) -> None:
@@ -473,22 +468,24 @@ def _cmd_render(args, errors):
 
 
 def _join_by_id(args, row, errors: list[dict]) -> list:
-    """row(reference, prediction) for each reference, in reference order.
+    """row(lineno, reference, prediction) for each reference, in reference order.
 
-    Predictions pair with references by id. A reference without a
-    prediction, or a pair whose row cannot be built, is an error row. When
-    no row is left the run fails, and its error rows are still reported.
+    Predictions pair with references by id; the references stream. A reference
+    without a prediction, or a pair whose row cannot be built, is an error row.
+    When no row is left the run fails, and its error rows are still reported.
     """
-    preds = {str(p.get("id")): p for _, p in _load_records(args.pred, errors, args.strict)}
+    def serial(path, fn):  # the rows are built here, next to the predictions
+        return _collect(map(partial(_guarded, fn), iter_jsonl(path)), errors, args.strict)
+
+    preds = dict(serial(args.pred, lambda _, pred: (str(pred.get("id")), pred)))
 
     def pair(lineno, ref):
         pred = preds.get(str(ref.get("id")))
         if pred is None:
             raise LookupError("no prediction")
-        return row(ref, pred)
+        return row(lineno, ref, pred)
 
-    refs = _load_records(args.ref, errors, args.strict)
-    rows = list(_collect(map(partial(_guarded, pair), refs), errors, args.strict))
+    rows = list(serial(args.ref, pair))
     if not rows:
         raise Fatal(f"no pair left to score ({len(errors)} error rows)")
     return rows
@@ -503,30 +500,31 @@ def _write_report(args, report) -> None:
 
 
 def _cmd_eval_gen(args, errors):
-    records = _join_by_id(args, lambda ref, pred: {
-        "id": ref.get("id"), "prediction": pred["prediction"], "reference": ref["reference"],
+    records = _join_by_id(args, lambda lineno, ref, pred: {
+        "line": lineno, "id": ref.get("id"), "prediction": pred["prediction"],
+        "reference": ref["reference"],
     }, errors)
     fp_specs = {kind: _fp_spec(args, kind) for kind in ("circular", "path")}
     report = eval_generation(records, fp_specs=fp_specs)
     if args.strict and report.errors:
         raise Fatal(dumps(report.errors[0]), code=1)
-    _write_report(args, report)
     errors.extend(report.errors)
+    _write_report(args, report)
 
 
 def _cmd_eval_cls(args, errors):
     labeled = _join_by_id(
-        args, lambda ref, pred: (int(ref["reference"]), int(pred["prediction"])), errors)
+        args, lambda _, ref, pred: (int(ref["reference"]), int(pred["prediction"])), errors)
     _write_report(args, eval_classification(labeled, n_classes=args.n_classes))
 
 
 def _cmd_eval_reg(args, errors):
     series = _join_by_id(
-        args, lambda ref, pred: (float(ref["reference"]), float(pred["prediction"])), errors)
+        args, lambda _, ref, pred: (float(ref["reference"]), float(pred["prediction"])), errors)
     _write_report(args, eval_regression(series))
 
 
-def _selection_pair(ref, pred) -> dict:
+def _selection_pair(lineno, ref, pred) -> dict:
     """The eval_selection record of a pair; ranks, if given, are one int per candidate."""
     candidates = list(ref["candidates"])
     ranks = ref.get("candidate_yield_ranks")

@@ -134,7 +134,7 @@ class MetricReport:
             "task_family": self.task_family,
             "sample_count": self.sample_count,
             "metrics": self.metrics,
-            "errors": self.errors,
+            "errors": [{"id": e["id"], "error": e["error"]} for e in self.errors],
         }
         if include_details:
             out["details"] = self.details
@@ -160,8 +160,9 @@ def eval_generation(
 
     Invalid predictions lower validity, count as missed exact matches, and
     are excluded from the fingerprint means. Invalid references are fatal
-    for their record and reported; when no record is left, NoScorableRecords
-    carries their error rows.
+    for their record and reported as {"id", "error"} rows (with the record's
+    "line" too when it has one, which to_dict leaves out); when no record is
+    left, NoScorableRecords carries those rows.
     """
     specs = {
         "path": FingerprintSpec(kind="path"),
@@ -196,7 +197,10 @@ def eval_generation(
             ref_mol = parse_smiles(ref)
             ref_canonical = canonical_smiles(ref_mol)
         except ValueError as exc:
-            errors.append({"id": rid, "error": f"invalid reference: {exc}"})
+            error = {"id": rid, "error": f"invalid reference: {exc}"}
+            if "line" in record:
+                error["line"] = record["line"]
+            errors.append(error)
             continue
         scored += 1
         bleu_pairs.append((pred, ref))

@@ -3,11 +3,30 @@
 from __future__ import annotations
 
 import random
+import tempfile
 
 import pytest
 
+from rxnkit._jsonl import TEMP_SUFFIX
 from rxnkit.molgraph import Molecule, canonical_smiles, parse_smiles
 from rxnkit.molgraph.model import Atom, Bond
+
+
+@pytest.fixture(autouse=True)
+def no_temporary_output_left(request, monkeypatch):
+    """Fail a test that leaves an output's temporary file in tmp_path.
+
+    The temporary directory, where output for stdout is staged, is tmp_path
+    too, so those files are checked as well.
+    """
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    tmp_path = request.getfixturevalue("tmp_path")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    yield
+    left = sorted(p.name for p in tmp_path.rglob(f"*{TEMP_SUFFIX}"))
+    assert not left, f"temporary output files left behind: {left}"
 
 # (atomic number, max valence, weight)
 _ELEMENTS = (

@@ -2,11 +2,22 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
 import random
+import signal
+import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+from rxnkit import _jsonl
 from rxnkit.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv):
@@ -737,13 +748,25 @@ class TestEvalBadPairs:
         assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref),
                     "--out", str(out)]) == 2
         rows, fatal = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-        assert [(e.get("line"), e["id"]) for e in rows["record_errors"]] == [
-            (3, 3), (None, 1), (None, 2)]
+        assert [(e["line"], e["id"]) for e in rows["record_errors"]] == [
+            (3, 3), (1, 1), (2, 2)]
         assert rows["record_errors"][0]["error"] == "no prediction"
         assert all(e["error"].startswith("invalid reference: ")
                    for e in rows["record_errors"][1:])
         assert fatal == {"error": "no scorable records (every reference failed to parse)"}
         assert not out.exists()
+
+    def test_gen_unparseable_reference_row_has_its_line(self, tmp_path, capsys):
+        ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(ref, [{"id": 1, "reference": "CCO"}, {"id": 2, "reference": "C(C"}])
+        write_jsonl(pred, [{"id": 1, "prediction": "CCO"}, {"id": 2, "prediction": "CCO"}])
+        out = tmp_path / "m.json"
+        assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref),
+                    "--out", str(out)]) == 0
+        (row,) = json.loads(capsys.readouterr().err)["record_errors"]
+        assert (row["line"], row["id"]) == (2, 2)
+        assert json.loads(out.read_text())["errors"] == [
+            {"id": 2, "error": row["error"]}]
 
     def test_gen_strict_unparseable_reference_is_fatal(self, tmp_path, capsys):
         ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
@@ -885,3 +908,264 @@ class TestConfigErrors:
         assert run(["--config", str(config), "fp", "--in", str(mols),
                     "--out", str(out), "--width", "64"]) == 0
         assert read_jsonl(out)[0]["fp"].startswith("64:")
+
+
+class TestErrorRowOrder:
+    """Per file, lines that are not JSON objects are listed before failed records."""
+
+    LINES = [json.dumps({"id": "r1", "smiles": 5}), "not json",
+             json.dumps({"id": "ok", "smiles": "C"}), "[3]"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lines_that_are_not_objects_come_first(self, tmp_path, capsys, workers):
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        src.write_text("\n".join(self.LINES) + "\n")
+        assert run(["canon", "--in", str(src), "--out", str(out),
+                    "--workers", str(workers)]) == 0
+        rows = json.loads(capsys.readouterr().err)["record_errors"]
+        assert [(e["line"], e.get("id")) for e in rows] == [(2, None), (4, None), (1, "r1")]
+        assert read_jsonl(out) == [{"id": "ok", "smiles": "C"}]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_strict_fails_on_the_first_bad_line(self, tmp_path, capsys, workers):
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        src.write_text("\n".join(self.LINES) + "\n")
+        argv = ["canon", "--in", str(src), "--out", str(out), "--strict",
+                "--workers", str(workers)]
+        assert run(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(json.loads(line)["error"])["line"] == 1
+        src.write_text("\n".join(self.LINES[1:]) + "\n")
+        assert run(argv) == 1
+        assert ":1: bad JSON" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_seen_are_listed_when_writing_fails(self, tmp_path, capsys, monkeypatch,
+                                                     workers):
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        good = [json.dumps({"id": i, "smiles": "C"}) for i in range(300)]
+        src.write_text("\n".join(self.LINES + good) + "\n")
+        written = []
+
+        def full_disk(obj):
+            written.append(obj)
+            if len(written) == 100:
+                raise OSError("no space left")
+            return json.dumps(obj)
+
+        monkeypatch.setattr(_jsonl, "dumps", full_disk)
+        assert run(["canon", "--in", str(src), "--out", str(out),
+                    "--workers", str(workers)]) == 2
+        rows, error = capsys.readouterr().err.splitlines()
+        rows = json.loads(rows)["record_errors"]
+        assert [(e["line"], e.get("id")) for e in rows] == [(2, None), (4, None), (1, "r1")]
+        assert json.loads(error) == {"error": "no space left"}
+        assert not out.exists()
+
+
+def _records_with_a_bad_line(path, n, bad_line):
+    """n good molecule records (also good render bindings) with {"id": "bad"} on bad_line."""
+    write_jsonl(path, [
+        {"id": "bad"} if i == bad_line else
+        {"id": i, "smiles": "C" * (1 + i % 5), "reactants": ["CCO"], "products": ["CC"]}
+        for i in range(1, n + 1)])
+
+
+ATOMIC = {
+    "canon": ["canon"],
+    "fp": ["fp", "--fp-kind", "path"],
+    "render": ["render", "--task", "forward"],
+}
+
+
+class TestAtomicOutput:
+    """A run that fails leaves --out as it was; one that succeeds replaces it."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(ATOMIC))
+    @pytest.mark.parametrize("bad_line", [2, 300])
+    def test_strict_failure_writes_nothing(self, tmp_path, capsys, name, workers, bad_line):
+        src = tmp_path / "in.jsonl"
+        _records_with_a_bad_line(src, 400, bad_line)
+        argv = ATOMIC[name] + ["--in", str(src), "--strict", "--workers", str(workers)]
+        fresh, kept = tmp_path / "fresh.jsonl", tmp_path / "kept.jsonl"
+        kept.write_bytes(b"earlier bytes\n")
+        assert run(argv + ["--out", str(fresh)]) == 1
+        assert run(argv + ["--out", str(kept)]) == 1
+        for line in capsys.readouterr().err.splitlines():
+            assert json.loads(json.loads(line)["error"])["line"] == bad_line
+        assert not fresh.exists()
+        assert kept.read_bytes() == b"earlier bytes\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_success_replaces_the_file(self, tmp_path, workers):
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        _records_with_a_bad_line(src, 300, 0)
+        out.write_bytes(b"earlier bytes\n")
+        assert run(["canon", "--in", str(src), "--out", str(out),
+                    "--workers", str(workers)]) == 0
+        assert [r["id"] for r in read_jsonl(out)] == list(range(1, 301))
+
+    def test_stdout_gets_the_rows_only_on_success(self, tmp_path, capsys, mols):
+        out = tmp_path / "out.jsonl"
+        assert run(["canon", "--in", str(mols), "--out", str(out)]) == 0
+        assert run(["canon", "--in", str(mols)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+        src = tmp_path / "in.jsonl"
+        _records_with_a_bad_line(src, 10, 5)
+        assert run(["canon", "--in", str(src), "--strict"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_output_may_be_the_input(self, tmp_path, mols):
+        once = tmp_path / "once.jsonl"
+        assert run(["canon", "--in", str(mols), "--out", str(once)]) == 0
+        assert run(["canon", "--in", str(mols), "--out", str(mols)]) == 0
+        assert mols.read_bytes() == once.read_bytes()
+
+    def test_unwritable_output_is_named(self, tmp_path, capsys, mols):
+        out = tmp_path / "absent" / "out.jsonl"
+        assert run(["canon", "--in", str(mols), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"cannot write {out}: No such file or directory"}
+
+    @pytest.mark.parametrize("strict_bad_line", [None, 5])
+    def test_symlinked_output_is_written_through(self, tmp_path, capsys, strict_bad_line):
+        src, real, link = tmp_path / "in.jsonl", tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+        _records_with_a_bad_line(src, 10, strict_bad_line or 0)
+        real.write_bytes(b"earlier bytes\n")
+        link.symlink_to(real.name)
+        code = run(["canon", "--in", str(src), "--out", str(link), "--strict"])
+        capsys.readouterr()
+        assert link.is_symlink() and os.readlink(link) == real.name
+        if strict_bad_line:
+            assert code == 1 and real.read_bytes() == b"earlier bytes\n"
+        else:
+            assert code == 0 and [r["id"] for r in read_jsonl(real)] == list(range(1, 11))
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path, mols):
+        real, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+        link.symlink_to(real.name)
+        assert run(["canon", "--in", str(mols), "--out", str(link)]) == 0
+        assert link.is_symlink() and len(read_jsonl(real)) == len(read_jsonl(mols))
+
+    def test_fifo_output_is_written_in_place(self, tmp_path, mols):
+        fifo, once = tmp_path / "out.fifo", tmp_path / "once.jsonl"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert run(["canon", "--in", str(mols), "--out", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=30)
+        assert run(["canon", "--in", str(mols), "--out", str(once)]) == 0
+        assert got == [once.read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, mols):
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"earlier bytes\n")
+        out.chmod(0o600)
+        assert run(["canon", "--in", str(mols), "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert len(read_jsonl(out)) == len(read_jsonl(mols))
+
+    def test_exit_2_keeps_the_old_bytes(self, tmp_path, capsys):
+        t, c, out = tmp_path / "t.jsonl", tmp_path / "c.jsonl", tmp_path / "split.json"
+        write_jsonl(t, [{"id": "t0", "smiles": "C1CCCCC1"}, {"id": "t1", "smiles": "CCO"}])
+        write_jsonl(c, [{"id": "c0", "smiles": 5}, {"id": "c1"}])
+        out.write_bytes(b"earlier bytes\n")
+        assert run(["split", "--candidates", str(c), "--train", str(t), "--n", "1",
+                    "--out", str(out), "--workers", "2"]) == 2
+        assert out.read_bytes() == b"earlier bytes\n"
+        capsys.readouterr()
+
+
+class TestOnePoolPerRun:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+        pool = multiprocessing.Pool
+
+        def counting(*args, **kwargs):
+            made.append(args or kwargs)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", counting)
+        return made
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command", ["sim", "split", "leakcheck"])
+    def test_pools_started(self, tmp_path, pools, command, workers):
+        paths = []
+        for i in range(3):
+            paths.append(tmp_path / f"{i}.jsonl")
+            write_jsonl(paths[-1], [{"id": f"{i}-{j}", "smiles": s}
+                                    for j, s in enumerate(["c1ccccc1CC", "C1CCOC1", "CCO"])])
+        argv = {
+            "sim": ["sim", "--in", str(paths[0]), "--ref", str(paths[1])],
+            "split": ["split", "--candidates", str(paths[0]), "--train", str(paths[1]),
+                      "--n", "1", "--band", "0:1"],
+            "leakcheck": ["leakcheck"] + [f"--split=s{i}={p}" for i, p in enumerate(paths)],
+        }[command]
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out), "--workers", str(workers)]) == 0
+        assert len(pools) == (workers > 1)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("outcome", ["ok", "strict", "fatal"])
+    def test_no_worker_outlives_the_run(self, tmp_path, capsys, outcome):
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        _records_with_a_bad_line(src, 200, 150 if outcome == "strict" else 0)
+        argv = ["fp", "--in", str(src), "--out", str(out), "--workers", "2"]
+        if outcome == "fatal":  # the pool is running when the last output fails
+            argv = ["corpus", "interleave", "--in", str(src), "--out", str(out),
+                    "--stats", str(tmp_path / "absent" / "stats.json"), "--workers", "2"]
+        code = run(argv + ["--strict"] * (outcome == "strict"))
+        assert code == {"ok": 0, "strict": 1, "fatal": 2}[outcome]
+        assert multiprocessing.active_children() == []
+        capsys.readouterr()
+
+    def test_strict_failures_with_chunks_in_flight_end(self, tmp_path):
+        """Killing workers while they send large results can hang the pool's
+        shutdown; a child process in its own session bounds the wait."""
+        src = tmp_path / "in.jsonl"
+        _records_with_a_bad_line(src, 400, 150)
+        script = (
+            "import sys\n"
+            "from rxnkit.cli import main\n"
+            "argv = ['fp', '--width', '65536', '--in', sys.argv[1], '--out', sys.argv[2],\n"
+            "        '--strict', '--workers', '3']\n"
+            "sys.exit(sum(main(argv) != 1 for _ in range(15)))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.Popen([sys.executable, "-c", script, str(src), str(tmp_path / "out")],
+                                env=env, start_new_session=True, stderr=subprocess.DEVNULL)
+        try:
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)  # the pool's workers with it
+                proc.wait()
+
+
+class TestBoundedMemory:
+    def test_validate_peak_does_not_grow_with_the_input(self, tmp_path):
+        import tracemalloc
+
+        def peak(n):
+            src = tmp_path / f"in{n}.jsonl"
+            # An empty SMILES is the cheapest record that validate writes a row for.
+            write_jsonl(src, [{"id": i, "smiles": ""} for i in range(n)])
+            tracemalloc.start()
+            try:
+                assert run(["validate", "--in", str(src), "--out", str(tmp_path / "out"),
+                            "--workers", "1"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(200)  # first-call allocations (imports, caches) are not per record
+        assert peak(20_000) <= 1.5 * peak(2_000)

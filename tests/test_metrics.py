@@ -245,6 +245,15 @@ class TestGeneration:
         assert report.sample_count == 1
         assert len(report.errors) == 1
 
+    def test_invalid_reference_row_keeps_the_records_line(self):
+        report = eval_generation([
+            {"line": 4, "id": 1, "prediction": "CCO", "reference": "C(C"},
+            {"id": 2, "prediction": "CCO", "reference": "C1CC"},
+            {"line": 9, "id": 3, "prediction": "CCO", "reference": "CCO"},
+        ])
+        assert [(e.get("line"), e["id"]) for e in report.errors] == [(4, 1), (None, 2)]
+        assert [sorted(e) for e in report.to_dict()["errors"]] == [["error", "id"]] * 2
+
     def test_all_references_invalid_is_fatal(self):
         with pytest.raises(ValueError, match="no scorable records") as info:
             eval_generation([{"id": 1, "prediction": "C", "reference": "C(C"},
