@@ -34,11 +34,23 @@ class SchemaError(ValueError):
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict | SchemaError]]:
-    """Yield (lineno, record) pairs; malformed lines yield a SchemaError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield (lineno, record) pairs; malformed lines yield a SchemaError.
+
+    A line that is not UTF-8 is one malformed line: the bytes that do not
+    decode come through as surrogates (surrogateescape), which no decoded
+    text holds, so the line is found by failing to encode it again.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:
+                continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                message = f"not UTF-8: byte 0x{byte:02x} at character {exc.start + 1}"
+                yield lineno, SchemaError(str(path), lineno, message)
                 continue
             try:
                 record = json.loads(stripped)

@@ -413,6 +413,8 @@ def _cmd_fp(args, errors):
 def _cmd_sim(args, errors):
     spec = _fp_spec(args)
     ref_fps = list(_map_records(args, args.ref, partial(_fingerprint, spec=spec), errors))
+    if not ref_fps:
+        raise Fatal(f"no reference fingerprint ({len(errors)} error rows)")
     _run_records(args, errors, partial(_sim, spec=spec, ref_fps=ref_fps))
 
 

@@ -12,8 +12,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
+# numpy is imported only inside the classification and regression functions,
+# so importing this module (and rxnkit.cli) does not load it.
 from .fingerprint import FingerprintSpec, fingerprint, key_fingerprint, load_key_table, tanimoto
 from .molgraph import ChemistryError, SmilesSyntaxError, canonical_smiles, parse_smiles
 
@@ -251,6 +251,8 @@ def eval_generation(
 
 
 def confusion_matrix(pairs: list[tuple[int, int]], n_classes: int) -> np.ndarray:
+    import numpy as np
+
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     for gold, pred in pairs:
         if not (0 <= gold < n_classes and 0 <= pred < n_classes):
@@ -266,6 +268,8 @@ def confusion_entropy(cm: np.ndarray) -> float:
     row+column mass, logs are base 2(N-1), and classes are weighted by their
     share of that mass.
     """
+    import numpy as np
+
     n = cm.shape[0]
     total = cm.sum()
     if total == 0:
@@ -282,13 +286,13 @@ def confusion_entropy(cm: np.ndarray) -> float:
         if nz.size:
             cen_j = float(-(nz * (np.log(nz) / log_base)).sum())
             cen += (mass[j] / (2.0 * total)) * cen_j
-    return cen
+    return float(cen)
 
 
 def matthews_corrcoef(cm: np.ndarray) -> float:
     """Multiclass MCC; 0 when either denominator factor vanishes."""
     s = float(cm.sum())
-    c = float(np.trace(cm))
+    c = float(cm.trace())
     t = cm.sum(axis=1).astype(float)
     p = cm.sum(axis=0).astype(float)
     numerator = c * s - float(t @ p)
@@ -311,7 +315,7 @@ def eval_classification(
         raise ValueError("need at least 2 classes")
     cm = confusion_matrix(pairs, n)
     metrics = {
-        "accuracy": float(np.trace(cm)) / len(pairs),
+        "accuracy": float(cm.trace()) / len(pairs),
         "cen": confusion_entropy(cm),
         "mcc": matthews_corrcoef(cm),
     }
@@ -331,6 +335,8 @@ def eval_regression(pairs: list[tuple[float, float]]) -> MetricReport:
     """
     if len(pairs) < 2:
         raise ValueError("need at least 2 samples")
+    import numpy as np
+
     gold = np.array([g for g, _ in pairs], dtype=float)
     pred = np.array([p for _, p in pairs], dtype=float)
     err = pred - gold

@@ -522,6 +522,54 @@ class TestBadRecords:
         assert (error["line"], error["id"]) == (1, "r1")
         assert read_jsonl(out)[0]["max_similarity"] == 1.0
 
+    @pytest.mark.parametrize("refs", [[], [{"id": "r1", "smiles": 5}, {"id": "r2"}]])
+    def test_sim_without_a_reference_fingerprint_fails(self, tmp_path, capsys, mols, refs):
+        ref, out = tmp_path / "ref.jsonl", tmp_path / "sim.jsonl"
+        write_jsonl(ref, refs)
+        assert run(["sim", "--in", str(mols), "--ref", str(ref), "--out", str(out)]) == 2
+        *rows, error = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["id"] for row in rows for e in row["record_errors"]] == [r["id"] for r in refs]
+        assert error == {"error": f"no reference fingerprint ({len(refs)} error rows)"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_line_not_utf8_is_an_error_row(self, tmp_path, capsys, workers):
+        good = [json.dumps({"id": i, "smiles": s}).encode()
+                for i, s in enumerate(["OCC", "c1ccccc1"] * 40)]
+        clean, dirty = tmp_path / "clean.jsonl", tmp_path / "dirty.jsonl"
+        clean.write_bytes(b"\n".join(good) + b"\n")
+        bad = b'{"id": "x", "smiles": "C\xffC"}'
+        dirty.write_bytes(b"\n".join(good[:3] + [bad] + good[3:]) + b"\n")
+        want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+        assert run(["canon", "--in", str(clean), "--out", str(want)]) == 0
+        argv = ["canon", "--in", str(dirty), "--workers", str(workers)]
+        assert run(argv + ["--out", str(got)]) == 0
+        assert got.read_bytes() == want.read_bytes()
+        assert json.loads(capsys.readouterr().err)["record_errors"] == [
+            {"line": 4, "error": "not UTF-8: byte 0xff at character 25"}]
+        strict = tmp_path / "strict.jsonl"
+        assert run(argv + ["--out", str(strict), "--strict"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"{dirty}:4: not UTF-8: byte 0xff at character 25"}
+        assert not strict.exists()
+
+    def test_eval_reference_line_not_utf8_is_an_error_row(self, tmp_path, capsys):
+        refs = [json.dumps({"id": i, "reference": s}).encode()
+                for i, s in enumerate(["CCO", "CCN"])]
+        pred = tmp_path / "pred.jsonl"
+        write_jsonl(pred, [{"id": 0, "prediction": "OCC"}, {"id": 1, "prediction": "CCC"}])
+        outputs = {}
+        for name, lines in (("clean", refs), ("dirty", [refs[0], b"\xfe", refs[1]])):
+            ref = tmp_path / f"{name}.jsonl"
+            ref.write_bytes(b"\n".join(lines) + b"\n")
+            out, details = tmp_path / f"{name}.json", tmp_path / "details.jsonl"
+            assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref),
+                        "--out", str(out), "--details", str(details)]) == 0
+            outputs[name] = out.read_bytes(), details.read_bytes()
+        assert outputs["dirty"] == outputs["clean"]
+        assert json.loads(capsys.readouterr().err)["record_errors"] == [
+            {"line": 2, "error": "not UTF-8: byte 0xfe at character 1"}]
+
     def test_strict_fails_before_writing(self, tmp_path, capsys):
         src = tmp_path / "bad.jsonl"
         src.write_text('{"id": "a", "smiles": "C"}\nnot json\n')

@@ -1,0 +1,167 @@
+"""Cold start: only `eval cls` and `eval reg` load numpy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from rxnkit.cli import main
+from test_cli import write_eval_pairs, write_jsonl
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs the CLI on its arguments in an interpreter where `import numpy` fails.
+NUMPY_BLOCKED = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from rxnkit.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    done = python(
+        "import sys, rxnkit.cli; from rxnkit.fingerprint import load_key_table; "
+        "load_key_table(); print('numpy' in sys.modules)"
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+MOLS = ["OCC", "c1ccccc1CC", "CC(=O)Oc1ccccc1C(=O)O", "C1CCOC1", "c1ccncc1C", "C1CC2CCC1CC2"]
+INPUTS = {
+    "mols": [{"id": f"m{i}", "smiles": s} for i, s in enumerate(MOLS)],
+    "ref": [{"id": f"r{i}", "smiles": s} for i, s in enumerate(["CCO", "c1ccccc1C"])],
+    "rxns": [{"id": "x0", "rxn": "CO>>C1CCCCC1O"}, {"id": "x1", "rxn": "OC>>OC1CCCCC1"},
+             {"id": "x2", "smiles": "CCO"}],
+    "procedures": [{"id": "p0", "text": "add ethanol", "entities": [
+        {"span": [4, 11], "smiles": "CCO"}]}],
+    "names": [{"id": "n0", "smiles": "CCO", "iupac": "ethanol"}],
+    "bindings": [{"id": "b0", "reactants": ["CCO"], "products": ["CC"]}],
+    "gen_ref": [{"id": 0, "reference": "CCO"}, {"id": 1, "reference": "c1ccccc1"}],
+    "gen_pred": [{"id": 0, "prediction": "OCC"}, {"id": 1, "prediction": "C1=CC=CC=C1C"}],
+    "sel_ref": [{"id": 0, "reference": "A", "candidates": ["A", "B"],
+                 "candidate_yield_ranks": [2, 1]}],
+    "sel_pred": [{"id": 0, "prediction": "B"}],
+}
+# Every subcommand but eval cls|reg, with {input} files, its {out} and, for
+# some, a second output {extra}.
+COMMANDS = {
+    "canon": ["canon", "--in", "{mols}"],
+    "validate": ["validate", "--in", "{mols}"],
+    "fp-circular": ["fp", "--in", "{mols}"],
+    "fp-path": ["fp", "--fp-kind", "path", "--in", "{mols}"],
+    "fp-key": ["fp", "--fp-kind", "key", "--in", "{mols}"],
+    "sim": ["sim", "--in", "{mols}", "--ref", "{ref}"],
+    "scaffold": ["scaffold", "--in", "{mols}"],
+    "split": ["split", "--candidates", "{mols}", "--train", "{ref}", "--band", "0:0.9",
+              "--n", "3"],
+    "leakcheck": ["leakcheck", "--split", "a={rxns}", "--split", "b={rxns}"],
+    "interleave": ["corpus", "interleave", "--in", "{procedures}", "--stats", "{extra}"],
+    "nameconv": ["corpus", "nameconv", "--in", "{names}"],
+    "render": ["render", "--task", "forward", "--in", "{bindings}", "--seed", "3"],
+    "eval-gen": ["eval", "gen", "--pred", "{gen_pred}", "--ref", "{gen_ref}",
+                 "--details", "{extra}"],
+    "eval-sel": ["eval", "sel", "--pred", "{sel_pred}", "--ref", "{sel_ref}"],
+    "stats": ["stats", "--in", "{procedures}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_subcommand_runs_without_numpy(tmp_path, capsys, name):
+    paths = {stem: tmp_path / stem for stem in INPUTS}
+    for stem, records in INPUTS.items():
+        write_jsonl(paths[stem], records)
+
+    def argv(run: str) -> list[str]:
+        outputs = {"out": tmp_path / f"{run}.out", "extra": tmp_path / "extra"}
+        return [w.format(**paths, **outputs) for w in COMMANDS[name] + ["--out", "{out}"]]
+
+    assert main(argv("open")) == 0
+    want = {p.name: p.read_bytes() for p in tmp_path.glob("*") if p.name not in INPUTS}
+    done = python(NUMPY_BLOCKED, *argv("blocked"))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == capsys.readouterr().err
+    assert (tmp_path / "blocked.out").read_bytes() == want["open.out"]
+    if "extra" in want:
+        assert (tmp_path / "extra").read_bytes() == want["extra"]
+
+
+# The reports and details that eval cls|reg wrote before numpy was imported
+# lazily, on the fixtures of test_cli.py; DETAILS stands for the details path.
+EVAL_REPORTS = {
+    "cls": ("""{
+  "details_path": "DETAILS",
+  "errors": [],
+  "metrics": {
+    "accuracy": 1.0,
+    "cen": 0.0,
+    "mcc": 1.0
+  },
+  "sample_count": 9,
+  "task_family": "classification"
+}
+""", '{"gold":0,"pred":0}\n{"gold":1,"pred":1}\n{"gold":2,"pred":2}\n' * 3),
+    "reg": ("""{
+  "details_path": "DETAILS",
+  "errors": [],
+  "metrics": {
+    "mae": 0.3333333333333333,
+    "mse": 0.3333333333333333,
+    "r2": 0.5
+  },
+  "sample_count": 3,
+  "task_family": "regression"
+}
+""", '{"gold":1.0,"pred":1.0}\n{"gold":2.0,"pred":2.0}\n{"gold":3.0,"pred":4.0}\n'),
+    "cls-pairs": ("""{
+  "details_path": "DETAILS",
+  "errors": [],
+  "metrics": {
+    "accuracy": 0.5,
+    "cen": 0.396240625180289,
+    "mcc": 0.0
+  },
+  "sample_count": 2,
+  "task_family": "classification"
+}
+""", '{"gold":0,"pred":0}\n{"gold":1,"pred":0}\n'),
+    "reg-pairs": ("""{
+  "details_path": "DETAILS",
+  "errors": [],
+  "metrics": {
+    "mae": 0.25,
+    "mse": 0.125,
+    "r2": 0.5
+  },
+  "sample_count": 2,
+  "task_family": "regression"
+}
+""", '{"gold":1.0,"pred":1.5}\n{"gold":2.0,"pred":2.0}\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_REPORTS))
+def test_eval_cls_reg_reports_are_unchanged(tmp_path, capsys, case):
+    task = case[:3]
+    ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+    if case.endswith("-pairs"):
+        write_eval_pairs(tmp_path, task)
+    elif task == "cls":  # TestRenderAndEval.test_eval_cls
+        write_jsonl(ref, [{"id": i, "reference": i % 3} for i in range(9)])
+        write_jsonl(pred, [{"id": i, "prediction": i % 3} for i in range(9)])
+    else:  # TestRenderAndEval.test_eval_reg
+        write_jsonl(ref, [{"id": i, "reference": float(v)} for i, v in enumerate([1, 2, 3])])
+        write_jsonl(pred, [{"id": i, "prediction": float(v)} for i, v in enumerate([1, 2, 4])])
+    out, details = tmp_path / "m.json", tmp_path / "d.jsonl"
+    assert main(["eval", task, "--pred", str(pred), "--ref", str(ref),
+                 "--out", str(out), "--details", str(details)]) == 0
+    report, rows = EVAL_REPORTS[case]
+    assert out.read_text() == report.replace("DETAILS", str(details))
+    assert details.read_text() == rows
+    capsys.readouterr()

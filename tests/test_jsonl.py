@@ -14,6 +14,7 @@ from rxnkit._jsonl import (
     SchemaError,
     Workers,
     atomic_output,
+    iter_jsonl,
     parallel_map,
     write_jsonl,
 )
@@ -87,6 +88,19 @@ class TestParallelMap:
                 assert next(results) == 0
                 raise RuntimeError("the consumer fails")
         assert multiprocessing.active_children() == []
+
+
+class TestIterJsonl:
+    def test_a_line_that_is_not_utf8_is_one_bad_line(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{"a": 1}\r\n\n {"b": "\xff\xfe"}\r{"c": "\xc3\xa9"}\n\xe9\n{"d": 4}')
+        rows = list(iter_jsonl(path))
+        assert [lineno for lineno, _ in rows] == [1, 3, 4, 5, 6]
+        assert [rows[i][1] for i in (0, 2, 4)] == [{"a": 1}, {"c": "\u00e9"}, {"d": 4}]
+        bad = [rows[1][1], rows[3][1]]
+        assert all(isinstance(e, SchemaError) for e in bad)
+        assert [e.message for e in bad] == [
+            "not UTF-8: byte 0xff at character 9", "not UTF-8: byte 0xe9 at character 1"]
 
 
 class TestSchemaError:

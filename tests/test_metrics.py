@@ -129,6 +129,12 @@ class TestClassification:
             assert 0.0 <= confusion_entropy(cm) <= ceiling + 1e-12
             assert -1.0 - 1e-12 <= matthews_corrcoef(cm) <= 1.0 + 1e-12
 
+    def test_metrics_are_plain_floats(self):
+        report = eval_classification([(0, 1), (1, 1), (0, 0)])
+        assert repr(report.metrics["cen"]).startswith("0.528")
+        assert all(type(v) is float for v in report.metrics.values())
+        assert type(confusion_entropy(np.array([[1, 1], [0, 1]]))) is float
+
     def test_degenerate_denominator_gives_zero(self):
         cm = np.array([[2, 0], [2, 0]], dtype=np.int64)  # one predicted class
         assert matthews_corrcoef(cm) == 0.0
