@@ -52,7 +52,7 @@ from .scaffold import (
     resample_test_set,
     split_features,
 )
-from .templates import render as render_template
+from .templates import TemplateRegistry, builtin_registry, render as render_template
 
 
 class Fatal(Exception):
@@ -379,12 +379,17 @@ def _nameconv(lineno, record):
     return [r.to_dict() for r in build_name_conversion(record)]
 
 
-@lru_cache(maxsize=4)
-def _render_registry(templates_path: str | None):
+@lru_cache(maxsize=1)
+def _render_registry(templates_path: str | None) -> TemplateRegistry | None:
+    """The builtin templates plus those of --templates FILE; None without one.
+
+    _cmd_render loads it before the first record, so a file that cannot be
+    read or parsed fails the run instead of every record, and the pool's
+    workers, forked after that, find it here already loaded: the records
+    carry only the path.
+    """
     if not templates_path:
         return None  # the builtin registry
-    from .templates import TemplateRegistry, builtin_registry
-
     registry = TemplateRegistry()
     for task in builtin_registry().tasks:
         registry.register(builtin_registry().get(task))
@@ -463,6 +468,11 @@ def _cmd_stats(args, errors):
 
 
 def _cmd_render(args, errors):
+    _render_registry.cache_clear()  # read the file anew in every run
+    try:
+        _render_registry(args.templates)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise Fatal(f"cannot load templates: {exc}")
     _run_records(args, errors, partial(
         _render, task=args.task, variant=args.variant, seed=args.seed,
         sentinel=args.sentinel, templates_path=args.templates,

@@ -67,7 +67,11 @@ def fill_hydrogens(atomic_number: int, charge: int, bond_order_sum: int) -> int:
     zero when the bond-order sum already exceeds every allowed valence (the
     valence check will reject such atoms separately).
     """
-    allowed = allowed_valences(atomic_number, charge)
+    return hydrogens_to_fill(allowed_valences(atomic_number, charge), bond_order_sum)
+
+
+def hydrogens_to_fill(allowed: tuple[int, ...] | None, bond_order_sum: int) -> int:
+    """fill_hydrogens for a caller that already holds the allowed valences."""
     if allowed is None:
         return 0
     for valence in allowed:

@@ -8,6 +8,7 @@ once and cached.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,7 +43,11 @@ class Atom:
         return SYMBOL[self.atomic_number]
 
 
-@dataclass(frozen=True)
+# Bond is a frozen dataclass with its own __init__: the generated one sets
+# each field through object.__setattr__, and one update of the instance dict
+# costs about half as much. Every molecule builds its bonds anew, while its
+# Atoms come shared from perception's cache.
+@dataclass(frozen=True, init=False)
 class Bond:
     """An undirected bond between two atom indices.
 
@@ -54,10 +59,24 @@ class Bond:
 
     a: int
     b: int
-    order: int = SINGLE
-    is_aromatic: bool = False
-    stereo: str | None = None
-    stereo_from: int | None = None
+    order: int
+    is_aromatic: bool
+    stereo: str | None
+    stereo_from: int | None
+
+    def __init__(
+        self,
+        a: int,
+        b: int,
+        order: int = SINGLE,
+        is_aromatic: bool = False,
+        stereo: str | None = None,
+        stereo_from: int | None = None,
+    ) -> None:
+        self.__dict__.update(
+            a=a, b=b, order=order, is_aromatic=is_aromatic, stereo=stereo,
+            stereo_from=stereo_from,
+        )
 
     def other(self, idx: int) -> int:
         return self.b if idx == self.a else self.a
@@ -99,16 +118,27 @@ class Molecule:
         stereo_order: tuple[tuple[int, ...] | None, ...] | None = None,
         problems: tuple[str, ...] = (),
         ring_bonds: frozenset[tuple[int, int]] | None = None,
+        neighbors: tuple[tuple[int, ...], ...] | None = None,
+        bond_lookup: dict[tuple[int, int], Bond] | None = None,
+        degrees: tuple[int, ...] | None = None,
     ) -> None:
         self.atoms = atoms
         self.bonds = bonds
         self.chiral_tags = chiral_tags or (None,) * len(atoms)
         self.stereo_order = stereo_order or (None,) * len(atoms)
         self.problems = problems
+        # A builder that has already derived some of the structure below
+        # hands it in, so the cached properties never derive it again. It
+        # must equal what they would derive from ``bonds``.
+        derived = self.__dict__
         if ring_bonds is not None:
-            # A builder that already found the ring bonds hands them in, so
-            # the cached property below never searches for them again.
-            self.__dict__["ring_bonds"] = ring_bonds
+            derived["ring_bonds"] = ring_bonds
+        if neighbors is not None:
+            derived["neighbors"] = neighbors
+        if bond_lookup is not None:
+            derived["bond_lookup"] = bond_lookup
+        if degrees is not None:
+            derived["degrees"] = degrees
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -135,7 +165,7 @@ class Molecule:
     @cached_property
     def ring_bonds(self) -> frozenset[tuple[int, int]]:
         """Keys of bonds that lie on some cycle (non-bridge edges)."""
-        return _non_bridge_edges(len(self.atoms), self.neighbors, self.bond_lookup)
+        return _non_bridge_edges(self.neighbors, self.bond_lookup)
 
     @cached_property
     def ring_membership(self) -> tuple[bool, ...]:
@@ -222,40 +252,43 @@ class Molecule:
 
 
 def _non_bridge_edges(
-    n: int,
-    neighbors: tuple[tuple[int, ...], ...],
-    bond_lookup: dict[tuple[int, int], Bond],
+    neighbors: Sequence[Sequence[int]], keys: Iterable[tuple[int, int]]
 ) -> frozenset[tuple[int, int]]:
-    """Edges on cycles, found by subtracting bridges (iterative Tarjan)."""
-    disc = [-1] * n
+    """The bond keys, in the given order, that are not bridges: the edges on cycles.
+
+    Bridges are found with Tarjan's method as a loop: an edge v-w of the
+    depth-first tree is a bridge when no edge from w's subtree reaches back
+    to v or above it.
+    """
+    n = len(neighbors)
+    disc = [0] * n  # discovery time, from 1; 0 while unvisited
     low = [0] * n
     bridges: set[tuple[int, int]] = set()
     timer = 0
     for root in range(n):
-        if disc[root] != -1:
+        if disc[root]:
             continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+        timer += 1
+        disc[root] = low[root] = timer
+        stack = [(root, -1, iter(neighbors[root]))]
         while stack:
-            v, parent, i = stack.pop()
-            if i == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            if i < len(neighbors[v]):
-                stack.append((v, parent, i + 1))
-                w = neighbors[v][i]
-                if w == parent:
-                    continue
-                if disc[w] != -1:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    stack.append((w, v, 0))
+            v, parent, untried = stack[-1]
+            for w in untried:
+                if not disc[w]:
+                    timer += 1
+                    disc[w] = low[w] = timer
+                    stack.append((w, v, iter(neighbors[w])))
+                    break
+                if w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
             else:
-                if parent != -1:
-                    low[parent] = min(low[parent], low[v])
+                stack.pop()
+                if parent >= 0:
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
                     if low[v] > disc[parent]:
-                        key = (parent, v) if parent < v else (v, parent)
-                        bridges.add(key)
-    return frozenset(key for key in bond_lookup if key not in bridges)
+                        bridges.add((parent, v) if parent < v else (v, parent))
+    return frozenset(key for key in keys if key not in bridges)
 
 
 @dataclass(frozen=True)

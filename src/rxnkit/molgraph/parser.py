@@ -19,6 +19,9 @@ from .model import H_SLOT, SmilesSyntaxError
 _BARE_TWO = ("Cl", "Br")
 _BARE_ONE = set("BCNOPSFI")
 _BOND_ORDERS = {"-": 1, "=": 2, "#": 3}
+# ASCII digits only: str.isdigit() also admits digits int() rejects or reads
+# as 0-9 from other scripts.
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass
@@ -48,30 +51,20 @@ class BondDraft:
 class MolDraft:
     atoms: list[AtomDraft] = field(default_factory=list)
     bonds: list[BondDraft] = field(default_factory=list)
-    bond_index: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def add_bond(self, a: int, b: int, symbol: str | None,
-                 stereo: str | None = None, stereo_from: int | None = None) -> None:
-        if a == b:
-            raise SmilesSyntaxError("ring bond connects an atom to itself")
-        key = (a, b) if a < b else (b, a)
-        if key in self.bond_index:
-            raise SmilesSyntaxError(f"duplicate bond between atoms {a} and {b}")
-        self.bond_index[key] = len(self.bonds)
-        self.bonds.append(BondDraft(a, b, symbol, stereo, stereo_from))
 
 
 def parse_draft(text: str) -> MolDraft:
     """Parse SMILES text into a draft graph, or raise SmilesSyntaxError."""
     if not isinstance(text, str):
         raise SmilesSyntaxError(f"SMILES must be a string, not {type(text).__name__}")
-    if not text.strip():
-        raise SmilesSyntaxError("empty SMILES string")
     s = text.strip()
-    if any(ch.isspace() for ch in s):
+    if not s:
+        raise SmilesSyntaxError("empty SMILES string")
+    if len(s.split()) > 1:
         raise SmilesSyntaxError("whitespace inside SMILES string")
 
     mol = MolDraft()
+    atoms, bonds = mol.atoms, mol.bonds
     n = len(s)
     i = 0
     prev: int | None = None
@@ -84,21 +77,6 @@ def parse_draft(text: str) -> MolDraft:
 
     def fail(msg: str) -> SmilesSyntaxError:
         return SmilesSyntaxError(f"{msg} (position {i} in {s!r})")
-
-    def attach(new_idx: int) -> None:
-        nonlocal pending, pending_stereo
-        if prev is not None:
-            stereo = pending_stereo
-            mol.add_bond(prev, new_idx, pending,
-                         stereo=stereo, stereo_from=prev if stereo else None)
-            mol.atoms[prev].slots.append(new_idx)
-            # The preceding atom is the first stereo slot, ahead of any
-            # bracket H recorded while the atom itself was parsed.
-            mol.atoms[new_idx].slots.insert(0, prev)
-        elif pending is not None or pending_stereo is not None:
-            raise fail("bond symbol with no preceding atom")
-        pending = None
-        pending_stereo = None
 
     def close_or_open_ring(digit: int) -> None:
         nonlocal pending, pending_stereo
@@ -119,21 +97,43 @@ def parse_draft(text: str) -> MolDraft:
                 else:
                     sym, stereo = pending, pending_stereo
                     stereo_from = prev if stereo else None
-            mol.add_bond(other, prev, sym, stereo=stereo, stereo_from=stereo_from)
-            mol.atoms[other].slots[oslot] = prev
-            mol.atoms[prev].slots.append(other)
-            pending = None
-            pending_stereo = None
+            if other == prev:
+                raise SmilesSyntaxError("ring bond connects an atom to itself")
+            # An atom's slots name every atom bonded to it so far.
+            if other in atoms[prev].slots:
+                raise SmilesSyntaxError(f"duplicate bond between atoms {other} and {prev}")
+            bonds.append(BondDraft(other, prev, sym, stereo, stereo_from))
+            atoms[other].slots[oslot] = prev
+            atoms[prev].slots.append(other)
         else:
-            slot = len(mol.atoms[prev].slots)
-            mol.atoms[prev].slots.append(None)
+            slot = len(atoms[prev].slots)
+            atoms[prev].slots.append(None)
             open_rings[digit] = (prev, pending, pending_stereo, slot)
-            pending = None
-            pending_stereo = None
+        pending = None
+        pending_stereo = None
 
     while i < n:
         ch = s[i]
-        if ch == "(":
+        if ch.isalpha() or ch == "[":
+            j, atom = _parse_bare(s, i) if ch != "[" else _parse_bracket(s, i)
+            idx = len(atoms)
+            atoms.append(atom)
+            if prev is not None:
+                # A bond to a new atom can be neither a loop nor a duplicate.
+                bonds.append(BondDraft(prev, idx, pending, pending_stereo,
+                                       prev if pending_stereo else None))
+                atoms[prev].slots.append(idx)
+                # The preceding atom is the first stereo slot, ahead of any
+                # bracket H recorded while the atom itself was parsed.
+                atom.slots.insert(0, prev)
+            elif pending is not None or pending_stereo is not None:
+                raise fail("bond symbol with no preceding atom")
+            pending = None
+            pending_stereo = None
+            prev = idx
+            atom_seen_in_fragment = True
+            i = j
+        elif ch == "(":
             if prev is None:
                 raise fail("branch with no preceding atom")
             if pending is not None or pending_stereo is not None:
@@ -146,6 +146,9 @@ def parse_draft(text: str) -> MolDraft:
             if pending is not None or pending_stereo is not None:
                 raise fail("dangling bond symbol before ')'")
             prev = stack.pop()
+            i += 1
+        elif ch in _DIGITS:
+            close_or_open_ring(int(ch))
             i += 1
         elif ch == ".":
             if pending is not None or pending_stereo is not None:
@@ -167,30 +170,11 @@ def parse_draft(text: str) -> MolDraft:
                 raise fail("two consecutive bond symbols")
             pending_stereo = ch
             i += 1
-        elif ch.isdigit():
-            close_or_open_ring(int(ch))
-            i += 1
         elif ch == "%":
-            if i + 2 >= n or not (s[i + 1].isdigit() and s[i + 2].isdigit()):
+            if i + 2 >= n or not (s[i + 1] in _DIGITS and s[i + 2] in _DIGITS):
                 raise fail("'%' must be followed by two digits")
             close_or_open_ring(int(s[i + 1 : i + 3]))
             i += 3
-        elif ch == "[":
-            j, atom = _parse_bracket(s, i)
-            idx = len(mol.atoms)
-            mol.atoms.append(atom)
-            attach(idx)
-            prev = idx
-            atom_seen_in_fragment = True
-            i = j
-        elif ch.isalpha():
-            j, atom = _parse_bare(s, i)
-            idx = len(mol.atoms)
-            mol.atoms.append(atom)
-            attach(idx)
-            prev = idx
-            atom_seen_in_fragment = True
-            i = j
         else:
             raise fail(f"unexpected character {ch!r}")
 
@@ -235,7 +219,7 @@ def _parse_bracket(s: str, start: int) -> tuple[int, AtomDraft]:
 
     isotope = None
     j = i
-    while j < n and body[j].isdigit():
+    while j < n and body[j] in _DIGITS:
         j += 1
     if j > i:
         isotope = int(body[i:j])
@@ -282,7 +266,7 @@ def _parse_bracket(s: str, start: int) -> tuple[int, AtomDraft]:
     if i < n and body[i] == "H":
         i += 1
         j = i
-        while j < n and body[j].isdigit():
+        while j < n and body[j] in _DIGITS:
             j += 1
         atom.explicit_h = int(body[i:j]) if j > i else 1
         i = j
@@ -293,9 +277,9 @@ def _parse_bracket(s: str, start: int) -> tuple[int, AtomDraft]:
         sign = 1 if body[i] == "+" else -1
         symb = body[i]
         i += 1
-        if i < n and body[i].isdigit():
+        if i < n and body[i] in _DIGITS:
             j = i
-            while j < n and body[j].isdigit():
+            while j < n and body[j] in _DIGITS:
                 j += 1
             atom.charge = sign * int(body[i:j])
             i = j
@@ -309,7 +293,7 @@ def _parse_bracket(s: str, start: int) -> tuple[int, AtomDraft]:
     if i < n and body[i] == ":":
         i += 1
         j = i
-        while j < n and body[j].isdigit():
+        while j < n and body[j] in _DIGITS:
             j += 1
         if j == i:
             raise fail("':' must be followed by an atom-map number")

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from functools import lru_cache
 
-from .elements import allowed_valences, fill_hydrogens
+from .elements import allowed_valences, hydrogens_to_fill
 from .model import (
     Atom,
     Bond,
@@ -38,55 +39,55 @@ def parse_smiles(text: str) -> Molecule:
 
 
 def molecule_from_draft(draft: MolDraft) -> Molecule:
-    _fold_explicit_h(draft)
-    n = len(draft.atoms)
+    # Only hydrogen atoms fold, and most drafts have none.
+    if any(a.atomic_number == 1 for a in draft.atoms):
+        _fold_explicit_h(draft)
+    datoms, dbonds = draft.atoms, draft.bonds
+    n = len(datoms)
     problems: list[str] = []
 
-    orders = [0] * len(draft.bonds)
-    candidate = [False] * len(draft.bonds)  # may become aromatic
-    colon = [False] * len(draft.bonds)
-    for bi, b in enumerate(draft.bonds):
-        if b.symbol is None:
-            if draft.atoms[b.a].aromatic and draft.atoms[b.b].aromatic:
-                candidate[bi] = True
-            orders[bi] = 1
-        elif b.symbol == ":":
-            candidate[bi] = True
-            colon[bi] = True
-            orders[bi] = 1
-        else:
-            orders[bi] = _ORDER_OF_SYMBOL[b.symbol]
-
+    # One pass over the bonds: orders, aromatic candidates, adjacency in
+    # bond order, and each bond's (low, high) key.
+    declared = [a.aromatic for a in datoms]
+    orders: list[int] = []
+    candidate: list[bool] = []  # may become aromatic
+    keys: list[tuple[int, int]] = []
     neighbors: list[list[int]] = [[] for _ in range(n)]
     incident: list[list[int]] = [[] for _ in range(n)]
-    keys = []
-    for bi, b in enumerate(draft.bonds):
-        neighbors[b.a].append(b.b)
-        neighbors[b.b].append(b.a)
-        incident[b.a].append(bi)
-        incident[b.b].append(bi)
-        keys.append((b.a, b.b) if b.a < b.b else (b.b, b.a))
-    ring_keys = _non_bridge_edges(
-        n, tuple(tuple(x) for x in neighbors), dict.fromkeys(keys)
-    )
+    for bi, b in enumerate(dbonds):
+        x, y, symbol = b.a, b.b, b.symbol
+        if symbol is None:
+            orders.append(1)
+            candidate.append(declared[x] and declared[y])
+        elif symbol == ":":
+            orders.append(1)
+            candidate.append(True)
+        else:
+            orders.append(_ORDER_OF_SYMBOL[symbol])
+            candidate.append(False)
+        neighbors[x].append(y)
+        neighbors[y].append(x)
+        incident[x].append(bi)
+        incident[y].append(bi)
+        keys.append((x, y) if x < y else (y, x))
+    ring_keys = _non_bridge_edges(neighbors, keys)
 
     # Non-ring bonds cannot be aromatic: demote defaults, reject ':'.
-    for bi in range(len(draft.bonds)):
-        if candidate[bi] and keys[bi] not in ring_keys:
-            if colon[bi]:
+    for bi, key in enumerate(keys):
+        if candidate[bi] and key not in ring_keys:
+            if dbonds[bi].symbol == ":":
                 raise ChemistryError("aromatic bond ':' outside of a ring")
             candidate[bi] = False
 
     aromatic_bond = list(candidate)
-    declared = [a.aromatic for a in draft.atoms]
     for idx in range(n):
         if not declared[idx]:
             continue
         system_bonds = 0
         for bi in incident[idx]:
-            b = draft.bonds[bi]
+            b = dbonds[bi]
             other = b.b if b.a == idx else b.a
-            if keys[bi] in ring_keys and declared[other]:
+            if declared[other] and keys[bi] in ring_keys:
                 if candidate[bi]:
                     system_bonds += 1
                 elif b.symbol == "=":
@@ -97,21 +98,23 @@ def molecule_from_draft(draft: MolDraft) -> Molecule:
                 f"aromatic atom {idx} is not part of an aromatic ring"
             )
 
-    _kekulize(draft, orders, candidate, incident, problems)
+    _kekulize(draft, orders, candidate, incident)
 
-    implicit = [0] * n
-    for idx, a in enumerate(draft.atoms):
-        bond_sum = sum(orders[bi] for bi in incident[idx]) + a.folded_h
-        if a.explicit_h is None:
-            implicit[idx] = a.folded_h + fill_hydrogens(
-                a.atomic_number, a.charge, bond_sum
-            )
-        else:
-            implicit[idx] = a.explicit_h + a.folded_h
-
-    for idx, a in enumerate(draft.atoms):
+    # Implicit hydrogens and the valence check, from one bond-order sum.
+    bond_sum = [0] * n
+    for (x, y), order in zip(keys, orders):
+        bond_sum[x] += order
+        bond_sum[y] += order
+    implicit: list[int] = []
+    for idx, a in enumerate(datoms):
         allowed = allowed_valences(a.atomic_number, a.charge)
-        total = sum(orders[bi] for bi in incident[idx]) + implicit[idx]
+        h = a.folded_h
+        if a.explicit_h is not None:
+            h += a.explicit_h
+        else:
+            h += hydrogens_to_fill(allowed, bond_sum[idx] + h)
+        implicit.append(h)
+        total = bond_sum[idx] + h
         if allowed is None:
             problems.append(
                 f"atom {idx} ({a.atomic_number}) has no valence entry; unchecked"
@@ -122,37 +125,37 @@ def molecule_from_draft(draft: MolDraft) -> Molecule:
                 f"(element {a.atomic_number}, charge {a.charge:+d})"
             )
 
-    _perceive_huckel(
-        draft, orders, aromatic_bond, declared, implicit,
-        incident, keys, ring_keys, neighbors,
-    )
+    _perceive_huckel(draft, orders, aromatic_bond, declared, keys, ring_keys)
 
     atoms = tuple(
-        Atom(
-            atomic_number=a.atomic_number,
-            formal_charge=a.charge,
-            implicit_hydrogens=implicit[idx],
-            is_aromatic=declared[idx],
-            isotope=a.isotope,
-        )
-        for idx, a in enumerate(draft.atoms)
+        _shared_atom(a.atomic_number, a.charge, h, aromatic, a.isotope)
+        for a, h, aromatic in zip(datoms, implicit, declared)
     )
     bonds = tuple(
-        Bond(
-            a=b.a,
-            b=b.b,
-            order=orders[bi],
-            is_aromatic=aromatic_bond[bi],
-            stereo=b.stereo,
-            stereo_from=b.stereo_from,
-        )
-        for bi, b in enumerate(draft.bonds)
+        Bond(b.a, b.b, order, aromatic, b.stereo, b.stereo_from)
+        for b, order, aromatic in zip(dbonds, orders, aromatic_bond)
     )
-    tags = tuple(a.chiral for a in draft.atoms)
+    tags = tuple(a.chiral for a in datoms)
     stereo = tuple(
-        tuple(a.slots) if a.chiral else None for a in draft.atoms  # type: ignore[misc]
+        tuple(a.slots) if a.chiral else None for a in datoms  # type: ignore[misc]
     )
-    return Molecule(atoms, bonds, tags, stereo, tuple(problems), ring_bonds=ring_keys)
+    nbrs = tuple(map(tuple, neighbors))
+    return Molecule(
+        atoms, bonds, tags, stereo, tuple(problems), ring_bonds=ring_keys,
+        neighbors=nbrs, bond_lookup=dict(zip(keys, bonds)), degrees=tuple(map(len, nbrs)),
+    )
+
+
+@lru_cache(maxsize=512)
+def _shared_atom(
+    atomic_number: int, charge: int, hydrogens: int, aromatic: bool, isotope: int | None
+) -> Atom:
+    """The Atom of these values, shared by every molecule that has one.
+
+    Atoms are immutable values, so one object serves them all. The cache is
+    bounded: unusual isotopes and charges evict entries, they never grow it.
+    """
+    return Atom(atomic_number, charge, hydrogens, aromatic, isotope)
 
 
 def _fold_explicit_h(draft: MolDraft) -> None:
@@ -218,7 +221,6 @@ def _kekulize(
     orders: list[int],
     candidate: list[bool],
     incident: list[list[int]],
-    problems: list[str],
 ) -> None:
     """Assign kekule orders inside declared-aromatic systems.
 
@@ -321,11 +323,8 @@ def _perceive_huckel(
     orders: list[int],
     aromatic_bond: list[bool],
     declared: list[bool],
-    implicit: list[int],
-    incident: list[list[int]],
     keys: list[tuple[int, int]],
     ring_keys: frozenset[tuple[int, int]],
-    neighbors: list[list[int]],
 ) -> None:
     """Mark 4n+2 rings written in kekule form as aromatic.
 
@@ -373,7 +372,7 @@ def _perceive_huckel(
             return 0
         return None
 
-    cycles = _small_cycles(keys, ring_keys, neighbors)
+    cycles = _small_cycles(ring_keys)
     candidates = []
     for atoms_set, edge_set in cycles:
         if any(declared[a] for a in atoms_set):
@@ -441,9 +440,7 @@ def _perceive_huckel(
 
 
 def _small_cycles(
-    keys: list[tuple[int, int]],
     ring_keys: frozenset[tuple[int, int]],
-    neighbors: list[list[int]],
 ) -> list[tuple[frozenset[int], frozenset[tuple[int, int]]]]:
     """All shortest cycles through each ring edge (input-order invariant set)."""
     ring_adj: dict[int, list[int]] = defaultdict(list)

@@ -114,11 +114,25 @@ def reaction_key(rxn: Reaction, merge_agents: bool = False) -> str:
     into the reactant side (lenient key for audits of corpora with
     inconsistent role assignment).
     """
-    reactants = [canonical_smiles(m) for m in rxn.reactants]
-    reagents = [canonical_smiles(m) for m in rxn.reagents]
-    products = [canonical_smiles(m) for m in rxn.products]
+    return key_of_roles(*role_smiles(rxn), merge_agents=merge_agents)
+
+
+def role_smiles(rxn: Reaction) -> tuple[list[str], list[str], list[str]]:
+    """Canonical SMILES of the reactants, reagents and products, in input order."""
+    return (
+        [canonical_smiles(m) for m in rxn.reactants],
+        [canonical_smiles(m) for m in rxn.reagents],
+        [canonical_smiles(m) for m in rxn.products],
+    )
+
+
+def key_of_roles(
+    reactants: list[str], reagents: list[str], products: list[str],
+    merge_agents: bool = False,
+) -> str:
+    """reaction_key from the canonical SMILES of each role (see role_smiles)."""
     if merge_agents:
-        reactants += reagents
+        reactants = reactants + reagents
         reagents = []
     return ">".join(
         ".".join(sorted(group)) for group in (reactants, reagents, products)

@@ -19,7 +19,7 @@ from itertools import combinations, product
 from .fingerprint import BitFingerprint, FingerprintSpec, fingerprint, load_key_table
 from .molgraph import Atom, Molecule, canonical_smiles, parse_smiles
 from .molgraph.elements import allowed_valences, fill_hydrogens
-from .reaction import parse_reaction, reaction_key
+from .reaction import Reaction, key_of_roles, parse_reaction, reaction_key, role_smiles
 
 EMPTY_SCAFFOLD = "∅"  # ∅
 
@@ -52,7 +52,8 @@ def scaffold_molecule(mol: Molecule) -> Molecule | None:
     if not kept:
         return None
 
-    sub = mol.subgraph(sorted(kept))
+    order = sorted(kept)
+    sub = mol.subgraph(order)
     order_sum = [0] * len(sub)
     for b in sub.bonds:
         order_sum[b.a] += b.order
@@ -63,7 +64,10 @@ def scaffold_molecule(mol: Molecule) -> Molecule | None:
         if allowed_valences(a.atomic_number, a.formal_charge) is not None:
             h = fill_hydrogens(a.atomic_number, a.formal_charge, orders)
         atoms.append(Atom(a.atomic_number, a.formal_charge, h, a.is_aromatic, a.isotope))
-    return Molecule(tuple(atoms), sub.bonds)
+    # Pruning never removes a ring atom, so the ring bonds are the molecule's.
+    new_of_old = {old: new for new, old in enumerate(order)}
+    ring = frozenset((new_of_old[a], new_of_old[b]) for a, b in mol.ring_bonds)
+    return Molecule(tuple(atoms), sub.bonds, ring_bonds=ring)
 
 
 def murcko_scaffold(mol: Molecule) -> str:
@@ -118,13 +122,21 @@ class SplitReport:
         }
 
 
+def _parse_record(record: dict) -> Reaction | Molecule:
+    """The reaction of an "rxn" record, or the molecule of a bare "smiles" one."""
+    if "rxn" in record:
+        return parse_reaction(record["rxn"])
+    if "smiles" in record:
+        return parse_smiles(record["smiles"])
+    raise ValueError(f"record {record.get('id')!r} has neither 'rxn' nor 'smiles'")
+
+
 def record_key(record: dict, merge_agents: bool = False) -> str:
     """Canonical dedup key of a JSONL record ("rxn" or bare "smiles")."""
-    if "rxn" in record:
-        return reaction_key(parse_reaction(record["rxn"]), merge_agents=merge_agents)
-    if "smiles" in record:
-        return canonical_smiles(parse_smiles(record["smiles"]))
-    raise ValueError(f"record {record.get('id')!r} has neither 'rxn' nor 'smiles'")
+    parsed = _parse_record(record)
+    if isinstance(parsed, Molecule):
+        return canonical_smiles(parsed)
+    return reaction_key(parsed, merge_agents=merge_agents)
 
 
 def principal_molecule(record: dict) -> Molecule:
@@ -134,31 +146,41 @@ def principal_molecule(record: dict) -> Molecule:
     broken by lexicographically smallest canonical SMILES (the product is
     the synthetic target). Bare molecule records anchor on themselves.
     """
-    if "rxn" in record:
-        rxn = parse_reaction(record["rxn"])
-        best = None
-        best_key = None
-        for product in rxn.products:
-            for frag_atoms in product.fragments:
-                heavy = sum(
-                    1 for i in frag_atoms if product.atoms[i].atomic_number > 1
-                )
-                whole = len(frag_atoms) == len(product.atoms)
-                sub = product if whole else product.subgraph(frag_atoms)
-                key = (-heavy, canonical_smiles(sub))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = sub
-        assert best is not None
-        return best
-    if "smiles" in record:
-        return parse_smiles(record["smiles"])
-    raise ValueError(f"record {record.get('id')!r} has neither 'rxn' nor 'smiles'")
+    parsed = _parse_record(record)
+    if isinstance(parsed, Molecule):
+        return parsed
+    return _principal_product(parsed.products, [canonical_smiles(m) for m in parsed.products])
+
+
+def _principal_product(products: tuple[Molecule, ...], smiles: list[str]) -> Molecule:
+    """principal_molecule of a reaction, given each product's canonical SMILES."""
+    best = None
+    best_key = None
+    for product, product_smiles in zip(products, smiles):
+        for frag_atoms in product.fragments:
+            heavy = sum(
+                1 for i in frag_atoms if product.atoms[i].atomic_number > 1
+            )
+            if len(frag_atoms) == len(product.atoms):
+                sub, sub_smiles = product, product_smiles
+            else:
+                sub = product.subgraph(frag_atoms)
+                sub_smiles = canonical_smiles(sub)
+            key = (-heavy, sub_smiles)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = sub
+    assert best is not None
+    return best
 
 
 def scaffold_fingerprint(record: dict, spec: FingerprintSpec) -> BitFingerprint:
     """Fingerprint of the record's scaffold; empty bits for acyclic anchors."""
-    scaffold = scaffold_molecule(principal_molecule(record))
+    return _scaffold_fingerprint(principal_molecule(record), spec)
+
+
+def _scaffold_fingerprint(anchor: Molecule, spec: FingerprintSpec) -> BitFingerprint:
+    scaffold = scaffold_molecule(anchor)
     if scaffold is None:
         width = len(load_key_table(spec.key_table)) if spec.kind == "key" else spec.width
         return BitFingerprint(width=width, bits=0)
@@ -166,8 +188,17 @@ def scaffold_fingerprint(record: dict, spec: FingerprintSpec) -> BitFingerprint:
 
 
 def split_features(record: dict, spec: FingerprintSpec) -> tuple[str, BitFingerprint]:
-    """(canonical key, scaffold fingerprint) of a record, as resample_test_set takes them."""
-    return record_key(record), scaffold_fingerprint(record, spec)
+    """(canonical key, scaffold fingerprint) of a record, as resample_test_set takes them.
+
+    The record is parsed once, and the product tie-break of a reaction
+    reuses the canonical SMILES its key is made of.
+    """
+    parsed = _parse_record(record)
+    if isinstance(parsed, Molecule):
+        return canonical_smiles(parsed), _scaffold_fingerprint(parsed, spec)
+    roles = role_smiles(parsed)
+    anchor = _principal_product(parsed.products, roles[2])
+    return key_of_roles(*roles), _scaffold_fingerprint(anchor, spec)
 
 
 def resample_test_set(

@@ -9,7 +9,8 @@ they evaluate every atom predicate per pattern and per candidate, and
 respell and rehash every path. So are the two hand-written sub-molecule
 builders that ``Molecule.subgraph`` replaced, and the frozenset fingerprint
 with its bit-loop serialization, set Tanimoto and similarity scan that the
-int bitmask replaced.
+int bitmask replaced, and the multi-pass Molecule builder with its bridge
+search that the one-pass builder replaced.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from itertools import permutations
 from rxnkit.fingerprint import BitFingerprint, FingerprintSpec, fnv1a
 from rxnkit.molgraph import Molecule
 from rxnkit.molgraph.elements import allowed_valences, fill_hydrogens
-from rxnkit.molgraph.model import Atom, Bond, bond_code
+from rxnkit.molgraph.model import Atom, Bond, ChemistryError, bond_code
+from rxnkit.molgraph.parser import MolDraft
+from rxnkit.molgraph.perception import (
+    _ORDER_OF_SYMBOL,
+    _fold_explicit_h,
+    _kekulize,
+    _perceive_huckel,
+)
 from rxnkit.substructure import _atom_matches, _bond_matches
 
 
@@ -411,3 +419,163 @@ def reference_scaffold_molecule(mol) -> Molecule | None:
             implicit_hydrogens=h, is_aromatic=a.is_aromatic, isotope=a.isotope,
         ))
     return Molecule(tuple(atoms), tuple(bonds))
+
+
+def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
+    """The Molecule of a draft as the multi-pass builder made it.
+
+    Keyword-built Atoms and Bonds, separate hydrogen and valence loops, and
+    ring bonds found on tuple copies of the adjacency. The [H] fold,
+    kekulization and Hueckel perception are the library's own, unchanged by
+    the one-pass builder; the fold runs here on every draft, not only on
+    drafts with a hydrogen atom.
+    """
+    _fold_explicit_h(draft)
+    n = len(draft.atoms)
+    problems: list[str] = []
+
+    orders = [0] * len(draft.bonds)
+    candidate = [False] * len(draft.bonds)  # may become aromatic
+    colon = [False] * len(draft.bonds)
+    for bi, b in enumerate(draft.bonds):
+        if b.symbol is None:
+            if draft.atoms[b.a].aromatic and draft.atoms[b.b].aromatic:
+                candidate[bi] = True
+            orders[bi] = 1
+        elif b.symbol == ":":
+            candidate[bi] = True
+            colon[bi] = True
+            orders[bi] = 1
+        else:
+            orders[bi] = _ORDER_OF_SYMBOL[b.symbol]
+
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    incident: list[list[int]] = [[] for _ in range(n)]
+    keys = []
+    for bi, b in enumerate(draft.bonds):
+        neighbors[b.a].append(b.b)
+        neighbors[b.b].append(b.a)
+        incident[b.a].append(bi)
+        incident[b.b].append(bi)
+        keys.append((b.a, b.b) if b.a < b.b else (b.b, b.a))
+    ring_keys = reference_non_bridge_edges(
+        n, tuple(tuple(x) for x in neighbors), dict.fromkeys(keys)
+    )
+
+    # Non-ring bonds cannot be aromatic: demote defaults, reject ':'.
+    for bi in range(len(draft.bonds)):
+        if candidate[bi] and keys[bi] not in ring_keys:
+            if colon[bi]:
+                raise ChemistryError("aromatic bond ':' outside of a ring")
+            candidate[bi] = False
+
+    aromatic_bond = list(candidate)
+    declared = [a.aromatic for a in draft.atoms]
+    for idx in range(n):
+        if not declared[idx]:
+            continue
+        system_bonds = 0
+        for bi in incident[idx]:
+            b = draft.bonds[bi]
+            other = b.b if b.a == idx else b.a
+            if keys[bi] in ring_keys and declared[other]:
+                if candidate[bi]:
+                    system_bonds += 1
+                elif b.symbol == "=":
+                    aromatic_bond[bi] = True
+                    system_bonds += 1
+        if system_bonds < 2:
+            raise ChemistryError(
+                f"aromatic atom {idx} is not part of an aromatic ring"
+            )
+
+    _kekulize(draft, orders, candidate, incident)
+
+    implicit = [0] * n
+    for idx, a in enumerate(draft.atoms):
+        bond_sum = sum(orders[bi] for bi in incident[idx]) + a.folded_h
+        if a.explicit_h is None:
+            implicit[idx] = a.folded_h + fill_hydrogens(
+                a.atomic_number, a.charge, bond_sum
+            )
+        else:
+            implicit[idx] = a.explicit_h + a.folded_h
+
+    for idx, a in enumerate(draft.atoms):
+        allowed = allowed_valences(a.atomic_number, a.charge)
+        total = sum(orders[bi] for bi in incident[idx]) + implicit[idx]
+        if allowed is None:
+            problems.append(
+                f"atom {idx} ({a.atomic_number}) has no valence entry; unchecked"
+            )
+        elif total not in allowed:
+            raise ChemistryError(
+                f"valence {total} not allowed for atom {idx} "
+                f"(element {a.atomic_number}, charge {a.charge:+d})"
+            )
+
+    _perceive_huckel(draft, orders, aromatic_bond, declared, keys, ring_keys)
+
+    atoms = tuple(
+        Atom(
+            atomic_number=a.atomic_number,
+            formal_charge=a.charge,
+            implicit_hydrogens=implicit[idx],
+            is_aromatic=declared[idx],
+            isotope=a.isotope,
+        )
+        for idx, a in enumerate(draft.atoms)
+    )
+    bonds = tuple(
+        Bond(
+            a=b.a,
+            b=b.b,
+            order=orders[bi],
+            is_aromatic=aromatic_bond[bi],
+            stereo=b.stereo,
+            stereo_from=b.stereo_from,
+        )
+        for bi, b in enumerate(draft.bonds)
+    )
+    tags = tuple(a.chiral for a in draft.atoms)
+    stereo = tuple(
+        tuple(a.slots) if a.chiral else None for a in draft.atoms  # type: ignore[misc]
+    )
+    return Molecule(atoms, bonds, tags, stereo, tuple(problems), ring_bonds=ring_keys)
+
+
+def reference_non_bridge_edges(
+    n: int,
+    neighbors: tuple[tuple[int, ...], ...],
+    bond_lookup: dict[tuple[int, int], Bond],
+) -> frozenset[tuple[int, int]]:
+    """Edges on cycles, found by subtracting bridges (iterative Tarjan)."""
+    disc = [-1] * n
+    low = [0] * n
+    bridges: set[tuple[int, int]] = set()
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+        while stack:
+            v, parent, i = stack.pop()
+            if i == 0:
+                disc[v] = low[v] = timer
+                timer += 1
+            if i < len(neighbors[v]):
+                stack.append((v, parent, i + 1))
+                w = neighbors[v][i]
+                if w == parent:
+                    continue
+                if disc[w] != -1:
+                    low[v] = min(low[v], disc[w])
+                else:
+                    stack.append((w, v, 0))
+            else:
+                if parent != -1:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > disc[parent]:
+                        key = (parent, v) if parent < v else (v, parent)
+                        bridges.add(key)
+    return frozenset(key for key in bond_lookup if key not in bridges)

@@ -314,6 +314,43 @@ class TestSplitAndLeakcheck:
         sims = [s["max_train_similarity"] for s in report["selected"]]
         assert 0.0 < sims[0] < sims[-1] < 1.0
 
+    def test_split_parses_each_record_once(self, tmp_path, monkeypatch):
+        rng = random.Random(10)
+        motifs = ["c1ccccc1", "c1ccncc1", "C1CCCCC1", "C1CCOC1", "c1ccsc1"]
+        train = [{"id": f"t{i}", "rxn": f"{rng.choice(motifs)}CBr.CO>>{rng.choice(motifs)}CC"}
+                 for i in range(12)]
+        train += [{"id": f"s{i}", "smiles": rng.choice(motifs) + "C" * i} for i in range(6)]
+        cands = [{"id": f"c{i}", "rxn": f"{rng.choice(motifs)}CCl.CO>>{rng.choice(motifs)}"
+                                       f"{'C' * (i % 3)}{rng.choice(motifs)}O."
+                                       f"{rng.choice(motifs)}CN"}
+                 for i in range(24)]
+        cands += [{"id": f"m{i}", "smiles": rng.choice(motifs) + "O" * (i % 3)} for i in range(8)]
+        cands.append(dict(train[3], id="dup"))
+        # Products that tie on heavy atoms: the smaller canonical SMILES anchors.
+        cands += [{"id": "tie1", "rxn": "CCO.CC>>c1ccccc1O.OC1CCCCC1"},
+                  {"id": "tie2", "rxn": "CCO.CC>>OC1CCNCC1.c1ccncc1C"}]
+        t, c = tmp_path / "t.jsonl", tmp_path / "c.jsonl"
+        write_jsonl(t, train)
+        write_jsonl(c, cands)
+        molecules = sum(len(r["rxn"].replace(">>", ".").split(".")) if "rxn" in r else 1
+                        for r in train + cands)
+
+        from rxnkit.molgraph import parse_smiles
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_smiles(text)
+
+        monkeypatch.setattr("rxnkit.reaction.parse_smiles", counting)
+        monkeypatch.setattr("rxnkit.scaffold.parse_smiles", counting)
+        out = tmp_path / "split.json"
+        assert run(["split", "--candidates", str(c), "--train", str(t), "--band", "0:1",
+                    "--n", "12", "--out", str(out)]) == 0
+        assert len(calls) == molecules  # one parse of each molecule of each record
+        # The bytes the run gave when each record was parsed twice.
+        assert digest(out) == "a29ca6ec5a2245f8f16079bcc4ce8453f7a2d6360e5280b49f6b4cc04243d7ac"
+
     def test_bad_band_is_fatal(self, tmp_path, capsys):
         t = tmp_path / "t.jsonl"
         write_jsonl(t, [{"id": "x", "rxn": "C>>C"}])
@@ -366,25 +403,57 @@ class TestRenderAndEval:
             "Using r1.r2 as the reactants and reagents, tell me the potential product."
         )
 
-    def test_render_variant_file_with_seed(self, tmp_path):
+    def test_render_variant_file_with_seed(self, tmp_path, monkeypatch):
+        from rxnkit import cli as cli_module
+
         variants = tmp_path / "variants.json"
-        variants.write_text(json.dumps([
+        text = json.dumps([
             {"task": "forward", "system": "alt system",
              "instruction": "ALT: {reactants}?", "output": "ALT: {products}."},
-        ]))
+        ])
         src = tmp_path / "bind.jsonl"
         write_jsonl(src, [
             {"id": i, "reactants": ["r"], "products": ["p"]} for i in range(30)
         ])
+        real = cli_module._run_records
+
+        def without_the_file(*args):
+            variants.unlink()  # read before the first record; no worker reads it
+            return real(*args)
+
+        monkeypatch.setattr(cli_module, "_run_records", without_the_file)
         out_a = tmp_path / "a.jsonl"
         out_b = tmp_path / "b.jsonl"
         for out, workers in ((out_a, 1), (out_b, 4)):
-            run(["render", "--task", "forward", "--in", str(src),
-                 "--out", str(out), "--templates", str(variants),
-                 "--seed", "7", "--workers", str(workers)])
+            variants.write_text(text)
+            assert run(["render", "--task", "forward", "--in", str(src),
+                        "--out", str(out), "--templates", str(variants),
+                        "--seed", "7", "--workers", str(workers)]) == 0
         assert digest(out_a) == digest(out_b)  # seeded draw per record line
+        # The bytes the run gave when each worker read the file for itself.
+        assert digest(out_a) == "6973c6841e63c7e4e5f22d1d547dfeec32ffab6a54d7259160333c9b6255712e"
         instructions = {r["instruction"] for r in read_jsonl(out_a)}
         assert len(instructions) == 2  # both variants appear across records
+
+    @pytest.mark.parametrize("bad", ["malformed", "missing", "not_a_list"])
+    def test_render_bad_templates_file_is_fatal(self, tmp_path, capsys, monkeypatch, bad):
+        templates = tmp_path / "t.json"
+        if bad == "malformed":
+            templates.write_text("{bad")
+        elif bad == "not_a_list":
+            templates.write_text("[1]")
+        src = tmp_path / "bind.jsonl"
+        write_jsonl(src, [{"id": i, "reactants": ["r"], "products": ["p"]} for i in range(2)])
+        out = tmp_path / "rend.jsonl"
+        monkeypatch.setattr("rxnkit.cli.render_template", None)  # must not be reached
+        assert run(["render", "--task", "forward", "--in", str(src), "--out", str(out),
+                    "--templates", str(templates)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)["error"]
+        assert error.startswith("cannot load templates: ")
+        if bad == "missing":
+            assert "No such file or directory" in error
+        assert not out.exists()
 
     def test_eval_gen_table_columns(self, tmp_path):
         ref = tmp_path / "ref.jsonl"

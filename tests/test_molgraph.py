@@ -1,8 +1,11 @@
 """Molecular graph core: parsing, canonicalization, formulas, records."""
 
+import dataclasses
 import json
+import pickle
 import random
 import time
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +23,17 @@ from rxnkit.molgraph import (
     to_graph_record,
     validate,
 )
-from rxnkit.molgraph import model, perception
+from rxnkit.fingerprint import circular_fingerprint
+from rxnkit.molgraph import Atom, Bond, Molecule, model, perception
+from rxnkit.molgraph.parser import parse_draft
+from rxnkit.scaffold import EMPTY_SCAFFOLD, murcko_scaffold
 
-from conftest import build_random_molecule, shuffled
-from oracles import full_resort_ranks
+from conftest import CURATED_SMILES, build_random_molecule, shuffled
+from oracles import (
+    full_resort_ranks,
+    reference_molecule_from_draft,
+    reference_non_bridge_edges,
+)
 
 
 class TestParse:
@@ -79,6 +89,31 @@ class TestParse:
             parse_smiles(text)
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("C11", "ring bond connects an atom to itself"),
+            ("C%10%10", "ring bond connects an atom to itself"),
+            ("C1%01", "ring bond connects an atom to itself"),
+            ("C1C1", "duplicate bond between atoms 0 and 1"),
+            ("C%10C%10", "duplicate bond between atoms 0 and 1"),
+            ("C1(C1)", "duplicate bond between atoms 0 and 1"),
+            ("C=1C=1", "duplicate bond between atoms 0 and 1"),
+            ("C12CC12", "duplicate bond between atoms 0 and 2"),
+            ("C%10%11CC%10%11", "duplicate bond between atoms 0 and 2"),
+            ("[C@H]12CC12", "duplicate bond between atoms 0 and 2"),
+            ("C1CC2C12", "duplicate bond between atoms 2 and 3"),
+        ],
+    )
+    def test_ring_closure_errors(self, text, message):
+        with pytest.raises(SmilesSyntaxError) as err:
+            parse_smiles(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, bonds", [("C1.C1", 1), ("C1C2.C12", 3), ("C12C(C1)C2", 5)])
+    def test_ring_closures_that_are_new_bonds(self, text, bonds):
+        assert len(parse_smiles(text).bonds) == bonds
+
+    @pytest.mark.parametrize(
         "text",
         ["C(C)(C)(C)(C)C", "cC", "n1cccc1", "O=C(=O)C", "C:C", "FF(F)F"],
     )
@@ -112,7 +147,8 @@ class TestParse:
         mol = parse_smiles("C1CC2CCC1CC2OCc1ccccc1")
         canonical_smiles(mol)
         assert len(calls) == 1
-        assert mol.ring_bonds == find(len(mol), mol.neighbors, mol.bond_lookup)
+        assert mol.ring_bonds == reference_non_bridge_edges(len(mol), mol.neighbors,
+                                                            mol.bond_lookup)
         # Molecules built another way still find their ring bonds lazily.
         again = mol.renumbered(list(reversed(range(len(mol)))))
         assert "ring_bonds" not in vars(again)
@@ -346,3 +382,167 @@ class TestRenumbered:
         mol = parse_smiles("CCO")
         with pytest.raises(ValueError):
             mol.renumbered([0, 0, 1])
+
+
+ONE_PASS_CASES = {
+    "fold": ["C([H])([H])([H])[H]", "[H][H]", "[2H]OC", "[H]C#N", "[H]/C=C/[H]", "[H+]",
+             "[H-].[Na+]", "[H][C@@](F)(Cl)Br", "F[C@@]([H])(Cl)Br", "C1([H])CC1",
+             "[H]c1ccccc1", "[H]N([H])C", "[H][H][H]", "[H]", "[H]O[H]", "[H]=C",
+             "[H]1CC1", "[H][2H]", "[H]Cl.[H]Br", "[H]C1=CC=CC=C1[H]"],
+    "kekule": ["C1=CC=CC=C1", "C1=CC=C2C=CC=CC2=C1", "C1=CC=CC=CC=C1", "O=C1C=CC=C1",
+               "C1=CNC=C1", "C1=COC=C1", "C1=CC=C(C=C1)C1=CC=CC=C1", "C1=CC2=CC=CC=CC2=C1",
+               "C1=CC=C(C=C1)" * 4, "C1=C" + "C=C" * 20 + "1", "[O-][N+](=O)C1=CC=CC=C1",
+               "B1C=CC=C1", "C1=C[CH-]C=C1", "C1=CC=C[CH+]1", "C1=CC2=C3C1=CC=C3C=C2",
+               "C1=CC=C2C(=C1)C=CC1=CC=CC=C21"],
+    "charged": ["[NH4+]", "CC(=O)[O-]", "[13CH4]", "[2H]C([2H])([2H])[2H]", "[Fe+3]",
+                "C[N+](=O)[O-]", "c1cc[n+](C)cc1", "C[N+](C)(C)C", "[C-]#[O+]", "[999C]",
+                "[Cu+12]", "[O--]", "[Na+].[Cl-]", "[NH3+]CC([O-])=O", "[Se]", "[se]1cccc1",
+                "[13c]1ccccc1", "[nH+]1ccccc1", "[S+2]", "[N-]=[N+]=[N-]"],
+    "stereo": ["N[C@@H](C)C(=O)O", "F/C=C/F", "C/C=C\\C", "OC[C@@H](O)[C@@H](O)[C@H](O)CO",
+               "[C@@H]1(F)CC1", "F[C@]1(Cl)CCC1", "C/C(F)=C(/Cl)C1CC1", "F/C=C/C=C/F",
+               "C1CC/C=C/CCC1", "[C@H](F)(Cl)Br", "F/C=C1/CCC1", "C[C@@]12CC[C@H](C1)C2",
+               "F/C=C/1.C1"],
+    "errors": ["C(C)(C)(C)(C)C", "cC", "n1cccc1", "O=C(=O)C", "C:C", "FF(F)F", "c1cccc1",
+               "C1:CC1", "c1ccccc1:C", "c1cc:cc1C:C", "C1=CC=CC=C1=C", "[NH5]", "c1ccccc1c",
+               "C=c1ccccc1", "[CH5+2]", "N1=CC=CC=C1=O"],
+}
+
+
+class TestOnePassBuilder:
+    """molecule_from_draft builds the reference builder's molecule, field by field."""
+
+    @staticmethod
+    def same_as_reference(text) -> bool:
+        """Check one input; False when it does not parse to a draft."""
+        try:
+            draft = parse_draft(text)
+        except SmilesSyntaxError:
+            return False
+        try:
+            want = reference_molecule_from_draft(parse_draft(text))
+        except Exception as exc:
+            with pytest.raises(Exception) as info:
+                perception.molecule_from_draft(draft)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc)), text
+            return True
+        got = perception.molecule_from_draft(draft)
+        for name in ("atoms", "bonds", "chiral_tags", "stereo_order", "problems"):
+            assert getattr(got, name) == getattr(want, name), (text, name)
+        # The same ring bonds, in the same order.
+        assert list(got.ring_bonds) == list(want.ring_bonds), text
+        # The adjacency handed in is what the bonds give, in bond order.
+        nbrs: list[list[int]] = [[] for _ in got.atoms]
+        for b in got.bonds:
+            nbrs[b.a].append(b.b)
+            nbrs[b.b].append(b.a)
+        assert got.neighbors == tuple(map(tuple, nbrs)), text
+        assert list(got.bond_lookup.items()) == [(b.key(), b) for b in got.bonds], text
+        assert got.degrees == tuple(map(len, nbrs)), text
+        return True
+
+    def test_corpus(self, corpus):
+        for text in corpus + CURATED_SMILES + SYMMETRIC_SMILES:
+            assert self.same_as_reference(text)
+
+    @pytest.mark.parametrize("group", sorted(ONE_PASS_CASES))
+    def test_cases(self, group):
+        for text in ONE_PASS_CASES[group]:
+            assert self.same_as_reference(text)
+
+    def test_size_ladder(self):
+        for text in ladder_smiles():
+            assert self.same_as_reference(text)
+
+    def test_hostile_strings(self, corpus):
+        # Text over the fuzz tests' alphabet, and one-character edits of real
+        # SMILES, which reach the builder far more often.
+        rng = random.Random(77)
+        texts = ["".join(rng.choice(SMILES_ALPHABET) for _ in range(rng.randint(1, 40)))
+                 for _ in range(3000)]
+        for _ in range(3000):
+            text = list(rng.choice(corpus))
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(text) + 1)
+                edit = rng.choice("ids")
+                if edit == "d" and at < len(text):
+                    del text[at]
+                else:
+                    text[at:at + (edit == "s")] = [rng.choice(SMILES_ALPHABET)]
+            texts.append("".join(text))
+        built = sum(self.same_as_reference(text) for text in texts)
+        assert built > 500
+
+    def test_ring_bonds_of_renumbered_molecules(self, corpus):
+        rng = random.Random(78)
+        for text in corpus:
+            mol = shuffled(parse_smiles(text), rng)
+            assert mol.ring_bonds == reference_non_bridge_edges(len(mol), mol.neighbors,
+                                                                mol.bond_lookup)
+
+    def test_shared_atoms_are_bounded(self):
+        perception._shared_atom.cache_clear()
+        for isotope in range(1, 3000):
+            parse_smiles(f"[{isotope}CH4]")
+        info = perception._shared_atom.cache_info()
+        assert info.currsize <= info.maxsize < 3000
+
+
+class TestDerivedOnce:
+    def test_parsed_adjacency_serves_canon_fingerprint_and_scaffold(self, monkeypatch):
+        mol = parse_smiles("CC(=O)Nc1ccc(O)cc1C1CCN(C)CC1C(=O)C1=CC=CC=C1")
+        scans = []
+        find = model._non_bridge_edges
+
+        def counting(*args):
+            scans.append(args)
+            return find(*args)
+
+        monkeypatch.setattr(perception, "_non_bridge_edges", counting)
+        monkeypatch.setattr(model, "_non_bridge_edges", counting)
+        derived = []
+        for name in ("neighbors", "bond_lookup", "degrees"):
+            def derive(self, _derive=vars(Molecule)[name].func, _name=name):
+                derived.append((_name, self))
+                return _derive(self)
+
+            prop = cached_property(derive)
+            prop.__set_name__(Molecule, name)
+            monkeypatch.setattr(Molecule, name, prop)
+
+        canonical_smiles(mol)
+        circular_fingerprint(mol)
+        assert murcko_scaffold(mol) != EMPTY_SCAFFOLD
+        assert scans == []
+        assert [name for name, of in derived if of is mol] == []
+
+
+class TestAsciiDigits:
+    @pytest.mark.parametrize("text", ["C\u00b2", "C1CC\u0661", "[\u00b2C]", "C%1\u00b2",
+                                      "[CH\u00b2]", "[C+\u00b2]", "[C:\u00b2]"])
+    def test_other_digits_are_syntax_errors(self, text):
+        with pytest.raises(SmilesSyntaxError):
+            parse_smiles(text)
+
+
+class TestAtomAndBondValues:
+    """Atom and Bond keep the behaviour of frozen dataclasses."""
+
+    @pytest.mark.parametrize("cls, args, kwargs", [
+        (Atom, (6,), {"atomic_number": 6, "formal_charge": 0, "implicit_hydrogens": 0,
+                      "is_aromatic": False, "isotope": None}),
+        (Bond, (0, 1), {"a": 0, "b": 1, "order": 1, "is_aromatic": False, "stereo": None,
+                        "stereo_from": None}),
+    ])
+    def test_frozen_value(self, cls, args, kwargs):
+        value = cls(*args)
+        assert value == cls(**kwargs) and hash(value) == hash(cls(**kwargs))
+        assert vars(value) == kwargs
+        assert [f.name for f in dataclasses.fields(cls)] == list(kwargs)
+        assert pickle.loads(pickle.dumps(value)) == value
+        first = next(iter(kwargs))
+        changed = dataclasses.replace(value, **{first: 7})
+        assert getattr(changed, first) == 7 and changed != value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, first, 7)
+        fields = ", ".join(f"{k}={v!r}" for k, v in kwargs.items())
+        assert repr(value) == f"{cls.__name__}({fields})"

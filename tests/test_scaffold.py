@@ -49,6 +49,8 @@ class TestSubgraph:
             got, want = scaffold_molecule(mol), reference_scaffold_molecule(mol)
             assert (got is None) == (want is None)
             assert got is None or same_molecule(got, want)
+            # The ring bonds handed to the scaffold are those its bonds give.
+            assert got is None or got.ring_bonds == want.ring_bonds
 
 
 class TestMurcko:
