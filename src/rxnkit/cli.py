@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import ExitStack, closing
 from dataclasses import replace
 from functools import lru_cache, partial
 from itertools import chain
@@ -38,6 +37,7 @@ from .corpus import (
 )
 from .fingerprint import FingerprintSpec, fingerprint, load_key_table
 from .metrics import (
+    NoScorableRecords,
     eval_classification,
     eval_generation,
     eval_regression,
@@ -65,31 +65,22 @@ class Fatal(Exception):
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    errors: list[dict] = []  # the handler appends one row per bad record
+    run = parser.parse_args(argv, Run())
     try:
-        if args.config:
-            args = _apply_config(parser, args, argv)
-        if args.workers is None:
-            args.workers = int(os.environ.get("RXNKIT_WORKERS", "1"))
-        if args.workers < 1:
-            raise Fatal(f"workers must be at least 1, got {args.workers}")
-        # No worker outlives the run; streams close (listing held rows) before any report.
-        with Workers(args.workers) as args.pool, ExitStack() as args.streams:
-            args.handler(args, errors)
+        if run.config:
+            run = _apply_config(parser, run, argv)
+        if run.workers is None:
+            run.workers = int(os.environ.get("RXNKIT_WORKERS", "1"))
+        if run.workers < 1:
+            raise Fatal(f"workers must be at least 1, got {run.workers}")
+        with Workers(run.workers) as run.pool:  # no worker outlives the run
+            run.handler(run)
     except (Fatal, OSError, ValueError) as exc:
-        # The rows so far, and those the error carries (eval gen's
-        # unparseable references), are listed before the run's error.
-        _write_record_errors(errors + getattr(exc, "errors", []))
+        run.list_rows()  # the rows so far, before the run's error
         sys.stderr.write(dumps({"error": str(exc)}) + "\n")
         return exc.code if isinstance(exc, Fatal) else 2
-    _write_record_errors(errors)
+    run.list_rows()
     return 0
-
-
-def _write_record_errors(errors: list[dict]) -> None:
-    if errors:
-        sys.stderr.write(dumps({"record_errors": errors, "count": len(errors)}) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -226,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser, args, argv) -> argparse.Namespace:
+def _apply_config(parser, args, argv) -> Run:
     """args parsed again with the --config values as defaults; flags win.
 
     Every key must name an optional flag of the subcommand, and its value
@@ -254,18 +245,18 @@ def _apply_config(parser, args, argv) -> argparse.Namespace:
         if not ok:
             raise Fatal(f"config {args.config}: {key!r} must be {want}, got {value!r}")
         args.parser.set_defaults(**{action.dest: value})
-    return parser.parse_args(argv)
+    return parser.parse_args(argv, Run())
 
 
-def _fp_spec(args: argparse.Namespace, kind: str | None = None) -> FingerprintSpec:
+def _fp_spec(run: Run, kind: str | None = None) -> FingerprintSpec:
     """The fingerprint options given; an option left unset keeps its default.
 
     A key table file is read here, once per run, so that a table that cannot
     be read or parsed fails the run instead of every record.
     """
-    kind = kind or getattr(args, "fp_kind", None) or "circular"
+    kind = kind or getattr(run, "fp_kind", None) or "circular"
     options = {
-        name: getattr(args, name, None)
+        name: getattr(run, name, None)
         for name in ("radius", "width", "min_path", "max_path", "key_table")
     }
     if kind == "key" and options["key_table"] is not None:
@@ -300,35 +291,49 @@ def _guarded(fn, item: tuple[int, dict | SchemaError]) -> tuple[object, object]:
         return {"line": lineno, "id": record.get("id"), "error": str(exc)}, None
 
 
-def _collect(guarded_results, errors: list[dict], strict: bool):
-    """Yield the results; error rows go to errors, or the first ends the run under --strict.
-
-    Per file, the rows of lines that are not JSON objects precede those of failed records.
+class Run(argparse.Namespace):
+    """One CLI run: the options argparse fills in, the workers (pool) and the
+    error rows. Per input file, the rows of lines that are not JSON objects
+    come before those of failed records, at whatever point they are listed.
     """
-    failed = []
-    try:
-        for error, result in guarded_results:
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.files: list[tuple[list[dict], list[dict]]] = []
+
+    @property
+    def rows(self) -> list[dict]:
+        return [row for bad_lines, failed in self.files for row in bad_lines + failed]
+
+    def list_rows(self) -> None:
+        if rows := self.rows:
+            sys.stderr.write(dumps({"record_errors": rows, "count": len(rows)}) + "\n")
+
+    def reject(self, error: dict | SchemaError) -> None:
+        """List an error row, or a bad line's SchemaError; under --strict it ends the run."""
+        if self.strict:
+            raise Fatal(str(error) if isinstance(error, SchemaError) else dumps(error), code=1)
+        bad_lines, failed = self.files[-1]
+        if isinstance(error, SchemaError):
+            bad_lines.append({"line": error.lineno, "error": error.message})
+        else:
+            failed.append(error)
+
+    def records(self, path: str, fn, workers: Workers | None = None):
+        """fn(lineno, record) over the records of path, in input order, on the
+        run's workers (or those given); each error goes to reject."""
+        self.files.append(([], []))
+        guarded = partial(_guarded, fn)
+        for error, result in parallel_map(guarded, iter_jsonl(path), workers or self.pool):
             if error is None:
                 yield result
-            elif strict:
-                raise Fatal(str(error) if isinstance(error, SchemaError) else dumps(error), code=1)
-            elif isinstance(error, SchemaError):
-                errors.append({"line": error.lineno, "error": error.message})
             else:
-                failed.append(error)
-    finally:
-        errors.extend(failed)
+                self.reject(error)
 
 
-def _map_records(args, path: str, fn, errors: list[dict]):
-    """fn(lineno, record) over the records of path, in input order, on the run's workers."""
-    results = parallel_map(partial(_guarded, fn), iter_jsonl(path), args.pool)
-    return args.streams.enter_context(closing(_collect(results, errors, args.strict)))
-
-
-def _run_records(args, errors: list[dict], fn) -> None:
+def _run_records(run: Run, fn) -> None:
     """Write the rows fn returns for each input record."""
-    write_jsonl(args.out, chain.from_iterable(_map_records(args, args.input, fn, errors)))
+    write_jsonl(run.out, chain.from_iterable(run.records(run.input, fn)))
 
 
 # --- per-record functions (module level so process pools can pickle them) ---
@@ -411,85 +416,82 @@ def _render(lineno, record, task, variant, seed, sentinel, templates_path):
 
 # --- subcommand handlers ----------------------------------------------------
 
-def _cmd_fp(args, errors):
-    _run_records(args, errors, partial(_fp, spec=_fp_spec(args)))
+def _cmd_fp(run):
+    _run_records(run, partial(_fp, spec=_fp_spec(run)))
 
 
-def _cmd_sim(args, errors):
-    spec = _fp_spec(args)
-    ref_fps = list(_map_records(args, args.ref, partial(_fingerprint, spec=spec), errors))
+def _cmd_sim(run):
+    spec = _fp_spec(run)
+    ref_fps = list(run.records(run.ref, partial(_fingerprint, spec=spec)))
     if not ref_fps:
-        raise Fatal(f"no reference fingerprint ({len(errors)} error rows)")
-    _run_records(args, errors, partial(_sim, spec=spec, ref_fps=ref_fps))
+        raise Fatal(f"no reference fingerprint ({len(run.rows)} error rows)")
+    _run_records(run, partial(_sim, spec=spec, ref_fps=ref_fps))
 
 
-def _cmd_split(args, errors):
-    band, spec = _parse_band(args.band), _fp_spec(args)
-    if args.n < 1:  # checked before the records are fingerprinted
-        raise Fatal(f"--n must be >= 1, got {args.n}")
-    train = list(_map_records(args, args.train, partial(_split_train, spec=spec), errors))
-    candidates = list(_map_records(
-        args, args.candidates, partial(_split_candidate, spec=spec), errors))
-    write_json(args.out, resample_test_set(candidates, train, band, args.n).to_dict())
+def _cmd_split(run):
+    band, spec = _parse_band(run.band), _fp_spec(run)
+    if run.n < 1:  # checked before the records are fingerprinted
+        raise Fatal(f"--n must be >= 1, got {run.n}")
+    train = list(run.records(run.train, partial(_split_train, spec=spec)))
+    candidates = list(run.records(run.candidates, partial(_split_candidate, spec=spec)))
+    write_json(run.out, resample_test_set(candidates, train, band, run.n).to_dict())
 
 
-def _cmd_leakcheck(args, errors):
+def _cmd_leakcheck(run):
     keyed, leak_errors = {}, []
-    key = partial(_leak_key, merge_agents=args.merge_agents)
-    for split in args.split:
+    key = partial(_leak_key, merge_agents=run.merge_agents)
+    for split in run.split:
         name, _, path = split.partition("=")
         if not path:
             raise Fatal(f"--split must be NAME=PATH, got {split!r}")
-        first = len(errors)
-        keyed[name] = list(_map_records(args, path, key, errors))
-        leak_errors += [(name, str(row.get("id")), row["error"]) for row in errors[first:]]
+        keyed[name] = list(run.records(path, key))
+        leak_errors += [(name, str(row.get("id")), row["error"])
+                        for row in chain(*run.files[-1])]  # this split's rows
     report = replace(detect_leakage(keyed), errors=tuple(leak_errors))
-    write_json(args.out, report.to_dict())
+    write_json(run.out, report.to_dict())
 
 
-def _corpus(args, errors: list[dict]):
+def _corpus(run):
     """The kept records and the stats of the input procedures."""
-    worker = partial(_interleave, entity_limit=args.entity_limit, token_limit=args.token_limit)
-    return filter_and_stat(_map_records(args, args.input, worker, errors))
+    worker = partial(_interleave, entity_limit=run.entity_limit, token_limit=run.token_limit)
+    return filter_and_stat(run.records(run.input, worker))
 
 
-def _cmd_interleave(args, errors):
-    kept, stats = _corpus(args, errors)
-    write_jsonl(args.out, (record.to_dict() for record in kept))
-    if args.stats:
-        write_json(args.stats, stats.to_dict())
+def _cmd_interleave(run):
+    kept, stats = _corpus(run)
+    write_jsonl(run.out, (record.to_dict() for record in kept))
+    if run.stats:
+        write_json(run.stats, stats.to_dict())
 
 
-def _cmd_stats(args, errors):
-    kept, stats = _corpus(args, errors)
+def _cmd_stats(run):
+    kept, stats = _corpus(run)
     for _ in kept:
         pass
-    write_json(args.out, stats.to_dict())
+    write_json(run.out, stats.to_dict())
 
 
-def _cmd_render(args, errors):
+def _cmd_render(run):
     _render_registry.cache_clear()  # read the file anew in every run
     try:
-        _render_registry(args.templates)
+        _render_registry(run.templates)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise Fatal(f"cannot load templates: {exc}")
-    _run_records(args, errors, partial(
-        _render, task=args.task, variant=args.variant, seed=args.seed,
-        sentinel=args.sentinel, templates_path=args.templates,
+    _run_records(run, partial(
+        _render, task=run.task, variant=run.variant, seed=run.seed,
+        sentinel=run.sentinel, templates_path=run.templates,
     ))
 
 
-def _join_by_id(args, row, errors: list[dict]) -> list:
+def _join_by_id(run, row) -> list:
     """row(lineno, reference, prediction) for each reference, in reference order.
 
     Predictions pair with references by id; the references stream. A reference
     without a prediction, or a pair whose row cannot be built, is an error row.
     When no row is left the run fails, and its error rows are still reported.
     """
-    def serial(path, fn):  # the rows are built here, next to the predictions
-        return _collect(map(partial(_guarded, fn), iter_jsonl(path)), errors, args.strict)
-
-    preds = dict(serial(args.pred, lambda _, pred: (str(pred.get("id")), pred)))
+    serial = Workers(1)  # the rows are built here, next to the predictions
+    preds = dict(run.records(run.pred, lambda _, pred: (str(pred.get("id")), pred), serial))
 
     def pair(lineno, ref):
         pred = preds.get(str(ref.get("id")))
@@ -497,43 +499,47 @@ def _join_by_id(args, row, errors: list[dict]) -> list:
             raise LookupError("no prediction")
         return row(lineno, ref, pred)
 
-    rows = list(serial(args.ref, pair))
+    rows = list(run.records(run.ref, pair, serial))
     if not rows:
-        raise Fatal(f"no pair left to score ({len(errors)} error rows)")
+        raise Fatal(f"no pair left to score ({len(run.rows)} error rows)")
     return rows
 
 
-def _write_report(args, report) -> None:
+def _write_report(run, report) -> None:
     payload = report.to_dict(include_details=False)
-    if args.details:
-        write_jsonl(args.details, report.details)
-        payload["details_path"] = args.details
-    write_json(args.out, payload)
+    if run.details:
+        write_jsonl(run.details, report.details)
+        payload["details_path"] = run.details
+    write_json(run.out, payload)
 
 
-def _cmd_eval_gen(args, errors):
-    records = _join_by_id(args, lambda lineno, ref, pred: {
+def _cmd_eval_gen(run):
+    records = _join_by_id(run, lambda lineno, ref, pred: {
         "line": lineno, "id": ref.get("id"), "prediction": pred["prediction"],
         "reference": ref["reference"],
-    }, errors)
-    fp_specs = {kind: _fp_spec(args, kind) for kind in ("circular", "path")}
-    report = eval_generation(records, fp_specs=fp_specs)
-    if args.strict and report.errors:
-        raise Fatal(dumps(report.errors[0]), code=1)
-    errors.extend(report.errors)
-    _write_report(args, report)
+    })
+    fp_specs = {kind: _fp_spec(run, kind) for kind in ("circular", "path")}
+    try:
+        report = eval_generation(records, fp_specs=fp_specs)
+    except NoScorableRecords as exc:  # its rows are listed before its error
+        for row in exc.errors:
+            run.reject(row)
+        raise
+    for row in report.errors:
+        run.reject(row)
+    _write_report(run, report)
 
 
-def _cmd_eval_cls(args, errors):
+def _cmd_eval_cls(run):
     labeled = _join_by_id(
-        args, lambda _, ref, pred: (int(ref["reference"]), int(pred["prediction"])), errors)
-    _write_report(args, eval_classification(labeled, n_classes=args.n_classes))
+        run, lambda _, ref, pred: (int(ref["reference"]), int(pred["prediction"])))
+    _write_report(run, eval_classification(labeled, n_classes=run.n_classes))
 
 
-def _cmd_eval_reg(args, errors):
+def _cmd_eval_reg(run):
     series = _join_by_id(
-        args, lambda _, ref, pred: (float(ref["reference"]), float(pred["prediction"])), errors)
-    _write_report(args, eval_regression(series))
+        run, lambda _, ref, pred: (float(ref["reference"]), float(pred["prediction"])))
+    _write_report(run, eval_regression(series))
 
 
 def _selection_pair(lineno, ref, pred) -> dict:
@@ -555,8 +561,8 @@ def _selection_pair(lineno, ref, pred) -> dict:
     }
 
 
-def _cmd_eval_sel(args, errors):
-    _write_report(args, eval_selection(_join_by_id(args, _selection_pair, errors)))
+def _cmd_eval_sel(run):
+    _write_report(run, eval_selection(_join_by_id(run, _selection_pair)))
 
 
 if __name__ == "__main__":

@@ -162,15 +162,6 @@ def caption_record(record_id: str, smiles: str, caption: str) -> InterleavedReco
     )
 
 
-NAME_CONVERSION_TASKS = (
-    "iupac_to_formula",
-    "iupac_to_smiles",
-    "graph_to_formula",
-    "graph_to_iupac",
-    "graph_to_smiles",
-)
-
-
 @dataclass(frozen=True)
 class NameConversionRecord:
     """One conversion sample: graph or name in, string representation out."""

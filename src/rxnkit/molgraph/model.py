@@ -17,8 +17,6 @@ from .elements import SYMBOL
 SINGLE, DOUBLE, TRIPLE = 1, 2, 3
 AROMATIC_CODE = 4  # order_code used for aromatic bonds in GraphRecord edges
 
-_ORDER_NAMES = {SINGLE: "single", DOUBLE: "double", TRIPLE: "triple"}
-
 
 class SmilesSyntaxError(ValueError):
     """The text does not follow the supported SMILES grammar."""
@@ -77,13 +75,6 @@ class Bond:
             a=a, b=b, order=order, is_aromatic=is_aromatic, stereo=stereo,
             stereo_from=stereo_from,
         )
-
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
-
-    @property
-    def order_name(self) -> str:
-        return "aromatic" if self.is_aromatic else _ORDER_NAMES[self.order]
 
     def key(self) -> tuple[int, int]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)

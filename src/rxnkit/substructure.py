@@ -260,29 +260,6 @@ def _total_h(mol: Molecule, idx: int) -> int:
     return mol.atoms[idx].implicit_hydrogens + explicit
 
 
-def _atom_matches(pred: tuple, mol: Molecule, idx: int) -> bool:
-    kind = pred[0]
-    if kind == "elem":
-        return mol.atoms[idx].atomic_number == pred[1]
-    if kind == "arom":
-        return mol.atoms[idx].is_aromatic == pred[1]
-    if kind == "ring":
-        return mol.ring_membership[idx]
-    if kind == "deg":
-        return mol.degrees[idx] == pred[1]
-    if kind == "h":
-        return _total_h(mol, idx) == pred[1]
-    if kind == "charge":
-        return mol.atoms[idx].formal_charge == pred[1]
-    if kind == "not":
-        return not _atom_matches(pred[1], mol, idx)
-    if kind == "and":
-        return all(_atom_matches(p, mol, idx) for p in pred[1])
-    if kind == "or":
-        return any(_atom_matches(p, mol, idx) for p in pred[1])
-    raise AssertionError(f"unknown predicate {pred!r}")
-
-
 def _bond_matches(kind: str, bond) -> bool:
     if kind == "any":
         return True

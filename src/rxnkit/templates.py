@@ -113,9 +113,11 @@ def builtin_registry() -> TemplateRegistry:
     return _BUILTIN
 
 
-TASKS = tuple(t["task"] for t in json.loads(
-    resources.files("rxnkit").joinpath("data/templates.json").read_text("utf-8")
-))
+def __getattr__(name: str):
+    """TASKS: the 16 shipped tasks in file order, from the registry on first use."""
+    if name == "TASKS":
+        return builtin_registry().tasks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _format_value(value, sentinel: bool) -> str:

@@ -32,7 +32,31 @@ from rxnkit.molgraph.perception import (
     _kekulize,
     _perceive_huckel,
 )
-from rxnkit.substructure import _atom_matches, _bond_matches
+from rxnkit.substructure import _bond_matches, _total_h
+
+
+def _atom_matches(pred: tuple, mol: Molecule, idx: int) -> bool:
+    """One atom predicate of a parsed pattern, evaluated on one atom."""
+    kind = pred[0]
+    if kind == "elem":
+        return mol.atoms[idx].atomic_number == pred[1]
+    if kind == "arom":
+        return mol.atoms[idx].is_aromatic == pred[1]
+    if kind == "ring":
+        return mol.ring_membership[idx]
+    if kind == "deg":
+        return mol.degrees[idx] == pred[1]
+    if kind == "h":
+        return _total_h(mol, idx) == pred[1]
+    if kind == "charge":
+        return mol.atoms[idx].formal_charge == pred[1]
+    if kind == "not":
+        return not _atom_matches(pred[1], mol, idx)
+    if kind == "and":
+        return all(_atom_matches(p, mol, idx) for p in pred[1])
+    if kind == "or":
+        return any(_atom_matches(p, mol, idx) for p in pred[1])
+    raise AssertionError(f"unknown predicate {pred!r}")
 
 
 def all_injections_matches(pattern, mol) -> set[frozenset[int]]:

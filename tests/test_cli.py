@@ -896,6 +896,20 @@ class TestEvalBadPairs:
         assert error["id"] == 1 and error["error"].startswith("invalid reference: ")
         assert not out.exists()
 
+    def test_gen_strict_ends_at_the_first_row_when_no_reference_parses(self, tmp_path,
+                                                                        capsys):
+        ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(ref, [{"id": 1, "reference": "C1"}, {"id": 2, "reference": "XX"}])
+        write_jsonl(pred, [{"id": 1, "prediction": "CCO"}, {"id": 2, "prediction": "CCO"}])
+        out = tmp_path / "m.json"
+        assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref),
+                    "--out", str(out), "--strict"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": json.dumps(
+            {"error": "invalid reference: ring bond 1 never closed", "id": 1, "line": 1},
+            sort_keys=True, separators=(",", ":"))}
+        assert not out.exists()
+
     def test_strict_schema_error_in_predictions(self, tmp_path, capsys):
         ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
         write_jsonl(ref, [{"id": 1, "reference": 1}, {"id": 2, "reference": 2}])
@@ -1057,12 +1071,8 @@ class TestErrorRowOrder:
         assert ":1: bad JSON" in json.loads(capsys.readouterr().err)["error"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_rows_seen_are_listed_when_writing_fails(self, tmp_path, capsys, monkeypatch,
-                                                     workers):
-        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
-        good = [json.dumps({"id": i, "smiles": "C"}) for i in range(300)]
-        src.write_text("\n".join(self.LINES + good) + "\n")
+    @staticmethod
+    def fail_the_100th_write(monkeypatch):
         written = []
 
         def full_disk(obj):
@@ -1072,6 +1082,14 @@ class TestErrorRowOrder:
             return json.dumps(obj)
 
         monkeypatch.setattr(_jsonl, "dumps", full_disk)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_seen_are_listed_when_writing_fails(self, tmp_path, capsys, monkeypatch,
+                                                     workers):
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        good = [json.dumps({"id": i, "smiles": "C"}) for i in range(300)]
+        src.write_text("\n".join(self.LINES + good) + "\n")
+        self.fail_the_100th_write(monkeypatch)
         assert run(["canon", "--in", str(src), "--out", str(out),
                     "--workers", str(workers)]) == 2
         rows, error = capsys.readouterr().err.splitlines()
@@ -1079,6 +1097,31 @@ class TestErrorRowOrder:
         assert [(e["line"], e.get("id")) for e in rows] == [(2, None), (4, None), (1, "r1")]
         assert json.loads(error) == {"error": "no space left"}
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("write_fails", [False, True])
+    def test_rows_of_an_earlier_file_come_first(self, tmp_path, capsys, monkeypatch, workers,
+                                                write_fails):
+        # sim reads --ref before --in: the failed reference record is listed
+        # before the query lines that are not JSON objects.
+        ref, src, out = tmp_path / "ref.jsonl", tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(ref, [{"id": "c", "smiles": "CCO"}, {"id": "x", "smiles": 5}])
+        good = [json.dumps({"id": i, "smiles": "C"}) for i in range(300)]
+        src.write_text("\n".join(self.LINES + good) + "\n")
+        if write_fails:
+            self.fail_the_100th_write(monkeypatch)
+        code = run(["sim", "--in", str(src), "--ref", str(ref), "--out", str(out),
+                    "--workers", str(workers)])
+        rows, *error = capsys.readouterr().err.splitlines()
+        rows = json.loads(rows)["record_errors"]
+        assert [(e["line"], e.get("id")) for e in rows] == [
+            (2, "x"), (2, None), (4, None), (1, "r1")]
+        if write_fails:
+            assert (code, [json.loads(e) for e in error]) == (2, [{"error": "no space left"}])
+            assert not out.exists()
+        else:
+            assert (code, error) == (0, [])
+            assert len(read_jsonl(out)) == 301
 
 
 def _records_with_a_bad_line(path, n, bad_line):
