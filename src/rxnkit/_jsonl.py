@@ -10,6 +10,8 @@ import shutil
 import stat
 import sys
 import tempfile
+import threading
+import time
 from collections import deque
 from contextlib import contextmanager, suppress
 from itertools import chain, islice
@@ -137,11 +139,25 @@ def write_json(path: str | Path | None, obj) -> None:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: a thread ends the worker once the parent it started
+    with (the CLI, or a fork server that ends with it) has died."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 class Workers:
     """The worker processes of a run: a pool of n, started on first use.
 
     With n == 1 no process is started and parallel_map runs in this one.
-    close() ends and joins the pool, so no worker outlives its owner.
+    close() ends and joins the pool, so no worker outlives its owner, and a
+    worker whose owner dies without closing it ends itself.
     """
 
     def __init__(self, n: int) -> None:
@@ -150,7 +166,7 @@ class Workers:
 
     def pool(self):
         if self._pool is None:
-            self._pool = multiprocessing.Pool(processes=self.n)
+            self._pool = multiprocessing.Pool(processes=self.n, initializer=_exit_with_parent)
         return self._pool
 
     def close(self, kill: bool = False) -> None:

@@ -88,18 +88,20 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rxnkit",
         description="Molecule, reaction, corpus, and evaluation pipelines.",
     )
-    parser.add_argument("--config", help="JSON file with default option values")
+    parser.add_argument("--config", help="JSON file with default option values; "
+                        "it comes before the subcommand")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, fp: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, fp: bool = False, kind: bool = True) -> None:
         p.add_argument("--workers", type=int, default=None,
                        help="worker processes (env RXNKIT_WORKERS, default 1)")
         p.add_argument("--strict", action="store_true",
                        help="fail fast on the first bad record")
         p.set_defaults(parser=p)  # for --config to check its keys against
         if fp:
-            p.add_argument("--fp-kind", choices=["circular", "path", "key"],
-                           default=None)
+            if kind:  # eval gen computes all three kinds
+                p.add_argument("--fp-kind", choices=["circular", "path", "key"],
+                               default=None)
             p.add_argument("--radius", type=int, default=None)
             p.add_argument("--width", type=int, default=None)
             p.add_argument("--min-path", type=int, default=None)
@@ -201,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ref", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--details", default=None, help="per-sample detail JSONL")
-        common(p, fp=name == "gen")
+        common(p, fp=name == "gen", kind=False)
         if name == "cls":
             p.add_argument("--n-classes", type=int, default=None)
         p.set_defaults(handler=handler)
@@ -248,23 +250,23 @@ def _apply_config(parser, args, argv) -> Run:
     return parser.parse_args(argv, Run())
 
 
-def _fp_spec(run: Run, kind: str | None = None) -> FingerprintSpec:
+def _fp_spec(run: Run) -> FingerprintSpec:
     """The fingerprint options given; an option left unset keeps its default.
 
     A key table file is read here, once per run, so that a table that cannot
     be read or parsed fails the run instead of every record.
     """
-    kind = kind or getattr(run, "fp_kind", None) or "circular"
     options = {
         name: getattr(run, name, None)
         for name in ("radius", "width", "min_path", "max_path", "key_table")
     }
-    if kind == "key" and options["key_table"] is not None:
+    options["kind"] = getattr(run, "fp_kind", None)  # eval gen takes every kind
+    if options["key_table"] is not None:
         try:
             options["key_table"] = load_key_table(options["key_table"])
         except (OSError, ValueError) as exc:
             raise Fatal(f"cannot load key table: {exc}")
-    return FingerprintSpec(kind=kind, **{k: v for k, v in options.items() if v is not None})
+    return FingerprintSpec(**{k: v for k, v in options.items() if v is not None})
 
 
 def _parse_band(text: str) -> tuple[float, float]:
@@ -514,13 +516,13 @@ def _write_report(run, report) -> None:
 
 
 def _cmd_eval_gen(run):
+    spec = _fp_spec(run)  # a bad --key-table fails the run before any record
     records = _join_by_id(run, lambda lineno, ref, pred: {
         "line": lineno, "id": ref.get("id"), "prediction": pred["prediction"],
         "reference": ref["reference"],
     })
-    fp_specs = {kind: _fp_spec(run, kind) for kind in ("circular", "path")}
     try:
-        report = eval_generation(records, fp_specs=fp_specs)
+        report = eval_generation(records, spec)
     except NoScorableRecords as exc:  # its rows are listed before its error
         for row in exc.errors:
             run.reject(row)

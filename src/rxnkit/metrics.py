@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # numpy is imported only inside the classification and regression functions,
 # so importing this module (and rxnkit.cli) does not load it.
-from .fingerprint import FingerprintSpec, fingerprint, key_fingerprint, load_key_table, tanimoto
+from .fingerprint import FingerprintSpec, fingerprint, tanimoto
 from .molgraph import ChemistryError, SmilesSyntaxError, canonical_smiles, parse_smiles
 
 
@@ -153,32 +153,20 @@ class NoScorableRecords(ValueError):
 
 
 def eval_generation(
-    records: list[dict],
-    fp_specs: dict[str, FingerprintSpec] | None = None,
+    records: list[dict], spec: FingerprintSpec | None = None
 ) -> MetricReport:
     """Score molecule-generation records {id, prediction, reference}.
 
+    The fingerprints of each kind are those of spec with its kind replaced,
+    so spec's radius, width, path lengths and key table apply and its kind
+    does not; give the key table loaded, or every molecule reads its file.
     Invalid predictions lower validity, count as missed exact matches, and
     are excluded from the fingerprint means. Invalid references are fatal
     for their record and reported as {"id", "error"} rows (with the record's
     "line" too when it has one, which to_dict leaves out); when no record is
     left, NoScorableRecords carries those rows.
     """
-    specs = {
-        "path": FingerprintSpec(kind="path"),
-        "key": FingerprintSpec(kind="key"),
-        "circular": FingerprintSpec(kind="circular"),
-    }
-    specs.update(fp_specs or {})
-    key_table = load_key_table(specs["key"].key_table)
-
-    def fps(mol):
-        return {
-            "path": fingerprint(mol, specs["path"]),
-            "key": key_fingerprint(mol, key_table),
-            "circular": fingerprint(mol, specs["circular"]),
-        }
-
+    specs = {kind: replace(spec or FingerprintSpec(), kind=kind) for kind in _FTS_KINDS}
     details: list[dict] = []
     errors: list[dict] = []
     exact_hits = 0
@@ -220,11 +208,9 @@ def eval_generation(
             valid_hits += 1
             row["exact"] = canonical_smiles(pred_mol) == ref_canonical
             exact_hits += row["exact"]
-            pred_fps = fps(pred_mol)
-            ref_fps = fps(ref_mol)
             fts_counts += 1
-            for kind in _FTS_KINDS:
-                value = tanimoto(pred_fps[kind], ref_fps[kind])
+            for kind, kind_spec in specs.items():
+                value = tanimoto(fingerprint(pred_mol, kind_spec), fingerprint(ref_mol, kind_spec))
                 row[f"fts_{kind}"] = value
                 fts_sums[kind] += value
         details.append(row)

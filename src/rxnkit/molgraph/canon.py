@@ -32,10 +32,9 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .elements import ORGANIC_SUBSET, allowed_valences, fill_hydrogens
+from .elements import AROMATIC_SYMBOLS, ORGANIC_SUBSET, allowed_valences, fill_hydrogens
 from .model import ChemistryError, GraphRecord, H_SLOT, Molecule, SmilesSyntaxError, bond_code
 
-_AROMATIC_BARE = {"b", "c", "n", "o", "p", "s"}
 _FLIP = {"@": "@@", "@@": "@", "/": "\\", "\\": "/"}
 
 
@@ -323,7 +322,7 @@ def _atom_token(
         and a.isotope is None
         and tag is None
         and a.atomic_number != 1
-        and (sym in _AROMATIC_BARE if a.is_aromatic else sym in ORGANIC_SUBSET)
+        and (sym in AROMATIC_SYMBOLS if a.is_aromatic else sym in ORGANIC_SUBSET)
         and a.implicit_hydrogens == _inferred_bare_h(mol, v)
     )
     if bare_ok:

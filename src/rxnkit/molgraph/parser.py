@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from .elements import AROMATIC_SYMBOLS, ATOMIC_NUMBER, BRACKET_AROMATIC, ORGANIC_SUBSET
 from .model import H_SLOT, SmilesSyntaxError
 
-_BARE_TWO = ("Cl", "Br")
-_BARE_ONE = set("BCNOPSFI")
 _BOND_ORDERS = {"-": 1, "=": 2, "#": 3}
 # ASCII digits only: str.isdigit() also admits digits int() rejects or reads
 # as 0-9 from other scripts.
@@ -191,12 +189,12 @@ def parse_draft(text: str) -> MolDraft:
 
 
 def _parse_bare(s: str, i: int) -> tuple[int, AtomDraft]:
-    two = s[i : i + 2]
-    if two in _BARE_TWO:
-        return i + 2, AtomDraft(ATOMIC_NUMBER[two])
+    symbol = s[i : i + 2]  # Cl and Br before C and B
+    if symbol not in ORGANIC_SUBSET:
+        symbol = s[i]
+    if symbol in ORGANIC_SUBSET:
+        return i + len(symbol), AtomDraft(ATOMIC_NUMBER[symbol])
     ch = s[i]
-    if ch in _BARE_ONE:
-        return i + 1, AtomDraft(ATOMIC_NUMBER[ch])
     if ch in AROMATIC_SYMBOLS:
         return i + 1, AtomDraft(AROMATIC_SYMBOLS[ch], aromatic=True)
     raise SmilesSyntaxError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from functools import lru_cache
+from itertools import combinations
 
 from .elements import allowed_valences, hydrogens_to_fill
 from .model import (
@@ -400,25 +401,9 @@ def _perceive_huckel(
             for key in m[1]:
                 aromatic_bond[edge_index[key]] = True
 
-    for ring in candidates:
-        try_union([ring])
-
-    shares_edge = [
-        [bool(candidates[i][1] & candidates[j][1]) for j in range(len(candidates))]
-        for i in range(len(candidates))
-    ]
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            if shares_edge[i][j]:
-                try_union([candidates[i], candidates[j]])
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            for k in range(j + 1, len(candidates)):
-                links = shares_edge[i][j] + shares_edge[i][k] + shares_edge[j][k]
-                if links >= 2:
-                    try_union([candidates[i], candidates[j], candidates[k]])
-
-    # Maximal fused components of the candidate rings.
+    # Fused systems: one union-find, each ring joined to the first ring seen
+    # on each of its edges. Rings of different systems share no edge, and
+    # try_union only sets flags, so the order of the tests does not matter.
     parent = list(range(len(candidates)))
 
     def find(x: int) -> int:
@@ -427,14 +412,24 @@ def _perceive_huckel(
             x = parent[x]
         return x
 
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            if shares_edge[i][j]:
-                parent[find(i)] = find(j)
-    groups: dict[int, list] = defaultdict(list)
-    for i in range(len(candidates)):
-        groups[find(i)].append(candidates[i])
-    for members in groups.values():
+    first_ring: dict[tuple[int, int], int] = {}
+    for i, (_, edge_set) in enumerate(candidates):
+        for key in edge_set:
+            parent[find(i)] = find(first_ring.setdefault(key, i))
+    systems: dict[int, list] = defaultdict(list)
+    for i, ring in enumerate(candidates):
+        systems[find(i)].append(ring)
+
+    for members in systems.values():
+        for ring in members:
+            try_union([ring])
+        fused = [[bool(r[1] & s[1]) for s in members] for r in members]
+        for i, j in combinations(range(len(members)), 2):
+            if fused[i][j]:
+                try_union([members[i], members[j]])
+        for i, j, k in combinations(range(len(members)), 3):
+            if fused[i][j] + fused[i][k] + fused[j][k] >= 2:
+                try_union([members[i], members[j], members[k]])
         if len(members) > 3:
             try_union(members)
 
@@ -450,7 +445,10 @@ def _small_cycles(
 
     out = []
     seen: set[frozenset[tuple[int, int]]] = set()
+    lone: set[int] = set()  # atoms of the cycles found with no ring fused to them
     for u, v in sorted(ring_keys):
+        if u in lone:
+            continue  # the one cycle through each edge is already found
         for path in _shortest_paths(u, v, ring_adj, skip=(u, v)):
             edges = {(u, v)}
             for x, y in zip(path, path[1:]):
@@ -459,6 +457,8 @@ def _small_cycles(
             if fr not in seen:
                 seen.add(fr)
                 out.append((frozenset(path), fr))
+            if all(len(ring_adj[x]) == 2 for x in path):
+                lone.update(path)
     return out
 
 

@@ -24,11 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .molgraph.elements import AROMATIC_SYMBOLS, ATOMIC_NUMBER
+from .molgraph.elements import AROMATIC_SYMBOLS, ATOMIC_NUMBER, ORGANIC_SUBSET
 from .molgraph.model import Molecule
 
-_BARE_TWO = ("Cl", "Br")
-_BARE_ONE = set("BCNOPSFI")
 _BOND_KINDS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic", "~": "any"}
 
 
@@ -154,12 +152,12 @@ def parse_pattern(text: str) -> Pattern:
 
 
 def _parse_bare_atom(s: str, i: int) -> tuple[int, tuple]:
-    two = s[i : i + 2]
-    if two in _BARE_TWO:
-        return i + 2, ("and", (("elem", ATOMIC_NUMBER[two]), ("arom", False)))
+    symbol = s[i : i + 2]  # Cl and Br before C and B
+    if symbol not in ORGANIC_SUBSET:
+        symbol = s[i]
+    if symbol in ORGANIC_SUBSET:
+        return i + len(symbol), ("and", (("elem", ATOMIC_NUMBER[symbol]), ("arom", False)))
     ch = s[i]
-    if ch in _BARE_ONE:
-        return i + 1, ("and", (("elem", ATOMIC_NUMBER[ch]), ("arom", False)))
     if ch in AROMATIC_SYMBOLS:
         return i + 1, ("and", (("elem", AROMATIC_SYMBOLS[ch]), ("arom", True)))
     raise PatternSyntaxError(f"unknown atom symbol {ch!r} in pattern {s!r}")
@@ -237,13 +235,12 @@ def _parse_expression(body: str) -> tuple:
                 count += 1
                 pos += 1
             return ("charge", sign * count)
-        two = body[pos : pos + 2]
-        if two in _BARE_TWO:
-            pos += 2
-            return ("and", (("elem", ATOMIC_NUMBER[two]), ("arom", False)))
-        if ch.isupper() and ch in _BARE_ONE:
-            pos += 1
-            return ("and", (("elem", ATOMIC_NUMBER[ch]), ("arom", False)))
+        symbol = body[pos : pos + 2]
+        if symbol not in ORGANIC_SUBSET:
+            symbol = ch
+        if symbol in ORGANIC_SUBSET:
+            pos += len(symbol)
+            return ("and", (("elem", ATOMIC_NUMBER[symbol]), ("arom", False)))
         if ch in AROMATIC_SYMBOLS:
             pos += 1
             return ("and", (("elem", AROMATIC_SYMBOLS[ch]), ("arom", True)))

@@ -107,6 +107,14 @@ def shuffled(mol: Molecule, rng: random.Random) -> Molecule:
     return mol.renumbered(perm)
 
 
+def kekule_acene(n: int) -> str:
+    """Kekule SMILES of the linear acene of n fused six-rings (2 <= n <= 99)."""
+    label = [str(i) if i < 10 else f"%{i}" for i in range(n + 1)]
+    inner = "".join(f"C=C{label[i]}" for i in range(3, n + 1))
+    outer = "".join(f"=CC{label[i]}" for i in range(n - 1, 1, -1))
+    return f"C1=CC=C2{inner}C=CC=CC{label[n]}{outer}=C1"
+
+
 CURATED_SMILES = [
     "C",
     "CCO",

@@ -9,14 +9,17 @@ they evaluate every atom predicate per pattern and per candidate, and
 respell and rehash every path. So are the two hand-written sub-molecule
 builders that ``Molecule.subgraph`` replaced, and the frozenset fingerprint
 with its bit-loop serialization, set Tanimoto and similarity scan that the
-int bitmask replaced, and the multi-pass Molecule builder with its bridge
-search that the one-pass builder replaced.
+int bitmask replaced, the multi-pass Molecule builder with its bridge
+search that the one-pass builder replaced, and the Hueckel perception that
+tested every ring triple of a molecule at once, on cycles searched from
+every ring edge, before fused systems and lone rings were taken one at a
+time.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -27,10 +30,11 @@ from rxnkit.molgraph.elements import allowed_valences, fill_hydrogens
 from rxnkit.molgraph.model import Atom, Bond, ChemistryError, bond_code
 from rxnkit.molgraph.parser import MolDraft
 from rxnkit.molgraph.perception import (
+    _MULTI,
     _ORDER_OF_SYMBOL,
     _fold_explicit_h,
     _kekulize,
-    _perceive_huckel,
+    _shortest_paths,
 )
 from rxnkit.substructure import _bond_matches, _total_h
 
@@ -449,10 +453,10 @@ def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
     """The Molecule of a draft as the multi-pass builder made it.
 
     Keyword-built Atoms and Bonds, separate hydrogen and valence loops, and
-    ring bonds found on tuple copies of the adjacency. The [H] fold,
-    kekulization and Hueckel perception are the library's own, unchanged by
-    the one-pass builder; the fold runs here on every draft, not only on
-    drafts with a hydrogen atom.
+    ring bonds found on tuple copies of the adjacency. The [H] fold and
+    kekulization are the library's own, unchanged by the one-pass builder;
+    the fold runs here on every draft, not only on drafts with a hydrogen
+    atom. Hueckel perception is the all-rings-at-once reference below.
     """
     _fold_explicit_h(draft)
     n = len(draft.atoms)
@@ -538,7 +542,7 @@ def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
                 f"(element {a.atomic_number}, charge {a.charge:+d})"
             )
 
-    _perceive_huckel(draft, orders, aromatic_bond, declared, keys, ring_keys)
+    reference_perceive_huckel(draft, orders, aromatic_bond, declared, keys, ring_keys)
 
     atoms = tuple(
         Atom(
@@ -603,3 +607,152 @@ def reference_non_bridge_edges(
                         key = (parent, v) if parent < v else (v, parent)
                         bridges.add(key)
     return frozenset(key for key in bond_lookup if key not in bridges)
+
+
+def reference_perceive_huckel(
+    draft: MolDraft,
+    orders: list[int],
+    aromatic_bond: list[bool],
+    declared: list[bool],
+    keys: list[tuple[int, int]],
+    ring_keys: frozenset[tuple[int, int]],
+) -> None:
+    """Mark 4n+2 rings written in kekule form as aromatic, as the library did
+    before it tested one fused ring system at a time.
+
+    An all-pairs edge-sharing matrix over every candidate ring of the
+    molecule, a scan of every triple, then a union-find as its own pass.
+
+    Rings, edge-fused pairs and triples, and whole fused systems are tested;
+    anything larger that only works as a partial union stays kekule. Rings
+    touching declared-aromatic atoms are left alone (the declaration wins).
+    """
+    has_ring_double = any(
+        orders[bi] == 2 and keys[bi] in ring_keys
+        and not (declared[draft.bonds[bi].a] or declared[draft.bonds[bi].b])
+        for bi in range(len(orders))
+    )
+    if not has_ring_double:
+        return
+
+    # Unique double-bond partner per atom; _MULTI disqualifies.
+    partner = [None] * len(draft.atoms)
+    for bi, b in enumerate(draft.bonds):
+        if orders[bi] == 2:
+            for x, y in ((b.a, b.b), (b.b, b.a)):
+                partner[x] = y if partner[x] is None else _MULTI
+        elif orders[bi] == 3:
+            partner[b.a] = _MULTI
+            partner[b.b] = _MULTI
+
+    def contribution(idx: int, union: frozenset[int]) -> int | None:
+        p = partner[idx]
+        if p == _MULTI:
+            return None
+        if p is not None:
+            return 1 if p in union else 0
+        a = draft.atoms[idx]
+        z, q = a.atomic_number, a.charge
+        if z == 6:
+            if q == -1:
+                return 2
+            if q == 1:
+                return 0
+            return None
+        if z in (7, 15):
+            return 2 if q <= 0 else None
+        if z in (8, 16, 34):
+            return 2
+        if z == 5 and q == 0:
+            return 0
+        return None
+
+    cycles = reference_small_cycles(ring_keys)
+    candidates = []
+    for atoms_set, edge_set in cycles:
+        if any(declared[a] for a in atoms_set):
+            continue
+        if all(contribution(a, atoms_set) is not None for a in atoms_set):
+            candidates.append((atoms_set, edge_set))
+    if not candidates:
+        return
+
+    edge_index = {key: bi for bi, key in enumerate(keys)}
+
+    def try_union(members: list[tuple[frozenset[int], frozenset[tuple[int, int]]]]) -> None:
+        atoms_u: frozenset[int] = frozenset().union(*(m[0] for m in members))
+        total = 0
+        for a in atoms_u:
+            c = contribution(a, atoms_u)
+            if c is None:
+                return
+            total += c
+        if total < 2 or total % 4 != 2:
+            return
+        for a in atoms_u:
+            declared[a] = True
+        for m in members:
+            for key in m[1]:
+                aromatic_bond[edge_index[key]] = True
+
+    for ring in candidates:
+        try_union([ring])
+
+    shares_edge = [
+        [bool(candidates[i][1] & candidates[j][1]) for j in range(len(candidates))]
+        for i in range(len(candidates))
+    ]
+    for i in range(len(candidates)):
+        for j in range(i + 1, len(candidates)):
+            if shares_edge[i][j]:
+                try_union([candidates[i], candidates[j]])
+    for i in range(len(candidates)):
+        for j in range(i + 1, len(candidates)):
+            for k in range(j + 1, len(candidates)):
+                links = shares_edge[i][j] + shares_edge[i][k] + shares_edge[j][k]
+                if links >= 2:
+                    try_union([candidates[i], candidates[j], candidates[k]])
+
+    # Maximal fused components of the candidate rings.
+    parent = list(range(len(candidates)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(len(candidates)):
+        for j in range(i + 1, len(candidates)):
+            if shares_edge[i][j]:
+                parent[find(i)] = find(j)
+    groups: dict[int, list] = defaultdict(list)
+    for i in range(len(candidates)):
+        groups[find(i)].append(candidates[i])
+    for members in groups.values():
+        if len(members) > 3:
+            try_union(members)
+
+
+def reference_small_cycles(
+    ring_keys: frozenset[tuple[int, int]],
+) -> list[tuple[frozenset[int], frozenset[tuple[int, int]]]]:
+    """All shortest cycles through each ring edge (input-order invariant set),
+    searched from every ring edge, lone cycles included."""
+    ring_adj: dict[int, list[int]] = defaultdict(list)
+    for a, b in ring_keys:
+        ring_adj[a].append(b)
+        ring_adj[b].append(a)
+
+    out = []
+    seen: set[frozenset[tuple[int, int]]] = set()
+    for u, v in sorted(ring_keys):
+        for path in _shortest_paths(u, v, ring_adj, skip=(u, v)):
+            edges = {(u, v)}
+            for x, y in zip(path, path[1:]):
+                edges.add((x, y) if x < y else (y, x))
+            fr = frozenset(edges)
+            if fr not in seen:
+                seen.add(fr)
+                out.append((frozenset(path), fr))
+    return out

@@ -1,5 +1,6 @@
 """CLI pipelines: schemas, exit codes, determinism across worker counts."""
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -10,12 +11,15 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from rxnkit import _jsonl
 from rxnkit.cli import main
+
+from conftest import kekule_acene
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -471,6 +475,62 @@ class TestRenderAndEval:
         }
         assert metrics["exact"] == 1.0
         assert len(read_jsonl(details)) == 2
+
+    def _gen_files(self, tmp_path):
+        ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(ref, [{"id": 1, "reference": "CCN"}, {"id": 2, "reference": "Oc1ccccc1C"}])
+        write_jsonl(pred, [{"id": 1, "prediction": "OCCN"}, {"id": 2, "prediction": "c1ccccc1O"}])
+        table = tmp_path / "tiny.txt"
+        table.write_text("1\t[#7]\t1\n2\t[#8]\t1\n")
+        return ["eval", "gen", "--pred", str(pred), "--ref", str(ref)], table
+
+    def test_eval_gen_uses_the_fingerprint_options(self, tmp_path):
+        from rxnkit.fingerprint import FingerprintSpec, load_key_table
+        from rxnkit.metrics import eval_generation
+
+        argv, table = self._gen_files(tmp_path)
+        out = tmp_path / "m.json"
+        assert run(argv + ["--out", str(out), "--key-table", str(table), "--radius", "1",
+                           "--width", "64", "--max-path", "3"]) == 0
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["fts_key"] == 0.75  # {7, 8} against {7}, then {8} against {8}
+        spec = FingerprintSpec(radius=1, width=64, max_path=3, key_table=load_key_table(table))
+        records = [{"id": 1, "prediction": "OCCN", "reference": "CCN"},
+                   {"id": 2, "prediction": "c1ccccc1O", "reference": "Oc1ccccc1C"}]
+        assert metrics == eval_generation(records, spec).metrics
+        assert run(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["metrics"]["fts_key"] != 0.75
+
+    @pytest.mark.parametrize("bad", ["missing", "malformed"])
+    def test_eval_gen_bad_key_table_is_fatal(self, tmp_path, capsys, bad):
+        argv, table = self._gen_files(tmp_path)
+        if bad == "malformed":
+            table.write_text("1\t[Q]\t1\n")
+        else:
+            table = tmp_path / "absent.txt"
+        with open(tmp_path / "pred.jsonl", "a") as fh:
+            fh.write("not json\n")  # a row, were the records read
+        out = tmp_path / "m.json"
+        assert run(argv + ["--out", str(out), "--key-table", str(table)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line)["error"].startswith("cannot load key table: ")
+        assert not out.exists()
+
+    def test_eval_gen_has_no_fp_kind(self, tmp_path, capsys):
+        argv, _ = self._gen_files(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run(argv + ["--fp-kind", "key"])
+        assert info.value.code == 2
+        assert "--fp-kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["circular", "path"])
+    def test_fp_key_table_is_loaded_for_any_kind(self, tmp_path, mols, capsys, kind):
+        out = tmp_path / "fp.jsonl"
+        assert run(["fp", "--fp-kind", kind, "--key-table", str(tmp_path / "absent.txt"),
+                    "--in", str(mols), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line)["error"].startswith("cannot load key table: ")
+        assert not out.exists()
 
     def test_eval_cls(self, tmp_path):
         ref = tmp_path / "ref.jsonl"
@@ -1309,6 +1369,59 @@ class TestOnePoolPerRun:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)  # the pool's workers with it
                 proc.wait()
+
+
+    @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                        reason="needs /proc/<pid>/task/<pid>/children")
+    def test_workers_end_when_the_run_is_killed(self, tmp_path):
+        """A killed CLI runs no cleanup; the pool's workers end themselves.
+
+        Each of the two records keeps its worker busy for minutes: the simple
+        paths of a 20-ring ladder are too many to walk. A worker that only
+        waits for work, or sends a result, already fails once its CLI is gone.
+        """
+        src = tmp_path / "in.jsonl"
+        ladder = kekule_acene(20).replace("=", "")
+        write_jsonl(src, [{"id": i, "smiles": ladder} for i in range(2)])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rxnkit.cli", "fp", "--fp-kind", "path", "--max-path", "60",
+             "--in", str(src), "--out", str(tmp_path / "out"), "--workers", "2"],
+            env=env, start_new_session=True, stderr=subprocess.DEVNULL)
+
+        def cpu_s(pid):
+            """The CPU seconds pid has used; None once it has ended."""
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    state, *fields = fh.read().rpartition(")")[2].split()
+            except FileNotFoundError:
+                return None
+            ticks = int(fields[10]) + int(fields[11])  # utime and stime
+            return None if state in "ZX" else ticks / os.sysconf("SC_CLK_TCK")
+
+        try:
+            deadline = time.monotonic() + 60
+            workers = []
+            # Both workers have their record once both are busy.
+            while len(workers) < 2 or any((cpu_s(w) or 0) < 0.5 for w in workers):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+                with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                    workers = fh.read().split()
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while any(cpu_s(w) is not None for w in workers):
+                assert time.monotonic() < deadline, f"workers {workers} outlived the run"
+                time.sleep(0.05)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)  # what is left of the run
+            proc.wait()
+            for temp in tmp_path.glob(f".*{_jsonl.TEMP_SUFFIX}"):
+                temp.unlink()  # the killed run's output, still staged
 
 
 class TestBoundedMemory:

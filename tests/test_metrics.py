@@ -2,10 +2,12 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rxnkit.fingerprint import FingerprintSpec, fingerprint, tanimoto
 from rxnkit.metrics import (
     bleu,
     bleu_report,
@@ -18,6 +20,7 @@ from rxnkit.metrics import (
     levenshtein,
     matthews_corrcoef,
 )
+from rxnkit.molgraph import parse_smiles
 
 from oracles import brute_cen, brute_mcc, recursive_levenshtein
 
@@ -259,6 +262,22 @@ class TestGeneration:
         ])
         assert [(e.get("line"), e["id"]) for e in report.errors] == [(4, 1), (None, 2)]
         assert [sorted(e) for e in report.to_dict()["errors"]] == [["error", "id"]] * 2
+
+    def test_one_spec_gives_all_three_kinds(self):
+        records = [{"id": 1, "prediction": "c1ccccc1CCN", "reference": "c1ccccc1CCO"},
+                   {"id": 2, "prediction": "OC1CCCCC1", "reference": "CC1CCCCC1O"}]
+        spec = FingerprintSpec(radius=1, width=512, min_path=2, max_path=4)
+        report = eval_generation(records, spec)
+        for kind in ("circular", "path", "key"):
+            kind_spec = FingerprintSpec(kind=kind, radius=1, width=512, min_path=2, max_path=4)
+            values = [tanimoto(fingerprint(parse_smiles(r["prediction"]), kind_spec),
+                               fingerprint(parse_smiles(r["reference"]), kind_spec))
+                      for r in records]
+            assert [row[f"fts_{kind}"] for row in report.details] == values
+            assert report.metrics[f"fts_{kind}"] == sum(values) / len(values)
+        # The kind of the spec given does not matter, and no spec is the default.
+        assert eval_generation(records, replace(spec, kind="key")).metrics == report.metrics
+        assert eval_generation(records).metrics == eval_generation(records, FingerprintSpec()).metrics
 
     def test_all_references_invalid_is_fatal(self):
         with pytest.raises(ValueError, match="no scorable records") as info:

@@ -28,11 +28,12 @@ from rxnkit.molgraph import Atom, Bond, Molecule, model, perception
 from rxnkit.molgraph.parser import parse_draft
 from rxnkit.scaffold import EMPTY_SCAFFOLD, murcko_scaffold
 
-from conftest import CURATED_SMILES, build_random_molecule, shuffled
+from conftest import CURATED_SMILES, build_random_molecule, kekule_acene, shuffled
 from oracles import (
     full_resort_ranks,
     reference_molecule_from_draft,
     reference_non_bridge_edges,
+    reference_small_cycles,
 )
 
 
@@ -394,6 +395,16 @@ ONE_PASS_CASES = {
                "C1=CC=C(C=C1)" * 4, "C1=C" + "C=C" * 20 + "1", "[O-][N+](=O)C1=CC=CC=C1",
                "B1C=CC=C1", "C1=C[CH-]C=C1", "C1=CC=C[CH+]1", "C1=CC2=C3C1=CC=C3C=C2",
                "C1=CC=C2C(=C1)C=CC1=CC=CC=C21"],
+    # Kekule rings, alone and fused, and fused systems next to separate rings.
+    "huckel": ["C1=CC=C(C=C1)" * 30, "C1=CC=C(C=C1)C1=CC=C(C=C1)C1=CC=CC=C1",
+               *map(kekule_acene, (2, 3, 4, 6, 12)),
+               kekule_acene(3) + "C1=CC=CC=C1", "C1=CC=C(C=C1)" + kekule_acene(4),
+               "C1=CC=C2C(=C1)C=CC1=CC=C(C=C21)C1=CC=CC=C1",
+               "C1=CC2=CC=C3C=CC=C4C=CC(=C1)C2=C34.C1=CC=CC=C1",
+               "C1=CC2=C3C(=C1)C=CC4=CC=CC(=C43)C=C2.C1=CC=CC=C1",
+               "C1=CC2=CC=CC=CC2=C1C1=CC=CC=C1", "C1=CC=C2C=CC=C2C=C1.C1=CC=C1",
+               "C1=CC=C2C(=C1)C1=CC=CC=C1C1=CC=CC=C21.C1=CC=C(C=C1)C1=CCC=C1",
+               "O=C1C=CC(=O)C2=CC=CC=C12.C1=COC=C1C1=CNC=C1"],
     "charged": ["[NH4+]", "CC(=O)[O-]", "[13CH4]", "[2H]C([2H])([2H])[2H]", "[Fe+3]",
                 "C[N+](=O)[O-]", "c1cc[n+](C)cc1", "C[N+](C)(C)C", "[C-]#[O+]", "[999C]",
                 "[Cu+12]", "[O--]", "[Na+].[Cl-]", "[NH3+]CC([O-])=O", "[Se]", "[se]1cccc1",
@@ -485,6 +496,44 @@ class TestOnePassBuilder:
             parse_smiles(f"[{isotope}CH4]")
         info = perception._shared_atom.cache_info()
         assert info.currsize <= info.maxsize < 3000
+
+
+class TestHuckelBySystem:
+    """Hueckel perception tests one fused ring system at a time."""
+
+    @staticmethod
+    def cpu_s(text: str) -> float:
+        """Best of 5 process-CPU times of parsing text."""
+        times = []
+        for _ in range(5):
+            start = time.process_time()
+            parse_smiles(text)
+            times.append(time.process_time() - start)
+        return min(times)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 40])
+    def test_acenes_are_aromatic(self, n):
+        mol = parse_smiles(kekule_acene(n))
+        assert len(mol.atoms) == 4 * n + 2
+        assert all(a.is_aromatic for a in mol.atoms)
+        assert all(b.is_aromatic for b in mol.bonds)
+
+    @pytest.mark.parametrize("kekule, aromatic", [
+        ("C1=CC=C(C=C1)" * 200, "c1ccc(cc1)" * 200),
+        ("C1=C" + "C=C" * 500 + "1", "c1c" + "cc" * 500 + "1"),
+    ], ids=["polyphenylene_200", "ring_1002"])
+    def test_kekule_within_2x_of_aromatic_spelling(self, kekule, aromatic):
+        assert canonical_smiles(parse_smiles(kekule)) == canonical_smiles(parse_smiles(aromatic))
+        kekule_s, aromatic_s = self.cpu_s(kekule), self.cpu_s(aromatic)
+        assert kekule_s < 2 * aromatic_s, (kekule_s, aromatic_s)
+
+    def test_small_cycles_match_search_from_every_edge(self, corpus):
+        texts = [*corpus, *CURATED_SMILES, *ladder_smiles(), *ONE_PASS_CASES["huckel"],
+                 "C1=C" + "C=C" * 60 + "1", "C1CC2CCC1" + "C" * 40 + "2", "C12C3C1C23",
+                 "C1CC2(C1)CC2", "C1C2CC3CC1CC(C2)C3", "C1CC1C1CCCC1" * 5]
+        for text in texts:
+            ring_keys = parse_smiles(text).ring_bonds
+            assert perception._small_cycles(ring_keys) == reference_small_cycles(ring_keys), text
 
 
 class TestDerivedOnce:
