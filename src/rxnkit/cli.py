@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -532,15 +533,32 @@ def _cmd_eval_gen(run):
     _write_report(run, report)
 
 
+def _class_label(value, n_classes: int | None) -> int:
+    """A class label: an int, not a bool, at least 0 and below n_classes."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"class label must be an integer >= 0, got {value!r}")
+    if n_classes is not None and value >= n_classes:
+        raise ValueError(f"class label {value} outside 0..{n_classes - 1}")
+    return value
+
+
+def _regression_value(value) -> float:
+    """A regression value: a finite int or float, not a bool."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"regression value must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _cmd_eval_cls(run):
-    labeled = _join_by_id(
-        run, lambda _, ref, pred: (int(ref["reference"]), int(pred["prediction"])))
+    labeled = _join_by_id(run, lambda _, ref, pred: (
+        _class_label(ref["reference"], run.n_classes),
+        _class_label(pred["prediction"], run.n_classes)))
     _write_report(run, eval_classification(labeled, n_classes=run.n_classes))
 
 
 def _cmd_eval_reg(run):
-    series = _join_by_id(
-        run, lambda _, ref, pred: (float(ref["reference"]), float(pred["prediction"])))
+    series = _join_by_id(run, lambda _, ref, pred: (
+        _regression_value(ref["reference"]), _regression_value(pred["prediction"])))
     _write_report(run, eval_regression(series))
 
 

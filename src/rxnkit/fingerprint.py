@@ -72,13 +72,16 @@ class FingerprintSpec:
     min_path: int = 1
     max_path: int = 7
     width: int = 2048
-    key_table: str | KeyTable | None = None  # a table file, or a loaded table
+    # A loaded table, or a table file, which is loaded once, here.
+    key_table: str | Path | KeyTable | None = None
 
     def __post_init__(self):
         if self.kind not in ("circular", "path", "key"):
             raise ValueError(f"unknown fingerprint kind {self.kind!r}")
         if self.width < 1:
             raise ValueError(f"fingerprint width must be at least 1, got {self.width}")
+        if self.key_table is not None:
+            object.__setattr__(self, "key_table", load_key_table(self.key_table))
 
 
 def fingerprint(mol: Molecule, spec: FingerprintSpec) -> BitFingerprint:
@@ -246,14 +249,17 @@ def _parse_key_table(text: str, source: str) -> KeyTable:
             raise ValueError(
                 f"{source}:{lineno}: expected index<TAB>pattern<TAB>min_count"
             )
-        label = int(fields[0])
+        label, pattern, min_count = fields
+        try:
+            label, pattern, min_count = int(label), parse_pattern(pattern), int(min_count)
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from None
         if label in seen_labels:
             raise ValueError(f"{source}:{lineno}: duplicate key index {label}")
         seen_labels.add(label)
-        min_count = int(fields[2])
         if min_count < 1:
             raise ValueError(f"{source}:{lineno}: min_count must be >= 1")
-        entries.append((label, parse_pattern(fields[1]), min_count))
+        entries.append((label, pattern, min_count))
     if not entries:
         raise ValueError(f"{source}: key table is empty (zero-width fingerprint)")
     return KeyTable(entries=tuple(entries), source=source)

@@ -342,22 +342,18 @@ def eval_regression(pairs: list[tuple[float, float]]) -> MetricReport:
     )
 
 
-def eval_selection(records: list[dict], want_top50: bool | None = None) -> MetricReport:
+def eval_selection(records: list[dict]) -> MetricReport:
     """Top-1 and top-50% accuracy for choose-from-candidates records.
 
-    A record needs gold_item, predicted_item, and candidates; top50
-    additionally needs candidate_yield_ranks (parallel to candidates,
-    rank 1 = highest yield) and counts a record when the predicted item's
-    rank is within ceil(len(candidates)/2). Predictions outside the
-    candidate list score incorrect and are flagged.
+    A record needs gold_item, predicted_item, and candidates. Top-50 is
+    computed when every record has candidate_yield_ranks (parallel to
+    candidates, rank 1 = highest yield) and counts a record when the
+    predicted item's rank is within ceil(len(candidates)/2). Predictions
+    outside the candidate list score incorrect and are flagged.
     """
     if not records:
         raise ValueError("no selection records")
-    have_ranks = all(r.get("candidate_yield_ranks") is not None for r in records)
-    if want_top50 is None:
-        want_top50 = have_ranks
-    if want_top50 and not have_ranks:
-        raise ValueError("top50 requested but candidate_yield_ranks missing")
+    want_top50 = all(r.get("candidate_yield_ranks") is not None for r in records)
 
     top1_hits = 0
     top50_hits = 0

@@ -32,7 +32,7 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .elements import AROMATIC_SYMBOLS, ORGANIC_SUBSET, allowed_valences, fill_hydrogens
+from .elements import BARE_ATOMS, fill_hydrogens, takes_double_bond
 from .model import ChemistryError, GraphRecord, H_SLOT, Molecule, SmilesSyntaxError, bond_code
 
 _FLIP = {"@": "@@", "@@": "@", "/": "\\", "\\": "/"}
@@ -292,17 +292,8 @@ def _inferred_bare_h(mol: Molecule, v: int) -> int:
             sigma += bond.order
             if bond.order >= 2:
                 explicit_multiple = True
-    if a.is_aromatic:
-        z = a.atomic_number
-        if z == 6:
-            takes_double = not explicit_multiple
-        elif z in (7, 15):
-            allowed = allowed_valences(z, 0) or ()
-            takes_double = sigma not in allowed and sigma + 1 in allowed
-        else:
-            takes_double = False
-        if takes_double:
-            sigma += 1
+    if a.is_aromatic and takes_double_bond(a.atomic_number, 0, sigma, explicit_multiple, True):
+        sigma += 1
     return fill_hydrogens(a.atomic_number, 0, sigma)
 
 
@@ -322,7 +313,7 @@ def _atom_token(
         and a.isotope is None
         and tag is None
         and a.atomic_number != 1
-        and (sym in AROMATIC_SYMBOLS if a.is_aromatic else sym in ORGANIC_SUBSET)
+        and sym in BARE_ATOMS
         and a.implicit_hydrogens == _inferred_bare_h(mol, v)
     )
     if bare_ok:

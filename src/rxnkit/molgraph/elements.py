@@ -20,11 +20,14 @@ SYMBOLS = (
 ATOMIC_NUMBER = {sym: z for z, sym in enumerate(SYMBOLS, start=1)}
 SYMBOL = {z: sym for sym, z in ATOMIC_NUMBER.items()}
 
-# Elements that may be written without brackets, with their aromatic forms.
-ORGANIC_SUBSET = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
-AROMATIC_SYMBOLS = {"b": 5, "c": 6, "n": 7, "o": 8, "p": 15, "s": 16}
-# Two-letter aromatic symbols are legal in brackets only.
-BRACKET_AROMATIC = {"se": 34, "as": 33}
+# The symbols an atom may be written with outside brackets (the organic
+# subset and its aromatic forms): symbol -> (atomic number, aromatic).
+BARE_ATOMS = {sym: (ATOMIC_NUMBER[sym.capitalize()], sym.islower())
+              for sym in "B C N O P S F Cl Br I b c n o p s".split()}
+# The symbols legal in brackets: every element, the bare aromatic ones, se, as.
+BRACKET_ATOMS = {sym: (z, False) for sym, z in ATOMIC_NUMBER.items()}
+BRACKET_ATOMS.update({sym: atom for sym, atom in BARE_ATOMS.items() if atom[1]})
+BRACKET_ATOMS.update({"se": (34, True), "as": (33, True)})
 
 # Allowed total valences for the neutral element (standard organic subset).
 # Atoms whose shifted element falls outside this table accept any valence
@@ -78,3 +81,22 @@ def hydrogens_to_fill(allowed: tuple[int, ...] | None, bond_order_sum: int) -> i
         if valence >= bond_order_sum:
             return valence - bond_order_sum
     return 0
+
+
+def takes_double_bond(
+    z: int, charge: int, sigma: int, explicit_multiple: bool, bare: bool
+) -> bool:
+    """Whether an aromatic atom takes exactly one double bond in a kekule form.
+
+    ``sigma`` is its hydrogens plus its bond orders, an aromatic bond counted
+    as 1; ``explicit_multiple``, whether a non-aromatic multiple bond meets
+    it. A bare carbon takes one unless such a bond saturates it; any other
+    atom when one short of an allowed valence, except B, O, S and Se.
+    """
+    if bare and z == 6:
+        return not explicit_multiple
+    allowed = allowed_valences(z, charge)
+    return (
+        allowed is not None and sigma not in allowed and sigma + 1 in allowed
+        and z not in (5, 8, 16, 34)
+    )

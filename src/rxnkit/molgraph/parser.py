@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .elements import AROMATIC_SYMBOLS, ATOMIC_NUMBER, BRACKET_AROMATIC, ORGANIC_SUBSET
+from .elements import BARE_ATOMS, BRACKET_ATOMS
 from .model import H_SLOT, SmilesSyntaxError
 
 _BOND_ORDERS = {"-": 1, "=": 2, "#": 3}
 # ASCII digits only: str.isdigit() also admits digits int() rejects or reads
 # as 0-9 from other scripts.
-_DIGITS = frozenset("0123456789")
+DIGITS = frozenset("0123456789")
+# The longest digit run read as one number: int() converts this many digits
+# whatever its limit is set to, and the caller rejects the digits left over.
+_MAX_DIGITS = 640
 
 
 @dataclass
@@ -145,9 +148,12 @@ def parse_draft(text: str) -> MolDraft:
                 raise fail("dangling bond symbol before ')'")
             prev = stack.pop()
             i += 1
-        elif ch in _DIGITS:
-            close_or_open_ring(int(ch))
-            i += 1
+        elif ch in DIGITS or ch == "%":
+            ring, j = read_ring_number(s, i)
+            if ring is None:
+                raise fail("'%' must be followed by two digits")
+            close_or_open_ring(ring)
+            i = j
         elif ch == ".":
             if pending is not None or pending_stereo is not None:
                 raise fail("bond symbol before '.'")
@@ -168,11 +174,6 @@ def parse_draft(text: str) -> MolDraft:
                 raise fail("two consecutive bond symbols")
             pending_stereo = ch
             i += 1
-        elif ch == "%":
-            if i + 2 >= n or not (s[i + 1] in _DIGITS and s[i + 2] in _DIGITS):
-                raise fail("'%' must be followed by two digits")
-            close_or_open_ring(int(s[i + 1 : i + 3]))
-            i += 3
         else:
             raise fail(f"unexpected character {ch!r}")
 
@@ -188,18 +189,48 @@ def parse_draft(text: str) -> MolDraft:
     return mol
 
 
+def read_digits(s: str, i: int, stop: int | None = None) -> tuple[int | None, int]:
+    """The number spelled by the ASCII digits from s[i], up to stop (None when
+    there are none), and the index after them."""
+    end = min(len(s), i + _MAX_DIGITS if stop is None else stop)
+    j = i
+    while j < end and s[j] in DIGITS:
+        j += 1
+    return (int(s[i:j]) if j > i else None), j
+
+
+def read_ring_number(s: str, i: int) -> tuple[int | None, int]:
+    """The ring-bond number at s[i], a digit or '%' and two digits, and the
+    index after it; None when a '%' lacks its two digits."""
+    if s[i] != "%":
+        return read_digits(s, i, i + 1)
+    number, j = read_digits(s, i + 1, i + 3)
+    return (number if j == i + 3 else None), j
+
+
+def read_charge(s: str, i: int) -> tuple[int, int]:
+    """The charge written from the sign at s[i], and the index after it: a
+    sign with a number ('+2') or repeated ('--'), or a sign alone."""
+    sign = s[i]
+    count, j = read_digits(s, i + 1)
+    if count is None:
+        j = i + 1
+        while j < len(s) and s[j] == sign:
+            j += 1
+        count = j - i
+    return (count if sign == "+" else -count), j
+
+
 def _parse_bare(s: str, i: int) -> tuple[int, AtomDraft]:
     symbol = s[i : i + 2]  # Cl and Br before C and B
-    if symbol not in ORGANIC_SUBSET:
+    if symbol not in BARE_ATOMS:
         symbol = s[i]
-    if symbol in ORGANIC_SUBSET:
-        return i + len(symbol), AtomDraft(ATOMIC_NUMBER[symbol])
-    ch = s[i]
-    if ch in AROMATIC_SYMBOLS:
-        return i + 1, AtomDraft(AROMATIC_SYMBOLS[ch], aromatic=True)
-    raise SmilesSyntaxError(
-        f"unknown element symbol {ch!r} outside brackets (position {i} in {s!r})"
-    )
+        if symbol not in BARE_ATOMS:
+            raise SmilesSyntaxError(
+                f"unknown element symbol {symbol!r} outside brackets (position {i} in {s!r})"
+            )
+    z, aromatic = BARE_ATOMS[symbol]
+    return i + len(symbol), AtomDraft(z, aromatic)
 
 
 def _parse_bracket(s: str, start: int) -> tuple[int, AtomDraft]:
@@ -209,45 +240,25 @@ def _parse_bracket(s: str, start: int) -> tuple[int, AtomDraft]:
     body = s[start + 1 : end]
     if not body:
         raise SmilesSyntaxError(f"empty bracket atom (position {start} in {s!r})")
-    i = 0
     n = len(body)
 
     def fail(msg: str) -> SmilesSyntaxError:
         return SmilesSyntaxError(f"{msg} in bracket atom [{body}]")
 
-    isotope = None
-    j = i
-    while j < n and body[j] in _DIGITS:
-        j += 1
-    if j > i:
-        isotope = int(body[i:j])
-        if isotope == 0:
-            raise fail("isotope must be positive")
-        i = j
+    isotope, i = read_digits(body, 0)
+    if isotope == 0:
+        raise fail("isotope must be positive")
 
     if i >= n:
         raise fail("missing element symbol")
-    aromatic = False
-    if body[i : i + 2] in BRACKET_AROMATIC:
-        z = BRACKET_AROMATIC[body[i : i + 2]]
-        aromatic = True
-        i += 2
-    elif body[i].islower():
-        if body[i] not in AROMATIC_SYMBOLS:
-            raise fail(f"unknown element symbol {body[i]!r}")
-        z = AROMATIC_SYMBOLS[body[i]]
-        aromatic = True
-        i += 1
-    else:
-        sym = body[i : i + 2]
-        if len(sym) == 2 and sym[1].islower() and sym in ATOMIC_NUMBER:
-            z = ATOMIC_NUMBER[sym]
-            i += 2
-        elif body[i] in ATOMIC_NUMBER:
-            z = ATOMIC_NUMBER[body[i]]
-            i += 1
-        else:
-            raise fail(f"unknown element symbol {body[i:i + 2]!r}")
+    sym = body[i : i + 2]  # Se before S, se before s
+    if sym not in BRACKET_ATOMS:
+        sym = body[i]
+        if sym not in BRACKET_ATOMS:
+            bad = sym if sym.islower() else body[i : i + 2]
+            raise fail(f"unknown element symbol {bad!r}")
+    z, aromatic = BRACKET_ATOMS[sym]
+    i += len(sym)
 
     atom = AtomDraft(z, aromatic=aromatic, isotope=isotope, explicit_h=0)
 
@@ -262,40 +273,18 @@ def _parse_bracket(s: str, start: int) -> tuple[int, AtomDraft]:
             raise fail("unsupported chirality class")
 
     if i < n and body[i] == "H":
-        i += 1
-        j = i
-        while j < n and body[j] in _DIGITS:
-            j += 1
-        atom.explicit_h = int(body[i:j]) if j > i else 1
-        i = j
+        count, i = read_digits(body, i + 1)
+        atom.explicit_h = 1 if count is None else count
         if atom.explicit_h:
             atom.slots.append(H_SLOT)
 
     if i < n and body[i] in "+-":
-        sign = 1 if body[i] == "+" else -1
-        symb = body[i]
-        i += 1
-        if i < n and body[i] in _DIGITS:
-            j = i
-            while j < n and body[j] in _DIGITS:
-                j += 1
-            atom.charge = sign * int(body[i:j])
-            i = j
-        else:
-            count = 1
-            while i < n and body[i] == symb:
-                count += 1
-                i += 1
-            atom.charge = sign * count
+        atom.charge, i = read_charge(body, i)
 
     if i < n and body[i] == ":":
-        i += 1
-        j = i
-        while j < n and body[j] in _DIGITS:
-            j += 1
-        if j == i:
+        atom_map, i = read_digits(body, i + 1)  # accepted and dropped
+        if atom_map is None:
             raise fail("':' must be followed by an atom-map number")
-        i = j  # atom maps are accepted and dropped
 
     if i != n:
         raise fail(f"unexpected {body[i:]!r}")

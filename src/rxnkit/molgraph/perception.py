@@ -15,7 +15,7 @@ from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations
 
-from .elements import allowed_valences, hydrogens_to_fill
+from .elements import allowed_valences, hydrogens_to_fill, takes_double_bond
 from .model import (
     Atom,
     Bond,
@@ -225,31 +225,21 @@ def _kekulize(
 ) -> None:
     """Assign kekule orders inside declared-aromatic systems.
 
-    An atom "must" take exactly one double bond when its sigma framework is
-    one short of an allowed valence (bare aromatic C/N/P without an explicit
-    multiple bond; bracket atoms per the valence table); perfect matching over
-    candidate bonds between such atoms realizes the assignment.
+    The atoms that "must" take exactly one double bond are those
+    ``takes_double_bond`` names (bare aromatic n and p carry no implicit
+    hydrogen); perfect matching over candidate bonds between such atoms
+    realizes the assignment.
     """
     must: set[int] = set()
     for idx, a in enumerate(draft.atoms):
         if not a.aromatic:
             continue
-        if a.explicit_h is None and a.atomic_number == 6:
-            # Bare aromatic carbon takes exactly one double bond unless an
-            # explicit multiple bond already saturates it.
-            if not any(orders[bi] >= 2 and not candidate[bi] for bi in incident[idx]):
-                must.add(idx)
-            continue
-        # Bare aromatic n/p carry no implicit hydrogen; like bracket atoms
-        # they take a double bond only when one short of an allowed valence.
-        h = 0 if a.explicit_h is None else a.explicit_h
-        sigma = h + a.folded_h + sum(
-            1 if candidate[bi] else orders[bi] for bi in incident[idx]
-        )
-        allowed = allowed_valences(a.atomic_number, a.charge)
-        if allowed is None or sigma in allowed:
-            continue
-        if sigma + 1 in allowed and a.atomic_number not in (5, 8, 16, 34):
+        bonds = incident[idx]
+        sigma = (a.explicit_h or 0) + a.folded_h + sum(
+            1 if candidate[bi] else orders[bi] for bi in bonds)
+        explicit_multiple = any(orders[bi] >= 2 and not candidate[bi] for bi in bonds)
+        if takes_double_bond(a.atomic_number, a.charge, sigma, explicit_multiple,
+                             a.explicit_h is None):
             must.add(idx)
 
     if not must:

@@ -3,7 +3,8 @@
 The query grammar covers what the shipped key table needs: element atoms
 ([#6], C, c, Cl, ...), aromatic/aliphatic by symbol case, [R] / [R0] ring
 membership, [Dn] degree, [Hn] hydrogen count, charges, '~' any-bond, ':'
-aromatic bond, and '!', '&', ',' logic inside brackets. A parsed pattern
+aromatic bond, and '!', '&', ',' logic inside brackets. Bare symbols,
+digits and charges are read by the SMILES reader's rules. A parsed pattern
 carries its own adjacency.
 
 Matching is subgraph monomorphism. Per molecule, the matcher derives once
@@ -24,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .molgraph.elements import AROMATIC_SYMBOLS, ATOMIC_NUMBER, ORGANIC_SUBSET
+from .molgraph.elements import BARE_ATOMS
 from .molgraph.model import Molecule
+from .molgraph.parser import DIGITS, read_charge, read_digits, read_ring_number
 
 _BOND_KINDS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic", "~": "any"}
 
@@ -103,15 +105,10 @@ def parse_pattern(text: str) -> Pattern:
                 raise PatternSyntaxError(f"doubled bond symbol in {s!r}")
             pending = _BOND_KINDS[ch]
             i += 1
-        elif ch.isdigit() or ch == "%":
-            if ch == "%":
-                if i + 2 >= n or not s[i + 1 : i + 3].isdigit():
-                    raise PatternSyntaxError(f"bad %NN ring number in {s!r}")
-                digit = int(s[i + 1 : i + 3])
-                i += 3
-            else:
-                digit = int(ch)
-                i += 1
+        elif ch in DIGITS or ch == "%":
+            digit, i = read_ring_number(s, i)
+            if digit is None:
+                raise PatternSyntaxError(f"bad %NN ring number in {s!r}")
             if prev is None:
                 raise PatternSyntaxError(f"ring digit before any atom in {s!r}")
             if digit in open_rings:
@@ -133,7 +130,10 @@ def parse_pattern(text: str) -> Pattern:
             prev = len(atoms) - 1
             i = end + 1
         elif ch.isalpha():
-            i, pred = _parse_bare_atom(s, i)
+            bare = _bare_atom(s, i)
+            if bare is None:
+                raise PatternSyntaxError(f"unknown atom symbol {ch!r} in pattern {s!r}")
+            i, pred = bare
             atoms.append(pred)
             attach(len(atoms) - 1)
             prev = len(atoms) - 1
@@ -151,16 +151,16 @@ def parse_pattern(text: str) -> Pattern:
     return Pattern(text=s, atoms=tuple(atoms), bonds=tuple(bonds))
 
 
-def _parse_bare_atom(s: str, i: int) -> tuple[int, tuple]:
+def _bare_atom(s: str, i: int) -> tuple[int, tuple] | None:
+    """The index after the bare atom symbol at s[i] and its predicate; None
+    when no bare symbol starts there."""
     symbol = s[i : i + 2]  # Cl and Br before C and B
-    if symbol not in ORGANIC_SUBSET:
+    if symbol not in BARE_ATOMS:
         symbol = s[i]
-    if symbol in ORGANIC_SUBSET:
-        return i + len(symbol), ("and", (("elem", ATOMIC_NUMBER[symbol]), ("arom", False)))
-    ch = s[i]
-    if ch in AROMATIC_SYMBOLS:
-        return i + 1, ("and", (("elem", AROMATIC_SYMBOLS[ch]), ("arom", True)))
-    raise PatternSyntaxError(f"unknown atom symbol {ch!r} in pattern {s!r}")
+        if symbol not in BARE_ATOMS:
+            return None
+    z, aromatic = BARE_ATOMS[symbol]
+    return i + len(symbol), ("and", (("elem", z), ("arom", aromatic)))
 
 
 def _parse_expression(body: str) -> tuple:
@@ -193,12 +193,10 @@ def _parse_expression(body: str) -> tuple:
             return ("not", parse_unary())
         return parse_primitive()
 
-    def read_digits(default: int) -> int:
+    def read_number(default: int) -> int:
         nonlocal pos
-        start = pos
-        while pos < len(body) and body[pos].isdigit():
-            pos += 1
-        return int(body[start:pos]) if pos > start else default
+        number, pos = read_digits(body, pos)
+        return default if number is None else number
 
     def parse_primitive() -> tuple:
         nonlocal pos
@@ -207,13 +205,13 @@ def _parse_expression(body: str) -> tuple:
         ch = body[pos]
         if ch == "#":
             pos += 1
-            z = read_digits(-1)
+            z = read_number(-1)
             if z < 1 or z > 118:
                 raise PatternSyntaxError(f"bad element number in [{body}]")
             return ("elem", z)
         if ch == "R":
             pos += 1
-            count = read_digits(1)
+            count = read_number(1)
             if count == 0:
                 return ("not", ("ring",))
             if count == 1:
@@ -221,30 +219,18 @@ def _parse_expression(body: str) -> tuple:
             raise PatternSyntaxError(f"unsupported ring count R{count} in [{body}]")
         if ch == "D":
             pos += 1
-            return ("deg", read_digits(1))
+            return ("deg", read_number(1))
         if ch == "H":
             pos += 1
-            return ("h", read_digits(1))
+            return ("h", read_number(1))
         if ch in "+-":
-            sign = 1 if ch == "+" else -1
-            pos += 1
-            if pos < len(body) and body[pos].isdigit():
-                return ("charge", sign * read_digits(1))
-            count = 1
-            while pos < len(body) and body[pos] == ch:
-                count += 1
-                pos += 1
-            return ("charge", sign * count)
-        symbol = body[pos : pos + 2]
-        if symbol not in ORGANIC_SUBSET:
-            symbol = ch
-        if symbol in ORGANIC_SUBSET:
-            pos += len(symbol)
-            return ("and", (("elem", ATOMIC_NUMBER[symbol]), ("arom", False)))
-        if ch in AROMATIC_SYMBOLS:
-            pos += 1
-            return ("and", (("elem", AROMATIC_SYMBOLS[ch]), ("arom", True)))
-        raise PatternSyntaxError(f"unsupported token {ch!r} in [{body}]")
+            charge, pos = read_charge(body, pos)
+            return ("charge", charge)
+        bare = _bare_atom(body, pos)
+        if bare is None:
+            raise PatternSyntaxError(f"unsupported token {ch!r} in [{body}]")
+        pos, pred = bare
+        return pred
 
     tree = parse_or()
     if pos != len(body):

@@ -816,16 +816,30 @@ class TestBadRecords:
 # miss or mistype a field. One more reference has no prediction at all.
 EVAL_CASES = {
     "cls": ([(0, 0), (1, 0)], [({}, {"prediction": 1}), ({"reference": 1}, {}),
-                               ({"reference": 1}, {"prediction": "x"})]),
-    "reg": ([(1.0, 1.5), (2.0, 2.0)], [({}, {"prediction": 1.0}),
-                                       ({"reference": 1.0}, {}),
-                                       ({"reference": None}, {"prediction": 1.0})]),
+                               ({"reference": 1}, {"prediction": "x"}),
+                               ({"reference": 1}, {"prediction": True}),
+                               ({"reference": 1}, {"prediction": 1.7}),
+                               ({"reference": "0"}, {"prediction": 0}),
+                               ({"reference": -1}, {"prediction": 0})]),
+    "reg": ([(1.0, 1.5), (2, 2.0)], [({}, {"prediction": 1.0}),
+                                     ({"reference": 1.0}, {}),
+                                     ({"reference": None}, {"prediction": 1.0}),
+                                     ({"reference": True}, {"prediction": 1.0}),
+                                     ({"reference": 1.0}, {"prediction": "1.5"}),
+                                     ({"reference": "nan"}, {"prediction": 1.0}),
+                                     ({"reference": 1.0}, {"prediction": "inf"}),
+                                     ({"reference": float("nan")}, {"prediction": 1.0}),
+                                     ({"reference": 1.0}, {"prediction": float("-inf")})]),
     "sel": ([("A", "A"), ("B", "A")], [({"reference": "A"}, {"prediction": "A"}),
                                        ({"candidates": ["A"]}, {"prediction": "A"}),
                                        ({"reference": "A", "candidates": ["A"]}, {})]),
     "gen": ([("CCO", "OCC"), ("CCN", "CCC")], [({}, {"prediction": "C"}),
                                                ({"reference": "C"}, {})]),
 }
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
 
 
 def write_eval_pairs(tmp_path, task):
@@ -857,7 +871,20 @@ class TestEvalBadPairs:
         errors = json.loads(capsys.readouterr().err)["record_errors"]
         assert [e["line"] for e in errors] == list(range(3, 3 + n_bad))
         assert errors[-1] == {"line": 3 + n_bad - 1, "id": "alone", "error": "no prediction"}
-        assert json.loads(out.read_text())["sample_count"] == 2
+        assert json.loads(out.read_text(), parse_constant=_not_json)["sample_count"] == 2
+
+    def test_cls_label_past_n_classes_is_an_error_row(self, tmp_path, capsys):
+        ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(ref, [{"id": i, "reference": i % 3} for i in range(4)])
+        write_jsonl(pred, [{"id": i, "prediction": p} for i, p in enumerate([0, 5, 2, 1])])
+        out = tmp_path / "m.json"
+        assert run(["eval", "cls", "--n-classes", "3", "--pred", str(pred), "--ref", str(ref),
+                    "--out", str(out)]) == 0
+        (row,) = json.loads(capsys.readouterr().err)["record_errors"]
+        assert row == {"line": 2, "id": 1, "error": "class label 5 outside 0..2"}
+        report = json.loads(out.read_text())
+        assert report["sample_count"] == 3
+        assert report["metrics"]["accuracy"] == 2 / 3
 
     @pytest.mark.parametrize("drop", ["row", "field"])
     def test_gen_strict_missing_prediction_is_fatal(self, tmp_path, capsys, drop):

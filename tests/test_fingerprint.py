@@ -142,6 +142,40 @@ class TestKeys:
         fp = key_fingerprint(parse_smiles("CCO"), load_key_table())
         assert fp.width == 166
 
+    @pytest.mark.parametrize("row, message", [
+        ("2\t[#6&Q]\t1", "unsupported token 'Q'"),
+        ("x\t[#8]\t1", "invalid literal"),
+        ("2\t[#8]\ty", "invalid literal"),
+        ("2\tC٣CC٣\t1", "unsupported token"),
+        ("1\t[#7]\t1", "duplicate key index 1"),
+        ("2\t[#8]\t0", "min_count must be >= 1"),
+    ])
+    def test_errors_name_the_file_and_line(self, tmp_path, row, message):
+        table = tmp_path / "keys.txt"
+        table.write_text(f"# keys\n1\t[#8]\t1\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(table))}:3: .*{message}"):
+            load_key_table(table)
+
+    def test_spec_reads_its_table_file_once(self, tmp_path, corpus, monkeypatch):
+        from rxnkit import fingerprint as fp_module
+
+        path = tmp_path / "keys.txt"
+        path.write_text(CUSTOM_KEYS)
+        parse = fp_module._parse_key_table
+        parses = []
+
+        def counting(text, source):
+            parses.append(source)
+            return parse(text, source)
+
+        monkeypatch.setattr(fp_module, "_parse_key_table", counting)
+        spec = FingerprintSpec(kind="key", key_table=str(path))
+        mols = [parse_smiles(s) for s in corpus[:100]]
+        fps = [fingerprint(mol, spec) for mol in mols]
+        assert parses == [str(path)]
+        loaded = FingerprintSpec(kind="key", key_table=load_key_table(path))
+        assert fps == [fingerprint(mol, loaded) for mol in mols]
+
 
 class TestInvariance:
     def test_all_kinds_invariant_under_renumbering(self, corpus):

@@ -209,10 +209,8 @@ class TestSelection:
         assert report.metrics["selection_top50"] == 0.0
         assert report.details[0]["not_in_candidates"]
 
-    def test_top50_without_ranks_is_error(self):
+    def test_no_top50_without_ranks(self):
         rec = self._record(0, "A", "A", ["A", "B"])
-        with pytest.raises(ValueError):
-            eval_selection([rec], want_top50=True)
         assert "selection_top50" not in eval_selection([rec]).metrics
 
 

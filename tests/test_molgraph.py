@@ -572,6 +572,13 @@ class TestAsciiDigits:
         with pytest.raises(SmilesSyntaxError):
             parse_smiles(text)
 
+    @pytest.mark.parametrize("template", ["[{}C]", "[CH{}]", "[C+{}]"],
+                             ids=["isotope", "hydrogens", "charge"])
+    def test_digit_run_past_the_int_limit_is_a_syntax_error(self, template):
+        # int() refuses more than 4,300 digits by default.
+        with pytest.raises(SmilesSyntaxError):
+            parse_smiles(template.format("1" * 5000))
+
 
 class TestAtomAndBondValues:
     """Atom and Bond keep the behaviour of frozen dataclasses."""

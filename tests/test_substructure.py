@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rxnkit.fingerprint import key_fingerprint, load_key_table
 from rxnkit.molgraph import parse_smiles
@@ -17,6 +19,11 @@ from rxnkit.substructure import (
 
 from conftest import random_smiles, shuffled
 from oracles import all_injections_matches, backtracking_matches
+
+# The pattern grammar's characters, a few it lacks, and digits from other
+# scripts: Arabic-Indic three, which int() reads as 3, and superscript two,
+# which str.isdigit() admits but int() rejects.
+PATTERN_ALPHABET = "CNOSPFIBrclnosp[]()=#~:-+!&,%0123456789RDHQ*٣²"
 
 
 class TestParsePattern:
@@ -41,10 +48,34 @@ class TestParsePattern:
         pat = parse_pattern("[!#6,#7]")
         assert pat.atoms[0][0] == "or"
 
-    @pytest.mark.parametrize("text", ["", "[", "[]", "[Q]", "(C)C(", "[R3]", "C1CC", "[#600]"])
+    @pytest.mark.parametrize("text", ["", "[", "[]", "[Q]", "(C)C(", "[R3]", "C1CC", "[#600]",
+                                      "C٣CC٣", "[#٦]", "[D٢]", "C²CC²"])
     def test_errors(self, text):
         with pytest.raises(PatternSyntaxError):
             parse_pattern(text)
+
+    @pytest.mark.parametrize("text", ["[#" + "1" * 5000 + "]", "[D" + "1" * 5000 + "]",
+                                      "[+" + "1" * 5000 + "]"], ids=["elem", "deg", "charge"])
+    def test_digit_run_past_the_int_limit(self, text):
+        with pytest.raises(PatternSyntaxError):
+            parse_pattern(text)
+
+    def test_charges_read_as_in_smiles(self):
+        texts = ("+", "++", "+2", "-", "--")
+        charges = [parse_pattern(f"[{text}]").atoms[0] for text in texts]
+        assert charges == [("charge", q) for q in (1, 2, 2, -1, -2)]
+
+
+class TestParsePatternRaisesOnlyItsError:
+    """Parsing any pattern text raises PatternSyntaxError, nothing else."""
+
+    @settings(max_examples=2000, deadline=None, database=None)
+    @given(st.text(alphabet=PATTERN_ALPHABET, max_size=30))
+    def test_text_over_the_pattern_alphabet(self, text):
+        try:
+            parse_pattern(text)
+        except PatternSyntaxError:
+            pass
 
 
 class TestMatching:
