@@ -12,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from .molgraph.model import Molecule, bond_code
+from .molgraph.parser import read_digits
 from .substructure import Pattern, find_matches, parse_pattern
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -251,7 +252,8 @@ def _parse_key_table(text: str, source: str) -> KeyTable:
             )
         label, pattern, min_count = fields
         try:
-            label, pattern, min_count = int(label), parse_pattern(pattern), int(min_count)
+            label, pattern = _table_number("index", label), parse_pattern(pattern)
+            min_count = _table_number("min_count", min_count)
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from None
         if label in seen_labels:
@@ -263,6 +265,13 @@ def _parse_key_table(text: str, source: str) -> KeyTable:
     if not entries:
         raise ValueError(f"{source}: key table is empty (zero-width fingerprint)")
     return KeyTable(entries=tuple(entries), source=source)
+
+
+def _table_number(column: str, field: str) -> int:
+    value, end = read_digits(field, 0, len(field))
+    if value is None or end < len(field):
+        raise ValueError(f"{column} must be ASCII digits 0-9, got {field!r}")
+    return value
 
 
 def key_fingerprint(mol: Molecule, table: KeyTable) -> BitFingerprint:

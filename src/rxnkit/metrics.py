@@ -9,11 +9,9 @@ validity reported as its own column.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 
-# numpy is imported only inside the classification and regression functions,
-# so importing this module (and rxnkit.cli) does not load it.
 from .fingerprint import FingerprintSpec, fingerprint, tanimoto
 from .molgraph import ChemistryError, SmilesSyntaxError, canonical_smiles, parse_smiles
 
@@ -159,12 +157,11 @@ def eval_generation(
 
     The fingerprints of each kind are those of spec with its kind replaced,
     so spec's radius, width, path lengths and key table apply and its kind
-    does not; give the key table loaded, or every molecule reads its file.
-    Invalid predictions lower validity, count as missed exact matches, and
-    are excluded from the fingerprint means. Invalid references are fatal
-    for their record and reported as {"id", "error"} rows (with the record's
-    "line" too when it has one, which to_dict leaves out); when no record is
-    left, NoScorableRecords carries those rows.
+    does not. Invalid predictions lower validity, count as missed exact
+    matches, and are excluded from the fingerprint means. Invalid references
+    are fatal for their record and reported as {"id", "error"} rows (with
+    the record's "line" too when it has one, which to_dict leaves out); when
+    no record is left, NoScorableRecords carries those rows.
     """
     specs = {kind: replace(spec or FingerprintSpec(), kind=kind) for kind in _FTS_KINDS}
     details: list[dict] = []
@@ -173,10 +170,8 @@ def eval_generation(
     valid_hits = 0
     lev_total = 0
     fts_sums = {k: 0.0 for k in _FTS_KINDS}
-    fts_counts = 0
     bleu_pairs: list[tuple[str, str]] = []
 
-    scored = 0
     for record in records:
         rid = record.get("id")
         pred = str(record["prediction"])
@@ -190,7 +185,6 @@ def eval_generation(
                 error["line"] = record["line"]
             errors.append(error)
             continue
-        scored += 1
         bleu_pairs.append((pred, ref))
         distance = levenshtein(pred, ref)
         lev_total += distance
@@ -208,13 +202,13 @@ def eval_generation(
             valid_hits += 1
             row["exact"] = canonical_smiles(pred_mol) == ref_canonical
             exact_hits += row["exact"]
-            fts_counts += 1
             for kind, kind_spec in specs.items():
                 value = tanimoto(fingerprint(pred_mol, kind_spec), fingerprint(ref_mol, kind_spec))
                 row[f"fts_{kind}"] = value
                 fts_sums[kind] += value
         details.append(row)
 
+    scored = len(details)
     if scored == 0:
         raise NoScorableRecords("no scorable records (every reference failed to parse)", errors)
     metrics: dict[str, float | None] = {
@@ -224,9 +218,7 @@ def eval_generation(
         "validity": valid_hits / scored,
     }
     for kind in _FTS_KINDS:
-        metrics[f"fts_{kind}"] = (
-            fts_sums[kind] / fts_counts if fts_counts else None
-        )
+        metrics[f"fts_{kind}"] = fts_sums[kind] / valid_hits if valid_hits else None
     return MetricReport(
         task_family="generation",
         metrics=metrics,
@@ -236,57 +228,56 @@ def eval_generation(
     )
 
 
-def confusion_matrix(pairs: list[tuple[int, int]], n_classes: int) -> np.ndarray:
-    import numpy as np
-
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+def confusion_matrix(pairs: list[tuple[int, int]], n_classes: int) -> Counter:
+    """The nonzero cells of the confusion matrix, counts keyed by (gold, pred)."""
+    counts: Counter = Counter()
     for gold, pred in pairs:
         if not (0 <= gold < n_classes and 0 <= pred < n_classes):
             raise ValueError(f"label pair {(gold, pred)} outside 0..{n_classes - 1}")
-        cm[gold, pred] += 1
-    return cm
+        counts[gold, pred] += 1
+    return counts
 
 
-def confusion_entropy(cm: np.ndarray) -> float:
+def _margins(counts: Counter) -> tuple[Counter, Counter]:
+    """The row (gold) and column (pred) sums of the classes seen."""
+    rows, cols = Counter(), Counter()
+    for (gold, pred), count in counts.items():
+        rows[gold] += count
+        cols[pred] += count
+    return rows, cols
+
+
+def confusion_entropy(counts: Counter, n_classes: int) -> float:
     """CEN: entropy of the confusion matrix, 0 for a perfect classifier.
 
     Per-class misclassification probabilities are taken against the class's
-    row+column mass, logs are base 2(N-1), and classes are weighted by their
-    share of that mass.
+    row+column mass, logs are base 2(n_classes-1), and classes are weighted
+    by their share of that mass. Only the nonzero cells are read.
     """
-    import numpy as np
-
-    n = cm.shape[0]
-    total = cm.sum()
-    if total == 0:
-        return 0.0
-    mass = cm.sum(axis=1) + cm.sum(axis=0)  # row_j + col_j
-    log_base = math.log(2 * (n - 1))
-    cen = 0.0
-    for j in range(n):
-        if mass[j] == 0:
-            continue
-        off = np.arange(n) != j
-        probs = np.concatenate([cm[j, off], cm[off, j]]) / mass[j]
-        nz = probs[probs > 0]
-        if nz.size:
-            cen_j = float(-(nz * (np.log(nz) / log_base)).sum())
-            cen += (mass[j] / (2.0 * total)) * cen_j
-    return float(cen)
+    total = sum(counts.values())
+    rows, cols = _margins(counts)
+    mass = rows + cols  # row_j + col_j
+    log_base = math.log(2 * (n_classes - 1))
+    terms = defaultdict(list)  # class j -> p log p of each off-diagonal p in its mass
+    for (gold, pred), count in counts.items():
+        for j in (gold, pred) if gold != pred else ():
+            if 0 < count < mass[j]:  # p = 1 adds nothing
+                p = count / mass[j]
+                terms[j].append(p * (math.log(p) / log_base))
+    return math.fsum(mass[j] / (2.0 * total) * -math.fsum(t) for j, t in terms.items())
 
 
-def matthews_corrcoef(cm: np.ndarray) -> float:
+def matthews_corrcoef(counts: Counter) -> float:
     """Multiclass MCC; 0 when either denominator factor vanishes."""
-    s = float(cm.sum())
-    c = float(cm.trace())
-    t = cm.sum(axis=1).astype(float)
-    p = cm.sum(axis=0).astype(float)
-    numerator = c * s - float(t @ p)
-    d1 = s * s - float(p @ p)
-    d2 = s * s - float(t @ t)
+    rows, cols = _margins(counts)
+    s = sum(rows.values())
+    hits = sum(count for (gold, pred), count in counts.items() if gold == pred)
+    numerator = hits * s - sum(rows[k] * cols[k] for k in rows)
+    d1 = s * s - sum(p * p for p in cols.values())
+    d2 = s * s - sum(t * t for t in rows.values())
     if d1 <= 0 or d2 <= 0:
         return 0.0
-    return numerator / math.sqrt(d1 * d2)
+    return float(numerator) / math.sqrt(float(d1) * float(d2))
 
 
 def eval_classification(
@@ -295,49 +286,55 @@ def eval_classification(
     """Accuracy, CEN, and multiclass MCC over (gold, pred) label pairs."""
     if not pairs:
         raise ValueError("no label pairs")
-    inferred = max(max(g, p) for g, p in pairs) + 1
-    n = n_classes if n_classes is not None else inferred
+    n = n_classes if n_classes is not None else max(max(g, p) for g, p in pairs) + 1
     if n < 2:
         raise ValueError("need at least 2 classes")
-    cm = confusion_matrix(pairs, n)
-    metrics = {
-        "accuracy": float(cm.trace()) / len(pairs),
-        "cen": confusion_entropy(cm),
-        "mcc": matthews_corrcoef(cm),
-    }
+    counts = confusion_matrix(pairs, n)
     return MetricReport(
         task_family="classification",
-        metrics=metrics,
+        metrics={
+            "accuracy": sum(g == p for g, p in pairs) / len(pairs),
+            "cen": confusion_entropy(counts, n),
+            "mcc": matthews_corrcoef(counts),
+        },
         sample_count=len(pairs),
         details=[{"gold": g, "pred": p} for g, p in pairs],
     )
+
+
+def _fsum(name: str, values) -> float:
+    """The correctly rounded sum of values; a ValueError naming metric name
+    when the sum or a value in it is not a finite float."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # an intermediate sum past the largest float
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"regression metric {name} is not finite (a float overflows)")
+    return total
 
 
 def eval_regression(pairs: list[tuple[float, float]]) -> MetricReport:
     """MAE, MSE, and coefficient of determination over (gold, pred) pairs.
 
     R^2 = 1 - SS_res/SS_tot is undefined (reported as None) when the gold
-    values are all equal.
+    values are all equal. Every sum is correctly rounded, so the metrics
+    depend only on the multiset of pairs; a sum or metric that overflows
+    is a ValueError naming the metric.
     """
     if len(pairs) < 2:
         raise ValueError("need at least 2 samples")
-    import numpy as np
-
-    gold = np.array([g for g, _ in pairs], dtype=float)
-    pred = np.array([p for _, p in pairs], dtype=float)
-    err = pred - gold
-    ss_res = float(err @ err)
-    ss_tot = float(((gold - gold.mean()) ** 2).sum())
-    r2 = None if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    metrics = {
-        "mae": float(np.abs(err).mean()),
-        "mse": float((err**2).mean()),
-        "r2": r2,
-    }
+    n = len(pairs)
+    errors = [pred - gold for gold, pred in pairs]
+    mae = _fsum("mae", map(abs, errors)) / n
+    ss_res = _fsum("mse", (e * e for e in errors))
+    mean = _fsum("r2", (gold for gold, _ in pairs)) / n
+    ss_tot = _fsum("r2", ((gold - mean) * (gold - mean) for gold, _ in pairs))
+    r2 = None if ss_tot == 0.0 else _fsum("r2", (1.0, -ss_res / ss_tot))  # checked finite
     return MetricReport(
         task_family="regression",
-        metrics=metrics,
-        sample_count=len(pairs),
+        metrics={"mae": mae, "mse": ss_res / n, "r2": r2},
+        sample_count=n,
         details=[{"gold": g, "pred": p} for g, p in pairs],
     )
 

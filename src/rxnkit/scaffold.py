@@ -26,33 +26,28 @@ EMPTY_SCAFFOLD = "∅"  # ∅
 
 def scaffold_molecule(mol: Molecule) -> Molecule | None:
     """The Murcko scaffold as a molecule, or None for acyclic input."""
-    if not any(mol.ring_membership):
+    in_ring = mol.ring_membership
+    if not any(in_ring):
         return None
-    kept = set(range(len(mol.atoms)))
-    degree = {i: set(mol.neighbors[i]) for i in kept}
-    changed = True
-    while changed:
-        changed = False
-        for idx in sorted(kept):
-            nbrs = degree[idx]
-            if len(nbrs) > 1:
-                continue
-            if nbrs:
-                (other,) = nbrs
-                bond = mol.bond_between(idx, other)
-                if bond.order >= 2 and mol.ring_membership[other]:
-                    continue  # exocyclic multiple bond to a ring is retained
-            elif mol.ring_membership[idx]:
-                continue
-            kept.discard(idx)
-            for other in nbrs:
-                degree[other].discard(idx)
-            degree.pop(idx)
-            changed = True
-    if not kept:
-        return None
-
-    order = sorted(kept)
+    # Peel leaves from a worklist: a chain atom goes once at most one
+    # neighbour is left, unless that is a ring atom it is multiply bonded to.
+    # Ring atoms keep two ring neighbours, so they are never leaves.
+    degree = list(mol.degrees)
+    kept = [True] * len(degree)
+    leaves = [idx for idx, d in enumerate(degree) if d <= 1]
+    while leaves:
+        idx = leaves.pop()
+        if not kept[idx]:
+            continue
+        left = [other for other in mol.neighbors[idx] if kept[other]]
+        if left and in_ring[left[0]] and mol.bond_between(idx, left[0]).order >= 2:
+            continue  # exocyclic multiple bond to a ring is retained
+        kept[idx] = False
+        for other in left:
+            degree[other] -= 1
+            if degree[other] <= 1:
+                leaves.append(other)
+    order = [idx for idx, keep in enumerate(kept) if keep]
     sub = mol.subgraph(order)
     order_sum = [0] * len(sub)
     for b in sub.bonds:
@@ -158,9 +153,7 @@ def _principal_product(products: tuple[Molecule, ...], smiles: list[str]) -> Mol
     best_key = None
     for product, product_smiles in zip(products, smiles):
         for frag_atoms in product.fragments:
-            heavy = sum(
-                1 for i in frag_atoms if product.atoms[i].atomic_number > 1
-            )
+            heavy = sum(product.atoms[i].atomic_number > 1 for i in frag_atoms)
             if len(frag_atoms) == len(product.atoms):
                 sub, sub_smiles = product, product_smiles
             else:

@@ -42,6 +42,7 @@ from rxnkit.substructure import find_matches, parse_pattern
 
 from conftest import build_random_molecule, shuffled
 from oracles import all_injections_matches, brute_cen, brute_mcc, recursive_levenshtein
+from test_metrics import cells
 from test_templates import GOLDEN_BINDINGS, load_golden
 from rxnkit.templates import render
 
@@ -146,10 +147,8 @@ class TestCriterion4OracleEquivalence:
         for _ in range(200):
             n = rng.randint(2, 6)
             matrix = [[rng.randint(0, 9) for _ in range(n)] for _ in range(n)]
-            import numpy as np
-
-            cm = np.array(matrix, dtype=np.int64)
-            assert abs(confusion_entropy(cm) - brute_cen(matrix)) <= 1e-12
+            cm = cells(matrix)
+            assert abs(confusion_entropy(cm, n) - brute_cen(matrix)) <= 1e-12
             assert abs(matthews_corrcoef(cm) - brute_mcc(matrix)) <= 1e-12
         _passes(4, "CEN/MCC match brute force on 200 random matrices to 1e-12")
 
@@ -179,9 +178,7 @@ class TestCriterion4OracleEquivalence:
 
 class TestCriterion5HandDerivedValues:
     def test_hand_values(self):
-        import numpy as np
-
-        mcc = matthews_corrcoef(np.array([[3, 1], [2, 4]], dtype=np.int64))
+        mcc = matthews_corrcoef(cells([[3, 1], [2, 4]]))
         assert abs(mcc - 0.4082) <= 1e-4
         r2 = eval_regression([(1.0, 1.0), (2.0, 2.0), (3.0, 4.0)]).metrics["r2"]
         assert r2 == 0.5

@@ -886,6 +886,37 @@ class TestEvalBadPairs:
         assert report["sample_count"] == 3
         assert report["metrics"]["accuracy"] == 2 / 3
 
+    def test_cls_label_may_be_any_size(self, tmp_path):
+        # Only the classes seen are counted, so a label of 10**9 costs no more
+        # than a label of 2; mapping one onto the other keeps accuracy and MCC.
+        metrics = {}
+        for big in (2, 1_000_000_000):
+            ref, pred = tmp_path / f"ref{big}.jsonl", tmp_path / f"pred{big}.jsonl"
+            write_jsonl(ref, [{"id": i, "reference": g} for i, g in enumerate([0, 1, big, big, 1])])
+            write_jsonl(pred, [{"id": i, "prediction": p} for i, p in enumerate([0, big, big, 1, 1])])
+            out = tmp_path / f"m{big}.json"
+            assert run(["eval", "cls", "--pred", str(pred), "--ref", str(ref),
+                        "--out", str(out)]) == 0
+            metrics[big] = json.loads(out.read_text())["metrics"]
+        assert metrics[1_000_000_000]["accuracy"] == metrics[2]["accuracy"] == 0.6
+        assert metrics[1_000_000_000]["mcc"] == metrics[2]["mcc"]
+
+    @pytest.mark.parametrize("pairs, metric", [
+        ([(1e308, -1e308), (-1e308, 1e308)], "mae"),  # pred - gold overflows
+        ([(1e308, 1e308), (1e308, 1e308), (0.0, 1.0)], "r2"),  # the sum of golds does
+    ])
+    def test_reg_overflow_is_a_run_error(self, tmp_path, capsys, pairs, metric):
+        ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(ref, [{"id": i, "reference": g} for i, (g, _) in enumerate(pairs)])
+        write_jsonl(pred, [{"id": i, "prediction": p} for i, (_, p) in enumerate(pairs)])
+        out = tmp_path / "m.json"
+        assert run(["eval", "reg", "--pred", str(pred), "--ref", str(ref),
+                    "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": f"regression metric {metric} is not finite (a float overflows)"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("drop", ["row", "field"])
     def test_gen_strict_missing_prediction_is_fatal(self, tmp_path, capsys, drop):
         ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"

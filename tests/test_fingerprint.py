@@ -144,8 +144,12 @@ class TestKeys:
 
     @pytest.mark.parametrize("row, message", [
         ("2\t[#6&Q]\t1", "unsupported token 'Q'"),
-        ("x\t[#8]\t1", "invalid literal"),
-        ("2\t[#8]\ty", "invalid literal"),
+        ("x\t[#8]\t1", "index .* got 'x'"),
+        ("2\t[#8]\ty", "min_count .* got 'y'"),
+        ("1_0\t[#8]\t1", "index must be ASCII digits 0-9, got '1_0'"),
+        ("٣\t[#8]\t1", "index must be ASCII digits"),
+        ("2\t[#8]\t 4", "min_count must be ASCII digits 0-9, got ' 4'"),
+        ("2\t[#8]\t+1", "min_count must be ASCII digits 0-9, got '\\+1'"),
         ("2\tC٣CC٣\t1", "unsupported token"),
         ("1\t[#7]\t1", "duplicate key index 1"),
         ("2\t[#8]\t0", "min_count must be >= 1"),

@@ -1,5 +1,7 @@
-"""Cold start: only `eval cls` and `eval reg` load numpy."""
+"""Standard library only: rxnkit imports nothing else, and every subcommand
+runs, with the same outputs, where `import numpy` fails."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -25,6 +27,22 @@ def python(code: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
+def test_modules_import_only_the_standard_library():
+    allowed = sys.stdlib_module_names | {"rxnkit"}
+    outside = []
+    for path in sorted((SRC / "rxnkit").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.relative_to(SRC).as_posix(), name) for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert outside == []
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     done = python(
         "import sys, rxnkit.cli; from rxnkit.fingerprint import load_key_table; "
@@ -48,9 +66,13 @@ INPUTS = {
     "sel_ref": [{"id": 0, "reference": "A", "candidates": ["A", "B"],
                  "candidate_yield_ranks": [2, 1]}],
     "sel_pred": [{"id": 0, "prediction": "B"}],
+    "cls_ref": [{"id": i, "reference": g} for i, g in enumerate([0, 1, 2, 1, 7])],
+    "cls_pred": [{"id": i, "prediction": p} for i, p in enumerate([0, 2, 2, 1, 0])],
+    "reg_ref": [{"id": i, "reference": g} for i, g in enumerate([1.0, 2.5, -3, 0.1])],
+    "reg_pred": [{"id": i, "prediction": p} for i, p in enumerate([1.5, 2.0, -2.0, 0.3])],
 }
-# Every subcommand but eval cls|reg, with {input} files, its {out} and, for
-# some, a second output {extra}.
+# Every subcommand, with {input} files, its {out} and, for some, a second
+# output {extra}.
 COMMANDS = {
     "canon": ["canon", "--in", "{mols}"],
     "validate": ["validate", "--in", "{mols}"],
@@ -68,6 +90,9 @@ COMMANDS = {
     "eval-gen": ["eval", "gen", "--pred", "{gen_pred}", "--ref", "{gen_ref}",
                  "--details", "{extra}"],
     "eval-sel": ["eval", "sel", "--pred", "{sel_pred}", "--ref", "{sel_ref}"],
+    "eval-cls": ["eval", "cls", "--pred", "{cls_pred}", "--ref", "{cls_ref}",
+                 "--details", "{extra}"],
+    "eval-reg": ["eval", "reg", "--pred", "{reg_pred}", "--ref", "{reg_ref}"],
     "stats": ["stats", "--in", "{procedures}"],
 }
 
@@ -92,8 +117,8 @@ def test_subcommand_runs_without_numpy(tmp_path, capsys, name):
         assert (tmp_path / "extra").read_bytes() == want["extra"]
 
 
-# The reports and details that eval cls|reg wrote before numpy was imported
-# lazily, on the fixtures of test_cli.py; DETAILS stands for the details path.
+# The reports and details that eval cls|reg wrote when numpy computed their
+# metrics, on the fixtures of test_cli.py; DETAILS stands for the details path.
 EVAL_REPORTS = {
     "cls": ("""{
   "details_path": "DETAILS",

@@ -2,9 +2,9 @@
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from rxnkit.fingerprint import FingerprintSpec, fingerprint, tanimoto
@@ -88,11 +88,15 @@ class TestBleu:
             assert 0.0 <= bleu(preds, refs) <= 1.0
 
 
-def _random_matrix(rng: random.Random) -> np.ndarray:
+def _random_matrix(rng: random.Random) -> list[list[int]]:
     n = rng.randint(2, 6)
-    return np.array(
-        [[rng.randint(0, 9) for _ in range(n)] for _ in range(n)], dtype=np.int64
-    )
+    return [[rng.randint(0, 9) for _ in range(n)] for _ in range(n)]
+
+
+def cells(matrix: list[list[int]]) -> Counter:
+    """The counts of a dense confusion matrix, keyed (gold, pred), zeros left out."""
+    return Counter({(g, p): count for g, row in enumerate(matrix)
+                    for p, count in enumerate(row) if count})
 
 
 class TestClassification:
@@ -107,19 +111,20 @@ class TestClassification:
         assert report.metrics["mcc"] == pytest.approx(-1.0)
 
     def test_hand_computed_mcc(self):
-        cm = np.array([[3, 1], [2, 4]], dtype=np.int64)
+        cm = cells([[3, 1], [2, 4]])
         assert matthews_corrcoef(cm) == pytest.approx(10 / math.sqrt(600), abs=1e-12)
         assert matthews_corrcoef(cm) == pytest.approx(0.4082, abs=1e-4)
 
     def test_oracle_agreement_200_matrices(self):
         rng = random.Random(2718)
         for _ in range(200):
-            cm = _random_matrix(rng)
-            assert confusion_entropy(cm) == pytest.approx(
-                brute_cen(cm.tolist()), abs=1e-12
+            matrix = _random_matrix(rng)
+            cm = cells(matrix)
+            assert confusion_entropy(cm, len(matrix)) == pytest.approx(
+                brute_cen(matrix), abs=1e-12
             )
             assert matthews_corrcoef(cm) == pytest.approx(
-                brute_mcc(cm.tolist()), abs=1e-12
+                brute_mcc(matrix), abs=1e-12
             )
 
     def test_bounds(self):
@@ -127,19 +132,20 @@ class TestClassification:
         # scores 1.0458); the [0,1] range holds from 3 classes up.
         rng = random.Random(14)
         for _ in range(100):
-            cm = _random_matrix(rng)
-            ceiling = 1.0 if cm.shape[0] >= 3 else 1.07
-            assert 0.0 <= confusion_entropy(cm) <= ceiling + 1e-12
+            matrix = _random_matrix(rng)
+            cm, n = cells(matrix), len(matrix)
+            ceiling = 1.0 if n >= 3 else 1.07
+            assert 0.0 <= confusion_entropy(cm, n) <= ceiling + 1e-12
             assert -1.0 - 1e-12 <= matthews_corrcoef(cm) <= 1.0 + 1e-12
 
     def test_metrics_are_plain_floats(self):
         report = eval_classification([(0, 1), (1, 1), (0, 0)])
         assert repr(report.metrics["cen"]).startswith("0.528")
         assert all(type(v) is float for v in report.metrics.values())
-        assert type(confusion_entropy(np.array([[1, 1], [0, 1]]))) is float
+        assert type(confusion_entropy(cells([[1, 1], [0, 1]]), 2)) is float
 
     def test_degenerate_denominator_gives_zero(self):
-        cm = np.array([[2, 0], [2, 0]], dtype=np.int64)  # one predicted class
+        cm = cells([[2, 0], [2, 0]])  # one predicted class
         assert matthews_corrcoef(cm) == 0.0
 
     def test_needs_two_classes(self):
@@ -173,6 +179,24 @@ class TestRegression:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             eval_regression([(1.0, 1.0)])
+
+    def test_shuffled_pairs_give_the_same_metrics(self):
+        rng = random.Random(41)
+        pairs = [(rng.uniform(-1, 1) * 10 ** rng.randint(-6, 6),
+                  rng.uniform(-1, 1) * 10 ** rng.randint(-6, 6)) for _ in range(500)]
+        want = eval_regression(pairs).metrics
+        for _ in range(20):
+            rng.shuffle(pairs)
+            assert eval_regression(pairs).metrics == want
+
+    @pytest.mark.parametrize("pairs, metric", [
+        ([(1e308, -1e308), (-1e308, 1e308)], "mae"),
+        ([(1e308, 1e308), (1e308, 1e308), (0.0, 1.0)], "r2"),
+        ([(0.0, 1.0), (1e-160, 1.0)], "r2"),  # SS_res / SS_tot overflows
+    ])
+    def test_overflow_names_the_metric(self, pairs, metric):
+        with pytest.raises(ValueError, match=f"^regression metric {metric} is not finite"):
+            eval_regression(pairs)
 
 
 class TestSelection:

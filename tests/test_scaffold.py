@@ -1,6 +1,8 @@
 """Murcko scaffolds, split resampling, leakage auditing."""
 
+import math
 import random
+import time
 
 import pytest
 
@@ -51,6 +53,22 @@ class TestSubgraph:
             assert got is None or same_molecule(got, want)
             # The ring bonds handed to the scaffold are those its bonds give.
             assert got is None or got.ring_bonds == want.ring_bonds
+
+    def test_pruning_a_long_chain_costs_no_more_than_parsing_it(self):
+        # The chain is numbered away from its ring, so the one leaf is always
+        # the highest-numbered atom left; a pass over the atoms per leaf would
+        # make pruning quadratic.
+        smiles = "C1CCCCC1" + "C" * 4000
+        parse = prune = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            mol = parse_smiles(smiles)
+            parse = min(parse, time.perf_counter() - start)
+            start = time.perf_counter()
+            scaffold = scaffold_molecule(mol)
+            prune = min(prune, time.perf_counter() - start)
+        assert len(scaffold) == 6
+        assert prune <= parse, f"scaffold {prune * 1e3:.1f} ms, parse {parse * 1e3:.1f} ms"
 
 
 class TestMurcko:
