@@ -3,7 +3,13 @@
 Run with: python demos/05_templates_and_eval.py
 """
 
-from rxnkit.metrics import eval_classification, eval_generation, eval_regression
+from rxnkit.metrics import (
+    eval_classification,
+    eval_generation,
+    eval_regression,
+    generation_specs,
+    score_generation,
+)
 from rxnkit.templates import TASKS, extract, render
 
 # 16 tasks ship with exact instruction wording; multi-molecule slots join
@@ -24,12 +30,15 @@ print("extracted:  ", slots)
 
 # Generation metrics: exact match after canonicalization, character BLEU,
 # Levenshtein, fingerprint similarities over valid pairs, and validity.
+# Each pair is scored on its own (a reference that does not parse raises
+# ValueError), then the scored pairs are aggregated into one report.
 records = [
     {"id": 1, "prediction": "OCC", "reference": "CCO"},        # exact (canonical)
     {"id": 2, "prediction": "CCN", "reference": "CCOC"},       # near miss
     {"id": 3, "prediction": "C1CC", "reference": "C1CCCCC1"},  # invalid prediction
 ]
-report = eval_generation(records)
+specs = generation_specs()  # the default spec with each fingerprint kind
+report = eval_generation([score_generation(record, specs) for record in records])
 print("\ngeneration metrics:")
 for name, value in sorted(report.metrics.items()):
     shown = "n/a" if value is None else f"{value:.3f}"

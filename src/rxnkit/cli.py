@@ -38,11 +38,12 @@ from .corpus import (
 )
 from .fingerprint import FingerprintSpec, fingerprint, load_key_table
 from .metrics import (
-    NoScorableRecords,
     eval_classification,
     eval_generation,
     eval_regression,
     eval_selection,
+    generation_specs,
+    score_generation,
 )
 from .molgraph import canonicalize, parse_smiles, validate
 from .scaffold import (
@@ -272,9 +273,10 @@ def _fp_spec(run: Run) -> FingerprintSpec:
 
 def _parse_band(text: str) -> tuple[float, float]:
     try:
-        low_s, high_s = text.split(":")
-        low, high = float(low_s), float(high_s)
+        low, high = (float(bound) for bound in text.split(":"))
     except ValueError:
+        low = high = math.nan
+    if not (math.isfinite(low) and math.isfinite(high)):  # NaN and Infinity are not JSON
         raise Fatal(f"--band must look like 0.5:0.6, got {text!r}")
     if low > high:
         raise Fatal(f"--band low must be <= high, got {text!r}")
@@ -441,12 +443,17 @@ def _cmd_split(run):
 
 
 def _cmd_leakcheck(run):
-    keyed, leak_errors = {}, []
-    key = partial(_leak_key, merge_agents=run.merge_agents)
+    paths = {}  # checked before any file is read
     for split in run.split:
         name, _, path = split.partition("=")
         if not path:
             raise Fatal(f"--split must be NAME=PATH, got {split!r}")
+        if name in paths:
+            raise Fatal(f"--split name {name!r} is given twice")
+        paths[name] = path
+    keyed, leak_errors = {}, []
+    key = partial(_leak_key, merge_agents=run.merge_agents)
+    for name, path in paths.items():
         keyed[name] = list(run.records(path, key))
         leak_errors += [(name, str(row.get("id")), row["error"])
                         for row in chain(*run.files[-1])]  # this split's rows
@@ -517,20 +524,10 @@ def _write_report(run, report) -> None:
 
 
 def _cmd_eval_gen(run):
-    spec = _fp_spec(run)  # a bad --key-table fails the run before any record
-    records = _join_by_id(run, lambda lineno, ref, pred: {
-        "line": lineno, "id": ref.get("id"), "prediction": pred["prediction"],
-        "reference": ref["reference"],
-    })
-    try:
-        report = eval_generation(records, spec)
-    except NoScorableRecords as exc:  # its rows are listed before its error
-        for row in exc.errors:
-            run.reject(row)
-        raise
-    for row in report.errors:
-        run.reject(row)
-    _write_report(run, report)
+    specs = generation_specs(_fp_spec(run))  # a bad --key-table fails before any record
+    scored = _join_by_id(run, lambda _, ref, pred: score_generation(
+        {**ref, "prediction": pred["prediction"]}, specs))
+    _write_report(run, eval_generation(scored))
 
 
 def _class_label(value, n_classes: int | None) -> int:

@@ -81,6 +81,13 @@ class FingerprintSpec:
             raise ValueError(f"unknown fingerprint kind {self.kind!r}")
         if self.width < 1:
             raise ValueError(f"fingerprint width must be at least 1, got {self.width}")
+        if self.radius < 0:
+            raise ValueError(f"fingerprint radius must be at least 0, got {self.radius}")
+        if self.min_path < 1:
+            raise ValueError(f"fingerprint min_path must be at least 1, got {self.min_path}")
+        if self.max_path < self.min_path:
+            raise ValueError(f"fingerprint max_path must be at least min_path "
+                             f"({self.min_path}), got {self.max_path}")
         if self.key_table is not None:
             object.__setattr__(self, "key_table", load_key_table(self.key_table))
 

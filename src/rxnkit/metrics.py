@@ -125,14 +125,13 @@ class MetricReport:
     metrics: dict[str, float | None]
     sample_count: int
     details: list[dict] = field(default_factory=list)
-    errors: list[dict] = field(default_factory=list)
 
     def to_dict(self, include_details: bool = True) -> dict:
         out = {
             "task_family": self.task_family,
             "sample_count": self.sample_count,
             "metrics": self.metrics,
-            "errors": [{"id": e["id"], "error": e["error"]} for e in self.errors],
+            "errors": [],  # the pairs that could not be scored are rows on stderr
         }
         if include_details:
             out["details"] = self.details
@@ -142,90 +141,65 @@ class MetricReport:
 _FTS_KINDS = ("path", "key", "circular")
 
 
-class NoScorableRecords(ValueError):
-    """No record could be scored; errors holds the error row of each."""
-
-    def __init__(self, message: str, errors: list[dict]) -> None:
-        super().__init__(message)
-        self.errors = errors
+def generation_specs(spec: FingerprintSpec | None = None) -> dict[str, FingerprintSpec]:
+    """spec with each fingerprint kind of a generation score in turn: its
+    radius, width, path lengths and key table apply, its kind does not."""
+    return {kind: replace(spec or FingerprintSpec(), kind=kind) for kind in _FTS_KINDS}
 
 
-def eval_generation(
-    records: list[dict], spec: FingerprintSpec | None = None
-) -> MetricReport:
-    """Score molecule-generation records {id, prediction, reference}.
+def score_generation(
+    record: dict, specs: dict[str, FingerprintSpec]
+) -> tuple[dict, str, str]:
+    """The detail row of a {id, prediction, reference} record, with the
+    record's prediction and reference texts; specs are generation_specs.
 
-    The fingerprints of each kind are those of spec with its kind replaced,
-    so spec's radius, width, path lengths and key table apply and its kind
-    does not. Invalid predictions lower validity, count as missed exact
-    matches, and are excluded from the fingerprint means. Invalid references
-    are fatal for their record and reported as {"id", "error"} rows (with
-    the record's "line" too when it has one, which to_dict leaves out); when
-    no record is left, NoScorableRecords carries those rows.
+    A reference that does not parse raises ValueError("invalid reference:
+    ..."). An invalid prediction gives a row that is neither valid nor exact
+    and has no fingerprint similarities.
     """
-    specs = {kind: replace(spec or FingerprintSpec(), kind=kind) for kind in _FTS_KINDS}
-    details: list[dict] = []
-    errors: list[dict] = []
-    exact_hits = 0
-    valid_hits = 0
-    lev_total = 0
-    fts_sums = {k: 0.0 for k in _FTS_KINDS}
-    bleu_pairs: list[tuple[str, str]] = []
+    pred = str(record["prediction"])
+    ref = str(record["reference"])
+    try:
+        ref_mol = parse_smiles(ref)
+        ref_canonical = canonical_smiles(ref_mol)
+    except ValueError as exc:
+        raise ValueError(f"invalid reference: {exc}") from None
+    row = {"id": record.get("id"), "valid": False, "exact": False,
+           "levenshtein": levenshtein(pred, ref)}
+    try:
+        pred_mol = parse_smiles(pred)
+    except (SmilesSyntaxError, ChemistryError):
+        return row, pred, ref
+    row["valid"] = True
+    row["exact"] = canonical_smiles(pred_mol) == ref_canonical
+    for kind, spec in specs.items():
+        row[f"fts_{kind}"] = tanimoto(fingerprint(pred_mol, spec), fingerprint(ref_mol, spec))
+    return row, pred, ref
 
-    for record in records:
-        rid = record.get("id")
-        pred = str(record["prediction"])
-        ref = str(record["reference"])
-        try:
-            ref_mol = parse_smiles(ref)
-            ref_canonical = canonical_smiles(ref_mol)
-        except ValueError as exc:
-            error = {"id": rid, "error": f"invalid reference: {exc}"}
-            if "line" in record:
-                error["line"] = record["line"]
-            errors.append(error)
-            continue
-        bleu_pairs.append((pred, ref))
-        distance = levenshtein(pred, ref)
-        lev_total += distance
-        try:
-            pred_mol = parse_smiles(pred)
-        except (SmilesSyntaxError, ChemistryError):
-            pred_mol = None
-        row = {
-            "id": rid,
-            "valid": pred_mol is not None,
-            "exact": False,
-            "levenshtein": distance,
-        }
-        if pred_mol is not None:
-            valid_hits += 1
-            row["exact"] = canonical_smiles(pred_mol) == ref_canonical
-            exact_hits += row["exact"]
-            for kind, kind_spec in specs.items():
-                value = tanimoto(fingerprint(pred_mol, kind_spec), fingerprint(ref_mol, kind_spec))
-                row[f"fts_{kind}"] = value
-                fts_sums[kind] += value
-        details.append(row)
 
-    scored = len(details)
-    if scored == 0:
-        raise NoScorableRecords("no scorable records (every reference failed to parse)", errors)
+def eval_generation(scored: list[tuple[dict, str, str]]) -> MetricReport:
+    """Exact match, character BLEU over the texts, mean Levenshtein, validity
+    and the fingerprint Tanimoto means of score_generation results.
+
+    Invalid predictions lower validity, count as missed exact matches, and
+    are excluded from the fingerprint means.
+    """
+    if not scored:
+        raise ValueError("no generation pairs to score")
+    details = [row for row, _, _ in scored]
+    valid = [row for row in details if row["valid"]]
+    n = len(details)
     metrics: dict[str, float | None] = {
-        "exact": exact_hits / scored,
-        "bleu": bleu([p for p, _ in bleu_pairs], [r for _, r in bleu_pairs]),
-        "levenshtein_mean": lev_total / scored,
-        "validity": valid_hits / scored,
+        "exact": sum(row["exact"] for row in details) / n,
+        "bleu": bleu([pred for _, pred, _ in scored], [ref for _, _, ref in scored]),
+        "levenshtein_mean": sum(row["levenshtein"] for row in details) / n,
+        "validity": len(valid) / n,
     }
     for kind in _FTS_KINDS:
-        metrics[f"fts_{kind}"] = fts_sums[kind] / valid_hits if valid_hits else None
-    return MetricReport(
-        task_family="generation",
-        metrics=metrics,
-        sample_count=scored,
-        details=details,
-        errors=errors,
-    )
+        metrics[f"fts_{kind}"] = (
+            sum(row[f"fts_{kind}"] for row in valid) / len(valid) if valid else None)
+    return MetricReport(task_family="generation", metrics=metrics, sample_count=n,
+                        details=details)
 
 
 def confusion_matrix(pairs: list[tuple[int, int]], n_classes: int) -> Counter:

@@ -75,15 +75,13 @@ class TemplateRegistry:
         return tuple(self._templates)
 
     def get(self, task: str, variant: int = 0) -> TaskTemplate:
-        try:
-            return self._templates[task][variant]
-        except KeyError:
-            raise TemplateError(f"unknown task {task!r}") from None
-        except IndexError:
+        variants = self._templates.get(task)
+        if not variants:
+            raise TemplateError(f"unknown task {task!r}")
+        if not 0 <= variant < len(variants):  # a negative index would wrap around
             raise TemplateError(
-                f"task {task!r} has no variant {variant} "
-                f"({len(self._templates[task])} registered)"
-            ) from None
+                f"task {task!r} has no variant {variant} ({len(variants)} registered)")
+        return variants[variant]
 
     def choose(self, task: str, seed: int | str | None = None) -> TaskTemplate:
         """Seeded choice among a task's variants (variant 0 without a seed)."""

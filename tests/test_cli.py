@@ -198,6 +198,24 @@ class TestValidateFpSimScaffold:
                     "--radius", "0", "--width", "64"]) == 0
         assert read_jsonl(out)[0]["fp"] == "64:0002000008000000"
 
+    @pytest.mark.parametrize("command", ["fp", "sim", "split", "eval gen"])
+    @pytest.mark.parametrize("flags, wanted", [
+        (["--radius", "-1"], "radius"),
+        (["--min-path", "0"], "min_path"),
+        (["--max-path", "0"], "max_path"),
+        (["--min-path", "5", "--max-path", "3"], "max_path"),
+    ])
+    def test_fp_range_it_cannot_honour_is_rejected(self, tmp_path, mols, capsys,
+                                                    command, flags, wanted):
+        out = tmp_path / "out.json"
+        inputs = {"fp": ["--in", str(mols)], "sim": ["--in", str(mols), "--ref", str(mols)],
+                  "split": ["--candidates", str(mols), "--train", str(mols), "--n", "1"],
+                  "eval gen": ["--pred", str(mols), "--ref", str(mols)]}[command]
+        assert run(command.split() + inputs + flags + ["--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert wanted in json.loads(line)["error"]
+        assert not out.exists()
+
     def test_fp_width_zero_is_rejected(self, tmp_path, mols, capsys):
         out = tmp_path / "fp.jsonl"
         assert run(["fp", "--in", str(mols), "--out", str(out), "--width", "0"]) == 2
@@ -358,9 +376,14 @@ class TestSplitAndLeakcheck:
     def test_bad_band_is_fatal(self, tmp_path, capsys):
         t = tmp_path / "t.jsonl"
         write_jsonl(t, [{"id": "x", "rxn": "C>>C"}])
-        code = run(["split", "--candidates", str(t), "--train", str(t),
-                    "--band", "high", "--n", "1"])
-        assert code == 2
+        out = tmp_path / "split.json"
+        for band in ("high", "nan:nan", "-inf:inf", "0.5:inf", "nan:0.6", "0.1:0.2:0.3"):
+            code = run(["split", "--candidates", str(t), "--train", str(t),
+                        f"--band={band}", "--n", "1", "--out", str(out)])
+            assert code == 2, band
+            assert json.loads(capsys.readouterr().err) == {
+                "error": f"--band must look like 0.5:0.6, got {band!r}"}
+            assert not out.exists()
 
     def test_n_below_one_is_fatal_before_fingerprinting(self, tmp_path, capsys, monkeypatch):
         t = tmp_path / "t.jsonl"
@@ -379,6 +402,19 @@ class TestSplitAndLeakcheck:
                     "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["cross"][0]["count"] == 1
+
+    def test_leakcheck_split_name_given_twice_is_fatal(self, tmp_path, capsys, monkeypatch):
+        a, b, c = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "c.jsonl"
+        write_jsonl(a, [{"id": "a1", "rxn": "CCO>>CC=O"}])
+        write_jsonl(b, [{"id": "b1", "rxn": "C>>C"}])
+        write_jsonl(c, [{"id": "c1", "rxn": "OCC>>O=CC"}])
+        monkeypatch.setattr("rxnkit.cli.iter_jsonl", None)  # no file may be read
+        out = tmp_path / "leak.json"
+        assert run(["leakcheck", "--split", f"x={a}", "--split", f"x={b}",
+                    "--split", f"y={c}", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "--split name 'x' is given twice"}
+        assert not out.exists()
 
     def test_leakcheck_collects_unparseable_records(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -486,7 +522,7 @@ class TestRenderAndEval:
 
     def test_eval_gen_uses_the_fingerprint_options(self, tmp_path):
         from rxnkit.fingerprint import FingerprintSpec, load_key_table
-        from rxnkit.metrics import eval_generation
+        from rxnkit.metrics import eval_generation, generation_specs, score_generation
 
         argv, table = self._gen_files(tmp_path)
         out = tmp_path / "m.json"
@@ -494,10 +530,11 @@ class TestRenderAndEval:
                            "--width", "64", "--max-path", "3"]) == 0
         metrics = json.loads(out.read_text())["metrics"]
         assert metrics["fts_key"] == 0.75  # {7, 8} against {7}, then {8} against {8}
-        spec = FingerprintSpec(radius=1, width=64, max_path=3, key_table=load_key_table(table))
+        specs = generation_specs(FingerprintSpec(radius=1, width=64, max_path=3,
+                                                 key_table=load_key_table(table)))
         records = [{"id": 1, "prediction": "OCCN", "reference": "CCN"},
                    {"id": 2, "prediction": "c1ccccc1O", "reference": "Oc1ccccc1C"}]
-        assert metrics == eval_generation(records, spec).metrics
+        assert metrics == eval_generation([score_generation(r, specs) for r in records]).metrics
         assert run(argv + ["--out", str(out)]) == 0
         assert json.loads(out.read_text())["metrics"]["fts_key"] != 0.75
 
@@ -834,7 +871,8 @@ EVAL_CASES = {
                                        ({"candidates": ["A"]}, {"prediction": "A"}),
                                        ({"reference": "A", "candidates": ["A"]}, {})]),
     "gen": ([("CCO", "OCC"), ("CCN", "CCC")], [({}, {"prediction": "C"}),
-                                               ({"reference": "C"}, {})]),
+                                               ({"reference": "C"}, {}),
+                                               ({"reference": "C(C"}, {"prediction": "C"})]),
 }
 
 
@@ -959,19 +997,25 @@ class TestEvalBadPairs:
 
     @pytest.mark.parametrize("task", sorted(EVAL_CASES))
     def test_nothing_left_to_score_lists_the_rows(self, tmp_path, capsys, task):
+        # A reference without its field, one without a prediction, and the
+        # task's last bad pair (for gen, a reference that does not parse).
         ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
         reference = EVAL_CASES[task][0][0][0]
+        bad_ref, bad_pred = EVAL_CASES[task][1][-1]
         extra = {"candidates": ["A", "B"]} if task == "sel" else {}
-        write_jsonl(ref, [{"id": 1, **extra}, {"id": 2, "reference": reference, **extra}])
-        write_jsonl(pred, [{"id": 1, "prediction": reference}])
+        write_jsonl(ref, [{"id": 1, **extra}, {"id": 2, "reference": reference, **extra},
+                          {"id": 3, **extra, **bad_ref}])
+        write_jsonl(pred, [{"id": 1, "prediction": reference}, {"id": 3, **bad_pred}])
         out = tmp_path / "m.json"
         assert run(["eval", task, "--pred", str(pred), "--ref", str(ref),
                     "--out", str(out)]) == 2
         rows, fatal = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-        assert rows == {"count": 2, "record_errors": [
+        assert rows["count"] == 3
+        assert rows["record_errors"][:2] == [
             {"line": 1, "id": 1, "error": "'reference'"},
-            {"line": 2, "id": 2, "error": "no prediction"}]}
-        assert fatal == {"error": "no pair left to score (2 error rows)"}
+            {"line": 2, "id": 2, "error": "no prediction"}]
+        assert (rows["record_errors"][2]["line"], rows["record_errors"][2]["id"]) == (3, 3)
+        assert fatal == {"error": "no pair left to score (3 error rows)"}
         assert not out.exists()
 
     def test_gen_unparseable_references_are_listed(self, tmp_path, capsys):
@@ -984,24 +1028,26 @@ class TestEvalBadPairs:
                     "--out", str(out)]) == 2
         rows, fatal = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert [(e["line"], e["id"]) for e in rows["record_errors"]] == [
-            (3, 3), (1, 1), (2, 2)]
-        assert rows["record_errors"][0]["error"] == "no prediction"
+            (1, 1), (2, 2), (3, 3)]
         assert all(e["error"].startswith("invalid reference: ")
-                   for e in rows["record_errors"][1:])
-        assert fatal == {"error": "no scorable records (every reference failed to parse)"}
+                   for e in rows["record_errors"][:2])
+        assert rows["record_errors"][2]["error"] == "no prediction"
+        assert fatal == {"error": "no pair left to score (3 error rows)"}
         assert not out.exists()
 
     def test_gen_unparseable_reference_row_has_its_line(self, tmp_path, capsys):
         ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
-        write_jsonl(ref, [{"id": 1, "reference": "CCO"}, {"id": 2, "reference": "C(C"}])
-        write_jsonl(pred, [{"id": 1, "prediction": "CCO"}, {"id": 2, "prediction": "CCO"}])
+        write_jsonl(ref, [{"id": 1, "reference": "CCO"}, {"id": 2, "reference": "CC"},
+                          {"id": 3, "reference": "C(C"}, {"id": 4, "reference": "CN"}])
+        write_jsonl(pred, [{"id": 1, "prediction": "CCO"}, {"id": 3, "prediction": "CCO"}])
         out = tmp_path / "m.json"
         assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref),
                     "--out", str(out)]) == 0
-        (row,) = json.loads(capsys.readouterr().err)["record_errors"]
-        assert (row["line"], row["id"]) == (2, 2)
-        assert json.loads(out.read_text())["errors"] == [
-            {"id": 2, "error": row["error"]}]
+        rows = json.loads(capsys.readouterr().err)["record_errors"]
+        assert [(row["line"], row["id"]) for row in rows] == [(2, 2), (3, 3), (4, 4)]
+        assert rows[1]["error"].startswith("invalid reference: ")
+        report = json.loads(out.read_text())
+        assert (report["sample_count"], report["errors"]) == (1, [])
 
     def test_gen_strict_unparseable_reference_is_fatal(self, tmp_path, capsys):
         ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"

@@ -64,6 +64,18 @@ class TestTanimoto:
             assert t == tanimoto(b, a)
 
 
+class TestSpecRanges:
+    @pytest.mark.parametrize("options, wanted", [
+        ({"radius": -1}, "radius must be at least 0, got -1"),
+        ({"min_path": 0}, "min_path must be at least 1, got 0"),
+        ({"kind": "path", "max_path": 0}, r"max_path must be at least min_path \(1\), got 0"),
+        ({"min_path": 5, "max_path": 3}, r"max_path must be at least min_path \(5\), got 3"),
+    ], ids=["radius", "min_path", "max_path", "empty_window"])
+    def test_a_range_it_cannot_honour_is_an_error(self, options, wanted):
+        with pytest.raises(ValueError, match=wanted):
+            FingerprintSpec(**options)
+
+
 class TestCircular:
     def test_single_atom_radius_zero(self):
         fp = circular_fingerprint(parse_smiles("C"), FingerprintSpec(radius=0))
@@ -334,7 +346,7 @@ CUSTOM_KEYS = """\
 class TestReferenceEquality:
     """The loop-based key and path fingerprints equal the recursive references."""
 
-    WINDOWS = [(1, 7), (0, 3), (2, 5)]
+    WINDOWS = [(1, 7), (1, 3), (2, 5)]
 
     def test_conftest_molecules_with_renumberings(self):
         rng = random.Random(40411)

@@ -17,8 +17,10 @@ from rxnkit.metrics import (
     eval_generation,
     eval_regression,
     eval_selection,
+    generation_specs,
     levenshtein,
     matthews_corrcoef,
+    score_generation,
 )
 from rxnkit.molgraph import parse_smiles
 
@@ -238,10 +240,15 @@ class TestSelection:
         assert "selection_top50" not in eval_selection([rec]).metrics
 
 
+def _generation_report(records, spec=None):
+    specs = generation_specs(spec)
+    return eval_generation([score_generation(record, specs) for record in records])
+
+
 class TestGeneration:
     def test_canonical_exact_match(self):
         records = [{"id": 1, "prediction": "OCC", "reference": "CCO"}]
-        report = eval_generation(records)
+        report = _generation_report(records)
         assert report.metrics["exact"] == 1.0
         assert report.metrics["validity"] == 1.0
 
@@ -250,7 +257,7 @@ class TestGeneration:
         records = [
             {"id": i, "prediction": s, "reference": s} for i, s in enumerate(refs)
         ]
-        m = eval_generation(records).metrics
+        m = _generation_report(records).metrics
         assert m["exact"] == 1.0
         assert m["bleu"] == pytest.approx(1.0)
         assert m["levenshtein_mean"] == 0.0
@@ -262,34 +269,27 @@ class TestGeneration:
             {"id": 1, "prediction": "C(C", "reference": "CCO"},
             {"id": 2, "prediction": "CCO", "reference": "CCO"},
         ]
-        report = eval_generation(records)
+        report = _generation_report(records)
         assert report.metrics["validity"] == 0.5
         assert report.metrics["exact"] == 0.5
         assert report.metrics["fts_circular"] == 1.0  # only the valid pair
+        assert report.details[0] == {"id": 1, "valid": False, "exact": False,
+                                     "levenshtein": 2}
+        # BLEU and Levenshtein still read the invalid prediction's text.
+        assert report.metrics["bleu"] == bleu(["C(C", "CCO"], ["CCO", "CCO"])
+        assert report.metrics["levenshtein_mean"] == 1.0
 
     def test_invalid_reference_reported(self):
-        records = [
-            {"id": 1, "prediction": "CCO", "reference": "C(C"},
-            {"id": 2, "prediction": "CCO", "reference": "CCO"},
-        ]
-        report = eval_generation(records)
-        assert report.sample_count == 1
-        assert len(report.errors) == 1
-
-    def test_invalid_reference_row_keeps_the_records_line(self):
-        report = eval_generation([
-            {"line": 4, "id": 1, "prediction": "CCO", "reference": "C(C"},
-            {"id": 2, "prediction": "CCO", "reference": "C1CC"},
-            {"line": 9, "id": 3, "prediction": "CCO", "reference": "CCO"},
-        ])
-        assert [(e.get("line"), e["id"]) for e in report.errors] == [(4, 1), (None, 2)]
-        assert [sorted(e) for e in report.to_dict()["errors"]] == [["error", "id"]] * 2
+        specs = generation_specs()
+        for reference in ("C(C", "C1CC", "XX"):
+            with pytest.raises(ValueError, match="^invalid reference: "):
+                score_generation({"id": 1, "prediction": "CCO", "reference": reference}, specs)
 
     def test_one_spec_gives_all_three_kinds(self):
         records = [{"id": 1, "prediction": "c1ccccc1CCN", "reference": "c1ccccc1CCO"},
                    {"id": 2, "prediction": "OC1CCCCC1", "reference": "CC1CCCCC1O"}]
         spec = FingerprintSpec(radius=1, width=512, min_path=2, max_path=4)
-        report = eval_generation(records, spec)
+        report = _generation_report(records, spec)
         for kind in ("circular", "path", "key"):
             kind_spec = FingerprintSpec(kind=kind, radius=1, width=512, min_path=2, max_path=4)
             values = [tanimoto(fingerprint(parse_smiles(r["prediction"]), kind_spec),
@@ -298,12 +298,10 @@ class TestGeneration:
             assert [row[f"fts_{kind}"] for row in report.details] == values
             assert report.metrics[f"fts_{kind}"] == sum(values) / len(values)
         # The kind of the spec given does not matter, and no spec is the default.
-        assert eval_generation(records, replace(spec, kind="key")).metrics == report.metrics
-        assert eval_generation(records).metrics == eval_generation(records, FingerprintSpec()).metrics
+        assert _generation_report(records, replace(spec, kind="key")).metrics == report.metrics
+        assert generation_specs() == generation_specs(FingerprintSpec())
 
     def test_all_references_invalid_is_fatal(self):
-        with pytest.raises(ValueError, match="no scorable records") as info:
-            eval_generation([{"id": 1, "prediction": "C", "reference": "C(C"},
-                             {"id": 2, "prediction": "C", "reference": "C1CC"}])
-        assert [e["id"] for e in info.value.errors] == [1, 2]
-        assert all(e["error"].startswith("invalid reference: ") for e in info.value.errors)
+        # When no reference parses, no scored pair is left to aggregate.
+        with pytest.raises(ValueError, match="no generation pairs to score"):
+            eval_generation([])

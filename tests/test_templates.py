@@ -170,6 +170,11 @@ class TestRegistry:
         assert len(seen) == 2
         assert registry.choose("forward", seed=3) == registry.choose("forward", seed=3)
 
+    @pytest.mark.parametrize("variant", [-1, 1])
+    def test_variant_outside_the_list_is_an_error(self, variant):
+        with pytest.raises(TemplateError, match=f"has no variant {variant} \\(1 registered\\)"):
+            builtin_registry().get("forward", variant)
+
     def test_variant_0_without_seed(self):
         assert builtin_registry().choose("retro") == builtin_registry().get("retro")
 
