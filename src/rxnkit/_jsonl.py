@@ -124,14 +124,11 @@ def atomic_output(path: str | Path | None) -> Iterator[TextIO]:
         temp.unlink(missing_ok=True)
 
 
-def write_jsonl(path: str | Path | None, records: Iterable[dict]) -> int:
-    """Write records one per line (stdout when path is None); returns count."""
-    count = 0
+def write_jsonl(path: str | Path | None, records: Iterable[dict]) -> None:
+    """Write records one per line (stdout when path is None)."""
     with atomic_output(path) as fh:
         for record in records:
             fh.write(dumps(record) + "\n")
-            count += 1
-    return count
 
 
 def write_json(path: str | Path | None, obj) -> None:

@@ -184,9 +184,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--templates", default=None,
                    help="JSON registry file with extra template variants")
-    p.add_argument("--variant", type=int, default=0)
+    p.add_argument("--variant", type=int, default=None,
+                   help="the task's variant, counted from 0 (default 0)")
     p.add_argument("--seed", type=int, default=None,
-                   help="per-record seeded choice among a task's variants")
+                   help="per-record seeded choice among a task's variants, "
+                        "in place of --variant")
     p.add_argument("--sentinel", action="store_true",
                    help="render molecule slots as sentinels with sidecar SMILES")
     common(p)
@@ -446,7 +448,7 @@ def _cmd_leakcheck(run):
     paths = {}  # checked before any file is read
     for split in run.split:
         name, _, path = split.partition("=")
-        if not path:
+        if not name or not path:
             raise Fatal(f"--split must be NAME=PATH, got {split!r}")
         if name in paths:
             raise Fatal(f"--split name {name!r} is given twice")
@@ -482,13 +484,17 @@ def _cmd_stats(run):
 
 
 def _cmd_render(run):
+    if run.variant is not None and run.seed is not None:
+        raise Fatal("--variant and --seed exclude each other: the seed draws the variant")
+    variant = run.variant or 0
     _render_registry.cache_clear()  # read the file anew in every run
     try:
-        _render_registry(run.templates)
+        registry = _render_registry(run.templates) or builtin_registry()
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise Fatal(f"cannot load templates: {exc}")
+    registry.get(run.task, variant)  # an unknown task or variant fails the run, once
     _run_records(run, partial(
-        _render, task=run.task, variant=run.variant, seed=run.seed,
+        _render, task=run.task, variant=variant, seed=run.seed,
         sentinel=run.sentinel, templates_path=run.templates,
     ))
 
@@ -516,7 +522,7 @@ def _join_by_id(run, row) -> list:
 
 
 def _write_report(run, report) -> None:
-    payload = report.to_dict(include_details=False)
+    payload = report.to_dict()
     if run.details:
         write_jsonl(run.details, report.details)
         payload["details_path"] = run.details

@@ -11,18 +11,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .molgraph import (
-    GraphRecord,
-    canonical_smiles,
-    molecular_formula,
-    parse_smiles,
-    to_graph_record,
-)
+from .molgraph import canonical_smiles, molecular_formula, parse_smiles, to_graph_record
 
 DEFAULT_ENTITY_LIMIT = 20
 DEFAULT_TOKEN_LIMIT = 1024
+_TOKEN_BIN_WIDTH = 128  # token_histogram bins: 0-127, 128-255, ...
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^A-Za-z0-9\s]")
 
@@ -98,7 +93,6 @@ def build_interleaved(
     proc: AnnotatedProcedure,
     entity_limit: int = DEFAULT_ENTITY_LIMIT,
     token_limit: int = DEFAULT_TOKEN_LIMIT,
-    tokenizer: Callable[[str], list[str]] = default_tokenizer,
 ) -> InterleavedRecord | Rejection:
     """Convert one annotated procedure, or reject it with a reason.
 
@@ -111,7 +105,7 @@ def build_interleaved(
         return Rejection(
             proc.id, "ENTITY_LIMIT", f"{len(proc.entities)} > {entity_limit}"
         )
-    token_count = len(tokenizer(proc.text))
+    token_count = len(default_tokenizer(proc.text))
     if token_count > token_limit:
         return Rejection(proc.id, "TOKEN_LIMIT", f"{token_count} > {token_limit}")
 
@@ -140,25 +134,6 @@ def build_interleaved(
         segments=tuple(segments),
         entity_count=len(proc.entities),
         token_count=token_count,
-    )
-
-
-def caption_record(record_id: str, smiles: str, caption: str) -> InterleavedRecord:
-    """Molecule-caption pair as a degenerate two-segment interleaved record."""
-    mol = parse_smiles(smiles)
-    return InterleavedRecord(
-        id=record_id,
-        segments=(
-            {
-                "kind": "mol",
-                "smiles": canonical_smiles(mol),
-                "surface": smiles,
-                "graph": to_graph_record(mol).to_dict(),
-            },
-            {"kind": "text", "value": caption},
-        ),
-        entity_count=1,
-        token_count=len(default_tokenizer(caption)),
     )
 
 
@@ -216,7 +191,6 @@ class CorpusStats:
     unique_molecules: set[str] = field(default_factory=set)
     token_histogram: dict[str, int] = field(default_factory=dict)
     entity_histogram: dict[int, int] = field(default_factory=dict)
-    token_bin_width: int = 128
 
     def observe(self, outcome: InterleavedRecord | Rejection) -> None:
         if isinstance(outcome, Rejection):
@@ -226,8 +200,8 @@ class CorpusStats:
         for seg in outcome.segments:
             if seg["kind"] == "mol":
                 self.unique_molecules.add(seg["smiles"])
-        low = (outcome.token_count // self.token_bin_width) * self.token_bin_width
-        bin_label = f"{low}-{low + self.token_bin_width - 1}"
+        low = outcome.token_count // _TOKEN_BIN_WIDTH * _TOKEN_BIN_WIDTH
+        bin_label = f"{low}-{low + _TOKEN_BIN_WIDTH - 1}"
         self.token_histogram[bin_label] = self.token_histogram.get(bin_label, 0) + 1
         self.entity_histogram[outcome.entity_count] = (
             self.entity_histogram.get(outcome.entity_count, 0) + 1

@@ -216,7 +216,6 @@ class KeyTable:
     """Ordered structural keys; bit i is row i of the table."""
 
     entries: tuple[tuple[int, Pattern, int], ...] = field(repr=False)
-    source: str = ""
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -271,7 +270,7 @@ def _parse_key_table(text: str, source: str) -> KeyTable:
         entries.append((label, pattern, min_count))
     if not entries:
         raise ValueError(f"{source}: key table is empty (zero-width fingerprint)")
-    return KeyTable(entries=tuple(entries), source=source)
+    return KeyTable(entries=tuple(entries))
 
 
 def _table_number(column: str, field: str) -> int:

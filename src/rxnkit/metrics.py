@@ -52,10 +52,8 @@ class BleuReport:
     reference_length: int
 
 
-def bleu_report(
-    predictions: list[str], references: list[str], max_order: int = 4
-) -> BleuReport:
-    """Character-token corpus BLEU, orders 1..max_order, uniform weights.
+def bleu_report(predictions: list[str], references: list[str]) -> BleuReport:
+    """Character-token corpus BLEU, orders 1..4, uniform weights.
 
     Zero-numerator orders above the unigram get add-one smoothing; zero
     unigram overlap floors the score at 0. Orders with no candidate n-grams
@@ -67,6 +65,7 @@ def bleu_report(
     if not predictions:
         raise ValueError("empty corpus")
 
+    max_order = 4
     matches = [0] * max_order
     candidates = [0] * max_order
     pred_len = 0
@@ -126,16 +125,13 @@ class MetricReport:
     sample_count: int
     details: list[dict] = field(default_factory=list)
 
-    def to_dict(self, include_details: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "task_family": self.task_family,
             "sample_count": self.sample_count,
             "metrics": self.metrics,
             "errors": [],  # the pairs that could not be scored are rows on stderr
         }
-        if include_details:
-            out["details"] = self.details
-        return out
 
 
 _FTS_KINDS = ("path", "key", "circular")

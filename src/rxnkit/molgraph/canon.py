@@ -456,10 +456,6 @@ class Verdict:
     status: str
     detail: str = ""
 
-    @property
-    def is_valid(self) -> bool:
-        return self.status == "valid"
-
 
 def validate(text: str) -> Verdict:
     """Classify SMILES text without raising."""

@@ -211,36 +211,6 @@ class Molecule:
         )
         return Molecule(tuple(self.atoms[old] for old in atoms), bonds)
 
-    def renumbered(self, order: list[int] | tuple[int, ...]) -> "Molecule":
-        """Rebuild with atoms permuted: new atom i is old atom order[i].
-
-        Stereo annotations are remapped with their neighbor ordering kept, so
-        the result denotes the same (stereo-)molecule.
-        """
-        if sorted(order) != list(range(len(self.atoms))):
-            raise ValueError("order must be a permutation of atom indices")
-        new_of_old = {old: new for new, old in enumerate(order)}
-        atoms = tuple(self.atoms[old] for old in order)
-        bonds = tuple(
-            Bond(
-                a=new_of_old[b.a],
-                b=new_of_old[b.b],
-                order=b.order,
-                is_aromatic=b.is_aromatic,
-                stereo=b.stereo,
-                stereo_from=None if b.stereo_from is None else new_of_old[b.stereo_from],
-            )
-            for b in self.bonds
-        )
-        tags = tuple(self.chiral_tags[old] for old in order)
-        stereo = tuple(
-            None
-            if self.stereo_order[old] is None
-            else tuple(s if s == H_SLOT else new_of_old[s] for s in self.stereo_order[old])
-            for old in order
-        )
-        return Molecule(atoms, bonds, tags, stereo, self.problems)
-
 
 def _non_bridge_edges(
     neighbors: Sequence[Sequence[int]], keys: Iterable[tuple[int, int]]

@@ -139,16 +139,6 @@ def key_of_roles(
     )
 
 
-def write_reaction(rxn: Reaction) -> str:
-    """Canonical reaction SMILES (identical to the strict key)."""
-    return reaction_key(rxn)
-
-
-def reaction_key_of_text(text: str, merge_agents: bool = False) -> str:
-    """Convenience: parse reaction SMILES and return its canonical key."""
-    return reaction_key(parse_reaction(text), merge_agents=merge_agents)
-
-
 def reaction_from_record(record: dict) -> Reaction:
     """Load a reaction JSONL record.
 

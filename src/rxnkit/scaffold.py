@@ -134,21 +134,13 @@ def record_key(record: dict, merge_agents: bool = False) -> str:
     return reaction_key(parsed, merge_agents=merge_agents)
 
 
-def principal_molecule(record: dict) -> Molecule:
-    """Scaffold anchor of a record.
-
-    For reactions: the largest product fragment by heavy-atom count, ties
-    broken by lexicographically smallest canonical SMILES (the product is
-    the synthetic target). Bare molecule records anchor on themselves.
-    """
-    parsed = _parse_record(record)
-    if isinstance(parsed, Molecule):
-        return parsed
-    return _principal_product(parsed.products, [canonical_smiles(m) for m in parsed.products])
-
-
 def _principal_product(products: tuple[Molecule, ...], smiles: list[str]) -> Molecule:
-    """principal_molecule of a reaction, given each product's canonical SMILES."""
+    """The scaffold anchor of a reaction, given each product's canonical SMILES.
+
+    It is the largest product fragment by heavy-atom count, ties broken by
+    the lexicographically smallest canonical SMILES (the product is the
+    synthetic target).
+    """
     best = None
     best_key = None
     for product, product_smiles in zip(products, smiles):
@@ -167,12 +159,8 @@ def _principal_product(products: tuple[Molecule, ...], smiles: list[str]) -> Mol
     return best
 
 
-def scaffold_fingerprint(record: dict, spec: FingerprintSpec) -> BitFingerprint:
-    """Fingerprint of the record's scaffold; empty bits for acyclic anchors."""
-    return _scaffold_fingerprint(principal_molecule(record), spec)
-
-
 def _scaffold_fingerprint(anchor: Molecule, spec: FingerprintSpec) -> BitFingerprint:
+    """Fingerprint of the anchor's scaffold; empty bits for an acyclic anchor."""
     scaffold = scaffold_molecule(anchor)
     if scaffold is None:
         width = len(load_key_table(spec.key_table)) if spec.kind == "key" else spec.width
@@ -183,8 +171,10 @@ def _scaffold_fingerprint(anchor: Molecule, spec: FingerprintSpec) -> BitFingerp
 def split_features(record: dict, spec: FingerprintSpec) -> tuple[str, BitFingerprint]:
     """(canonical key, scaffold fingerprint) of a record, as resample_test_set takes them.
 
-    The record is parsed once, and the product tie-break of a reaction
-    reuses the canonical SMILES its key is made of.
+    A bare molecule record anchors the scaffold on itself, a reaction on its
+    principal product (see _principal_product). The record is parsed once,
+    and the product tie-break of a reaction reuses the canonical SMILES its
+    key is made of.
     """
     parsed = _parse_record(record)
     if isinstance(parsed, Molecule):
@@ -249,12 +239,6 @@ class LeakReport:
     cross: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]
     within: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
     errors: tuple[tuple[str, str, str], ...] = ()
-
-    def pair_count(self, split_a: str, split_b: str) -> int:
-        for a, b, pairs in self.cross:
-            if {a, b} == {split_a, split_b}:
-                return len(pairs)
-        return 0
 
     def to_dict(self) -> dict:
         return {

@@ -413,13 +413,3 @@ def find_matches(
             if pools:
                 used[mapping[plan[d - 1][0]]] = False
     return results
-
-
-def has_match(pattern: Pattern, mol: Molecule) -> bool:
-    """True when at least one embedding exists."""
-    return bool(find_matches(pattern, mol, max_matches=1))
-
-
-def count_matches(pattern: Pattern, mol: Molecule) -> int:
-    """Number of distinct atom-set embeddings."""
-    return len(find_matches(pattern, mol))

@@ -74,23 +74,17 @@ class TemplateRegistry:
     def tasks(self) -> tuple[str, ...]:
         return tuple(self._templates)
 
-    def get(self, task: str, variant: int = 0) -> TaskTemplate:
+    def get(self, task: str, variant: int = 0, seed: int | str | None = None) -> TaskTemplate:
+        """A task's variant; a seed, when given, draws the variant instead."""
         variants = self._templates.get(task)
         if not variants:
             raise TemplateError(f"unknown task {task!r}")
+        if seed is not None:
+            variant = random.Random(seed).randrange(len(variants))
         if not 0 <= variant < len(variants):  # a negative index would wrap around
             raise TemplateError(
                 f"task {task!r} has no variant {variant} ({len(variants)} registered)")
         return variants[variant]
-
-    def choose(self, task: str, seed: int | str | None = None) -> TaskTemplate:
-        """Seeded choice among a task's variants (variant 0 without a seed)."""
-        variants = self._templates.get(task)
-        if not variants:
-            raise TemplateError(f"unknown task {task!r}")
-        if seed is None or len(variants) == 1:
-            return variants[0]
-        return random.Random(seed).choice(variants)
 
 
 _BUILTIN: TemplateRegistry | None = None
@@ -145,13 +139,12 @@ def render(
     Lists join with '.'; graph records render as compact JSON (or as the
     molecule sentinel when ``sentinel_molecules`` is set, with the real
     strings returned under "molecules"). The "output" key is present only
-    when every output placeholder is bound. Raises TemplateError for an
-    unknown task or a missing placeholder.
+    when every output placeholder is bound. The template is
+    ``registry.get(task, variant, seed)``. Raises TemplateError for an
+    unknown task or variant, or a missing placeholder.
     """
     registry = registry or builtin_registry()
-    template = (
-        registry.choose(task, seed) if seed is not None else registry.get(task, variant)
-    )
+    template = registry.get(task, variant, seed)
 
     molecules: list[str] = []
 

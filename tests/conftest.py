@@ -9,7 +9,7 @@ import pytest
 
 from rxnkit._jsonl import TEMP_SUFFIX
 from rxnkit.molgraph import Molecule, canonical_smiles, parse_smiles
-from rxnkit.molgraph.model import Atom, Bond
+from rxnkit.molgraph.model import H_SLOT, Atom, Bond
 
 
 @pytest.fixture(autouse=True)
@@ -101,10 +101,30 @@ def random_smiles(rng: random.Random, n_min: int = 5, n_max: int = 32) -> str:
     return canonical_smiles(parse_smiles(raw))
 
 
+def renumbered(mol: Molecule, order: list[int]) -> Molecule:
+    """mol with its atoms permuted: new atom i is old atom order[i].
+
+    Molecule.subgraph of a permutation keeps every bond; the chirality it
+    drops is put back here, the stereo neighbour orders remapped, so the
+    result denotes the same (stereo-)molecule.
+    """
+    if sorted(order) != list(range(len(mol))):
+        raise ValueError("order must be a permutation of atom indices")
+    sub = mol.subgraph(order)
+    new_of_old = {old: new for new, old in enumerate(order)}
+    stereo = tuple(
+        None if mol.stereo_order[old] is None
+        else tuple(s if s == H_SLOT else new_of_old[s] for s in mol.stereo_order[old])
+        for old in order
+    )
+    tags = tuple(mol.chiral_tags[old] for old in order)
+    return Molecule(sub.atoms, sub.bonds, tags, stereo, mol.problems)
+
+
 def shuffled(mol: Molecule, rng: random.Random) -> Molecule:
     perm = list(range(len(mol)))
     rng.shuffle(perm)
-    return mol.renumbered(perm)
+    return renumbered(mol, perm)
 
 
 def kekule_acene(n: int) -> str:

@@ -416,6 +416,18 @@ class TestSplitAndLeakcheck:
             "error": "--split name 'x' is given twice"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_leakcheck_empty_split_name_is_fatal(self, tmp_path, capsys, monkeypatch, workers):
+        a = tmp_path / "a.jsonl"
+        write_jsonl(a, [{"id": "a1", "rxn": "CCO>>CC=O"}])
+        monkeypatch.setattr("rxnkit.cli.iter_jsonl", None)  # no file may be read
+        out = tmp_path / "leak.json"
+        assert run(["leakcheck", "--split", f"={a}", "--split", f"y={a}",
+                    "--out", str(out), "--workers", workers]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"--split must be NAME=PATH, got '={a}'"}
+        assert not out.exists()
+
     def test_leakcheck_collects_unparseable_records(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_jsonl(a, [{"id": "bad", "rxn": "not>>"}, {"id": "ok", "rxn": "C>>C"}])
@@ -493,6 +505,27 @@ class TestRenderAndEval:
         assert error.startswith("cannot load templates: ")
         if bad == "missing":
             assert "No such file or directory" in error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("flags, error", [
+        (["--task", "forward", "--variant", "7", "--seed", "1"],
+         "--variant and --seed exclude each other: the seed draws the variant"),
+        (["--task", "nope"], "unknown task 'nope'"),
+        (["--task", "forward", "--variant", "7"], "task 'forward' has no variant 7 (1 registered)"),
+        (["--task", "forward", "--variant", "-1"],
+         "task 'forward' has no variant -1 (1 registered)"),
+    ], ids=["variant-and-seed", "unknown-task", "variant-past-the-last", "negative-variant"])
+    def test_render_flags_it_cannot_honour_fail_the_run(self, tmp_path, capsys, monkeypatch,
+                                                        flags, error, workers):
+        src = tmp_path / "bind.jsonl"
+        write_jsonl(src, [{"id": i, "reactants": ["r"], "products": ["p"]} for i in range(3)])
+        out = tmp_path / "rend.jsonl"
+        monkeypatch.setattr("rxnkit.cli.render_template", None)  # no record is rendered
+        assert run(["render", *flags, "--in", str(src), "--out", str(out),
+                    "--workers", workers]) == 2
+        (line,) = capsys.readouterr().err.splitlines()  # no error row, one error
+        assert json.loads(line) == {"error": error}
         assert not out.exists()
 
     def test_eval_gen_table_columns(self, tmp_path):

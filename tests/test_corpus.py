@@ -8,7 +8,6 @@ from rxnkit.corpus import (
     Rejection,
     build_interleaved,
     build_name_conversion,
-    caption_record,
     default_tokenizer,
     filter_and_stat,
 )
@@ -95,13 +94,6 @@ class TestBuildInterleaved:
         rec = build_interleaved(proc("p11", "XY", [(0, 1, "C"), (1, 2, "O")]))
         assert [s["kind"] for s in rec.segments] == ["mol", "mol"]
         assert rec.reconstruct() == "XY"
-
-
-class TestCaptionRecord:
-    def test_two_segments(self):
-        rec = caption_record("c1", "CCO", "An alcohol.")
-        assert [s["kind"] for s in rec.segments] == ["mol", "text"]
-        assert rec.entity_count == 1
 
 
 class TestNameConversion:

@@ -1,6 +1,8 @@
-"""Every script under demos/ runs to completion."""
+"""Every script under demos/ runs to completion, and README's quickstart gives
+the values its comments show."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +26,20 @@ def test_demo_runs(script):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_quickstart_gives_the_values_its_comments_show():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.DOTALL)[1]
+    namespace: dict = {}
+    shown = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        value = comment.strip()
+        if not value or value[0] not in "'0123456789":  # not a value the line gives
+            exec(line, namespace)
+            continue
+        got = repr(eval(code, namespace))
+        assert got.startswith(value[:-3]) if value.endswith("...") else got == value, line
+        shown.append(value)
+    assert shown == ["'CCO'", "'C2H6O'", "0.457..."]

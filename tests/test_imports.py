@@ -1,8 +1,11 @@
 """Standard library only: rxnkit imports nothing else, and every subcommand
-runs, with the same outputs, where `import numpy` fails."""
+runs, with the same outputs, where `import numpy` fails. Nothing public is
+unused: every public def, class and method is reached from the CLI, a demo,
+the benchmark or the documentation."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +15,8 @@ import pytest
 from rxnkit.cli import main
 from test_cli import write_eval_pairs, write_jsonl
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # Runs the CLI on its arguments in an interpreter where `import numpy` fails.
 NUMPY_BLOCKED = (
@@ -41,6 +45,87 @@ def test_modules_import_only_the_standard_library():
             outside += [(path.relative_to(SRC).as_posix(), name) for name in names
                         if name.partition(".")[0] not in allowed]
     assert outside == []
+
+
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def referenced_names(nodes, strings: bool = False) -> set[str]:
+    """The names, attributes and imported names in the nodes; with strings,
+    also the parts of each string that is a dotted name (the benchmark names
+    what it traces that way)."""
+    names = set()
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED_NAME.fullmatch(node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreached_public_defs(root: Path) -> list[str]:
+    """The public defs, classes and methods under root/src that no use reaches.
+
+    The roots are cli.main, the names the demos and the benchmark use, and
+    the identifiers of README.md and docs/*.md. A def is reached when its
+    name is (a method also needs its class reached), and then reaches every
+    name its body refers to. Module code outside defs runs on import, and a
+    dunder method runs with its class, so their names count as their
+    module's or class's. Names are matched by spelling, not resolved, so a
+    name reaches every def it spells; a leading underscore marks a def
+    private and exempts it.
+    """
+    defs = []  # (qualified name, name, qualified name of its class or None, names used)
+    names, renames = {"main"}, {}
+    for path in sorted((root / "src" / "rxnkit").rglob("*.py")):
+        module = path.relative_to(root / "src").with_suffix("").as_posix().replace("/", ".")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                cls = f"{module}.{node.name}"
+                methods = [item for item in node.body if isinstance(item, ast.FunctionDef)
+                           and not is_dunder(item.name)]
+                own = [item for item in node.body if item not in methods]
+                defs.append((cls, node.name, None, referenced_names(
+                    own + node.decorator_list + node.bases + node.keywords)))
+                defs += [(f"{cls}.{m.name}", m.name, cls, referenced_names([m]))
+                         for m in methods]
+            elif isinstance(node, ast.FunctionDef) and not is_dunder(node.name):
+                defs.append((f"{module}.{node.name}", node.name, None, referenced_names([node])))
+            elif isinstance(node, ast.ImportFrom):
+                renames |= {alias.asname: alias.name for alias in node.names if alias.asname}
+            elif not isinstance(node, ast.Import):
+                names |= referenced_names([node])
+    for path in sorted([*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]):
+        names |= referenced_names([ast.parse(path.read_text(encoding="utf-8"))], strings=True)
+    for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        names |= set(IDENTIFIER.findall(path.read_text(encoding="utf-8")))
+
+    reached: set[str] = set()
+    while True:
+        names |= {renames[name] for name in names & renames.keys()}
+        new = [(qualname, used) for qualname, name, cls, used in defs
+               if qualname not in reached and name in names and cls in reached | {None}]
+        if not new:
+            break
+        for qualname, used in new:
+            reached.add(qualname)
+            names |= used
+    return [qualname for qualname, name, _, _ in defs
+            if qualname not in reached and not name.startswith("_")]
+
+
+def test_every_public_def_is_reached():
+    assert unreached_public_defs(ROOT) == []
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

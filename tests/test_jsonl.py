@@ -114,7 +114,7 @@ class TestAtomicOutput:
     def test_replaces_the_file_on_success(self, tmp_path):
         out = tmp_path / "out.jsonl"
         out.write_text("old\n")
-        assert write_jsonl(out, [{"b": 1, "a": 2}]) == 1
+        write_jsonl(out, [{"b": 1, "a": 2}])
         assert out.read_text() == '{"a":2,"b":1}\n'
 
     def test_failure_keeps_the_old_bytes(self, tmp_path):

@@ -7,8 +7,6 @@ from rxnkit.reaction import (
     ReactionError,
     parse_reaction,
     reaction_key,
-    reaction_key_of_text,
-    write_reaction,
 )
 
 
@@ -68,33 +66,34 @@ class TestYield:
 
 class TestReactionKey:
     def test_fragment_order_irrelevant(self):
-        a = reaction_key_of_text("OCC.CC(=O)O>>CC(=O)OCC")
-        b = reaction_key_of_text("CC(=O)O.CCO>>CC(=O)OCC")
+        a = reaction_key(parse_reaction("OCC.CC(=O)O>>CC(=O)OCC"))
+        b = reaction_key(parse_reaction("CC(=O)O.CCO>>CC(=O)OCC"))
         assert a == b
 
     def test_smiles_rewriting_irrelevant(self):
-        a = reaction_key_of_text("C(O)C>>C(=O)C")
-        b = reaction_key_of_text("CCO>>CC=O")
+        a = reaction_key(parse_reaction("C(O)C>>C(=O)C"))
+        b = reaction_key(parse_reaction("CCO>>CC=O"))
         assert a == b
 
     def test_product_change_changes_key(self):
-        assert reaction_key_of_text("CCO>>CCN") != reaction_key_of_text("CCO>>CCF")
+        assert reaction_key(parse_reaction("CCO>>CCN")) != reaction_key(parse_reaction("CCO>>CCF"))
 
     def test_roles_significant(self):
-        assert reaction_key_of_text("CCO.O>>CCN") != reaction_key_of_text("CCO>O>CCN")
+        assert (reaction_key(parse_reaction("CCO.O>>CCN"))
+                != reaction_key(parse_reaction("CCO>O>CCN")))
 
     def test_merge_agents_collapses_roles(self):
-        a = reaction_key_of_text("CCO.O>>CCN", merge_agents=True)
-        b = reaction_key_of_text("CCO>O>CCN", merge_agents=True)
+        a = reaction_key(parse_reaction("CCO.O>>CCN"), merge_agents=True)
+        b = reaction_key(parse_reaction("CCO>O>CCN"), merge_agents=True)
         assert a == b
 
     def test_round_trip(self):
         rxn = parse_reaction("OCC.CC(=O)O>[Na+]>CC(=O)OCC")
-        text = write_reaction(rxn)
+        text = reaction_key(rxn)
         assert reaction_key(parse_reaction(text)) == reaction_key(rxn)
 
     def test_key_shape(self):
-        key = reaction_key_of_text("CCO>O>CCN")
+        key = reaction_key(parse_reaction("CCO>O>CCN"))
         assert key.count(">") == 2
 
 

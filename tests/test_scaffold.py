@@ -13,10 +13,8 @@ from rxnkit.scaffold import (
     detect_leakage,
     max_similarity_to_set,
     murcko_scaffold,
-    principal_molecule,
     record_key,
     resample_test_set,
-    scaffold_fingerprint,
     scaffold_molecule,
     split_features,
 )
@@ -146,12 +144,17 @@ def _leakage(splits):
                            for name, records in splits.items()})
 
 
+def cross_counts(report) -> dict:
+    """(split, split) -> duplicate pairs, from the cross entries of the report."""
+    return {tuple(c["splits"]): c["count"] for c in report.to_dict()["cross"]}
+
+
 class TestSplitFeatures:
     def test_key_and_scaffold_fingerprint(self):
         spec = FingerprintSpec(kind="circular")
         record = _rxn_record("r", "CCO.CC(=O)O>>CC(=O)OCC")
-        assert split_features(record, spec) == (record_key(record),
-                                                scaffold_fingerprint(record, spec))
+        _, product_fp = split_features(_mol_record("p", "CC(=O)OCC"), spec)
+        assert split_features(record, spec) == (record_key(record), product_fp)
 
     @pytest.mark.parametrize("record, match", [
         ({"id": "t1"}, "'t1' has neither 'rxn' nor 'smiles'"),
@@ -195,10 +198,10 @@ class TestResample:
         report = _resample(candidates, train, band=(0.5, 0.6), n=10)
 
         # Independent scoring straight from fingerprints.
-        train_fps = [scaffold_fingerprint(r, spec) for r in train]
+        train_fps = [split_features(r, spec)[1] for r in train]
         expected = []
         for r in candidates:
-            sim = max(tanimoto(scaffold_fingerprint(r, spec), t) for t in train_fps)
+            sim = max(tanimoto(split_features(r, spec)[1], t) for t in train_fps)
             if sim <= 0.6:
                 expected.append((sim, r["id"]))
         expected.sort()
@@ -242,7 +245,7 @@ class TestLeakage:
         rng.shuffle(train)
         rng.shuffle(test)
         report = _leakage({"train": train, "test": test})
-        assert report.pair_count("train", "test") == 72
+        assert cross_counts(report) == {("test", "train"): 72}
         assert report.within == ()
 
     def test_permuted_fragments_still_detected(self):
@@ -252,7 +255,7 @@ class TestLeakage:
                 "b": [_rxn_record("y", "CC(=O)O.OCC>>CC(=O)OCC")],
             }
         )
-        assert report.pair_count("a", "b") == 1
+        assert cross_counts(report) == {("a", "b"): 1}
 
     def test_within_split_duplicates(self):
         report = _leakage(
@@ -277,12 +280,19 @@ class TestLeakage:
 
 
 class TestPrincipalMolecule:
+    """A reaction's scaffold fingerprint is that of its principal product."""
+
+    @staticmethod
+    def scaffold_fp(record):
+        return split_features(record, FingerprintSpec(kind="circular"))[1]
+
     def test_largest_product_fragment(self):
-        mol = principal_molecule(_rxn_record("r", "CCO>>CC(=O)OCC.[Na+]"))
-        assert len(mol.atoms) == 6
+        fp = self.scaffold_fp(_rxn_record("r", "CCO>>CC(=O)Oc1ccccc1.C1CC1"))
+        assert fp == self.scaffold_fp(_mol_record("p", "CC(=O)Oc1ccccc1"))
+        assert fp != self.scaffold_fp(_mol_record("p", "C1CC1"))
 
     def test_tie_breaks_lexicographically(self):
-        from rxnkit.molgraph import canonical_smiles
-
-        mol = principal_molecule(_rxn_record("r", "C>>CCN.CCO"))
-        assert canonical_smiles(mol) == canonicalize("CCN")
+        fp = self.scaffold_fp(_rxn_record("r", "C>>C1CCOC1.C1CCNC1"))
+        assert canonicalize("C1CCNC1") < canonicalize("C1CCOC1")  # five heavy atoms each
+        assert fp == self.scaffold_fp(_mol_record("p", "C1CCNC1"))
+        assert fp != self.scaffold_fp(_mol_record("p", "C1CCOC1"))

@@ -11,9 +11,7 @@ from rxnkit.molgraph import parse_smiles
 from rxnkit.substructure import (
     Pattern,
     PatternSyntaxError,
-    count_matches,
     find_matches,
-    has_match,
     parse_pattern,
 )
 
@@ -82,53 +80,54 @@ class TestMatching:
     def test_oxygen_in_ethanol(self):
         mol = parse_smiles("CCO")
         pat = parse_pattern("[#8]")
-        assert has_match(pat, mol)
-        assert count_matches(pat, mol) == 1
+        assert find_matches(pat, mol, max_matches=1)
+        assert len(find_matches(pat, mol)) == 1
 
     def test_benzene_in_toluene(self):
-        assert has_match(parse_pattern("c1ccccc1"), parse_smiles("Cc1ccccc1"))
+        assert find_matches(parse_pattern("c1ccccc1"), parse_smiles("Cc1ccccc1"), max_matches=1)
 
     def test_no_nitrogen_in_ethanol(self):
-        assert not has_match(parse_pattern("[#7]"), parse_smiles("CCO"))
+        assert not find_matches(parse_pattern("[#7]"), parse_smiles("CCO"), max_matches=1)
 
     def test_aromatic_vs_aliphatic_case(self):
         benzene, hexane = parse_smiles("c1ccccc1"), parse_smiles("C1CCCCC1")
-        assert has_match(parse_pattern("c"), benzene)
-        assert not has_match(parse_pattern("C"), benzene)
-        assert has_match(parse_pattern("C"), hexane)
-        assert not has_match(parse_pattern("c"), hexane)
+        assert find_matches(parse_pattern("c"), benzene, max_matches=1)
+        assert not find_matches(parse_pattern("C"), benzene, max_matches=1)
+        assert find_matches(parse_pattern("C"), hexane, max_matches=1)
+        assert not find_matches(parse_pattern("c"), hexane, max_matches=1)
 
     def test_degree_and_hydrogens(self):
         iso = parse_smiles("CC(C)C")
-        assert count_matches(parse_pattern("[D3]"), iso) == 1
-        assert count_matches(parse_pattern("[H3]"), iso) == 3
+        assert len(find_matches(parse_pattern("[D3]"), iso)) == 1
+        assert len(find_matches(parse_pattern("[H3]"), iso)) == 3
 
     def test_charge(self):
         mol = parse_smiles("CC(=O)[O-]")
-        assert count_matches(parse_pattern("[-]"), mol) == 1
-        assert not has_match(parse_pattern("[+]"), mol)
+        assert len(find_matches(parse_pattern("[-]"), mol)) == 1
+        assert not find_matches(parse_pattern("[+]"), mol, max_matches=1)
 
     def test_ring_membership(self):
         mol = parse_smiles("CC1CCC1")
-        assert count_matches(parse_pattern("[#6&R]"), mol) == 4
-        assert count_matches(parse_pattern("[#6&!R]"), mol) == 1
+        assert len(find_matches(parse_pattern("[#6&R]"), mol)) == 4
+        assert len(find_matches(parse_pattern("[#6&!R]"), mol)) == 1
 
     def test_any_bond(self):
         mol = parse_smiles("C=C")
-        assert has_match(parse_pattern("C~C"), mol)
-        assert has_match(parse_pattern("C=C"), mol)
-        assert not has_match(parse_pattern("C-C"), mol)
+        assert find_matches(parse_pattern("C~C"), mol, max_matches=1)
+        assert find_matches(parse_pattern("C=C"), mol, max_matches=1)
+        assert not find_matches(parse_pattern("C-C"), mol, max_matches=1)
 
     def test_default_bond_matches_aromatic(self):
-        assert has_match(parse_pattern("[#6][#6]"), parse_smiles("c1ccccc1"))
-        assert not has_match(parse_pattern("[#6]=[#6]"), parse_smiles("c1ccccc1"))
+        benzene = parse_smiles("c1ccccc1")
+        assert find_matches(parse_pattern("[#6][#6]"), benzene, max_matches=1)
+        assert not find_matches(parse_pattern("[#6]=[#6]"), benzene, max_matches=1)
 
     def test_count_collapses_atom_sets(self):
         # 12 benzene automorphisms, one atom set
-        assert count_matches(parse_pattern("c1ccccc1"), parse_smiles("c1ccccc1")) == 1
+        assert len(find_matches(parse_pattern("c1ccccc1"), parse_smiles("c1ccccc1"))) == 1
 
     def test_multiple_sites(self):
-        assert count_matches(parse_pattern("[#8&H1]"), parse_smiles("OCCO")) == 2
+        assert len(find_matches(parse_pattern("[#8&H1]"), parse_smiles("OCCO"))) == 2
 
     def test_embedding_order_follows_pattern(self):
         mol = parse_smiles("CCO")
@@ -167,9 +166,9 @@ class TestOracleAgreement:
             mol = parse_smiles(s)
             for p in PATTERNS:
                 pat = parse_pattern(p)
-                base = count_matches(pat, mol)
+                base = len(find_matches(pat, mol))
                 for _ in range(5):
-                    assert count_matches(pat, shuffled(mol, rng)) == base
+                    assert len(find_matches(pat, shuffled(mol, rng))) == base
 
 
 class TestBacktrackingReference:
@@ -198,7 +197,7 @@ class TestBacktrackingReference:
                 assert find_matches(pat, mol, limit) == backtracking_matches(
                     pat, mol, limit
                 )
-        assert count_matches(pat, parse_smiles("OCC(N)CO")) == 2
+        assert len(find_matches(pat, parse_smiles("OCC(N)CO"))) == 2
 
     def test_pattern_adjacency_built_at_parse(self):
         pat = parse_pattern("C1CC1=O")

@@ -165,10 +165,10 @@ class TestRegistry:
             )
         )
         seen = {
-            registry.choose("forward", seed=s).instruction_pattern for s in range(16)
+            registry.get("forward", seed=s).instruction_pattern for s in range(16)
         }
         assert len(seen) == 2
-        assert registry.choose("forward", seed=3) == registry.choose("forward", seed=3)
+        assert registry.get("forward", seed=3) == registry.get("forward", seed=3)
 
     @pytest.mark.parametrize("variant", [-1, 1])
     def test_variant_outside_the_list_is_an_error(self, variant):
@@ -176,7 +176,10 @@ class TestRegistry:
             builtin_registry().get("forward", variant)
 
     def test_variant_0_without_seed(self):
-        assert builtin_registry().choose("retro") == builtin_registry().get("retro")
+        registry = builtin_registry()
+        assert registry.get("retro", seed=None) == registry.get("retro", 0)
+        # A seed draws among the variants, and a task with one has only variant 0.
+        assert all(registry.get("retro", seed=s) == registry.get("retro") for s in range(8))
 
     def test_load_file(self, tmp_path):
         import json
