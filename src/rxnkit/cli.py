@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 
 from ._jsonl import (
@@ -300,36 +300,29 @@ def _guarded(fn, item: tuple[int, dict | SchemaError]) -> tuple[object, object]:
 
 class Run(argparse.Namespace):
     """One CLI run: the options argparse fills in, the workers (pool) and the
-    error rows. Per input file, the rows of lines that are not JSON objects
-    come before those of failed records, at whatever point they are listed.
+    error rows, in the order they arrive: the files in the order the handler
+    reads them, and the lines of a file in line order.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self.files: list[tuple[list[dict], list[dict]]] = []
-
-    @property
-    def rows(self) -> list[dict]:
-        return [row for bad_lines, failed in self.files for row in bad_lines + failed]
+        self.rows: list[dict] = []
 
     def list_rows(self) -> None:
-        if rows := self.rows:
-            sys.stderr.write(dumps({"record_errors": rows, "count": len(rows)}) + "\n")
+        if self.rows:
+            sys.stderr.write(dumps({"record_errors": self.rows, "count": len(self.rows)}) + "\n")
 
     def reject(self, error: dict | SchemaError) -> None:
         """List an error row, or a bad line's SchemaError; under --strict it ends the run."""
         if self.strict:
             raise Fatal(str(error) if isinstance(error, SchemaError) else dumps(error), code=1)
-        bad_lines, failed = self.files[-1]
         if isinstance(error, SchemaError):
-            bad_lines.append({"line": error.lineno, "error": error.message})
-        else:
-            failed.append(error)
+            error = {"line": error.lineno, "error": error.message}
+        self.rows.append(error)
 
     def records(self, path: str, fn, workers: Workers | None = None):
         """fn(lineno, record) over the records of path, in input order, on the
         run's workers (or those given); each error goes to reject."""
-        self.files.append(([], []))
         guarded = partial(_guarded, fn)
         for error, result in parallel_map(guarded, iter_jsonl(path), workers or self.pool):
             if error is None:
@@ -391,31 +384,13 @@ def _nameconv(lineno, record):
     return [r.to_dict() for r in build_name_conversion(record)]
 
 
-@lru_cache(maxsize=1)
-def _render_registry(templates_path: str | None) -> TemplateRegistry | None:
-    """The builtin templates plus those of --templates FILE; None without one.
-
-    _cmd_render loads it before the first record, so a file that cannot be
-    read or parsed fails the run instead of every record, and the pool's
-    workers, forked after that, find it here already loaded: the records
-    carry only the path.
-    """
-    if not templates_path:
-        return None  # the builtin registry
-    registry = TemplateRegistry()
-    for task in builtin_registry().tasks:
-        registry.register(builtin_registry().get(task))
-    registry.load_file(templates_path)
-    return registry
-
-
-def _render(lineno, record, task, variant, seed, sentinel, templates_path):
+def _render(lineno, record, task, variant, seed, sentinel, registry):
     bindings = {k: v for k, v in record.items() if k != "id"}
     # Seeded per-record choice stays worker-count independent: the draw
     # depends only on the seed and the record's input line.
     record_seed = None if seed is None else f"{seed}:{lineno}"
     rendered = render_template(
-        task, bindings, registry=_render_registry(templates_path),
+        task, bindings, registry=registry,
         variant=variant, seed=record_seed, sentinel_molecules=sentinel,
     )
     return [{"id": record.get("id"), **rendered}]
@@ -456,9 +431,9 @@ def _cmd_leakcheck(run):
     keyed, leak_errors = {}, []
     key = partial(_leak_key, merge_agents=run.merge_agents)
     for name, path in paths.items():
+        first = len(run.rows)
         keyed[name] = list(run.records(path, key))
-        leak_errors += [(name, str(row.get("id")), row["error"])
-                        for row in chain(*run.files[-1])]  # this split's rows
+        leak_errors += [(name, str(row.get("id")), row["error"]) for row in run.rows[first:]]
     report = replace(detect_leakage(keyed), errors=tuple(leak_errors))
     write_json(run.out, report.to_dict())
 
@@ -487,15 +462,19 @@ def _cmd_render(run):
     if run.variant is not None and run.seed is not None:
         raise Fatal("--variant and --seed exclude each other: the seed draws the variant")
     variant = run.variant or 0
-    _render_registry.cache_clear()  # read the file anew in every run
-    try:
-        registry = _render_registry(run.templates) or builtin_registry()
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise Fatal(f"cannot load templates: {exc}")
-    registry.get(run.task, variant)  # an unknown task or variant fails the run, once
+    registry = None  # the builtin one, which the row function need not carry
+    if run.templates:  # read once, before the first record; the row function carries it
+        registry = TemplateRegistry()
+        for task in builtin_registry().tasks:
+            registry.register(builtin_registry().get(task))
+        try:
+            registry.load_file(run.templates)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise Fatal(f"cannot load templates: {exc}")
+    (registry or builtin_registry()).get(run.task, variant)  # a bad task or variant ends the run
     _run_records(run, partial(
         _render, task=run.task, variant=variant, seed=run.seed,
-        sentinel=run.sentinel, templates_path=run.templates,
+        sentinel=run.sentinel, registry=registry,
     ))
 
 

@@ -137,26 +137,14 @@ def record_key(record: dict, merge_agents: bool = False) -> str:
 def _principal_product(products: tuple[Molecule, ...], smiles: list[str]) -> Molecule:
     """The scaffold anchor of a reaction, given each product's canonical SMILES.
 
-    It is the largest product fragment by heavy-atom count, ties broken by
-    the lexicographically smallest canonical SMILES (the product is the
-    synthetic target).
+    It is the largest product by heavy-atom count, ties broken by the
+    lexicographically smallest canonical SMILES (the product is the synthetic
+    target). Each product is one fragment: parse_reaction splits on '.'.
     """
-    best = None
-    best_key = None
-    for product, product_smiles in zip(products, smiles):
-        for frag_atoms in product.fragments:
-            heavy = sum(product.atoms[i].atomic_number > 1 for i in frag_atoms)
-            if len(frag_atoms) == len(product.atoms):
-                sub, sub_smiles = product, product_smiles
-            else:
-                sub = product.subgraph(frag_atoms)
-                sub_smiles = canonical_smiles(sub)
-            key = (-heavy, sub_smiles)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = sub
-    assert best is not None
-    return best
+    def key(pair: tuple[Molecule, str]) -> tuple[int, str]:
+        return -sum(atom.atomic_number > 1 for atom in pair[0].atoms), pair[1]
+
+    return min(zip(products, smiles), key=key)[0]
 
 
 def _scaffold_fingerprint(anchor: Molecule, spec: FingerprintSpec) -> BitFingerprint:

@@ -36,16 +36,6 @@ class TaskTemplate:
     output_pattern: str
     molecule_slots: tuple[str, ...] = ()
 
-    def placeholders(self, include_output: bool = True) -> tuple[str, ...]:
-        names = _PLACEHOLDER_RE.findall(self.instruction_pattern)
-        if include_output:
-            names += _PLACEHOLDER_RE.findall(self.output_pattern)
-        seen: list[str] = []
-        for name in names:
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
-
     @classmethod
     def from_dict(cls, data: dict) -> "TaskTemplate":
         return cls(

@@ -487,6 +487,39 @@ class TestRenderAndEval:
         instructions = {r["instruction"] for r in read_jsonl(out_a)}
         assert len(instructions) == 2  # both variants appear across records
 
+    def test_render_templates_reach_spawned_workers(self, tmp_path):
+        # Workers started by spawn import the CLI afresh, after the file is
+        # gone: the registry reaches them with the row function.
+        variants, src = tmp_path / "variants.json", tmp_path / "bind.jsonl"
+        variants.write_text(json.dumps([
+            {"task": "forward", "system": "alt system",
+             "instruction": "ALT: {reactants}?", "output": "ALT: {products}."},
+        ]))
+        write_jsonl(src, [{"id": i, "reactants": ["r"], "products": ["p"]} for i in range(30)])
+        argv = ["render", "--task", "forward", "--in", str(src), "--templates", str(variants),
+                "--seed", "7", "--out"]
+        want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+        assert run(argv + [str(want)]) == 0
+        child = (
+            "import multiprocessing, sys\n"
+            "from pathlib import Path\n"
+            "from rxnkit import cli\n"
+            "real = cli._run_records\n"
+            "def without_the_file(*args):\n"
+            "    Path(sys.argv[1]).unlink()\n"
+            "    return real(*args)\n"
+            "cli._run_records = without_the_file\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(variants), *argv, str(got), "--workers", "2"],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert not variants.exists()
+        assert got.read_bytes() == want.read_bytes()
+
     @pytest.mark.parametrize("bad", ["malformed", "missing", "not_a_list"])
     def test_render_bad_templates_file_is_fatal(self, tmp_path, capsys, monkeypatch, bad):
         templates = tmp_path / "t.json"
@@ -675,6 +708,22 @@ PER_RECORD = {
                        {"span": [4, 11], "smiles": "CCO"}]}),
     "stats": (["stats"], {"id": "a", "text": "add ethanol", "entities": [
         {"span": [4, 11], "smiles": "CCO"}]}),
+}
+
+
+# Every subcommand that reads records: its arguments and a good record of
+# the file MIXED, where a failed record and then a line that is not JSON come
+# between two copies of it. A reference of eval fails for want of a prediction.
+EVAL_PAIR = {"gen": ("CCO", "OCC"), "cls": (1, 0), "reg": (1.0, 1.5), "sel": ("A", "B")}
+LINE_ORDER = {
+    **{name: (argv + ["--in", "MIXED"], good) for name, (argv, good) in PER_RECORD.items()},
+    "split": (["split", "--train", "REF", "--candidates", "MIXED", "--n", "1"],
+              {"id": "a", "smiles": "c1ccccc1"}),
+    "leakcheck": (["leakcheck", "--split", "a=REF", "--split", "b=MIXED"],
+                  {"id": "a", "smiles": "OCC"}),
+    **{f"eval-{task}": (["eval", task, "--pred", "PRED", "--ref", "MIXED"],
+                        {"id": "a", "reference": ref, "candidates": [ref, pred]})
+       for task, (ref, pred) in EVAL_PAIR.items()},
 }
 
 
@@ -1239,19 +1288,20 @@ class TestConfigErrors:
 
 
 class TestErrorRowOrder:
-    """Per file, lines that are not JSON objects are listed before failed records."""
+    """Error rows come in line order, so the plain run lists first the row that
+    --strict ends at."""
 
     LINES = [json.dumps({"id": "r1", "smiles": 5}), "not json",
              json.dumps({"id": "ok", "smiles": "C"}), "[3]"]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_lines_that_are_not_objects_come_first(self, tmp_path, capsys, workers):
+    def test_rows_come_in_line_order(self, tmp_path, capsys, workers):
         src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
         src.write_text("\n".join(self.LINES) + "\n")
         assert run(["canon", "--in", str(src), "--out", str(out),
                     "--workers", str(workers)]) == 0
         rows = json.loads(capsys.readouterr().err)["record_errors"]
-        assert [(e["line"], e.get("id")) for e in rows] == [(2, None), (4, None), (1, "r1")]
+        assert [(e["line"], e.get("id")) for e in rows] == [(1, "r1"), (2, None), (4, None)]
         assert read_jsonl(out) == [{"id": "ok", "smiles": "C"}]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1267,6 +1317,32 @@ class TestErrorRowOrder:
         assert run(argv) == 1
         assert ":1: bad JSON" in json.loads(capsys.readouterr().err)["error"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(LINE_ORDER))
+    def test_plain_run_lists_first_the_row_strict_ends_at(self, tmp_path, capsys, name,
+                                                          workers):
+        argv, good = LINE_ORDER[name]
+        paths = {stem: tmp_path / f"{stem}.jsonl" for stem in ("REF", "PRED", "MIXED")}
+        write_jsonl(paths["REF"], [{"id": "r", "smiles": "CCO"}])
+        _, prediction = EVAL_PAIR.get(name.removeprefix("eval-"), (None, None))
+        write_jsonl(paths["PRED"], [{"id": "a", "prediction": prediction}])
+        good = json.dumps(good)  # twice, as eval reg needs two pairs
+        paths["MIXED"].write_text(f'{good}\n{{"id": "m"}}\nnot json\n{good}\n')
+        for stem, path in paths.items():
+            argv = [a.replace(stem, str(path)) for a in argv]
+        out = tmp_path / "out"
+        argv += ["--out", str(out), "--workers", str(workers)]
+        assert run(argv) == 0
+        rows = json.loads(capsys.readouterr().err)["record_errors"]
+        assert [(e["line"], e.get("id")) for e in rows] == [(2, "m"), (3, None)]
+        assert rows[1]["error"].startswith("bad JSON")
+        if name == "leakcheck":
+            errors = json.loads(out.read_text())["errors"]
+            assert [(e["split"], e["id"], e["error"]) for e in errors] == [
+                ("b", "m", rows[0]["error"]), ("b", "None", rows[1]["error"])]
+        assert run(argv + ["--strict"]) == 1
+        assert json.loads(json.loads(capsys.readouterr().err)["error"]) == rows[0]
 
     @staticmethod
     def fail_the_100th_write(monkeypatch):
@@ -1291,7 +1367,7 @@ class TestErrorRowOrder:
                     "--workers", str(workers)]) == 2
         rows, error = capsys.readouterr().err.splitlines()
         rows = json.loads(rows)["record_errors"]
-        assert [(e["line"], e.get("id")) for e in rows] == [(2, None), (4, None), (1, "r1")]
+        assert [(e["line"], e.get("id")) for e in rows] == [(1, "r1"), (2, None), (4, None)]
         assert json.loads(error) == {"error": "no space left"}
         assert not out.exists()
 
@@ -1300,7 +1376,7 @@ class TestErrorRowOrder:
     def test_rows_of_an_earlier_file_come_first(self, tmp_path, capsys, monkeypatch, workers,
                                                 write_fails):
         # sim reads --ref before --in: the failed reference record is listed
-        # before the query lines that are not JSON objects.
+        # before the query rows.
         ref, src, out = tmp_path / "ref.jsonl", tmp_path / "in.jsonl", tmp_path / "out.jsonl"
         write_jsonl(ref, [{"id": "c", "smiles": "CCO"}, {"id": "x", "smiles": 5}])
         good = [json.dumps({"id": i, "smiles": "C"}) for i in range(300)]
@@ -1312,7 +1388,7 @@ class TestErrorRowOrder:
         rows, *error = capsys.readouterr().err.splitlines()
         rows = json.loads(rows)["record_errors"]
         assert [(e["line"], e.get("id")) for e in rows] == [
-            (2, "x"), (2, None), (4, None), (1, "r1")]
+            (2, "x"), (1, "r1"), (2, None), (4, None)]
         if write_fails:
             assert (code, [json.loads(e) for e in error]) == (2, [{"error": "no space left"}])
             assert not out.exists()

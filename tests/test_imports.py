@@ -48,6 +48,7 @@ def test_modules_import_only_the_standard_library():
 
 
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+CODE = re.compile(r"```.*?```|`[^`]+`", re.DOTALL)  # fenced blocks, then backtick spans
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
@@ -77,7 +78,8 @@ def unreached_public_defs(root: Path) -> list[str]:
     """The public defs, classes and methods under root/src that no use reaches.
 
     The roots are cli.main, the names the demos and the benchmark use, and
-    the identifiers of README.md and docs/*.md. A def is reached when its
+    the identifiers in the code of README.md and docs/*.md: its fenced
+    blocks and backtick spans, not its prose. A def is reached when its
     name is (a method also needs its class reached), and then reaches every
     name its body refers to. Module code outside defs runs on import, and a
     dunder method runs with its class, so their names count as their
@@ -108,7 +110,8 @@ def unreached_public_defs(root: Path) -> list[str]:
     for path in sorted([*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]):
         names |= referenced_names([ast.parse(path.read_text(encoding="utf-8"))], strings=True)
     for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
-        names |= set(IDENTIFIER.findall(path.read_text(encoding="utf-8")))
+        for code in CODE.findall(path.read_text(encoding="utf-8")):
+            names |= set(IDENTIFIER.findall(code))
 
     reached: set[str] = set()
     while True:

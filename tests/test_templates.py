@@ -135,11 +135,11 @@ class TestExtract:
         bindings = GOLDEN_BINDINGS[task]
         rendered = render(task, bindings)
         recovered = extract(task, rendered["instruction"])
-        template = builtin_registry().get(task)
-        for name in template.placeholders(include_output=False):
+        assert recovered  # every task's instruction has a slot
+        for name, text in recovered.items():
             value = bindings[name]
             expected = ".".join(value) if isinstance(value, list) else str(value)
-            assert recovered[name] == expected
+            assert text == expected
 
     def test_multifragment_slot_recovered_joined(self):
         rendered = render("forward", {"reactants": ["CC.O", "N"], "products": ["P"]})
