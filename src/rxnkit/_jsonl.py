@@ -22,47 +22,36 @@ CHUNK = 64  # items per pool task
 TEMP_SUFFIX = ".rxnkit-tmp"  # the name ending of an output still being written
 
 
-class SchemaError(ValueError):
-    """An input line does not follow the documented record schema."""
+def iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, line) for each line that is not blank.
 
-    def __init__(self, path: str, lineno: int, message: str) -> None:
-        super().__init__(f"{path}:{lineno}: {message}")
-        self.path = path
-        self.lineno = lineno
-        self.message = message
-
-    def __reduce__(self):  # it travels through the worker pool with the records
-        return SchemaError, (self.path, self.lineno, self.message)
-
-
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict | SchemaError]]:
-    """Yield (lineno, record) pairs; malformed lines yield a SchemaError.
-
-    A line that is not UTF-8 is one malformed line: the bytes that do not
-    decode come through as surrogates (surrogateescape), which no decoded
-    text holds, so the line is found by failing to encode it again.
+    Bytes that are not UTF-8 come through as surrogates (surrogateescape),
+    so such a line reaches read_record, which rejects it.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xDC00
-                message = f"not UTF-8: byte 0x{byte:02x} at character {exc.start + 1}"
-                yield lineno, SchemaError(str(path), lineno, message)
-                continue
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                yield lineno, SchemaError(str(path), lineno, f"bad JSON: {exc}")
-                continue
-            if not isinstance(record, dict):
-                yield lineno, SchemaError(str(path), lineno, "record is not an object")
-                continue
-            yield lineno, record
+            if line.strip():
+                yield lineno, line
+
+
+def read_record(line: str) -> dict:
+    """The JSON object a line holds; a ValueError says why it holds none.
+
+    No decoded text holds a surrogate, so a line that is not UTF-8 is found
+    by failing to encode it again.
+    """
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise ValueError(f"not UTF-8: byte 0x{byte:02x} at character {exc.start + 1}") from None
+    try:
+        record = json.loads(line.strip())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValueError("record is not an object")
+    return record
 
 
 def dumps(obj) -> str:

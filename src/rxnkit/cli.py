@@ -15,16 +15,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 from itertools import chain
 
 from ._jsonl import (
-    SchemaError,
     Workers,
     dumps,
-    iter_jsonl,
+    iter_lines,
     parallel_map,
+    read_record,
     write_json,
     write_jsonl,
 )
@@ -72,7 +71,11 @@ def main(argv: list[str] | None = None) -> int:
         if run.config:
             run = _apply_config(parser, run, argv)
         if run.workers is None:
-            run.workers = int(os.environ.get("RXNKIT_WORKERS", "1"))
+            env = os.environ.get("RXNKIT_WORKERS", "1")
+            try:
+                run.workers = int(env)
+            except ValueError:
+                raise Fatal(f"RXNKIT_WORKERS must be an integer, got {env!r}") from None
         if run.workers < 1:
             raise Fatal(f"workers must be at least 1, got {run.workers}")
         with Workers(run.workers) as run.pool:  # no worker outlives the run
@@ -287,15 +290,21 @@ def _parse_band(text: str) -> tuple[float, float]:
 
 # --- the record driver ------------------------------------------------------
 
-def _guarded(fn, item: tuple[int, dict | SchemaError]) -> tuple[object, object]:
-    """(None, fn(lineno, record)), or (the line's SchemaError or an error row, None)."""
-    lineno, record = item
-    if isinstance(record, SchemaError):
-        return record, None
+def _guarded(fn, item: tuple[int, str]) -> tuple[dict | None, object]:
+    """(None, fn(lineno, record)) for the record on the line, or (its error row, None).
+
+    The row has the record's id when the line held an object.
+    """
+    lineno, line = item
+    record = None
     try:
+        record = read_record(line)
         return None, fn(lineno, record)
     except Exception as exc:
-        return {"line": lineno, "id": record.get("id"), "error": str(exc)}, None
+        row = {"line": lineno, "error": str(exc)}
+        if record is not None:
+            row["id"] = record.get("id")
+        return row, None
 
 
 class Run(argparse.Namespace):
@@ -312,23 +321,18 @@ class Run(argparse.Namespace):
         if self.rows:
             sys.stderr.write(dumps({"record_errors": self.rows, "count": len(self.rows)}) + "\n")
 
-    def reject(self, error: dict | SchemaError) -> None:
-        """List an error row, or a bad line's SchemaError; under --strict it ends the run."""
-        if self.strict:
-            raise Fatal(str(error) if isinstance(error, SchemaError) else dumps(error), code=1)
-        if isinstance(error, SchemaError):
-            error = {"line": error.lineno, "error": error.message}
-        self.rows.append(error)
-
     def records(self, path: str, fn, workers: Workers | None = None):
         """fn(lineno, record) over the records of path, in input order, on the
-        run's workers (or those given); each error goes to reject."""
+        run's workers (or those given); each error row is listed, and under
+        --strict the first one ends the run."""
         guarded = partial(_guarded, fn)
-        for error, result in parallel_map(guarded, iter_jsonl(path), workers or self.pool):
-            if error is None:
+        for row, result in parallel_map(guarded, iter_lines(path), workers or self.pool):
+            if row is None:
                 yield result
-            else:
-                self.reject(error)
+                continue
+            self.rows.append(row)
+            if self.strict:
+                raise Fatal(f"--strict: line {row['line']} of {path} is an error row", code=1)
 
 
 def _run_records(run: Run, fn) -> None:
@@ -428,18 +432,20 @@ def _cmd_leakcheck(run):
         if name in paths:
             raise Fatal(f"--split name {name!r} is given twice")
         paths[name] = path
-    keyed, leak_errors = {}, []
+    keyed, errors = {}, []
     key = partial(_leak_key, merge_agents=run.merge_agents)
     for name, path in paths.items():
         first = len(run.rows)
         keyed[name] = list(run.records(path, key))
-        leak_errors += [(name, str(row.get("id")), row["error"]) for row in run.rows[first:]]
-    report = replace(detect_leakage(keyed), errors=tuple(leak_errors))
-    write_json(run.out, report.to_dict())
+        errors += [{"split": name, **row} for row in run.rows[first:]]
+    write_json(run.out, {**detect_leakage(keyed).to_dict(), "errors": errors})
 
 
 def _corpus(run):
     """The kept records and the stats of the input procedures."""
+    for flag, limit in (("--entity-limit", run.entity_limit), ("--token-limit", run.token_limit)):
+        if limit < 0:  # checked before any record is read
+            raise Fatal(f"{flag} must be >= 0, got {limit}")
     worker = partial(_interleave, entity_limit=run.entity_limit, token_limit=run.token_limit)
     return filter_and_stat(run.records(run.input, worker))
 

@@ -271,10 +271,3 @@ class GraphRecord:
             "nodes": [list(n) for n in self.nodes],
             "edges": [list(e) for e in self.edges],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GraphRecord":
-        return cls(
-            nodes=tuple((n[0], n[1], n[2], bool(n[3]), n[4]) for n in data["nodes"]),
-            edges=tuple((e[0], e[1], e[2]) for e in data.get("edges", [])),
-        )

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .fingerprint import BitFingerprint, FingerprintSpec, fingerprint, load_key_table
+from .fingerprint import BitFingerprint, FingerprintSpec, fingerprint
 from .molgraph import Atom, Molecule, canonical_smiles, parse_smiles
 from .molgraph.elements import allowed_valences, fill_hydrogens
 from .reaction import Reaction, key_of_roles, parse_reaction, reaction_key, role_smiles
@@ -148,12 +148,9 @@ def _principal_product(products: tuple[Molecule, ...], smiles: list[str]) -> Mol
 
 
 def _scaffold_fingerprint(anchor: Molecule, spec: FingerprintSpec) -> BitFingerprint:
-    """Fingerprint of the anchor's scaffold; empty bits for an acyclic anchor."""
+    """Fingerprint of the anchor's scaffold, or of the empty molecule (no bits) if acyclic."""
     scaffold = scaffold_molecule(anchor)
-    if scaffold is None:
-        width = len(load_key_table(spec.key_table)) if spec.kind == "key" else spec.width
-        return BitFingerprint(width=width, bits=0)
-    return fingerprint(scaffold, spec)
+    return fingerprint(Molecule((), ()) if scaffold is None else scaffold, spec)
 
 
 def split_features(record: dict, spec: FingerprintSpec) -> tuple[str, BitFingerprint]:
@@ -218,15 +215,10 @@ def resample_test_set(
 
 @dataclass(frozen=True)
 class LeakReport:
-    """Exact-duplicate pairs across and within named splits.
-
-    errors lists the records that could not be keyed, as (split, record id,
-    message); detect_leakage never sees them, so its caller fills it.
-    """
+    """Exact-duplicate pairs across and within named splits."""
 
     cross: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]
     within: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
-    errors: tuple[tuple[str, str, str], ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -237,9 +229,6 @@ class LeakReport:
             "within": [
                 {"split": name, "count": len(pairs), "pairs": [list(p) for p in pairs]}
                 for name, pairs in self.within
-            ],
-            "errors": [
-                {"split": s, "id": rid, "error": msg} for s, rid, msg in self.errors
             ],
         }
 

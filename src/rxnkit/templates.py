@@ -181,16 +181,10 @@ def extraction_regex(template: TaskTemplate) -> re.Pattern:
     return re.compile("".join(parts), re.DOTALL)
 
 
-def extract(
-    task: str,
-    instruction: str,
-    registry: TemplateRegistry | None = None,
-    variant: int = 0,
-) -> dict[str, str]:
-    """Recover the bound slot strings from a rendered instruction."""
-    registry = registry or builtin_registry()
-    template = registry.get(task, variant)
-    match = extraction_regex(template).match(instruction)
+def extract(task: str, instruction: str) -> dict[str, str]:
+    """Recover the bound slot strings from an instruction rendered with the
+    builtin registry's first variant of the task."""
+    match = extraction_regex(builtin_registry().get(task)).match(instruction)
     if match is None:
         raise TemplateError(
             f"instruction does not match the {task!r} template"

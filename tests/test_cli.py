@@ -44,6 +44,16 @@ def digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def strict_row(capsys, path):
+    """The one error row a --strict run lists, once its error line is seen to
+    name that row's line of path."""
+    rows, error = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    (row,) = rows["record_errors"]
+    assert rows["count"] == 1
+    assert error == {"error": f"--strict: line {row['line']} of {path} is an error row"}
+    return row
+
+
 @pytest.fixture
 def mols(tmp_path):
     path = tmp_path / "mols.jsonl"
@@ -85,7 +95,9 @@ class TestCanon:
         write_jsonl(src, [{"id": "x", "smiles": "C(C"}])
         out = tmp_path / "out.jsonl"
         assert run(["canon", "--in", str(src), "--out", str(out), "--strict"]) == 1
-        assert "error" in json.loads(capsys.readouterr().err)
+        assert strict_row(capsys, src) == {
+            "line": 1, "id": "x", "error": "unbalanced parentheses: missing ')'"}
+        assert not out.exists()
 
     def test_schema_error_points_to_line(self, tmp_path, capsys):
         src = tmp_path / "bad.jsonl"
@@ -408,7 +420,7 @@ class TestSplitAndLeakcheck:
         write_jsonl(a, [{"id": "a1", "rxn": "CCO>>CC=O"}])
         write_jsonl(b, [{"id": "b1", "rxn": "C>>C"}])
         write_jsonl(c, [{"id": "c1", "rxn": "OCC>>O=CC"}])
-        monkeypatch.setattr("rxnkit.cli.iter_jsonl", None)  # no file may be read
+        monkeypatch.setattr("rxnkit.cli.iter_lines", None)  # no file may be read
         out = tmp_path / "leak.json"
         assert run(["leakcheck", "--split", f"x={a}", "--split", f"x={b}",
                     "--split", f"y={c}", "--out", str(out)]) == 2
@@ -420,7 +432,7 @@ class TestSplitAndLeakcheck:
     def test_leakcheck_empty_split_name_is_fatal(self, tmp_path, capsys, monkeypatch, workers):
         a = tmp_path / "a.jsonl"
         write_jsonl(a, [{"id": "a1", "rxn": "CCO>>CC=O"}])
-        monkeypatch.setattr("rxnkit.cli.iter_jsonl", None)  # no file may be read
+        monkeypatch.setattr("rxnkit.cli.iter_lines", None)  # no file may be read
         out = tmp_path / "leak.json"
         assert run(["leakcheck", "--split", f"={a}", "--split", f"y={a}",
                     "--out", str(out), "--workers", workers]) == 2
@@ -797,9 +809,21 @@ class TestBadRecords:
             {"line": 4, "error": "not UTF-8: byte 0xff at character 25"}]
         strict = tmp_path / "strict.jsonl"
         assert run(argv + ["--out", str(strict), "--strict"]) == 1
-        assert json.loads(capsys.readouterr().err) == {
-            "error": f"{dirty}:4: not UTF-8: byte 0xff at character 25"}
+        assert strict_row(capsys, dirty) == {
+            "line": 4, "error": "not UTF-8: byte 0xff at character 25"}
         assert not strict.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_line_nested_too_deep_is_an_error_row(self, tmp_path, capsys, workers):
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        src.write_text(json.dumps({"id": "a", "smiles": "OCC"}) + "\n" + "[" * 100_000 + "\n")
+        assert run(["canon", "--in", str(src), "--out", str(out),
+                    "--workers", str(workers)]) == 0
+        assert read_jsonl(out) == [{"id": "a", "smiles": "CCO"}]
+        assert json.loads(capsys.readouterr().err)["record_errors"] == [{
+            "line": 2,
+            "error": "maximum recursion depth exceeded while decoding a JSON array "
+                     "from a unicode string"}]
 
     def test_eval_reference_line_not_utf8_is_an_error_row(self, tmp_path, capsys):
         refs = [json.dumps({"id": i, "reference": s}).encode()
@@ -824,7 +848,8 @@ class TestBadRecords:
         out = tmp_path / "out.jsonl"
         assert run(["canon", "--in", str(src), "--out", str(out), "--strict"]) == 1
         assert not out.exists()
-        assert ":2: bad JSON" in json.loads(capsys.readouterr().err)["error"]
+        assert strict_row(capsys, src) == {
+            "line": 2, "error": "bad JSON: Expecting value: line 1 column 1 (char 0)"}
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("bad_file", ["train", "candidates"])
@@ -898,13 +923,16 @@ class TestBadRecords:
             (1, None), (3, "b"), (2, None), (3, "m"), (4, None)]
         report = json.loads(out.read_text())
         assert report["cross"] == [{"count": 1, "pairs": [["x", "y"]], "splits": ["a", "b"]}]
-        assert [(e["split"], e["id"], e["error"]) for e in report["errors"]] == [
-            ("b", "None", "record is not an object"),
-            ("b", "b", "SMILES must be a string, not int"),
-            ("a", "None", errors[2]["error"]),
-            ("a", "m", "record 'm' has neither 'rxn' nor 'smiles'"),
-            ("a", "None", "reaction SMILES must be a string, not int")]
-        assert errors[2]["error"].startswith("bad JSON")
+        assert report["errors"] == [
+            {"split": "b", "line": 1, "error": "record is not an object"},
+            {"split": "b", "line": 3, "id": "b", "error": "SMILES must be a string, not int"},
+            {"split": "a", "line": 2,
+             "error": "bad JSON: Expecting value: line 1 column 1 (char 0)"},
+            {"split": "a", "line": 3, "id": "m",
+             "error": "record 'm' has neither 'rxn' nor 'smiles'"},
+            {"split": "a", "line": 4, "id": None,
+             "error": "reaction SMILES must be a string, not int"}]
+        assert report["errors"] == [{"split": s, **row} for s, row in zip("bbaaa", errors)]
 
     @pytest.mark.parametrize("command", ["split", "leakcheck"])
     def test_split_and_leakcheck_strict(self, tmp_path, capsys, command):
@@ -916,7 +944,8 @@ class TestBadRecords:
                 if command == "split" else
                 ["leakcheck", "--split", f"a={good}", "--split", f"b={bad}"])
         assert run(argv + ["--out", str(out), "--strict"]) == 1
-        assert json.loads(json.loads(capsys.readouterr().err)["error"])["id"] == "b"
+        assert strict_row(capsys, bad) == {
+            "line": 2, "id": "b", "error": "reaction SMILES must be a string, not int"}
         assert not out.exists()
 
     def test_leakcheck_lists_a_non_string_smiles(self, tmp_path):
@@ -1045,7 +1074,8 @@ class TestEvalBadPairs:
         out = tmp_path / "m.json"
         assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref),
                     "--out", str(out), "--strict"]) == 1
-        assert json.loads(json.loads(capsys.readouterr().err)["error"])["id"] == 2
+        error = {"row": "no prediction", "field": "'prediction'"}[drop]
+        assert strict_row(capsys, ref) == {"line": 2, "id": 2, "error": error}
         assert not out.exists()
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -1061,14 +1091,15 @@ class TestEvalBadPairs:
         out = tmp_path / "m.json"
         code = run(["eval", "sel", "--pred", str(pred), "--ref", str(ref), "--out", str(out)]
                    + ["--strict"] * strict)
-        err = json.loads(capsys.readouterr().err)
         if strict:
             assert code == 1
-            assert json.loads(err["error"])["id"] == "b0"
+            assert strict_row(capsys, ref) == {
+                "line": 2, "id": "b0",
+                "error": "candidate_yield_ranks must be integers, got 'x'"}
             assert not out.exists()
             return
         assert code == 0
-        errors = err["record_errors"]
+        errors = json.loads(capsys.readouterr().err)["record_errors"]
         assert [e["id"] for e in errors] == [f"b{i}" for i in range(len(bad_ranks))]
         assert [e["line"] for e in errors] == list(range(2, 2 + len(bad_ranks)))
         assert "'x'" in errors[0]["error"] and "True" in errors[1]["error"]
@@ -1138,8 +1169,8 @@ class TestEvalBadPairs:
         out = tmp_path / "m.json"
         assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref),
                     "--out", str(out), "--strict"]) == 1
-        error = json.loads(json.loads(capsys.readouterr().err)["error"])
-        assert error["id"] == 1 and error["error"].startswith("invalid reference: ")
+        assert strict_row(capsys, ref) == {
+            "line": 1, "id": 1, "error": "invalid reference: unbalanced parentheses: missing ')'"}
         assert not out.exists()
 
     def test_gen_strict_ends_at_the_first_row_when_no_reference_parses(self, tmp_path,
@@ -1150,10 +1181,8 @@ class TestEvalBadPairs:
         out = tmp_path / "m.json"
         assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref),
                     "--out", str(out), "--strict"]) == 1
-        (line,) = capsys.readouterr().err.splitlines()
-        assert json.loads(line) == {"error": json.dumps(
-            {"error": "invalid reference: ring bond 1 never closed", "id": 1, "line": 1},
-            sort_keys=True, separators=(",", ":"))}
+        assert strict_row(capsys, ref) == {
+            "line": 1, "id": 1, "error": "invalid reference: ring bond 1 never closed"}
         assert not out.exists()
 
     def test_strict_schema_error_in_predictions(self, tmp_path, capsys):
@@ -1161,7 +1190,8 @@ class TestEvalBadPairs:
         write_jsonl(ref, [{"id": 1, "reference": 1}, {"id": 2, "reference": 2}])
         pred.write_text('{"id": 1, "prediction": 1}\nnot json\n')
         assert run(["eval", "reg", "--pred", str(pred), "--ref", str(ref), "--strict"]) == 1
-        assert "bad JSON" in json.loads(capsys.readouterr().err)["error"]
+        assert strict_row(capsys, pred) == {
+            "line": 2, "error": "bad JSON: Expecting value: line 1 column 1 (char 0)"}
 
 
 class TestConfigErrors:
@@ -1273,6 +1303,27 @@ class TestConfigErrors:
         assert json.loads(line) == {"error": f"workers must be at least 1, got {workers}"}
         assert not out.exists()
 
+    def test_workers_env_that_is_not_an_integer_is_fatal(self, tmp_path, mols, capsys,
+                                                         monkeypatch):
+        out = tmp_path / "o.jsonl"
+        monkeypatch.setenv("RXNKIT_WORKERS", "abc")
+        assert run(["canon", "--in", str(mols), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "RXNKIT_WORKERS must be an integer, got 'abc'"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["corpus", "interleave"], ["stats"]])
+    @pytest.mark.parametrize("flag", ["--entity-limit", "--token-limit"])
+    def test_negative_limit_is_fatal(self, tmp_path, capsys, monkeypatch, command, flag):
+        src, out = tmp_path / "procs.jsonl", tmp_path / "out"
+        write_jsonl(src, [{"id": "a", "text": "add ethanol", "entities": [
+            {"span": [4, 11], "smiles": "CCO"}]}])
+        monkeypatch.setattr("rxnkit.cli.iter_lines", None)  # no file may be read
+        assert run(command + ["--in", str(src), "--out", str(out), flag, "-1"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": f"{flag} must be >= 0, got -1"}
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, mols, capsys):
         assert run(["--config", str(tmp_path / "absent.json"), "canon",
                     "--in", str(mols)]) == 2
@@ -1311,11 +1362,12 @@ class TestErrorRowOrder:
         argv = ["canon", "--in", str(src), "--out", str(out), "--strict",
                 "--workers", str(workers)]
         assert run(argv) == 1
-        (line,) = capsys.readouterr().err.splitlines()
-        assert json.loads(json.loads(line)["error"])["line"] == 1
+        assert strict_row(capsys, src) == {
+            "line": 1, "id": "r1", "error": "SMILES must be a string, not int"}
         src.write_text("\n".join(self.LINES[1:]) + "\n")
         assert run(argv) == 1
-        assert ":1: bad JSON" in json.loads(capsys.readouterr().err)["error"]
+        assert strict_row(capsys, src) == {
+            "line": 1, "error": "bad JSON: Expecting value: line 1 column 1 (char 0)"}
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1339,10 +1391,14 @@ class TestErrorRowOrder:
         assert rows[1]["error"].startswith("bad JSON")
         if name == "leakcheck":
             errors = json.loads(out.read_text())["errors"]
-            assert [(e["split"], e["id"], e["error"]) for e in errors] == [
-                ("b", "m", rows[0]["error"]), ("b", "None", rows[1]["error"])]
+            assert errors == [{"split": "b", **row} for row in rows]
+            assert errors[1] == {"split": "b", "line": 3, "error": rows[1]["error"]}
+        out.unlink()
         assert run(argv + ["--strict"]) == 1
-        assert json.loads(json.loads(capsys.readouterr().err)["error"]) == rows[0]
+        strict_rows, error = [json.loads(e) for e in capsys.readouterr().err.splitlines()]
+        assert strict_rows == {"count": 1, "record_errors": [rows[0]]}
+        assert error == {"error": f"--strict: line 2 of {paths['MIXED']} is an error row"}
+        assert not out.exists()
 
     @staticmethod
     def fail_the_100th_write(monkeypatch):
@@ -1424,10 +1480,12 @@ class TestAtomicOutput:
         argv = ATOMIC[name] + ["--in", str(src), "--strict", "--workers", str(workers)]
         fresh, kept = tmp_path / "fresh.jsonl", tmp_path / "kept.jsonl"
         kept.write_bytes(b"earlier bytes\n")
+        error = ("task 'forward': placeholder 'reactants' is not bound" if name == "render"
+                 else "'smiles'")
         assert run(argv + ["--out", str(fresh)]) == 1
+        assert strict_row(capsys, src) == {"line": bad_line, "id": "bad", "error": error}
         assert run(argv + ["--out", str(kept)]) == 1
-        for line in capsys.readouterr().err.splitlines():
-            assert json.loads(json.loads(line)["error"])["line"] == bad_line
+        assert strict_row(capsys, src) == {"line": bad_line, "id": "bad", "error": error}
         assert not fresh.exists()
         assert kept.read_bytes() == b"earlier bytes\n"
 

@@ -52,16 +52,18 @@ CODE = re.compile(r"```.*?```|`[^`]+`", re.DOTALL)  # fenced blocks, then backti
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
-def referenced_names(nodes, strings: bool = False) -> set[str]:
-    """The names, attributes and imported names in the nodes; with strings,
-    also the parts of each string that is a dotted name (the benchmark names
-    what it traces that way)."""
+def referenced_names(nodes, classes: set[str], strings: bool = False) -> set[str]:
+    """The names, attributes and imported names in the nodes; an attribute
+    of one of the classes' names counts as "Class.attr". With strings, also
+    the parts of each string that is a dotted name (the benchmark names what
+    it traces that way)."""
     names = set()
     for node in (sub for top in nodes for sub in ast.walk(top)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            names.add(f"{owner}.{node.attr}" if owner in classes else node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
         elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -84,31 +86,40 @@ def unreached_public_defs(root: Path) -> list[str]:
     name its body refers to. Module code outside defs runs on import, and a
     dunder method runs with its class, so their names count as their
     module's or class's. Names are matched by spelling, not resolved, so a
-    name reaches every def it spells; a leading underscore marks a def
-    private and exempts it.
+    name reaches every def it spells, except that an attribute of a class's
+    name, as in `Class.method`, reaches that class's method only; a leading
+    underscore marks a def private and exempts it.
     """
-    defs = []  # (qualified name, name, qualified name of its class or None, names used)
+    # (qualified name, the spellings that reach it, qualified name of its
+    # class or None, names used)
+    defs = []
     names, renames = {"main"}, {}
-    for path in sorted((root / "src" / "rxnkit").rglob("*.py")):
-        module = path.relative_to(root / "src").with_suffix("").as_posix().replace("/", ".")
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    modules = {path.relative_to(root / "src").with_suffix("").as_posix().replace("/", "."):
+               ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((root / "src" / "rxnkit").rglob("*.py"))}
+    classes = {node.name for tree in modules.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    for module, tree in modules.items():
+        for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 cls = f"{module}.{node.name}"
                 methods = [item for item in node.body if isinstance(item, ast.FunctionDef)
                            and not is_dunder(item.name)]
                 own = [item for item in node.body if item not in methods]
-                defs.append((cls, node.name, None, referenced_names(
-                    own + node.decorator_list + node.bases + node.keywords)))
-                defs += [(f"{cls}.{m.name}", m.name, cls, referenced_names([m]))
-                         for m in methods]
+                defs.append((cls, {node.name}, None, referenced_names(
+                    own + node.decorator_list + node.bases + node.keywords, classes)))
+                defs += [(f"{cls}.{m.name}", {m.name, f"{node.name}.{m.name}"}, cls,
+                          referenced_names([m], classes)) for m in methods]
             elif isinstance(node, ast.FunctionDef) and not is_dunder(node.name):
-                defs.append((f"{module}.{node.name}", node.name, None, referenced_names([node])))
+                defs.append((f"{module}.{node.name}", {node.name}, None,
+                             referenced_names([node], classes)))
             elif isinstance(node, ast.ImportFrom):
                 renames |= {alias.asname: alias.name for alias in node.names if alias.asname}
             elif not isinstance(node, ast.Import):
-                names |= referenced_names([node])
+                names |= referenced_names([node], classes)
     for path in sorted([*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]):
-        names |= referenced_names([ast.parse(path.read_text(encoding="utf-8"))], strings=True)
+        names |= referenced_names([ast.parse(path.read_text(encoding="utf-8"))], classes,
+                                  strings=True)
     for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
         for code in CODE.findall(path.read_text(encoding="utf-8")):
             names |= set(IDENTIFIER.findall(code))
@@ -116,15 +127,15 @@ def unreached_public_defs(root: Path) -> list[str]:
     reached: set[str] = set()
     while True:
         names |= {renames[name] for name in names & renames.keys()}
-        new = [(qualname, used) for qualname, name, cls, used in defs
-               if qualname not in reached and name in names and cls in reached | {None}]
+        new = [(qualname, used) for qualname, spellings, cls, used in defs
+               if qualname not in reached and spellings & names and cls in reached | {None}]
         if not new:
             break
         for qualname, used in new:
             reached.add(qualname)
             names |= used
-    return [qualname for qualname, name, _, _ in defs
-            if qualname not in reached and not name.startswith("_")]
+    return [qualname for qualname, _, _, _ in defs
+            if qualname not in reached and not qualname.rpartition(".")[2].startswith("_")]
 
 
 def test_every_public_def_is_reached():

@@ -3,7 +3,6 @@
 import multiprocessing
 import multiprocessing.pool
 import os
-import pickle
 import time
 
 import pytest
@@ -11,11 +10,11 @@ import pytest
 from rxnkit._jsonl import (
     CHUNK,
     TEMP_SUFFIX,
-    SchemaError,
     Workers,
     atomic_output,
-    iter_jsonl,
+    iter_lines,
     parallel_map,
+    read_record,
     write_jsonl,
 )
 
@@ -90,24 +89,28 @@ class TestParallelMap:
         assert multiprocessing.active_children() == []
 
 
-class TestIterJsonl:
+def _record_or_error(line):
+    try:
+        return read_record(line)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReadRecord:
     def test_a_line_that_is_not_utf8_is_one_bad_line(self, tmp_path):
         path = tmp_path / "in.jsonl"
         path.write_bytes(b'{"a": 1}\r\n\n {"b": "\xff\xfe"}\r{"c": "\xc3\xa9"}\n\xe9\n{"d": 4}')
-        rows = list(iter_jsonl(path))
+        rows = list(iter_lines(path))
         assert [lineno for lineno, _ in rows] == [1, 3, 4, 5, 6]
-        assert [rows[i][1] for i in (0, 2, 4)] == [{"a": 1}, {"c": "\u00e9"}, {"d": 4}]
-        bad = [rows[1][1], rows[3][1]]
-        assert all(isinstance(e, SchemaError) for e in bad)
-        assert [e.message for e in bad] == [
-            "not UTF-8: byte 0xff at character 9", "not UTF-8: byte 0xe9 at character 1"]
+        assert [_record_or_error(line) for _, line in rows] == [
+            {"a": 1}, "not UTF-8: byte 0xff at character 9", {"c": "\u00e9"},
+            "not UTF-8: byte 0xe9 at character 1", {"d": 4}]
 
-
-class TestSchemaError:
-    def test_pickles_whole(self):
-        error = pickle.loads(pickle.dumps(SchemaError("in.jsonl", 3, "bad JSON")))
-        assert (error.path, error.lineno, error.message) == ("in.jsonl", 3, "bad JSON")
-        assert str(error) == "in.jsonl:3: bad JSON"
+    def test_a_line_that_holds_no_object(self):
+        assert [_record_or_error(line) for line in ['  [1, 2]\n', '\t{"a": \n', ' 5']] == [
+            "record is not an object",
+            "bad JSON: Expecting value: line 1 column 6 (char 5)",
+            "record is not an object"]
 
 
 class TestAtomicOutput:
