@@ -235,7 +235,7 @@ def _apply_config(parser, args, argv) -> Run:
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise Fatal(f"cannot read config {args.config}: {exc}")
     if not isinstance(config, dict):
         raise Fatal(f"config {args.config} is not a JSON object")
@@ -475,7 +475,7 @@ def _cmd_render(run):
             registry.register(builtin_registry().get(task))
         try:
             registry.load_file(run.templates)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise Fatal(f"cannot load templates: {exc}")
     (registry or builtin_registry()).get(run.task, variant)  # a bad task or variant ends the run
     _run_records(run, partial(

@@ -41,18 +41,7 @@ def levenshtein(a: str, b: str) -> int:
     return previous[-1]
 
 
-@dataclass(frozen=True)
-class BleuReport:
-    """Corpus BLEU with its pieces exposed for inspection."""
-
-    score: float
-    precisions: tuple[float, ...]
-    brevity_penalty: float
-    prediction_length: int
-    reference_length: int
-
-
-def bleu_report(predictions: list[str], references: list[str]) -> BleuReport:
+def bleu(predictions: list[str], references: list[str]) -> float:
     """Character-token corpus BLEU, orders 1..4, uniform weights.
 
     Zero-numerator orders above the unigram get add-one smoothing; zero
@@ -99,21 +88,8 @@ def bleu_report(predictions: list[str], references: list[str]) -> BleuReport:
         brevity = math.exp(1.0 - ref_len / pred_len)
 
     if not precisions or precisions[0] == 0.0:
-        score = 0.0
-    else:
-        log_sum = sum(math.log(p) for p in precisions) / len(precisions)
-        score = brevity * math.exp(log_sum)
-    return BleuReport(
-        score=score,
-        precisions=tuple(precisions),
-        brevity_penalty=brevity,
-        prediction_length=pred_len,
-        reference_length=ref_len,
-    )
-
-
-def bleu(predictions: list[str], references: list[str]) -> float:
-    return bleu_report(predictions, references).score
+        return 0.0
+    return brevity * math.exp(sum(math.log(p) for p in precisions) / len(precisions))
 
 
 @dataclass

@@ -363,6 +363,8 @@ def find_matches(
     pattern: Pattern, mol: Molecule, max_matches: int | None = None
 ) -> list[tuple[int, ...]]:
     """Embeddings in pattern-atom order, one per distinct molecule atom set."""
+    if not mol.atoms:  # no pattern atom can match: skip building the masks
+        return []
     memo = mol.match_memo
     if _ALL not in memo:
         _atom_masks(mol, memo)

@@ -455,6 +455,30 @@ class TestSplitAndLeakcheck:
         (row,) = json.loads(capsys.readouterr().err)["record_errors"]
         assert (row["line"], row["id"], row["error"]) == (1, "bad", error["error"])
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_fields_other_than_id_and_rxn_are_ignored(self, tmp_path, capsys, workers):
+        motifs = ["c1ccccc1", "C1CCCCC1", "c1ccncc1", "C1CCOC1"]
+        pairs = [(a, b) for a in motifs for b in motifs]
+        train = [{"id": f"t{i}", "rxn": f"{a}CBr.CO>>{b}CC"} for i, (a, b) in enumerate(pairs)]
+        cands = train[:3] + [{"id": f"c{i}", "rxn": f"{a}CCl.CO>>{b}CO"}
+                             for i, (a, b) in enumerate(pairs)]
+        extra = {"yield": "500%", "catalyst": ["C(C"], "class": 42}
+        t, c = tmp_path / "t.jsonl", tmp_path / "c.jsonl"
+        split, leak = tmp_path / "split.json", tmp_path / "leak.json"
+        reports = []
+        for fields in ({}, extra):
+            write_jsonl(t, [{**r, **fields} for r in train])
+            write_jsonl(c, [{**r, **fields} for r in cands])
+            assert run(["split", "--candidates", str(c), "--train", str(t), "--n", "5",
+                        "--band", "0:0.9", "--out", str(split), "--workers", workers]) == 0
+            assert run(["leakcheck", "--split", f"train={t}", "--split", f"test={c}",
+                        "--out", str(leak), "--workers", workers]) == 0
+            assert capsys.readouterr().err == ""
+            reports.append((split.read_bytes(), leak.read_bytes()))
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0][0])["rejected_overlap"] == 3
+        assert json.loads(reports[0][1])["cross"][0]["count"] == 3
+
 
 class TestRenderAndEval:
     def test_render(self, tmp_path):
@@ -551,6 +575,19 @@ class TestRenderAndEval:
         if bad == "missing":
             assert "No such file or directory" in error
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_render_templates_nested_too_deep_is_fatal(self, tmp_path, capsys, workers):
+        templates, out = tmp_path / "deep.json", tmp_path / "rend.jsonl"
+        templates.write_text("[" * 100_000)
+        out.write_text("kept\n")
+        src = tmp_path / "bind.jsonl"
+        write_jsonl(src, [{"id": i, "reactants": ["r"], "products": ["p"]} for i in range(2)])
+        assert run(["render", "--task", "forward", "--in", str(src), "--out", str(out),
+                    "--templates", str(templates), "--workers", workers]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"].startswith("cannot load templates: ")
+        assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("flags, error", [
@@ -1323,6 +1360,17 @@ class TestConfigErrors:
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line) == {"error": f"{flag} must be >= 0, got -1"}
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_config_nested_too_deep_is_fatal(self, tmp_path, mols, capsys, workers):
+        config, out = tmp_path / "deep.json", tmp_path / "o.jsonl"
+        config.write_text("[" * 100_000)
+        out.write_text("kept\n")
+        assert run(["--config", str(config), "canon", "--in", str(mols),
+                    "--out", str(out), "--workers", workers]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"].startswith(f"cannot read config {config}: ")
+        assert out.read_text() == "kept\n"
 
     def test_missing_config_file(self, tmp_path, mols, capsys):
         assert run(["--config", str(tmp_path / "absent.json"), "canon",

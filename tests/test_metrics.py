@@ -10,7 +10,6 @@ import pytest
 from rxnkit.fingerprint import FingerprintSpec, fingerprint, tanimoto
 from rxnkit.metrics import (
     bleu,
-    bleu_report,
     confusion_entropy,
     confusion_matrix,
     eval_classification,
@@ -69,14 +68,13 @@ class TestBleu:
         assert bleu(["CCCC"], ["NNNN"]) == 0.0
 
     def test_hand_computed_terms(self):
-        # prediction "CC" vs reference "CCO": p1 = 1, brevity exp(1 - 3/2)
-        report = bleu_report(["CC"], ["CCO"])
-        assert report.precisions[0] == pytest.approx(1.0)
-        assert report.brevity_penalty == pytest.approx(math.exp(1 - 3 / 2))
+        # prediction "CC" vs reference "CCO": p1 = p2 = 1, brevity exp(1 - 3/2)
+        assert bleu(["CC"], ["CCO"]) == pytest.approx(math.exp(1 - 3 / 2))
 
     def test_short_predictions_drop_high_orders(self):
-        report = bleu_report(["CC"], ["CC"])
-        assert len(report.precisions) == 2  # no 3-gram candidates anywhere
+        # p1 = 1/2, p2 = (0 + 1) / (1 + 1) smoothed; no 3-gram candidates
+        # anywhere, so orders 3 and 4 drop out of the mean instead of adding 1s
+        assert bleu(["CN"], ["CC"]) == pytest.approx(0.5)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

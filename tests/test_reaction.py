@@ -39,31 +39,6 @@ class TestParseReaction:
         with pytest.raises(ReactionError, match="reactants fragment 1"):
             parse_reaction("CCO.C(C>>CCN")
 
-    def test_conditions(self):
-        rxn = parse_reaction(
-            "CCO>>CCN", conditions={"catalyst": ["[Na+]"], "solvent": ["O"]}
-        )
-        assert set(rxn.conditions) == {"catalyst", "solvent"}
-
-    def test_unknown_condition_role(self):
-        with pytest.raises(ReactionError):
-            parse_reaction("CCO>>CCN", conditions={"flavor": ["O"]})
-
-
-class TestYield:
-    def test_fraction_accepted(self):
-        assert parse_reaction("C>>C", yield_value=0.85).yield_fraction == 0.85
-
-    def test_percentage_string(self):
-        assert parse_reaction("C>>C", yield_value="85%").yield_fraction == 0.85
-
-    def test_out_of_range_is_error_not_clamp(self):
-        with pytest.raises(ReactionError):
-            parse_reaction("C>>C", yield_value=1.5)
-        with pytest.raises(ReactionError):
-            parse_reaction("C>>C", yield_value="120%")
-
-
 class TestReactionKey:
     def test_fragment_order_irrelevant(self):
         a = reaction_key(parse_reaction("OCC.CC(=O)O>>CC(=O)OCC"))
@@ -97,33 +72,7 @@ class TestReactionKey:
         assert key.count(">") == 2
 
 
-class TestRecordLoading:
-    def test_full_record(self):
-        from rxnkit.reaction import reaction_from_record
-
-        rxn = reaction_from_record({
-            "id": "r1",
-            "rxn": "CCO.CC(=O)O>>CC(=O)OCC",
-            "catalyst": ["OS(=O)(=O)O"],
-            "yield": "85%",
-            "class": 42,
-        })
-        assert rxn.yield_fraction == 0.85
-        assert rxn.reaction_class == "42"
-        assert len(rxn.conditions["catalyst"]) == 1
-
-
 class TestReactionInvariants:
     def test_needs_reactant_and_product(self):
         with pytest.raises(ReactionError):
             Reaction(reactants=(), products=())
-
-    def test_yield_invariant(self):
-        from rxnkit.molgraph import parse_smiles
-
-        with pytest.raises(ReactionError):
-            Reaction(
-                reactants=(parse_smiles("C"),),
-                products=(parse_smiles("C"),),
-                yield_fraction=2.0,
-            )

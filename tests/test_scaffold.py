@@ -156,6 +156,15 @@ class TestSplitFeatures:
         _, product_fp = split_features(_mol_record("p", "CC(=O)OCC"), spec)
         assert split_features(record, spec) == (record_key(record), product_fp)
 
+    def test_acyclic_anchor_runs_no_key_pattern(self, monkeypatch):
+        def no_masks(pred, memo):
+            raise AssertionError("a key pattern ran against the empty molecule")
+
+        monkeypatch.setattr("rxnkit.substructure._predicate_mask", no_masks)
+        _, fp = split_features(_rxn_record("r", "CCO.CC(=O)O>>CC(=O)OCC"),
+                               FingerprintSpec(kind="key"))
+        assert (fp.width, fp.bits) == (166, 0)
+
     @pytest.mark.parametrize("record, match", [
         ({"id": "t1"}, "'t1' has neither 'rxn' nor 'smiles'"),
         (_rxn_record("r", "not>>"), "cannot parse reactants fragment 0"),
