@@ -3,6 +3,8 @@
 Run with: python demos/01_molecules.py
 """
 
+import json
+
 from rxnkit import (
     canonicalize,
     molecular_formula,
@@ -29,9 +31,9 @@ for text in ["CC(=O)O", "C(C", "C(C)(C)(C)(C)C"]:
     verdict = validate(text)
     print(f"validate({text!r}) -> {verdict.status}")
 
-# Graph records serialize a molecule in canonical rank order, so any input
-# numbering of the same molecule yields byte-identical JSON.
-a = to_graph_record(parse_smiles("OCC")).to_json()
-b = to_graph_record(parse_smiles("CCO")).to_json()
+# A molecule's graph object lists its atoms in canonical rank order, so any
+# input numbering of the same molecule yields byte-identical compact JSON.
+a = json.dumps(to_graph_record(parse_smiles("OCC")), separators=(",", ":"))
+b = json.dumps(to_graph_record(parse_smiles("CCO")), separators=(",", ":"))
 print("graph records identical across numberings:", a == b)
 print(a)

@@ -42,9 +42,9 @@ report = resample_test_set(
     n=2,
 )
 print("\nsplit report:")
-print("  rejected as train overlap:", report.rejected_overlap)
-for rid, sim in report.selected:
-    print(f"  selected {rid} with max train similarity {sim:.3f}")
+print("  rejected as train overlap:", report["rejected_overlap"])
+for row in report["selected"]:
+    print(f"  selected {row['id']} with max train similarity {row['max_train_similarity']:.3f}")
 
 # Leakage audit: identical reactions hiding behind fragment reordering or
 # alternative SMILES spellings still collide on their canonical keys. Each
@@ -59,5 +59,6 @@ splits = {
 leak = detect_leakage(
     {name: [(r["id"], record_key(r)) for r in records] for name, records in splits.items()}
 )
-for a, b, pairs in leak.cross:
-    print(f"\nduplicates between {a} and {b}: {list(pairs)}")
+for entry in leak["cross"]:
+    a, b = entry["splits"]
+    print(f"\nduplicates between {a} and {b}: {entry['pairs']}")

@@ -8,6 +8,7 @@ from rxnkit.corpus import (
     build_interleaved,
     build_name_conversion,
     filter_and_stat,
+    reconstruct,
 )
 
 # A procedure paragraph with pre-annotated entity spans becomes an ordered
@@ -20,12 +21,12 @@ proc = AnnotatedProcedure(
     entities=((4, 11, "CCO"), (19, 30, "CC(=O)O")),
 )
 record = build_interleaved(proc)
-for seg in record.segments:
+for seg in record["segments"]:
     if seg["kind"] == "text":
         print(f"  text: {seg['value']!r}")
     else:
         print(f"  mol:  {seg['surface']!r} -> {seg['smiles']}")
-print("reconstructs exactly:", record.reconstruct() == text)
+print("reconstructs exactly:", reconstruct(record) == text)
 
 # Corpus filters reject records with no entities, too many entities (> 20),
 # or too many tokens (> 1024), with per-reason counts. build_interleaved
@@ -47,6 +48,6 @@ print("\nfilter stats:", stats.to_dict()["rejected"])
 records = build_name_conversion({"id": "m1", "smiles": "CCO", "iupac": "ethanol"})
 print("\nname-conversion tasks:")
 for r in records:
-    target = r.target if isinstance(r.target, str) else "..."
-    source = r.input if isinstance(r.input, str) else "<graph>"
-    print(f"  {r.task:18s} {source!r:12} -> {target!r}")
+    target = r["target"] if isinstance(r["target"], str) else "..."
+    source = r["input"] if isinstance(r["input"], str) else "<graph>"
+    print(f"  {r['task']:18s} {source!r:12} -> {target!r}")

@@ -38,16 +38,16 @@ records = [
     {"id": 3, "prediction": "C1CC", "reference": "C1CCCCC1"},  # invalid prediction
 ]
 specs = generation_specs()  # the default spec with each fingerprint kind
-report = eval_generation([score_generation(record, specs) for record in records])
+metrics, _ = eval_generation([score_generation(record, specs) for record in records])
 print("\ngeneration metrics:")
-for name, value in sorted(report.metrics.items()):
+for name, value in sorted(metrics.items()):
     shown = "n/a" if value is None else f"{value:.3f}"
     print(f"  {name:16s} {shown}")
 
 # Classification: accuracy, confusion entropy (0 = perfect), multiclass MCC.
 pairs = [(0, 0), (1, 1), (2, 2), (2, 1), (0, 0), (1, 1)]
-print("\nclassification:", eval_classification(pairs).metrics)
+print("\nclassification:", eval_classification(pairs)[0])
 
 # Regression: MAE, MSE, and R^2.
 series = [(0.85, 0.80), (0.40, 0.45), (0.95, 0.90), (0.10, 0.25)]
-print("regression:   ", eval_regression(series).metrics)
+print("regression:   ", eval_regression(series)[0])

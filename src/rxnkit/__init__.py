@@ -10,7 +10,6 @@ from .molgraph import (
     Atom,
     Bond,
     ChemistryError,
-    GraphRecord,
     Molecule,
     SmilesSyntaxError,
     canonical_ranks,
@@ -28,7 +27,6 @@ __all__ = [
     "Atom",
     "Bond",
     "ChemistryError",
-    "GraphRecord",
     "Molecule",
     "SmilesSyntaxError",
     "canonical_ranks",

@@ -1,7 +1,7 @@
 """Command-line front door wiring the library into JSONL pipelines.
 
 Subcommands: canon, validate, fp, sim, scaffold, split, leakcheck,
-corpus interleave, corpus nameconv, render, eval gen|cls|reg|sel, stats.
+corpus interleave, corpus nameconv, render, eval gen|cls|reg|sel.
 Inputs and outputs are JSONL (schemas in docs/formats.md); reports are JSON.
 Identical inputs and flags produce byte-identical outputs for any worker
 count. Per-record failures are collected and reported on stderr unless
@@ -215,14 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n-classes", type=int, default=None)
         p.set_defaults(handler=handler)
 
-    p = sub.add_parser("stats", help="corpus filter statistics only")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--entity-limit", type=int, default=DEFAULT_ENTITY_LIMIT)
-    p.add_argument("--token-limit", type=int, default=DEFAULT_TOKEN_LIMIT)
-    common(p)
-    p.set_defaults(handler=_cmd_stats)
-
     return parser
 
 
@@ -377,7 +369,8 @@ def _split_candidate(lineno, record, spec: FingerprintSpec):
 
 
 def _leak_key(lineno, record, merge_agents: bool):
-    return str(record.get("id")), record_key(record, merge_agents)
+    key = record_key(record, merge_agents)  # a record that cannot be keyed says so first
+    return str(record["id"]), key
 
 
 def _interleave(lineno, record, entity_limit: int, token_limit: int):
@@ -385,7 +378,7 @@ def _interleave(lineno, record, entity_limit: int, token_limit: int):
 
 
 def _nameconv(lineno, record):
-    return [r.to_dict() for r in build_name_conversion(record)]
+    return build_name_conversion(record)
 
 
 def _render(lineno, record, task, variant, seed, sentinel, registry):
@@ -420,7 +413,7 @@ def _cmd_split(run):
         raise Fatal(f"--n must be >= 1, got {run.n}")
     train = list(run.records(run.train, partial(_split_train, spec=spec)))
     candidates = list(run.records(run.candidates, partial(_split_candidate, spec=spec)))
-    write_json(run.out, resample_test_set(candidates, train, band, run.n).to_dict())
+    write_json(run.out, resample_test_set(candidates, train, band, run.n))
 
 
 def _cmd_leakcheck(run):
@@ -438,30 +431,18 @@ def _cmd_leakcheck(run):
         first = len(run.rows)
         keyed[name] = list(run.records(path, key))
         errors += [{"split": name, **row} for row in run.rows[first:]]
-    write_json(run.out, {**detect_leakage(keyed).to_dict(), "errors": errors})
+    write_json(run.out, {**detect_leakage(keyed), "errors": errors})
 
 
-def _corpus(run):
-    """The kept records and the stats of the input procedures."""
+def _cmd_interleave(run):
     for flag, limit in (("--entity-limit", run.entity_limit), ("--token-limit", run.token_limit)):
         if limit < 0:  # checked before any record is read
             raise Fatal(f"{flag} must be >= 0, got {limit}")
     worker = partial(_interleave, entity_limit=run.entity_limit, token_limit=run.token_limit)
-    return filter_and_stat(run.records(run.input, worker))
-
-
-def _cmd_interleave(run):
-    kept, stats = _corpus(run)
-    write_jsonl(run.out, (record.to_dict() for record in kept))
+    kept, stats = filter_and_stat(run.records(run.input, worker))
+    write_jsonl(run.out, kept)
     if run.stats:
         write_json(run.stats, stats.to_dict())
-
-
-def _cmd_stats(run):
-    kept, stats = _corpus(run)
-    for _ in kept:
-        pass
-    write_json(run.out, stats.to_dict())
 
 
 def _cmd_render(run):
@@ -506,19 +487,25 @@ def _join_by_id(run, row) -> list:
     return rows
 
 
-def _write_report(run, report) -> None:
-    payload = report.to_dict()
+def _write_report(run, task_family: str, metrics: dict, details: list[dict]) -> None:
+    """Write the metric report of an eval run and, with --details, its detail rows."""
+    report = {
+        "task_family": task_family,
+        "sample_count": len(details),
+        "metrics": metrics,
+        "errors": [],  # the pairs that could not be scored are rows on stderr
+    }
     if run.details:
-        write_jsonl(run.details, report.details)
-        payload["details_path"] = run.details
-    write_json(run.out, payload)
+        write_jsonl(run.details, details)
+        report["details_path"] = run.details
+    write_json(run.out, report)
 
 
 def _cmd_eval_gen(run):
     specs = generation_specs(_fp_spec(run))  # a bad --key-table fails before any record
     scored = _join_by_id(run, lambda _, ref, pred: score_generation(
         {**ref, "prediction": pred["prediction"]}, specs))
-    _write_report(run, eval_generation(scored))
+    _write_report(run, "generation", *eval_generation(scored))
 
 
 def _class_label(value, n_classes: int | None) -> int:
@@ -541,18 +528,21 @@ def _cmd_eval_cls(run):
     labeled = _join_by_id(run, lambda _, ref, pred: (
         _class_label(ref["reference"], run.n_classes),
         _class_label(pred["prediction"], run.n_classes)))
-    _write_report(run, eval_classification(labeled, n_classes=run.n_classes))
+    _write_report(run, "classification", *eval_classification(labeled, n_classes=run.n_classes))
 
 
 def _cmd_eval_reg(run):
     series = _join_by_id(run, lambda _, ref, pred: (
         _regression_value(ref["reference"]), _regression_value(pred["prediction"])))
-    _write_report(run, eval_regression(series))
+    _write_report(run, "regression", *eval_regression(series))
 
 
 def _selection_pair(lineno, ref, pred) -> dict:
-    """The eval_selection record of a pair; ranks, if given, are one int per candidate."""
-    candidates = list(ref["candidates"])
+    """The eval_selection record of a pair: candidates are a list, and ranks,
+    if given, are one int per candidate."""
+    candidates = ref["candidates"]
+    if not isinstance(candidates, list):
+        raise ValueError(f"candidates must be a list, got {candidates!r}")
     ranks = ref.get("candidate_yield_ranks")
     if ranks is not None:
         if not isinstance(ranks, list) or len(ranks) != len(candidates):
@@ -570,7 +560,7 @@ def _selection_pair(lineno, ref, pred) -> dict:
 
 
 def _cmd_eval_sel(run):
-    _write_report(run, eval_selection(_join_by_id(run, _selection_pair)))
+    _write_report(run, "selection", *eval_selection(_join_by_id(run, _selection_pair)))
 
 
 if __name__ == "__main__":

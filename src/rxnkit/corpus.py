@@ -47,11 +47,14 @@ class AnnotatedProcedure:
 
     @classmethod
     def from_dict(cls, record: dict) -> "AnnotatedProcedure":
-        entities = tuple(
-            (int(e["span"][0]), int(e["span"][1]), str(e["smiles"]))
-            for e in record.get("entities", ())
-        )
-        return cls(id=str(record["id"]), text=record["text"], entities=entities)
+        entities = []
+        for e in record.get("entities", ()):
+            span = e["span"]
+            if not (isinstance(span, list) and len(span) == 2
+                    and all(type(end) is int for end in span)):  # bool is not an end
+                raise ValueError(f"entity span must be a list of two integers, got {span!r}")
+            entities.append((*span, str(e["smiles"])))
+        return cls(id=str(record["id"]), text=record["text"], entities=tuple(entities))
 
 
 @dataclass(frozen=True)
@@ -63,38 +66,15 @@ class Rejection:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class InterleavedRecord:
-    """Ordered text and molecule segments preserving source order."""
-
-    id: str
-    segments: tuple[dict, ...]
-    entity_count: int
-    token_count: int
-
-    def reconstruct(self) -> str:
-        return "".join(
-            seg["value"] if seg["kind"] == "text" else seg["surface"]
-            for seg in self.segments
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "segments": [dict(seg) for seg in self.segments],
-            "stats": {
-                "entity_count": self.entity_count,
-                "token_count": self.token_count,
-            },
-        }
-
-
 def build_interleaved(
     proc: AnnotatedProcedure,
     entity_limit: int = DEFAULT_ENTITY_LIMIT,
     token_limit: int = DEFAULT_TOKEN_LIMIT,
-) -> InterleavedRecord | Rejection:
-    """Convert one annotated procedure, or reject it with a reason.
+) -> dict | Rejection:
+    """The interleaved record of one annotated procedure, or its rejection.
+
+    The record holds the id, the text and molecule segments in source order
+    and the entity and token counts under "stats".
 
     Checks run in a fixed order: NO_ENTITY, then ENTITY_LIMIT, then
     TOKEN_LIMIT, then PARSE_FAIL on the entity SMILES.
@@ -123,36 +103,31 @@ def build_interleaved(
                 "kind": "mol",
                 "smiles": canonical_smiles(mol),
                 "surface": proc.text[start:end],
-                "graph": to_graph_record(mol).to_dict(),
+                "graph": to_graph_record(mol),
             }
         )
         cursor = end
     if cursor < len(proc.text):
         segments.append({"kind": "text", "value": proc.text[cursor:]})
-    return InterleavedRecord(
-        id=proc.id,
-        segments=tuple(segments),
-        entity_count=len(proc.entities),
-        token_count=token_count,
+    return {
+        "id": proc.id,
+        "segments": segments,
+        "stats": {"entity_count": len(proc.entities), "token_count": token_count},
+    }
+
+
+def reconstruct(record: dict) -> str:
+    """The source paragraph of an interleaved record: its text values and
+    molecule surfaces in segment order."""
+    return "".join(
+        seg["value"] if seg["kind"] == "text" else seg["surface"]
+        for seg in record["segments"]
     )
 
 
-@dataclass(frozen=True)
-class NameConversionRecord:
-    """One conversion sample: graph or name in, string representation out."""
-
-    id: str
-    task: str
-    input: str | dict
-    target: str
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "task": self.task, "input": self.input,
-                "target": self.target}
-
-
-def build_name_conversion(entry: dict) -> list[NameConversionRecord]:
-    """Expand one molecule entry into its conversion-task records.
+def build_name_conversion(entry: dict) -> list[dict]:
+    """Expand one molecule entry into its conversion-task rows: {id, task,
+    input, target}, the input a graph object or a name.
 
     graph_to_smiles and graph_to_formula are always emitted; the IUPAC tasks
     only when the entry carries an (opaque) iupac string. A formula given in
@@ -168,18 +143,15 @@ def build_name_conversion(entry: dict) -> list[NameConversionRecord]:
             f"entry {entry.get('id')!r}: given formula {given!r} does not match "
             f"computed {formula!r}"
         )
-    graph = to_graph_record(mol).to_dict()
-    rid = str(entry.get("id", canonical))
-    records = [
-        NameConversionRecord(rid, "graph_to_smiles", graph, canonical),
-        NameConversionRecord(rid, "graph_to_formula", graph, formula),
-    ]
+    graph = to_graph_record(mol)
+    tasks = [("graph_to_smiles", graph, canonical), ("graph_to_formula", graph, formula)]
     iupac = entry.get("iupac")
     if iupac is not None:
-        records.append(NameConversionRecord(rid, "iupac_to_smiles", iupac, canonical))
-        records.append(NameConversionRecord(rid, "iupac_to_formula", iupac, formula))
-        records.append(NameConversionRecord(rid, "graph_to_iupac", graph, iupac))
-    return records
+        tasks += [("iupac_to_smiles", iupac, canonical), ("iupac_to_formula", iupac, formula),
+                  ("graph_to_iupac", graph, iupac)]
+    rid = str(entry.get("id", canonical))
+    return [{"id": rid, "task": task, "input": source, "target": target}
+            for task, source, target in tasks]
 
 
 @dataclass
@@ -192,19 +164,20 @@ class CorpusStats:
     token_histogram: dict[str, int] = field(default_factory=dict)
     entity_histogram: dict[int, int] = field(default_factory=dict)
 
-    def observe(self, outcome: InterleavedRecord | Rejection) -> None:
+    def observe(self, outcome: dict | Rejection) -> None:
         if isinstance(outcome, Rejection):
             self.rejected[outcome.reason] = self.rejected.get(outcome.reason, 0) + 1
             return
         self.kept += 1
-        for seg in outcome.segments:
+        for seg in outcome["segments"]:
             if seg["kind"] == "mol":
                 self.unique_molecules.add(seg["smiles"])
-        low = outcome.token_count // _TOKEN_BIN_WIDTH * _TOKEN_BIN_WIDTH
+        counts = outcome["stats"]
+        low = counts["token_count"] // _TOKEN_BIN_WIDTH * _TOKEN_BIN_WIDTH
         bin_label = f"{low}-{low + _TOKEN_BIN_WIDTH - 1}"
         self.token_histogram[bin_label] = self.token_histogram.get(bin_label, 0) + 1
-        self.entity_histogram[outcome.entity_count] = (
-            self.entity_histogram.get(outcome.entity_count, 0) + 1
+        self.entity_histogram[counts["entity_count"]] = (
+            self.entity_histogram.get(counts["entity_count"], 0) + 1
         )
 
     def to_dict(self) -> dict:
@@ -220,8 +193,8 @@ class CorpusStats:
 
 
 def filter_and_stat(
-    outcomes: Iterable[InterleavedRecord | Rejection],
-) -> tuple[Iterator[InterleavedRecord], CorpusStats]:
+    outcomes: Iterable[dict | Rejection],
+) -> tuple[Iterator[dict], CorpusStats]:
     """Stream the kept records of build outcomes while counting them all.
 
     The outcomes come from build_interleaved, which applies the limits. The
@@ -230,10 +203,10 @@ def filter_and_stat(
     """
     stats = CorpusStats()
 
-    def generate() -> Iterator[InterleavedRecord]:
+    def generate() -> Iterator[dict]:
         for outcome in outcomes:
             stats.observe(outcome)
-            if isinstance(outcome, InterleavedRecord):
+            if not isinstance(outcome, Rejection):
                 yield outcome
 
     return generate(), stats

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from .fingerprint import FingerprintSpec, fingerprint, tanimoto
 from .molgraph import ChemistryError, SmilesSyntaxError, canonical_smiles, parse_smiles
@@ -92,24 +92,6 @@ def bleu(predictions: list[str], references: list[str]) -> float:
     return brevity * math.exp(sum(math.log(p) for p in precisions) / len(precisions))
 
 
-@dataclass
-class MetricReport:
-    """Named metric values plus per-sample detail for one evaluation run."""
-
-    task_family: str
-    metrics: dict[str, float | None]
-    sample_count: int
-    details: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "task_family": self.task_family,
-            "sample_count": self.sample_count,
-            "metrics": self.metrics,
-            "errors": [],  # the pairs that could not be scored are rows on stderr
-        }
-
-
 _FTS_KINDS = ("path", "key", "circular")
 
 
@@ -149,9 +131,10 @@ def score_generation(
     return row, pred, ref
 
 
-def eval_generation(scored: list[tuple[dict, str, str]]) -> MetricReport:
-    """Exact match, character BLEU over the texts, mean Levenshtein, validity
-    and the fingerprint Tanimoto means of score_generation results.
+def eval_generation(scored: list[tuple[dict, str, str]]) -> tuple[dict, list[dict]]:
+    """(metrics, details) of score_generation results: exact match, character
+    BLEU over the texts, mean Levenshtein, validity and the fingerprint
+    Tanimoto means, and the detail rows.
 
     Invalid predictions lower validity, count as missed exact matches, and
     are excluded from the fingerprint means.
@@ -170,8 +153,7 @@ def eval_generation(scored: list[tuple[dict, str, str]]) -> MetricReport:
     for kind in _FTS_KINDS:
         metrics[f"fts_{kind}"] = (
             sum(row[f"fts_{kind}"] for row in valid) / len(valid) if valid else None)
-    return MetricReport(task_family="generation", metrics=metrics, sample_count=n,
-                        details=details)
+    return metrics, details
 
 
 def confusion_matrix(pairs: list[tuple[int, int]], n_classes: int) -> Counter:
@@ -228,24 +210,21 @@ def matthews_corrcoef(counts: Counter) -> float:
 
 def eval_classification(
     pairs: list[tuple[int, int]], n_classes: int | None = None
-) -> MetricReport:
-    """Accuracy, CEN, and multiclass MCC over (gold, pred) label pairs."""
+) -> tuple[dict, list[dict]]:
+    """(metrics, details): accuracy, CEN, and multiclass MCC over (gold, pred)
+    label pairs, and one detail row per pair."""
     if not pairs:
         raise ValueError("no label pairs")
     n = n_classes if n_classes is not None else max(max(g, p) for g, p in pairs) + 1
     if n < 2:
         raise ValueError("need at least 2 classes")
     counts = confusion_matrix(pairs, n)
-    return MetricReport(
-        task_family="classification",
-        metrics={
-            "accuracy": sum(g == p for g, p in pairs) / len(pairs),
-            "cen": confusion_entropy(counts, n),
-            "mcc": matthews_corrcoef(counts),
-        },
-        sample_count=len(pairs),
-        details=[{"gold": g, "pred": p} for g, p in pairs],
-    )
+    metrics = {
+        "accuracy": sum(g == p for g, p in pairs) / len(pairs),
+        "cen": confusion_entropy(counts, n),
+        "mcc": matthews_corrcoef(counts),
+    }
+    return metrics, [{"gold": g, "pred": p} for g, p in pairs]
 
 
 def _fsum(name: str, values) -> float:
@@ -260,8 +239,9 @@ def _fsum(name: str, values) -> float:
     return total
 
 
-def eval_regression(pairs: list[tuple[float, float]]) -> MetricReport:
-    """MAE, MSE, and coefficient of determination over (gold, pred) pairs.
+def eval_regression(pairs: list[tuple[float, float]]) -> tuple[dict, list[dict]]:
+    """(metrics, details): MAE, MSE, and coefficient of determination over
+    (gold, pred) pairs, and one detail row per pair.
 
     R^2 = 1 - SS_res/SS_tot is undefined (reported as None) when the gold
     values are all equal. Every sum is correctly rounded, so the metrics
@@ -277,16 +257,13 @@ def eval_regression(pairs: list[tuple[float, float]]) -> MetricReport:
     mean = _fsum("r2", (gold for gold, _ in pairs)) / n
     ss_tot = _fsum("r2", ((gold - mean) * (gold - mean) for gold, _ in pairs))
     r2 = None if ss_tot == 0.0 else _fsum("r2", (1.0, -ss_res / ss_tot))  # checked finite
-    return MetricReport(
-        task_family="regression",
-        metrics={"mae": mae, "mse": ss_res / n, "r2": r2},
-        sample_count=n,
-        details=[{"gold": g, "pred": p} for g, p in pairs],
-    )
+    metrics = {"mae": mae, "mse": ss_res / n, "r2": r2}
+    return metrics, [{"gold": g, "pred": p} for g, p in pairs]
 
 
-def eval_selection(records: list[dict]) -> MetricReport:
-    """Top-1 and top-50% accuracy for choose-from-candidates records.
+def eval_selection(records: list[dict]) -> tuple[dict, list[dict]]:
+    """(metrics, details): top-1 and top-50% accuracy for choose-from-candidates
+    records, and one detail row per record.
 
     A record needs gold_item, predicted_item, and candidates. Top-50 is
     computed when every record has candidate_yield_ranks (parallel to
@@ -330,9 +307,4 @@ def eval_selection(records: list[dict]) -> MetricReport:
     metrics: dict[str, float | None] = {"selection_top1": top1_hits / len(records)}
     if want_top50:
         metrics["selection_top50"] = top50_hits / len(records)
-    return MetricReport(
-        task_family="selection",
-        metrics=metrics,
-        sample_count=len(records),
-        details=details,
-    )
+    return metrics, details

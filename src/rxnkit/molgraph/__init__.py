@@ -12,7 +12,6 @@ from .model import (
     Atom,
     Bond,
     ChemistryError,
-    GraphRecord,
     Molecule,
     SmilesSyntaxError,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "Atom",
     "Bond",
     "ChemistryError",
-    "GraphRecord",
     "Molecule",
     "SmilesSyntaxError",
     "Verdict",

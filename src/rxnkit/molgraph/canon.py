@@ -33,7 +33,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .elements import BARE_ATOMS, fill_hydrogens, takes_double_bond
-from .model import ChemistryError, GraphRecord, H_SLOT, Molecule, SmilesSyntaxError, bond_code
+from .model import ChemistryError, H_SLOT, Molecule, SmilesSyntaxError, bond_code
 
 _FLIP = {"@": "@@", "@@": "@", "/": "\\", "\\": "/"}
 
@@ -429,24 +429,29 @@ def molecular_formula(mol: Molecule) -> str:
     return "".join(ordered)
 
 
-def to_graph_record(mol: Molecule) -> GraphRecord:
-    """Serialize in canonical rank order; byte-identical across renumberings."""
+def to_graph_record(mol: Molecule) -> dict:
+    """The graph object of a molecule, in canonical rank order, byte-identical
+    across renumberings as compact JSON.
+
+    nodes: [atomic_number, formal_charge, implicit_hydrogens, aromatic, degree]
+    edges: [i, j, order_code] with i < j in rank space, sorted
+    """
     ranks = canonical_ranks(mol)
     degrees = mol.degrees
-    nodes: list[tuple[int, int, int, bool, int]] = [None] * len(mol.atoms)  # type: ignore
+    nodes: list[list] = [None] * len(mol.atoms)  # type: ignore
     for i, a in enumerate(mol.atoms):
-        nodes[ranks[i]] = (
+        nodes[ranks[i]] = [
             a.atomic_number,
             a.formal_charge,
             a.implicit_hydrogens,
             a.is_aromatic,
             degrees[i],
-        )
+        ]
     edges = sorted(
-        (min(ranks[b.a], ranks[b.b]), max(ranks[b.a], ranks[b.b]), bond_code(b))
+        [min(ranks[b.a], ranks[b.b]), max(ranks[b.a], ranks[b.b]), bond_code(b)]
         for b in mol.bonds
     )
-    return GraphRecord(nodes=tuple(nodes), edges=tuple(edges))
+    return {"nodes": nodes, "edges": edges}
 
 
 @dataclass(frozen=True)

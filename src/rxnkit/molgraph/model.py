@@ -7,15 +7,14 @@ once and cached.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .elements import SYMBOL
 
 SINGLE, DOUBLE, TRIPLE = 1, 2, 3
-AROMATIC_CODE = 4  # order_code used for aromatic bonds in GraphRecord edges
+AROMATIC_CODE = 4  # order code of aromatic bonds in to_graph_record edges
 
 
 class SmilesSyntaxError(ValueError):
@@ -251,23 +250,3 @@ def _non_bridge_edges(
                         bridges.add((parent, v) if parent < v else (v, parent))
     return frozenset(key for key in keys if key not in bridges)
 
-
-@dataclass(frozen=True)
-class GraphRecord:
-    """Canonical-rank-ordered serialization of a molecule.
-
-    nodes: [atomic_number, formal_charge, implicit_hydrogens, aromatic, degree]
-    edges: [i, j, order_code] with i < j in rank space, sorted
-    """
-
-    nodes: tuple[tuple[int, int, int, bool, int], ...]
-    edges: tuple[tuple[int, int, int], ...] = field(default=())
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": [list(n) for n in self.nodes],
-            "edges": [list(e) for e in self.edges],
-        }

@@ -13,7 +13,6 @@ acyclic scaffold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .fingerprint import BitFingerprint, FingerprintSpec, fingerprint
@@ -95,28 +94,6 @@ def max_similarity_to_set(
     return best
 
 
-@dataclass(frozen=True)
-class SplitReport:
-    """Outcome of a scaffold-similarity test-set resampling."""
-
-    selected: tuple[tuple[str, float], ...]  # (record id, max train similarity)
-    rejected_overlap: int
-    threshold_band: tuple[float, float]
-    requested_n: int
-    delivered_n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "requested_n": self.requested_n,
-            "delivered_n": self.delivered_n,
-            "rejected_overlap": self.rejected_overlap,
-            "threshold_band": list(self.threshold_band),
-            "selected": [
-                {"id": rid, "max_train_similarity": sim} for rid, sim in self.selected
-            ],
-        }
-
-
 def _parse_record(record: dict) -> Reaction | Molecule:
     """The reaction of an "rxn" record, or the molecule of a bare "smiles" one."""
     if "rxn" in record:
@@ -174,8 +151,8 @@ def resample_test_set(
     train: list[tuple[str, BitFingerprint]],
     band: tuple[float, float],
     n: int,
-) -> SplitReport:
-    """Pick up to n candidates least scaffold-similar to the train set.
+) -> dict:
+    """The split report: up to n candidates least scaffold-similar to the train set.
 
     A candidate is (record id, *split_features(record)), a train record
     split_features(record). Candidates whose canonical key appears in train
@@ -204,37 +181,18 @@ def resample_test_set(
             scored.append((sim, rid))
     scored.sort()
     chosen = scored[:n]
-    return SplitReport(
-        selected=tuple((rid, sim) for sim, rid in chosen),
-        rejected_overlap=rejected_overlap,
-        threshold_band=(band[0], band[1]),
-        requested_n=n,
-        delivered_n=len(chosen),
-    )
+    return {
+        "requested_n": n,
+        "delivered_n": len(chosen),
+        "rejected_overlap": rejected_overlap,
+        "threshold_band": [band[0], band[1]],
+        "selected": [{"id": rid, "max_train_similarity": sim} for sim, rid in chosen],
+    }
 
 
-@dataclass(frozen=True)
-class LeakReport:
-    """Exact-duplicate pairs across and within named splits."""
-
-    cross: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]
-    within: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "cross": [
-                {"splits": [a, b], "count": len(pairs), "pairs": [list(p) for p in pairs]}
-                for a, b, pairs in self.cross
-            ],
-            "within": [
-                {"split": name, "count": len(pairs), "pairs": [list(p) for p in pairs]}
-                for name, pairs in self.within
-            ],
-        }
-
-
-def detect_leakage(keyed: dict[str, list[tuple[str, str]]]) -> LeakReport:
-    """Find duplicate records across every split pair and within each split.
+def detect_leakage(keyed: dict[str, list[tuple[str, str]]]) -> dict:
+    """The "cross" and "within" lists of the leak report: the duplicate records
+    across every split pair and within each split.
 
     Each split lists (record id, record_key(record)) pairs. Canonical keys
     catch duplicates disguised by fragment reordering or SMILES rewriting.
@@ -254,7 +212,8 @@ def detect_leakage(keyed: dict[str, list[tuple[str, str]]]) -> LeakReport:
                 pairs.extend(product(tables[a][key], tables[b][key]))
             pairs.sort()
             if pairs:
-                cross.append((a, b, tuple(pairs)))
+                cross.append({"splits": [a, b], "count": len(pairs),
+                              "pairs": [list(p) for p in pairs]})
     within = []
     for name in names:
         pairs = []
@@ -262,5 +221,6 @@ def detect_leakage(keyed: dict[str, list[tuple[str, str]]]) -> LeakReport:
             pairs.extend(combinations(ids, 2))
         pairs.sort()
         if pairs:
-            within.append((name, tuple(pairs)))
-    return LeakReport(cross=tuple(cross), within=tuple(within))
+            within.append({"split": name, "count": len(pairs),
+                           "pairs": [list(p) for p in pairs]})
+    return {"cross": cross, "within": within}

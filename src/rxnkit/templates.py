@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .molgraph import GraphRecord
-
 _PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 MOLECULE_SENTINEL = "<molecule>"
 
@@ -103,8 +101,6 @@ def __getattr__(name: str):
 
 
 def _format_value(value, sentinel: bool) -> str:
-    if isinstance(value, GraphRecord):
-        return MOLECULE_SENTINEL if sentinel else value.to_json()
     if isinstance(value, dict):
         return MOLECULE_SENTINEL if sentinel else json.dumps(
             value, separators=(",", ":")
@@ -126,7 +122,7 @@ def render(
 ) -> dict:
     """Render a task's template with the given slot bindings.
 
-    Lists join with '.'; graph records render as compact JSON (or as the
+    Lists join with '.'; dicts (graph objects) render as compact JSON (or as the
     molecule sentinel when ``sentinel_molecules`` is set, with the real
     strings returned under "molecules"). The "output" key is present only
     when every output placeholder is bound. The template is

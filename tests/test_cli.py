@@ -287,6 +287,20 @@ class TestCorpusCommands:
             digests.add((digest(out), digest(stats)))
         assert len(digests) == 1
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_span_that_is_not_two_integers_is_an_error_row(self, tmp_path, capsys, workers):
+        spans = [[4, 11], [4.9, 11.2], [4, 11, 99], [True, 11]]
+        src, out = tmp_path / "procs.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(src, [{"id": f"p{i}", "text": "add ethanol", "entities": [
+            {"span": span, "smiles": "CCO"}]} for i, span in enumerate(spans)])
+        assert run(["corpus", "interleave", "--in", str(src), "--out", str(out),
+                    "--workers", workers]) == 0
+        errors = json.loads(capsys.readouterr().err)["record_errors"]
+        assert errors == [{"line": i + 1, "id": f"p{i}",
+                           "error": f"entity span must be a list of two integers, got {span!r}"}
+                          for i, span in enumerate(spans) if i]
+        assert [r["id"] for r in read_jsonl(out)] == ["p0"]
+
     def test_nameconv(self, tmp_path):
         src = tmp_path / "entries.jsonl"
         write_jsonl(src, [
@@ -304,7 +318,8 @@ class TestCorpusCommands:
         src = tmp_path / "procs.jsonl"
         make_procedures(src)
         out = tmp_path / "stats.json"
-        assert run(["stats", "--in", str(src), "--out", str(out)]) == 0
+        assert run(["corpus", "interleave", "--in", str(src), "--out", os.devnull,
+                    "--stats", str(out)]) == 0
         assert "unique_molecule_count" in json.loads(out.read_text())
 
 
@@ -440,6 +455,23 @@ class TestSplitAndLeakcheck:
             "error": f"--split must be NAME=PATH, got '={a}'"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_leakcheck_record_without_id_is_an_error_row(self, tmp_path, capsys, workers):
+        # Two id-less spellings of one reaction would both be listed as "None",
+        # the id of the third record.
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_jsonl(a, [{"rxn": "CCO.CC(=O)O>>CC(=O)OCC"}, {"rxn": "CC(=O)O.OCC>>CC(=O)OCC"},
+                        {"id": "None", "rxn": "OCC.CC(=O)O>>CC(=O)OCC"}])
+        write_jsonl(b, [{"id": "y", "rxn": "CC(=O)O.OCC>>CC(=O)OCC"}])
+        out = tmp_path / "leak.json"
+        assert run(["leakcheck", "--split", f"a={a}", "--split", f"b={b}",
+                    "--out", str(out), "--workers", workers]) == 0
+        rows = [{"line": line, "id": None, "error": "'id'"} for line in (1, 2)]
+        assert json.loads(capsys.readouterr().err)["record_errors"] == rows
+        assert json.loads(out.read_text()) == {
+            "cross": [{"splits": ["a", "b"], "count": 1, "pairs": [["None", "y"]]}],
+            "within": [], "errors": [{"split": "a", **row} for row in rows]}
+
     def test_leakcheck_collects_unparseable_records(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_jsonl(a, [{"id": "bad", "rxn": "not>>"}, {"id": "ok", "rxn": "C>>C"}])
@@ -478,6 +510,26 @@ class TestSplitAndLeakcheck:
         assert reports[0] == reports[1]
         assert json.loads(reports[0][0])["rejected_overlap"] == 3
         assert json.loads(reports[0][1])["cross"][0]["count"] == 3
+
+
+# Fixed eval cls|reg|sel pairs: (reference fields, predictions) and the
+# sha256 of the report and of the --details file that they give.
+EVAL_PINS = {
+    "cls": ([{"reference": g} for g in (0, 1, 2, 1, 7, 2, 0)], [0, 2, 2, 1, 0, 2, 1],
+            "797782c8b63926805ebf5e8a3e8e3d08f146e2ead08dd2492713ec9357bd1356",
+            "79e078fadd290138aef6decf0cde9807ee7340567ebe7a6ef59e84d6cf16267d"),
+    "reg": ([{"reference": g} for g in (1.0, 2.5, -3, 0.1, 7.25)],
+            [1.5, 2.0, -2.0, 0.3, 7],
+            "efcba3208d300353e8067606274979a316f7adc55de0b200d9e8ae2bf66a4115",
+            "ce03cf440950ec951719b45ac2562dd95d7a7db7576d3f4707206a5d04a60fc2"),
+    "sel": ([{"reference": "A", "candidates": ["A", "B", "C"], "candidate_yield_ranks": [2, 1, 3]},
+             {"reference": "B", "candidates": ["A", "B"], "candidate_yield_ranks": [1, 2]},
+             {"reference": "C", "candidates": ["C", "D", "E", "F"],
+              "candidate_yield_ranks": [4, 3, 2, 1]}],
+            ["B", "Z", "C"],
+            "f9c9647e89b211a1d5bec010114c26146742f22a6ca376db11a0b5c0fc6991ff",
+            "553a77f6f1369ed5bbca4ebb3aa252f483d1e36ee4abc5064731610d1737e38f"),
+}
 
 
 class TestRenderAndEval:
@@ -649,7 +701,7 @@ class TestRenderAndEval:
                                                  key_table=load_key_table(table)))
         records = [{"id": 1, "prediction": "OCCN", "reference": "CCN"},
                    {"id": 2, "prediction": "c1ccccc1O", "reference": "Oc1ccccc1C"}]
-        assert metrics == eval_generation([score_generation(r, specs) for r in records]).metrics
+        assert metrics == eval_generation([score_generation(r, specs) for r in records])[0]
         assert run(argv + ["--out", str(out)]) == 0
         assert json.loads(out.read_text())["metrics"]["fts_key"] != 0.75
 
@@ -717,6 +769,16 @@ class TestRenderAndEval:
         assert metrics["selection_top1"] == 0.0
         assert metrics["selection_top50"] == 1.0
 
+    @pytest.mark.parametrize("task", sorted(EVAL_PINS))
+    def test_eval_report_and_details_bytes(self, tmp_path, monkeypatch, task):
+        refs, preds, report_sha, details_sha = EVAL_PINS[task]
+        monkeypatch.chdir(tmp_path)  # the report names its details path
+        write_jsonl("ref.jsonl", [{"id": i, **ref} for i, ref in enumerate(refs)])
+        write_jsonl("pred.jsonl", [{"id": i, "prediction": p} for i, p in enumerate(preds)])
+        assert run(["eval", task, "--pred", "pred.jsonl", "--ref", "ref.jsonl",
+                    "--out", "m.json", "--details", "d.jsonl"]) == 0
+        assert (digest("m.json"), digest("d.jsonl")) == (report_sha, details_sha)
+
     def test_missing_prediction_reported(self, tmp_path, capsys):
         ref = tmp_path / "ref.jsonl"
         pred = tmp_path / "pred.jsonl"
@@ -755,9 +817,18 @@ PER_RECORD = {
     "interleave": (["corpus", "interleave"],
                    {"id": "a", "text": "add ethanol", "entities": [
                        {"span": [4, 11], "smiles": "CCO"}]}),
-    "stats": (["stats"], {"id": "a", "text": "add ethanol", "entities": [
-        {"span": [4, 11], "smiles": "CCO"}]}),
+    "stats": (["corpus", "interleave", "--out", os.devnull, "--stats", "OUT"],
+              {"id": "a", "text": "add ethanol", "entities": [
+                  {"span": [4, 11], "smiles": "CCO"}]}),
 }
+
+
+def with_io(argv, src, out):
+    """argv reading src, its output written to out: at OUT when argv has it
+    (the stats entry writes its report there), else by --out."""
+    if "OUT" in argv:
+        return [str(out) if a == "OUT" else a for a in argv] + ["--in", str(src)]
+    return argv + ["--in", str(src), "--out", str(out)]
 
 
 # Every subcommand that reads records: its arguments and a good record of
@@ -794,10 +865,9 @@ class TestBadRecords:
             json.dumps({"id": "b", "smiles": 5}),
         ]) + "\n")
         want, got = tmp_path / "want.out", tmp_path / "got.out"
-        assert run(argv + ["--in", str(only_good), "--out", str(want)]) == 0
+        assert run(with_io(argv, only_good, want)) == 0
         capsys.readouterr()
-        assert run(argv + ["--in", str(mixed), "--out", str(got),
-                           "--workers", str(workers)]) == 0
+        assert run(with_io(argv, mixed, got) + ["--workers", str(workers)]) == 0
         errors = json.loads(capsys.readouterr().err)["record_errors"]
         if name == "validate":
             # A SMILES that is not a string is a verdict, not an error row.
@@ -1017,6 +1087,8 @@ EVAL_CASES = {
                                      ({"reference": 1.0}, {"prediction": float("-inf")})]),
     "sel": ([("A", "A"), ("B", "A")], [({"reference": "A"}, {"prediction": "A"}),
                                        ({"candidates": ["A"]}, {"prediction": "A"}),
+                                       ({"reference": "C", "candidates": "CCO"},
+                                        {"prediction": "C"}),
                                        ({"reference": "A", "candidates": ["A"]}, {})]),
     "gen": ([("CCO", "OCC"), ("CCN", "CCC")], [({}, {"prediction": "C"}),
                                                ({"reference": "C"}, {}),
@@ -1318,7 +1390,8 @@ class TestConfigErrors:
         write_jsonl(src, [{"id": "a", "text": "add ethanol", "entities": [
             {"span": [4, 11], "smiles": "CCO"}]}])
         config.write_text('{"entity_limit": 0}')
-        assert run(["--config", str(config), "stats", "--in", str(src), "--out", str(out)]) == 0
+        assert run(["--config", str(config), "corpus", "interleave", "--in", str(src),
+                    "--out", os.devnull, "--stats", str(out)]) == 0
         assert json.loads(out.read_text())["rejected"] == {"ENTITY_LIMIT": 1}
 
     @pytest.mark.parametrize("workers", [0, -1])
@@ -1349,17 +1422,19 @@ class TestConfigErrors:
         assert json.loads(line) == {"error": "RXNKIT_WORKERS must be an integer, got 'abc'"}
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["corpus", "interleave"], ["stats"]])
+    @pytest.mark.parametrize("command", [["corpus", "interleave"],
+                                         ["corpus", "interleave", "--stats", "STATS"]])
     @pytest.mark.parametrize("flag", ["--entity-limit", "--token-limit"])
     def test_negative_limit_is_fatal(self, tmp_path, capsys, monkeypatch, command, flag):
-        src, out = tmp_path / "procs.jsonl", tmp_path / "out"
+        src, out, stats = tmp_path / "procs.jsonl", tmp_path / "out", tmp_path / "stats.json"
         write_jsonl(src, [{"id": "a", "text": "add ethanol", "entities": [
             {"span": [4, 11], "smiles": "CCO"}]}])
         monkeypatch.setattr("rxnkit.cli.iter_lines", None)  # no file may be read
+        command = [str(stats) if a == "STATS" else a for a in command]
         assert run(command + ["--in", str(src), "--out", str(out), flag, "-1"]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line) == {"error": f"{flag} must be >= 0, got -1"}
-        assert not out.exists()
+        assert not out.exists() and not stats.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_config_nested_too_deep_is_fatal(self, tmp_path, mols, capsys, workers):
@@ -1432,7 +1507,8 @@ class TestErrorRowOrder:
         for stem, path in paths.items():
             argv = [a.replace(stem, str(path)) for a in argv]
         out = tmp_path / "out"
-        argv += ["--out", str(out), "--workers", str(workers)]
+        argv = [str(out) if a == "OUT" else a for a in argv]
+        argv += ["--out", str(out)] * (str(out) not in argv) + ["--workers", str(workers)]
         assert run(argv) == 0
         rows = json.loads(capsys.readouterr().err)["record_errors"]
         assert [(e["line"], e.get("id")) for e in rows] == [(2, "m"), (3, None)]

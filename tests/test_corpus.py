@@ -4,12 +4,12 @@ import pytest
 
 from rxnkit.corpus import (
     AnnotatedProcedure,
-    InterleavedRecord,
     Rejection,
     build_interleaved,
     build_name_conversion,
     default_tokenizer,
     filter_and_stat,
+    reconstruct,
 )
 from rxnkit.molgraph import canonicalize
 
@@ -35,19 +35,19 @@ class TestBuildInterleaved:
     def test_segment_order_preserved(self):
         p = proc("p1", "Add X to Y.", [(4, 5, "CCO"), (9, 10, "CCN")])
         rec = build_interleaved(p)
-        assert isinstance(rec, InterleavedRecord)
-        kinds = [s["kind"] for s in rec.segments]
+        assert isinstance(rec, dict)
+        kinds = [s["kind"] for s in rec["segments"]]
         assert kinds == ["text", "mol", "text", "mol", "text"]
-        assert rec.segments[0]["value"] == "Add "
-        assert rec.segments[1]["smiles"] == canonicalize("CCO")
-        assert rec.segments[1]["surface"] == "X"
-        assert rec.segments[4]["value"] == "."
+        assert rec["segments"][0]["value"] == "Add "
+        assert rec["segments"][1]["smiles"] == canonicalize("CCO")
+        assert rec["segments"][1]["surface"] == "X"
+        assert rec["segments"][4]["value"] == "."
 
     def test_reconstruction(self):
         text = "Dissolve A in B, then add C dropwise."
         p = proc("p2", text, [(9, 10, "CCO"), (14, 15, "O"), (26, 27, "CC(=O)O")])
         rec = build_interleaved(p)
-        assert rec.reconstruct() == text
+        assert reconstruct(rec) == text
 
     def test_entity_limit(self):
         text = "x " * 25
@@ -60,7 +60,7 @@ class TestBuildInterleaved:
         text = "x " * 25
         entities = [(2 * i, 2 * i + 1, "C") for i in range(20)]
         rec = build_interleaved(proc("p4", text, entities))
-        assert isinstance(rec, InterleavedRecord)
+        assert isinstance(rec, dict)
 
     def test_no_entity_rejected(self):
         rec = build_interleaved(proc("p5", "no molecules here", []))
@@ -82,7 +82,7 @@ class TestBuildInterleaved:
 
     def test_graph_attached(self):
         rec = build_interleaved(proc("p8", "X", [(0, 1, "O=C=O")]))
-        assert len(rec.segments[0]["graph"]["nodes"]) == 3
+        assert len(rec["segments"][0]["graph"]["nodes"]) == 3
 
     def test_span_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -90,25 +90,34 @@ class TestBuildInterleaved:
         with pytest.raises(ValueError):
             proc("p10", "short", [(0, 99, "C")])
 
+    @pytest.mark.parametrize("span", [[4.9, 11.2], [4, 11, 99], [4], [True, 11], [4, "11"],
+                                      "4,11", {"0": 4, "1": 11}])
+    def test_span_must_be_two_integers(self, span):
+        record = {"id": "p", "text": "add ethanol", "entities": [{"span": span, "smiles": "CCO"}]}
+        with pytest.raises(ValueError, match="entity span must be a list of two integers"):
+            AnnotatedProcedure.from_dict(record)
+        record["entities"][0]["span"] = [4, 11]
+        assert AnnotatedProcedure.from_dict(record).entities == ((4, 11, "CCO"),)
+
     def test_adjacent_entities_no_empty_text_segment(self):
         rec = build_interleaved(proc("p11", "XY", [(0, 1, "C"), (1, 2, "O")]))
-        assert [s["kind"] for s in rec.segments] == ["mol", "mol"]
-        assert rec.reconstruct() == "XY"
+        assert [s["kind"] for s in rec["segments"]] == ["mol", "mol"]
+        assert reconstruct(rec) == "XY"
 
 
 class TestNameConversion:
     def test_with_iupac_gives_five_records(self):
         records = build_name_conversion({"id": "m1", "smiles": "CCO", "iupac": "ethanol"})
         assert len(records) == 5
-        by_task = {r.task: r for r in records}
-        assert by_task["graph_to_formula"].target == "C2H6O"
-        assert by_task["iupac_to_smiles"].input == "ethanol"
-        assert by_task["iupac_to_smiles"].target == canonicalize("CCO")
-        assert by_task["graph_to_iupac"].target == "ethanol"
+        by_task = {r["task"]: r for r in records}
+        assert by_task["graph_to_formula"]["target"] == "C2H6O"
+        assert by_task["iupac_to_smiles"]["input"] == "ethanol"
+        assert by_task["iupac_to_smiles"]["target"] == canonicalize("CCO")
+        assert by_task["graph_to_iupac"]["target"] == "ethanol"
 
     def test_without_iupac_gives_two_records(self):
         records = build_name_conversion({"id": "m2", "smiles": "CCO"})
-        assert sorted(r.task for r in records) == ["graph_to_formula", "graph_to_smiles"]
+        assert sorted(r["task"] for r in records) == ["graph_to_formula", "graph_to_smiles"]
 
     def test_formula_cross_check(self):
         with pytest.raises(ValueError):
@@ -118,8 +127,8 @@ class TestNameConversion:
 
     def test_smiles_targets_canonical(self):
         records = build_name_conversion({"id": "m5", "smiles": "OCC"})
-        by_task = {r.task: r for r in records}
-        assert by_task["graph_to_smiles"].target == canonicalize("CCO")
+        by_task = {r["task"]: r for r in records}
+        assert by_task["graph_to_smiles"]["target"] == canonicalize("CCO")
 
     def test_invalid_smiles(self):
         with pytest.raises(ValueError):
@@ -182,4 +191,4 @@ class TestFilterAndStat:
         kept, _ = filter_and_stat(map(build_interleaved, stream))
         originals = {"a": "Mix X with Y carefully.", "b": "Heat Z."}
         for rec in kept:
-            assert rec.reconstruct() == originals[rec.id]
+            assert reconstruct(rec) == originals[rec["id"]]

@@ -170,8 +170,8 @@ INPUTS = {
     "reg_ref": [{"id": i, "reference": g} for i, g in enumerate([1.0, 2.5, -3, 0.1])],
     "reg_pred": [{"id": i, "prediction": p} for i, p in enumerate([1.5, 2.0, -2.0, 0.3])],
 }
-# Every subcommand, with {input} files, its {out} and, for some, a second
-# output {extra}.
+# Every subcommand, with {input} files, its {out} (by --out unless given)
+# and, for some, a second output {extra}.
 COMMANDS = {
     "canon": ["canon", "--in", "{mols}"],
     "validate": ["validate", "--in", "{mols}"],
@@ -192,7 +192,8 @@ COMMANDS = {
     "eval-cls": ["eval", "cls", "--pred", "{cls_pred}", "--ref", "{cls_ref}",
                  "--details", "{extra}"],
     "eval-reg": ["eval", "reg", "--pred", "{reg_pred}", "--ref", "{reg_ref}"],
-    "stats": ["stats", "--in", "{procedures}"],
+    "stats": ["corpus", "interleave", "--in", "{procedures}", "--out", os.devnull,
+              "--stats", "{out}"],
 }
 
 
@@ -204,7 +205,8 @@ def test_subcommand_runs_without_numpy(tmp_path, capsys, name):
 
     def argv(run: str) -> list[str]:
         outputs = {"out": tmp_path / f"{run}.out", "extra": tmp_path / "extra"}
-        return [w.format(**paths, **outputs) for w in COMMANDS[name] + ["--out", "{out}"]]
+        words = COMMANDS[name] + ["--out", "{out}"] * ("{out}" not in COMMANDS[name])
+        return [w.format(**paths, **outputs) for w in words]
 
     assert main(argv("open")) == 0
     want = {p.name: p.read_bytes() for p in tmp_path.glob("*") if p.name not in INPUTS}

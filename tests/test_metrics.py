@@ -101,14 +101,14 @@ def cells(matrix: list[list[int]]) -> Counter:
 
 class TestClassification:
     def test_perfect(self):
-        report = eval_classification([(0, 0), (1, 1), (2, 2)], n_classes=3)
-        assert report.metrics["accuracy"] == 1.0
-        assert report.metrics["cen"] == 0.0
-        assert report.metrics["mcc"] == pytest.approx(1.0)
+        metrics, _ = eval_classification([(0, 0), (1, 1), (2, 2)], n_classes=3)
+        assert metrics["accuracy"] == 1.0
+        assert metrics["cen"] == 0.0
+        assert metrics["mcc"] == pytest.approx(1.0)
 
     def test_binary_all_wrong_mcc(self):
-        report = eval_classification([(0, 1), (1, 0), (0, 1), (1, 0)])
-        assert report.metrics["mcc"] == pytest.approx(-1.0)
+        metrics, _ = eval_classification([(0, 1), (1, 0), (0, 1), (1, 0)])
+        assert metrics["mcc"] == pytest.approx(-1.0)
 
     def test_hand_computed_mcc(self):
         cm = cells([[3, 1], [2, 4]])
@@ -139,9 +139,9 @@ class TestClassification:
             assert -1.0 - 1e-12 <= matthews_corrcoef(cm) <= 1.0 + 1e-12
 
     def test_metrics_are_plain_floats(self):
-        report = eval_classification([(0, 1), (1, 1), (0, 0)])
-        assert repr(report.metrics["cen"]).startswith("0.528")
-        assert all(type(v) is float for v in report.metrics.values())
+        metrics, _ = eval_classification([(0, 1), (1, 1), (0, 0)])
+        assert repr(metrics["cen"]).startswith("0.528")
+        assert all(type(v) is float for v in metrics.values())
         assert type(confusion_entropy(cells([[1, 1], [0, 1]]), 2)) is float
 
     def test_degenerate_denominator_gives_zero(self):
@@ -159,22 +159,22 @@ class TestClassification:
 
 class TestRegression:
     def test_perfect(self):
-        report = eval_regression([(1.0, 1.0), (2.0, 2.0)])
-        assert report.metrics == {"mae": 0.0, "mse": 0.0, "r2": 1.0}
+        metrics, _ = eval_regression([(1.0, 1.0), (2.0, 2.0)])
+        assert metrics == {"mae": 0.0, "mse": 0.0, "r2": 1.0}
 
     def test_mean_predictor_r2_zero(self):
-        report = eval_regression([(1.0, 2.0), (2.0, 2.0), (3.0, 2.0)])
-        assert report.metrics["r2"] == pytest.approx(0.0)
+        metrics, _ = eval_regression([(1.0, 2.0), (2.0, 2.0), (3.0, 2.0)])
+        assert metrics["r2"] == pytest.approx(0.0)
 
     def test_hand_computed(self):
-        report = eval_regression([(1.0, 1.0), (2.0, 2.0), (3.0, 4.0)])
-        assert report.metrics["r2"] == pytest.approx(0.5)
-        assert report.metrics["mae"] == pytest.approx(1 / 3)
-        assert report.metrics["mse"] == pytest.approx(1 / 3)
+        metrics, _ = eval_regression([(1.0, 1.0), (2.0, 2.0), (3.0, 4.0)])
+        assert metrics["r2"] == pytest.approx(0.5)
+        assert metrics["mae"] == pytest.approx(1 / 3)
+        assert metrics["mse"] == pytest.approx(1 / 3)
 
     def test_constant_golds_undefined(self):
-        report = eval_regression([(1.0, 1.0), (1.0, 2.0)])
-        assert report.metrics["r2"] is None
+        metrics, _ = eval_regression([(1.0, 1.0), (1.0, 2.0)])
+        assert metrics["r2"] is None
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
@@ -184,10 +184,10 @@ class TestRegression:
         rng = random.Random(41)
         pairs = [(rng.uniform(-1, 1) * 10 ** rng.randint(-6, 6),
                   rng.uniform(-1, 1) * 10 ** rng.randint(-6, 6)) for _ in range(500)]
-        want = eval_regression(pairs).metrics
+        want = eval_regression(pairs)[0]
         for _ in range(20):
             rng.shuffle(pairs)
-            assert eval_regression(pairs).metrics == want
+            assert eval_regression(pairs)[0] == want
 
     @pytest.mark.parametrize("pairs, metric", [
         ([(1e308, -1e308), (-1e308, 1e308)], "mae"),
@@ -213,29 +213,29 @@ class TestSelection:
 
     def test_all_correct(self):
         records = [self._record(i, "A", "A", ["A", "B"]) for i in range(3)]
-        report = eval_selection(records)
-        assert report.metrics["selection_top1"] == 1.0
+        metrics, _ = eval_selection(records)
+        assert metrics["selection_top1"] == 1.0
 
     def test_top50_rank_within_half(self):
         rec = self._record(0, "A", "B", ["A", "B", "C", "D"], ranks=[1, 2, 3, 4])
-        report = eval_selection([rec])
-        assert report.metrics["selection_top1"] == 0.0
-        assert report.metrics["selection_top50"] == 1.0  # rank 2 <= ceil(4/2)
+        metrics, _ = eval_selection([rec])
+        assert metrics["selection_top1"] == 0.0
+        assert metrics["selection_top50"] == 1.0  # rank 2 <= ceil(4/2)
 
     def test_rank_just_outside_half(self):
         rec = self._record(0, "A", "C", ["A", "B", "C", "D"], ranks=[1, 2, 3, 4])
-        assert eval_selection([rec]).metrics["selection_top50"] == 0.0
+        assert eval_selection([rec])[0]["selection_top50"] == 0.0
 
     def test_prediction_not_in_candidates_flagged(self):
         rec = self._record(0, "A", "Z", ["A", "B"], ranks=[1, 2])
-        report = eval_selection([rec])
-        assert report.metrics["selection_top1"] == 0.0
-        assert report.metrics["selection_top50"] == 0.0
-        assert report.details[0]["not_in_candidates"]
+        metrics, details = eval_selection([rec])
+        assert metrics["selection_top1"] == 0.0
+        assert metrics["selection_top50"] == 0.0
+        assert details[0]["not_in_candidates"]
 
     def test_no_top50_without_ranks(self):
         rec = self._record(0, "A", "A", ["A", "B"])
-        assert "selection_top50" not in eval_selection([rec]).metrics
+        assert "selection_top50" not in eval_selection([rec])[0]
 
 
 def _generation_report(records, spec=None):
@@ -246,16 +246,16 @@ def _generation_report(records, spec=None):
 class TestGeneration:
     def test_canonical_exact_match(self):
         records = [{"id": 1, "prediction": "OCC", "reference": "CCO"}]
-        report = _generation_report(records)
-        assert report.metrics["exact"] == 1.0
-        assert report.metrics["validity"] == 1.0
+        metrics, _ = _generation_report(records)
+        assert metrics["exact"] == 1.0
+        assert metrics["validity"] == 1.0
 
     def test_all_perfect_report(self):
         refs = ["CCO", "c1ccccc1", "CC(=O)O"]
         records = [
             {"id": i, "prediction": s, "reference": s} for i, s in enumerate(refs)
         ]
-        m = _generation_report(records).metrics
+        m, _ = _generation_report(records)
         assert m["exact"] == 1.0
         assert m["bleu"] == pytest.approx(1.0)
         assert m["levenshtein_mean"] == 0.0
@@ -267,15 +267,15 @@ class TestGeneration:
             {"id": 1, "prediction": "C(C", "reference": "CCO"},
             {"id": 2, "prediction": "CCO", "reference": "CCO"},
         ]
-        report = _generation_report(records)
-        assert report.metrics["validity"] == 0.5
-        assert report.metrics["exact"] == 0.5
-        assert report.metrics["fts_circular"] == 1.0  # only the valid pair
-        assert report.details[0] == {"id": 1, "valid": False, "exact": False,
+        metrics, details = _generation_report(records)
+        assert metrics["validity"] == 0.5
+        assert metrics["exact"] == 0.5
+        assert metrics["fts_circular"] == 1.0  # only the valid pair
+        assert details[0] == {"id": 1, "valid": False, "exact": False,
                                      "levenshtein": 2}
         # BLEU and Levenshtein still read the invalid prediction's text.
-        assert report.metrics["bleu"] == bleu(["C(C", "CCO"], ["CCO", "CCO"])
-        assert report.metrics["levenshtein_mean"] == 1.0
+        assert metrics["bleu"] == bleu(["C(C", "CCO"], ["CCO", "CCO"])
+        assert metrics["levenshtein_mean"] == 1.0
 
     def test_invalid_reference_reported(self):
         specs = generation_specs()
@@ -287,16 +287,16 @@ class TestGeneration:
         records = [{"id": 1, "prediction": "c1ccccc1CCN", "reference": "c1ccccc1CCO"},
                    {"id": 2, "prediction": "OC1CCCCC1", "reference": "CC1CCCCC1O"}]
         spec = FingerprintSpec(radius=1, width=512, min_path=2, max_path=4)
-        report = _generation_report(records, spec)
+        metrics, details = _generation_report(records, spec)
         for kind in ("circular", "path", "key"):
             kind_spec = FingerprintSpec(kind=kind, radius=1, width=512, min_path=2, max_path=4)
             values = [tanimoto(fingerprint(parse_smiles(r["prediction"]), kind_spec),
                                fingerprint(parse_smiles(r["reference"]), kind_spec))
                       for r in records]
-            assert [row[f"fts_{kind}"] for row in report.details] == values
-            assert report.metrics[f"fts_{kind}"] == sum(values) / len(values)
+            assert [row[f"fts_{kind}"] for row in details] == values
+            assert metrics[f"fts_{kind}"] == sum(values) / len(values)
         # The kind of the spec given does not matter, and no spec is the default.
-        assert _generation_report(records, replace(spec, kind="key")).metrics == report.metrics
+        assert _generation_report(records, replace(spec, kind="key"))[0] == metrics
         assert generation_specs() == generation_specs(FingerprintSpec())
 
     def test_all_references_invalid_is_fatal(self):

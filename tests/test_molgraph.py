@@ -1,6 +1,7 @@
 """Molecular graph core: parsing, canonicalization, formulas, records."""
 
 import dataclasses
+import hashlib
 import json
 import pickle
 import random
@@ -343,30 +344,42 @@ class TestFormula:
         assert molecular_formula(parse_smiles("CC.CC")) == "C4H12"
 
 
+def compact_json(graph: dict) -> str:
+    """The graph object as render writes it: compact JSON, nodes first."""
+    return json.dumps(graph, separators=(",", ":"))
+
+
 class TestGraphRecord:
     def test_methane(self):
         rec = to_graph_record(parse_smiles("C"))
-        assert rec.nodes == ((6, 0, 4, False, 0),)
-        assert rec.edges == ()
+        assert rec == {"nodes": [[6, 0, 4, False, 0]], "edges": []}
 
     def test_carbon_dioxide(self):
         rec = to_graph_record(parse_smiles("O=C=O"))
-        assert len(rec.nodes) == 3
-        assert sorted(e[2] for e in rec.edges) == [2, 2]
+        assert len(rec["nodes"]) == 3
+        assert sorted(e[2] for e in rec["edges"]) == [2, 2]
 
     def test_deterministic_across_renumbering(self):
-        a = to_graph_record(parse_smiles("OCC")).to_json()
-        b = to_graph_record(parse_smiles("CCO")).to_json()
+        a = compact_json(to_graph_record(parse_smiles("OCC")))
+        b = compact_json(to_graph_record(parse_smiles("CCO")))
         assert a == b
 
     def test_json_round_trip(self):
         rec = to_graph_record(parse_smiles("c1ccncc1"))
-        assert json.loads(rec.to_json()) == rec.to_dict()
+        assert json.loads(compact_json(rec)) == rec
+
+    @pytest.mark.parametrize("smiles, sha", [
+        ("CC(=O)Oc1ccccc1C(=O)O", "1beab3b5120b000d404179e8acf62b337439e8424d72e0af99e086a055be5eba"),
+        ("[NH3+]C(C)C(=O)[O-].C#N", "26a1c753b7c3119f99a1133e09d8152b8c311834ed294daa89ce38842ee05f3f"),
+    ])
+    def test_compact_json_bytes(self, smiles, sha):
+        text = compact_json(to_graph_record(parse_smiles(smiles)))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
 
     def test_nodes_in_rank_order(self, corpus):
         for s in corpus[:40]:
             rec = to_graph_record(parse_smiles(s))
-            assert all(i < j for i, j, _ in rec.edges)
+            assert all(i < j for i, j, _ in rec["edges"])
 
 
 class TestRenumbered:

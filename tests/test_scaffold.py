@@ -146,7 +146,7 @@ def _leakage(splits):
 
 def cross_counts(report) -> dict:
     """(split, split) -> duplicate pairs, from the cross entries of the report."""
-    return {tuple(c["splits"]): c["count"] for c in report.to_dict()["cross"]}
+    return {tuple(c["splits"]): c["count"] for c in report["cross"]}
 
 
 class TestSplitFeatures:
@@ -180,17 +180,17 @@ class TestResample:
     def test_train_equals_candidates(self):
         pool = [_rxn_record(f"r{i}", f"CCO>>CC{'C' * i}N") for i in range(5)]
         report = _resample(pool, pool, band=(0.5, 0.6), n=3)
-        assert report.delivered_n == 0
-        assert report.rejected_overlap == 5
+        assert report["delivered_n"] == 0
+        assert report["rejected_overlap"] == 5
 
     def test_disjoint_zero_similarity_orders_by_id(self):
         candidates = [_mol_record(f"c{i}", "C1CCCCC1" + "C" * i) for i in range(4)]
         train = [_mol_record("t0", "CCCCO")]  # acyclic scaffold: empty fp
         # Candidate scaffolds are cyclohexane (non-empty) vs train empty: sim 0
         report = _resample(candidates, train, band=(0.0, 0.6), n=3)
-        assert report.delivered_n == 3
-        assert [rid for rid, _ in report.selected] == ["c0", "c1", "c2"]
-        assert all(sim == 0.0 for _, sim in report.selected)
+        assert report["delivered_n"] == 3
+        assert [row["id"] for row in report["selected"]] == ["c0", "c1", "c2"]
+        assert all(row["max_train_similarity"] == 0.0 for row in report["selected"])
 
     def test_planted_similarity_structure(self):
         rng = random.Random(17)
@@ -215,18 +215,19 @@ class TestResample:
                 expected.append((sim, r["id"]))
         expected.sort()
         k = len(expected)
-        assert report.delivered_n == min(k, 10)
-        assert list(report.selected) == [(rid, sim) for sim, rid in expected[:10]]
-        assert all(sim <= 0.6 for _, sim in report.selected)
-        sims = [sim for _, sim in report.selected]
+        assert report["delivered_n"] == min(k, 10)
+        assert report["selected"] == [{"id": rid, "max_train_similarity": sim}
+                                      for sim, rid in expected[:10]]
+        sims = [row["max_train_similarity"] for row in report["selected"]]
+        assert all(sim <= 0.6 for sim in sims)
         assert sims == sorted(sims)
 
     def test_postconditions(self):
         candidates = [_mol_record(f"c{i}", "C1CCCCC1" + "O" * (i % 3)) for i in range(12)]
         train = [_mol_record("t", "c1ccccc1CC")]
         report = _resample(candidates, train, band=(0.5, 0.6), n=5)
-        assert report.delivered_n <= 5
-        assert all(sim <= 0.6 for _, sim in report.selected)
+        assert report["delivered_n"] <= 5
+        assert all(row["max_train_similarity"] <= 0.6 for row in report["selected"])
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
@@ -241,8 +242,7 @@ class TestLeakage:
                 "test": [_rxn_record("b", "CCO>>CCF")],
             }
         )
-        assert report.cross == ()
-        assert report.within == ()
+        assert report == {"cross": [], "within": []}
 
     def test_planted_duplicates_counted_exactly(self):
         rng = random.Random(5)
@@ -255,7 +255,7 @@ class TestLeakage:
         rng.shuffle(test)
         report = _leakage({"train": train, "test": test})
         assert cross_counts(report) == {("test", "train"): 72}
-        assert report.within == ()
+        assert report["within"] == []
 
     def test_permuted_fragments_still_detected(self):
         report = _leakage(
@@ -270,8 +270,7 @@ class TestLeakage:
         report = _leakage(
             {"a": [_rxn_record("x", "CCO>>CCN"), _rxn_record("y", "OCC>>NCC")]}
         )
-        assert report.within[0][0] == "a"
-        assert report.within[0][1] == (("x", "y"),)
+        assert report["within"] == [{"split": "a", "count": 1, "pairs": [["x", "y"]]}]
 
     def test_randomized_fixture_no_false_results(self):
         rng = random.Random(99)
@@ -282,7 +281,7 @@ class TestLeakage:
         test += [_rxn_record(f"tn{i}", f"CCBr.C{'C' * i}O>>CCOC{'C' * i}") for i in range(20)]
         rng.shuffle(test)
         report = _leakage({"train": train, "test": test})
-        got = {(p[0], p[1]) for _, _, pairs in report.cross for p in pairs}
+        got = {(p[0], p[1]) for c in report["cross"] for p in c["pairs"]}
         # Split names sort alphabetically, so pairs read (test id, train id).
         expected = {(f"te{i}", f"tr{i}") for i in planted}
         assert got == expected

@@ -1,5 +1,7 @@
 """Template rendering against the golden transcriptions, plus extraction."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -115,6 +117,19 @@ class TestRender:
         graph = to_graph_record(parse_smiles("CCO"))
         out = render("graph_to_formula", {"molecule": graph, "formula": "C2H6O"})
         assert '"nodes"' in out["instruction"]
+
+    @pytest.mark.parametrize("sentinel, sha", [
+        (False, "104084cde84a2bf6dc24b04807de7ff4217675279f4de1a7320abffb138cf91f"),
+        (True, "a2c0f5b59d0cd75d1a5e8e60fa95521f069d097579e762ea7de1634ccf95af60"),
+    ])
+    def test_graph_binding_bytes(self, sentinel, sha):
+        from rxnkit.molgraph import parse_smiles, to_graph_record
+
+        graph = to_graph_record(parse_smiles("c1ccncc1O"))
+        out = render("graph_to_formula", {"molecule": graph, "formula": "C5H5NO"},
+                     sentinel_molecules=sentinel)
+        text = json.dumps(out, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
 
     def test_sentinel_mode(self):
         out = render(
