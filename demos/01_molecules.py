@@ -28,8 +28,7 @@ for smiles in ["CC(=O)Oc1ccccc1C(=O)O", "[Na+].[Cl-]", "O"]:
 
 # Validity comes in three flavors: fine, bad grammar, impossible chemistry.
 for text in ["CC(=O)O", "C(C", "C(C)(C)(C)(C)C"]:
-    verdict = validate(text)
-    print(f"validate({text!r}) -> {verdict.status}")
+    print(f"validate({text!r}) -> {validate(text)['status']}")
 
 # A molecule's graph object lists its atoms in canonical rank order, so any
 # input numbering of the same molecule yields byte-identical compact JSON.

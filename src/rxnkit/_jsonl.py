@@ -54,6 +54,20 @@ def read_record(line: str) -> dict:
     return record
 
 
+def record_id(record: dict) -> str | int:
+    """The id of a record where the id is a key: a JSON string or integer, as
+    given, so 1 and "1" are different ids. KeyError('id') when it is missing."""
+    rid = record["id"]
+    if type(rid) not in (str, int):  # bool is not an id
+        raise ValueError(f"id must be a string or an integer, got {dumps(rid)}")
+    return rid
+
+
+def id_order(rid: str | int) -> tuple[bool, str | int]:
+    """The sort key of record ids: integers in numeric order, then strings."""
+    return isinstance(rid, str), rid
+
+
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

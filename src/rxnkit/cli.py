@@ -24,6 +24,7 @@ from ._jsonl import (
     iter_lines,
     parallel_map,
     read_record,
+    record_id,
     write_json,
     write_jsonl,
 )
@@ -339,8 +340,7 @@ def _canon(lineno, record):
 
 
 def _validate(lineno, record):
-    verdict = validate(record["smiles"])
-    return [{"id": record.get("id"), "status": verdict.status, "detail": verdict.detail}]
+    return [{"id": record.get("id"), **validate(record["smiles"])}]
 
 
 def _fingerprint(lineno, record, spec: FingerprintSpec):
@@ -365,12 +365,12 @@ def _split_train(lineno, record, spec: FingerprintSpec):
 
 
 def _split_candidate(lineno, record, spec: FingerprintSpec):
-    return (str(record["id"]), *split_features(record, spec))
+    return (record_id(record), *split_features(record, spec))
 
 
 def _leak_key(lineno, record, merge_agents: bool):
     key = record_key(record, merge_agents)  # a record that cannot be keyed says so first
-    return str(record["id"]), key
+    return record_id(record), key
 
 
 def _interleave(lineno, record, entity_limit: int, token_limit: int):
@@ -468,15 +468,23 @@ def _cmd_render(run):
 def _join_by_id(run, row) -> list:
     """row(lineno, reference, prediction) for each reference, in reference order.
 
-    Predictions pair with references by id; the references stream. A reference
-    without a prediction, or a pair whose row cannot be built, is an error row.
-    When no row is left the run fails, and its error rows are still reported.
+    Predictions pair with references by record_id; the references stream. A
+    repeated prediction id, a reference without a prediction, or a pair whose
+    row cannot be built, is an error row. When no row is left the run fails,
+    and its error rows are still reported.
     """
     serial = Workers(1)  # the rows are built here, next to the predictions
-    preds = dict(run.records(run.pred, lambda _, pred: (str(pred.get("id")), pred), serial))
+    preds = {}  # id -> (line, prediction) of the first prediction with it
+
+    def keep(lineno, pred):
+        first, _ = preds.setdefault(record_id(pred), (lineno, pred))
+        if first != lineno:
+            raise ValueError(f"id repeats the prediction on line {first}")
+
+    list(run.records(run.pred, keep, serial))  # keep fills preds as the lines are read
 
     def pair(lineno, ref):
-        pred = preds.get(str(ref.get("id")))
+        _, pred = preds.get(record_id(ref), (None, None))
         if pred is None:
             raise LookupError("no prediction")
         return row(lineno, ref, pred)

@@ -31,7 +31,7 @@ def default_tokenizer(text: str) -> list[str]:
 class AnnotatedProcedure:
     """A procedure paragraph with non-overlapping entity spans."""
 
-    id: str
+    id: object  # the record's id, as given
     text: str
     entities: tuple[tuple[int, int, str], ...]  # (start, end, smiles)
 
@@ -54,14 +54,14 @@ class AnnotatedProcedure:
                     and all(type(end) is int for end in span)):  # bool is not an end
                 raise ValueError(f"entity span must be a list of two integers, got {span!r}")
             entities.append((*span, str(e["smiles"])))
-        return cls(id=str(record["id"]), text=record["text"], entities=tuple(entities))
+        return cls(id=record["id"], text=record["text"], entities=tuple(entities))
 
 
 @dataclass(frozen=True)
 class Rejection:
     """Why a record was dropped: NO_ENTITY, ENTITY_LIMIT, TOKEN_LIMIT, PARSE_FAIL."""
 
-    id: str
+    id: object
     reason: str
     detail: str = ""
 
@@ -149,8 +149,7 @@ def build_name_conversion(entry: dict) -> list[dict]:
     if iupac is not None:
         tasks += [("iupac_to_smiles", iupac, canonical), ("iupac_to_formula", iupac, formula),
                   ("graph_to_iupac", graph, iupac)]
-    rid = str(entry.get("id", canonical))
-    return [{"id": rid, "task": task, "input": source, "target": target}
+    return [{"id": entry.get("id", canonical), "task": task, "input": source, "target": target}
             for task, source, target in tasks]
 
 

@@ -269,42 +269,34 @@ def eval_selection(records: list[dict]) -> tuple[dict, list[dict]]:
     computed when every record has candidate_yield_ranks (parallel to
     candidates, rank 1 = highest yield) and counts a record when the
     predicted item's rank is within ceil(len(candidates)/2). Predictions
-    outside the candidate list score incorrect and are flagged.
+    outside the candidate list score incorrect and are flagged. The caller
+    checks that candidates is a list and the ranks one int per candidate.
     """
     if not records:
         raise ValueError("no selection records")
     want_top50 = all(r.get("candidate_yield_ranks") is not None for r in records)
 
-    top1_hits = 0
-    top50_hits = 0
     details = []
     for record in records:
-        candidates = list(record["candidates"])
+        candidates = record["candidates"]
         predicted = record["predicted_item"]
         gold = record["gold_item"]
         flagged = predicted not in candidates
-        top1 = (not flagged) and predicted == gold
-        top1_hits += top1
         row = {
             "id": record.get("id"),
-            "top1": top1,
+            "top1": (not flagged) and predicted == gold,
             "not_in_candidates": flagged,
         }
         if want_top50:
-            ranks = list(record["candidate_yield_ranks"])
-            if len(ranks) != len(candidates):
-                raise ValueError(
-                    f"record {record.get('id')!r}: ranks do not pair with candidates"
-                )
             if flagged:
                 row["top50"] = False
             else:
-                rank = ranks[candidates.index(predicted)]
+                rank = record["candidate_yield_ranks"][candidates.index(predicted)]
                 row["top50"] = rank <= math.ceil(len(candidates) / 2)
-            top50_hits += row["top50"]
         details.append(row)
 
-    metrics: dict[str, float | None] = {"selection_top1": top1_hits / len(records)}
+    metrics: dict[str, float | None] = {
+        "selection_top1": sum(row["top1"] for row in details) / len(records)}
     if want_top50:
-        metrics["selection_top50"] = top50_hits / len(records)
+        metrics["selection_top50"] = sum(row["top50"] for row in details) / len(records)
     return metrics, details

@@ -1,7 +1,6 @@
 """Molecular graph core: parsing, canonicalization, formulas, serialization."""
 
 from .canon import (
-    Verdict,
     canonical_ranks,
     canonical_smiles,
     molecular_formula,
@@ -23,7 +22,6 @@ __all__ = [
     "ChemistryError",
     "Molecule",
     "SmilesSyntaxError",
-    "Verdict",
     "canonical_ranks",
     "canonical_smiles",
     "canonicalize",

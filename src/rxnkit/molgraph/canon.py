@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 
 from .elements import BARE_ATOMS, fill_hydrogens, takes_double_bond
 from .model import ChemistryError, H_SLOT, Molecule, SmilesSyntaxError, bond_code
@@ -454,22 +453,14 @@ def to_graph_record(mol: Molecule) -> dict:
     return {"nodes": nodes, "edges": edges}
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Validity verdict: valid | syntax_error(detail) | chemistry_error(detail)."""
-
-    status: str
-    detail: str = ""
-
-
-def validate(text: str) -> Verdict:
-    """Classify SMILES text without raising."""
+def validate(text: str) -> dict:
+    """The {"status", "detail"} of SMILES text, without raising (docs/formats.md)."""
     from .perception import parse_smiles as _parse
 
     try:
         _parse(text)
     except SmilesSyntaxError as exc:
-        return Verdict("syntax_error", str(exc))
+        return {"status": "syntax_error", "detail": str(exc)}
     except ChemistryError as exc:
-        return Verdict("chemistry_error", str(exc))
-    return Verdict("valid")
+        return {"status": "chemistry_error", "detail": str(exc)}
+    return {"status": "valid", "detail": ""}

@@ -221,16 +221,23 @@ def read_charge(s: str, i: int) -> tuple[int, int]:
     return (count if sign == "+" else -count), j
 
 
+def read_symbol(s: str, i: int, table: dict) -> tuple[int, tuple[int, bool]] | None:
+    """The index after the symbol of table at s[i], two letters before one (Cl
+    before C, Se before S), and its (atomic number, aromatic); None if none."""
+    for symbol in (s[i : i + 2], s[i]):
+        if symbol in table:
+            return i + len(symbol), table[symbol]
+    return None
+
+
 def _parse_bare(s: str, i: int) -> tuple[int, AtomDraft]:
-    symbol = s[i : i + 2]  # Cl and Br before C and B
-    if symbol not in BARE_ATOMS:
-        symbol = s[i]
-        if symbol not in BARE_ATOMS:
-            raise SmilesSyntaxError(
-                f"unknown element symbol {symbol!r} outside brackets (position {i} in {s!r})"
-            )
-    z, aromatic = BARE_ATOMS[symbol]
-    return i + len(symbol), AtomDraft(z, aromatic)
+    found = read_symbol(s, i, BARE_ATOMS)
+    if found is None:
+        raise SmilesSyntaxError(
+            f"unknown element symbol {s[i]!r} outside brackets (position {i} in {s!r})"
+        )
+    j, (z, aromatic) = found
+    return j, AtomDraft(z, aromatic)
 
 
 def _parse_bracket(s: str, start: int) -> tuple[int, AtomDraft]:
@@ -251,14 +258,11 @@ def _parse_bracket(s: str, start: int) -> tuple[int, AtomDraft]:
 
     if i >= n:
         raise fail("missing element symbol")
-    sym = body[i : i + 2]  # Se before S, se before s
-    if sym not in BRACKET_ATOMS:
-        sym = body[i]
-        if sym not in BRACKET_ATOMS:
-            bad = sym if sym.islower() else body[i : i + 2]
-            raise fail(f"unknown element symbol {bad!r}")
-    z, aromatic = BRACKET_ATOMS[sym]
-    i += len(sym)
+    found = read_symbol(body, i, BRACKET_ATOMS)
+    if found is None:
+        bad = body[i] if body[i].islower() else body[i : i + 2]
+        raise fail(f"unknown element symbol {bad!r}")
+    i, (z, aromatic) = found
 
     atom = AtomDraft(z, aromatic=aromatic, isotope=isotope, explicit_h=0)
 

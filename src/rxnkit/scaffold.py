@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from ._jsonl import id_order
 from .fingerprint import BitFingerprint, FingerprintSpec, fingerprint
 from .molgraph import Atom, Molecule, canonical_smiles, parse_smiles
 from .molgraph.elements import allowed_valences, fill_hydrogens
@@ -147,7 +148,7 @@ def split_features(record: dict, spec: FingerprintSpec) -> tuple[str, BitFingerp
 
 
 def resample_test_set(
-    candidates: list[tuple[str, str, BitFingerprint]],
+    candidates: list[tuple[str | int, str, BitFingerprint]],
     train: list[tuple[str, BitFingerprint]],
     band: tuple[float, float],
     n: int,
@@ -157,7 +158,7 @@ def resample_test_set(
     A candidate is (record id, *split_features(record)), a train record
     split_features(record). Candidates whose canonical key appears in train
     are dropped first; the rest are filtered to max-train-similarity <=
-    band[1], sorted ascending (ties by record id), and the first n selected.
+    band[1], sorted ascending (ties in id_order), and the first n selected.
     band[0] is diagnostic only: the selection rule is "lowest similarities",
     so the lower bound never filters.
     """
@@ -171,14 +172,14 @@ def resample_test_set(
     train_fps = [fp for _, fp in train]
 
     rejected_overlap = 0
-    scored: list[tuple[float, str]] = []
+    scored: list[tuple[float, tuple]] = []  # (similarity, id_order(id))
     for rid, key, fp in candidates:
         if key in train_keys:
             rejected_overlap += 1
             continue
         sim = max_similarity_to_set(fp, train_fps)
         if sim <= band[1]:
-            scored.append((sim, rid))
+            scored.append((sim, id_order(rid)))
     scored.sort()
     chosen = scored[:n]
     return {
@@ -186,22 +187,23 @@ def resample_test_set(
         "delivered_n": len(chosen),
         "rejected_overlap": rejected_overlap,
         "threshold_band": [band[0], band[1]],
-        "selected": [{"id": rid, "max_train_similarity": sim} for sim, rid in chosen],
+        "selected": [{"id": rid, "max_train_similarity": sim} for sim, (_, rid) in chosen],
     }
 
 
-def detect_leakage(keyed: dict[str, list[tuple[str, str]]]) -> dict:
+def detect_leakage(keyed: dict[str, list[tuple[str | int, str]]]) -> dict:
     """The "cross" and "within" lists of the leak report: the duplicate records
     across every split pair and within each split.
 
     Each split lists (record id, record_key(record)) pairs. Canonical keys
     catch duplicates disguised by fragment reordering or SMILES rewriting.
+    The pairs of a list are sorted by their ids in id_order.
     """
-    tables: dict[str, dict[str, list[str]]] = {}
+    tables: dict[str, dict[str, list[tuple]]] = {}  # name -> key -> id_order(id)s
     for name, pairs in keyed.items():
         table = tables[name] = {}
         for rid, key in pairs:
-            table.setdefault(key, []).append(rid)
+            table.setdefault(key, []).append(id_order(rid))
 
     names = sorted(tables)
     cross = []
@@ -213,7 +215,7 @@ def detect_leakage(keyed: dict[str, list[tuple[str, str]]]) -> dict:
             pairs.sort()
             if pairs:
                 cross.append({"splits": [a, b], "count": len(pairs),
-                              "pairs": [list(p) for p in pairs]})
+                              "pairs": [[x[1], y[1]] for x, y in pairs]})
     within = []
     for name in names:
         pairs = []
@@ -222,5 +224,5 @@ def detect_leakage(keyed: dict[str, list[tuple[str, str]]]) -> dict:
         pairs.sort()
         if pairs:
             within.append({"split": name, "count": len(pairs),
-                           "pairs": [list(p) for p in pairs]})
+                           "pairs": [[x[1], y[1]] for x, y in pairs]})
     return {"cross": cross, "within": within}

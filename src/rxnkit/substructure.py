@@ -27,7 +27,7 @@ from itertools import islice
 
 from .molgraph.elements import BARE_ATOMS
 from .molgraph.model import Molecule
-from .molgraph.parser import DIGITS, read_charge, read_digits, read_ring_number
+from .molgraph.parser import DIGITS, read_charge, read_digits, read_ring_number, read_symbol
 
 _BOND_KINDS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic", "~": "any"}
 
@@ -130,10 +130,7 @@ def parse_pattern(text: str) -> Pattern:
             prev = len(atoms) - 1
             i = end + 1
         elif ch.isalpha():
-            bare = _bare_atom(s, i)
-            if bare is None:
-                raise PatternSyntaxError(f"unknown atom symbol {ch!r} in pattern {s!r}")
-            i, pred = bare
+            i, pred = _bare_atom(s, i, f"unknown atom symbol {ch!r} in pattern {s!r}")
             atoms.append(pred)
             attach(len(atoms) - 1)
             prev = len(atoms) - 1
@@ -151,16 +148,14 @@ def parse_pattern(text: str) -> Pattern:
     return Pattern(text=s, atoms=tuple(atoms), bonds=tuple(bonds))
 
 
-def _bare_atom(s: str, i: int) -> tuple[int, tuple] | None:
-    """The index after the bare atom symbol at s[i] and its predicate; None
-    when no bare symbol starts there."""
-    symbol = s[i : i + 2]  # Cl and Br before C and B
-    if symbol not in BARE_ATOMS:
-        symbol = s[i]
-        if symbol not in BARE_ATOMS:
-            return None
-    z, aromatic = BARE_ATOMS[symbol]
-    return i + len(symbol), ("and", (("elem", z), ("arom", aromatic)))
+def _bare_atom(s: str, i: int, error: str) -> tuple[int, tuple]:
+    """The index after the bare atom symbol at s[i] and its predicate; the
+    error, as a PatternSyntaxError, when no bare symbol starts there."""
+    found = read_symbol(s, i, BARE_ATOMS)
+    if found is None:
+        raise PatternSyntaxError(error)
+    j, (z, aromatic) = found
+    return j, ("and", (("elem", z), ("arom", aromatic)))
 
 
 def _parse_expression(body: str) -> tuple:
@@ -226,10 +221,7 @@ def _parse_expression(body: str) -> tuple:
         if ch in "+-":
             charge, pos = read_charge(body, pos)
             return ("charge", charge)
-        bare = _bare_atom(body, pos)
-        if bare is None:
-            raise PatternSyntaxError(f"unsupported token {ch!r} in [{body}]")
-        pos, pred = bare
+        pos, pred = _bare_atom(body, pos, f"unsupported token {ch!r} in [{body}]")
         return pred
 
     tree = parse_or()

@@ -301,6 +301,21 @@ class TestCorpusCommands:
                           for i, span in enumerate(spans) if i]
         assert [r["id"] for r in read_jsonl(out)] == ["p0"]
 
+    # Each subcommand: a record without its id, and the rows it gives.
+    ECHO = {"interleave": ({"text": "add ethanol", "entities": [
+        {"span": [4, 11], "smiles": "CCO"}]}, 1), "nameconv": ({"smiles": "OCC"}, 2)}
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", sorted(ECHO))
+    def test_ids_are_echoed_as_given(self, tmp_path, command, workers):
+        record, rows = self.ECHO[command]
+        ids = [7, "7", None, True, [1], 1.5]
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(src, [{"id": rid, **record} for rid in ids])
+        assert run(["corpus", command, "--in", str(src), "--out", str(out),
+                    "--workers", workers]) == 0
+        assert [r["id"] for r in read_jsonl(out)] == [rid for rid in ids for _ in range(rows)]
+
     def test_nameconv(self, tmp_path):
         src = tmp_path / "entries.jsonl"
         write_jsonl(src, [
@@ -471,6 +486,49 @@ class TestSplitAndLeakcheck:
         assert json.loads(out.read_text()) == {
             "cross": [{"splits": ["a", "b"], "count": 1, "pairs": [["None", "y"]]}],
             "within": [], "errors": [{"split": "a", **row} for row in rows]}
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_split_writes_ids_as_given_in_id_order(self, tmp_path, capsys, workers):
+        # Ties on similarity list integer ids in numeric order, then strings;
+        # null and true are no ids.
+        ids = [10, "b", 2, "1", 1, "None", None, "True", True, "a"]
+        t, c, out = tmp_path / "t.jsonl", tmp_path / "c.jsonl", tmp_path / "split.json"
+        write_jsonl(t, [{"id": "t", "smiles": "C1CCCCC1"}])
+        write_jsonl(c, [{"id": rid, "smiles": "c1ccccc1O"} for rid in ids])
+        assert run(["split", "--candidates", str(c), "--train", str(t), "--band", "0:1",
+                    "--n", "20", "--out", str(out), "--workers", workers]) == 0
+        not_id = "id must be a string or an integer, got "
+        assert json.loads(capsys.readouterr().err)["record_errors"] == [
+            {"line": 7, "id": None, "error": not_id + "null"},
+            {"line": 9, "id": True, "error": not_id + "true"}]
+        assert [s["id"] for s in json.loads(out.read_text())["selected"]] == [
+            1, 2, 10, "1", "None", "True", "a", "b"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_leakcheck_ids_are_keys_as_given(self, tmp_path, capsys, workers):
+        # One reaction under every id: 1 and "1" are two ids; null, true and
+        # a list are none. Pairs list integer ids in numeric order, then strings.
+        a, b, out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "leak.json"
+        write_jsonl(a, [{"id": rid, "rxn": "CCO.CC(=O)O>>CC(=O)OCC"}
+                        for rid in [2, "1", None, "None", 10]])
+        write_jsonl(b, [{"id": rid, "rxn": "OCC.CC(=O)O>>CC(=O)OCC"}
+                        for rid in [1, True, "True", [1]]])
+        assert run(["leakcheck", "--split", f"a={a}", "--split", f"b={b}",
+                    "--out", str(out), "--workers", workers]) == 0
+        not_id = "id must be a string or an integer, got "
+        rows = [{"line": 3, "id": None, "error": not_id + "null"},
+                {"line": 2, "id": True, "error": not_id + "true"},
+                {"line": 4, "id": [1], "error": not_id + "[1]"}]
+        assert json.loads(capsys.readouterr().err)["record_errors"] == rows
+        assert json.loads(out.read_text()) == {
+            "cross": [{"splits": ["a", "b"], "count": 8, "pairs": [
+                [2, 1], [2, "True"], [10, 1], [10, "True"],
+                ["1", 1], ["1", "True"], ["None", 1], ["None", "True"]]}],
+            "within": [
+                {"split": "a", "count": 6, "pairs": [
+                    [2, 10], [2, "1"], [2, "None"], ["1", 10], ["1", "None"], ["None", 10]]},
+                {"split": "b", "count": 1, "pairs": [[1, "True"]]}],
+            "errors": [{"split": s, **row} for s, row in zip("abb", rows)]}
 
     def test_leakcheck_collects_unparseable_records(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -1096,6 +1154,14 @@ EVAL_CASES = {
 }
 
 
+# Each eval task: two values that score perfectly against themselves, and the
+# metric that says so. MISSING stands for an id left out.
+ID_VALUES = {"gen": ("CCO", "CCN"), "cls": (0, 1), "reg": (1.0, 2.0), "sel": ("A", "B")}
+ID_PERFECT = {"gen": ("exact", 1.0), "cls": ("accuracy", 1.0), "reg": ("mae", 0.0),
+              "sel": ("selection_top1", 1.0)}
+MISSING = object()
+
+
 def _not_json(constant):
     raise ValueError(f"{constant} is not JSON")
 
@@ -1293,6 +1359,58 @@ class TestEvalBadPairs:
         assert strict_row(capsys, ref) == {
             "line": 1, "id": 1, "error": "invalid reference: ring bond 1 never closed"}
         assert not out.exists()
+
+    @staticmethod
+    def id_files(tmp_path, task, refs, preds):
+        """The eval files of (id, value) pairs; an id of MISSING leaves it out."""
+        extra = {"candidates": list(ID_VALUES["sel"])} if task == "sel" else {}
+        paths = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        for path, field, pairs in zip(paths, ("reference", "prediction"), (refs, preds)):
+            write_jsonl(path, [{**({} if rid is MISSING else {"id": rid}), field: value,
+                                **(extra if field == "reference" else {})}
+                               for rid, value in pairs])
+        return ["eval", task, "--ref", str(paths[0]), "--pred", str(paths[1])]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("task", sorted(EVAL_CASES))
+    def test_ids_pair_by_json_value(self, tmp_path, capsys, task, workers):
+        # 1 and "1" are two ids; null, true and a missing id are none. Each
+        # prediction whose id is no id comes after the one its string spells.
+        x, y = ID_VALUES[task]
+        argv = self.id_files(
+            tmp_path, task,
+            [(1, x), ("1", y), ("None", x), ("True", y), (None, y), (True, x), (MISSING, y)],
+            [("1", y), (1, x), ("None", x), (None, y), ("True", y), (True, x), (MISSING, x)])
+        out = tmp_path / "m.json"
+        assert run(argv + ["--out", str(out), "--workers", workers]) == 0
+        not_id = "id must be a string or an integer, got "
+        assert json.loads(capsys.readouterr().err)["record_errors"] == [
+            {"line": 4, "id": None, "error": not_id + "null"},
+            {"line": 6, "id": True, "error": not_id + "true"},
+            {"line": 7, "id": None, "error": "'id'"},
+            {"line": 5, "id": None, "error": not_id + "null"},
+            {"line": 6, "id": True, "error": not_id + "true"},
+            {"line": 7, "id": None, "error": "'id'"}]
+        report = json.loads(out.read_text())
+        metric, perfect = ID_PERFECT[task]
+        assert (report["sample_count"], report["metrics"][metric]) == (4, perfect)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("task", sorted(EVAL_CASES))
+    def test_repeated_prediction_id_is_an_error_row(self, tmp_path, capsys, task, workers):
+        x, y = ID_VALUES[task]
+        argv = self.id_files(tmp_path, task, [("a", x), (2, y)],
+                             [("a", x), (2, y), ("a", y), (2, x), ("2", x)])
+        argv += ["--out", str(tmp_path / "m.json"), "--workers", workers]
+        assert run(argv) == 0
+        rows = [{"line": 3, "id": "a", "error": "id repeats the prediction on line 1"},
+                {"line": 4, "id": 2, "error": "id repeats the prediction on line 2"}]
+        assert json.loads(capsys.readouterr().err)["record_errors"] == rows
+        report = json.loads((tmp_path / "m.json").read_text())
+        metric, perfect = ID_PERFECT[task]
+        assert (report["sample_count"], report["metrics"][metric]) == (2, perfect)
+        assert run(argv + ["--strict"]) == 1
+        assert strict_row(capsys, tmp_path / "pred.jsonl") == rows[0]
 
     def test_strict_schema_error_in_predictions(self, tmp_path, capsys):
         ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"

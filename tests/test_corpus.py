@@ -134,6 +134,10 @@ class TestNameConversion:
         with pytest.raises(ValueError):
             build_name_conversion({"id": "m6", "smiles": "C(C"})
 
+    def test_id_as_given_or_the_canonical_smiles(self):
+        assert [r["id"] for r in build_name_conversion({"id": 7, "smiles": "OCC"})] == [7, 7]
+        assert [r["id"] for r in build_name_conversion({"smiles": "OCC"})] == ["CCO", "CCO"]
+
 
 class TestFilterAndStat:
     def test_empty_stream(self):

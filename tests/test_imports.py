@@ -142,6 +142,39 @@ def test_every_public_def_is_reached():
     assert unreached_public_defs(ROOT) == []
 
 
+def str_of_an_id(source: str) -> list[int]:
+    """The lines of the source that call str() on x["id"] or x.get("id", ...).
+
+    An id that is a key goes through record_id, which keeps 1 and "1" apart;
+    an id written out is written as given.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "str" and node.args):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.Subscript):
+            key = arg.slice
+        elif (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+              and arg.func.attr == "get" and arg.args):
+            key = arg.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and key.value == "id":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_id_is_made_a_string():
+    assert str_of_an_id('str(r["id"])\nstr(r.get("id"))\nstr(r.get("id", c))\nstr(r["x"])\n'
+                        'str(r.get("x"))\nrecord_id(r)') == [1, 2, 3]
+    found = [f"{path.relative_to(SRC).as_posix()}:{line}"
+             for path in sorted((SRC / "rxnkit").rglob("*.py"))
+             for line in str_of_an_id(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     done = python(
         "import sys, rxnkit.cli; from rxnkit.fingerprint import load_key_table; "

@@ -183,23 +183,23 @@ class TestParseRaisesOnlyParseErrors:
     def test_values_that_are_not_text(self, value):
         with pytest.raises(SmilesSyntaxError):
             parse_smiles(value)
-        assert validate(value).status == "syntax_error"
+        assert validate(value)["status"] == "syntax_error"
 
 
 class TestValidate:
     def test_valid(self):
-        assert validate("CC(=O)O").status == "valid"
+        assert validate("CC(=O)O")["status"] == "valid"
 
     def test_syntax_error(self):
-        assert validate("C(C").status == "syntax_error"
+        assert validate("C(C")["status"] == "syntax_error"
 
     def test_chemistry_error(self):
         verdict = validate("C(C)(C)(C)(C)C")
-        assert verdict.status == "chemistry_error"
-        assert "valence" in verdict.detail
+        assert verdict["status"] == "chemistry_error"
+        assert "valence" in verdict["detail"]
 
     def test_verdicts_distinguishable(self):
-        assert validate("C(C").status != validate("C(C)(C)(C)(C)C").status
+        assert validate("C(C")["status"] != validate("C(C)(C)(C)(C)C")["status"]
 
 
 class TestCanonical:
