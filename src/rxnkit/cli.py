@@ -31,7 +31,6 @@ from ._jsonl import (
 from .corpus import (
     DEFAULT_ENTITY_LIMIT,
     DEFAULT_TOKEN_LIMIT,
-    AnnotatedProcedure,
     build_interleaved,
     build_name_conversion,
     filter_and_stat,
@@ -286,7 +285,7 @@ def _parse_band(text: str) -> tuple[float, float]:
 def _guarded(fn, item: tuple[int, str]) -> tuple[dict | None, object]:
     """(None, fn(lineno, record)) for the record on the line, or (its error row, None).
 
-    The row has the record's id when the line held an object.
+    The row has the record's id when the line held an object with an id.
     """
     lineno, line = item
     record = None
@@ -295,8 +294,8 @@ def _guarded(fn, item: tuple[int, str]) -> tuple[dict | None, object]:
         return None, fn(lineno, record)
     except Exception as exc:
         row = {"line": lineno, "error": str(exc)}
-        if record is not None:
-            row["id"] = record.get("id")
+        if record is not None and "id" in record:
+            row["id"] = record["id"]
         return row, None
 
 
@@ -374,7 +373,7 @@ def _leak_key(lineno, record, merge_agents: bool):
 
 
 def _interleave(lineno, record, entity_limit: int, token_limit: int):
-    return build_interleaved(AnnotatedProcedure.from_dict(record), entity_limit, token_limit)
+    return build_interleaved(record, entity_limit, token_limit)
 
 
 def _nameconv(lineno, record):
@@ -442,7 +441,7 @@ def _cmd_interleave(run):
     kept, stats = filter_and_stat(run.records(run.input, worker))
     write_jsonl(run.out, kept)
     if run.stats:
-        write_json(run.stats, stats.to_dict())
+        write_json(run.stats, stats)
 
 
 def _cmd_render(run):
@@ -546,8 +545,8 @@ def _cmd_eval_reg(run):
 
 
 def _selection_pair(lineno, ref, pred) -> dict:
-    """The eval_selection record of a pair: candidates are a list, and ranks,
-    if given, are one int per candidate."""
+    """The eval_selection record of a pair, the reference with the prediction
+    added: candidates are a list, and ranks, if given, are one int per candidate."""
     candidates = ref["candidates"]
     if not isinstance(candidates, list):
         raise ValueError(f"candidates must be a list, got {candidates!r}")
@@ -558,13 +557,7 @@ def _selection_pair(lineno, ref, pred) -> dict:
         for rank in ranks:
             if type(rank) is not int:
                 raise ValueError(f"candidate_yield_ranks must be integers, got {rank!r}")
-    return {
-        "id": ref.get("id"),
-        "gold_item": ref["reference"],
-        "predicted_item": pred["prediction"],
-        "candidates": candidates,
-        "candidate_yield_ranks": ranks,
-    }
+    return {**ref, "reference": ref["reference"], "prediction": pred["prediction"]}
 
 
 def _cmd_eval_sel(run):

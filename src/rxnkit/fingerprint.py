@@ -73,12 +73,14 @@ class FingerprintSpec:
     min_path: int = 1
     max_path: int = 7
     width: int = 2048
-    # A loaded table, or a table file, which is loaded once, here.
-    key_table: str | Path | KeyTable | None = None
+    key_table: KeyTable | None = None  # None: the shipped table
 
     def __post_init__(self):
         if self.kind not in ("circular", "path", "key"):
             raise ValueError(f"unknown fingerprint kind {self.kind!r}")
+        if self.key_table is not None and not isinstance(self.key_table, KeyTable):
+            raise TypeError(f"key_table must be a KeyTable from load_key_table(path), "
+                            f"not {type(self.key_table).__name__}")
         if self.width < 1:
             raise ValueError(f"fingerprint width must be at least 1, got {self.width}")
         if self.radius < 0:
@@ -88,8 +90,6 @@ class FingerprintSpec:
         if self.max_path < self.min_path:
             raise ValueError(f"fingerprint max_path must be at least min_path "
                              f"({self.min_path}), got {self.max_path}")
-        if self.key_table is not None:
-            object.__setattr__(self, "key_table", load_key_table(self.key_table))
 
 
 def fingerprint(mol: Molecule, spec: FingerprintSpec) -> BitFingerprint:
@@ -98,7 +98,8 @@ def fingerprint(mol: Molecule, spec: FingerprintSpec) -> BitFingerprint:
         return circular_fingerprint(mol, spec)
     if spec.kind == "path":
         return path_fingerprint(mol, spec)
-    return key_fingerprint(mol, load_key_table(spec.key_table))
+    table = spec.key_table if spec.key_table is not None else load_key_table()
+    return key_fingerprint(mol, table)
 
 
 def circular_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> BitFingerprint:
@@ -224,14 +225,9 @@ class KeyTable:
 _DEFAULT_TABLE: KeyTable | None = None
 
 
-def load_key_table(path: str | Path | KeyTable | None = None) -> KeyTable:
-    """Load a key table file; with no path, the shipped 166-key table.
-
-    A table that is already loaded is returned as it is.
-    """
+def load_key_table(path: str | Path | None = None) -> KeyTable:
+    """Load a key table file; with no path, the shipped 166-key table (loaded once)."""
     global _DEFAULT_TABLE
-    if isinstance(path, KeyTable):
-        return path
     if path is None:
         if _DEFAULT_TABLE is None:
             text = (

@@ -265,7 +265,7 @@ def eval_selection(records: list[dict]) -> tuple[dict, list[dict]]:
     """(metrics, details): top-1 and top-50% accuracy for choose-from-candidates
     records, and one detail row per record.
 
-    A record needs gold_item, predicted_item, and candidates. Top-50 is
+    A record needs reference, prediction and candidates. Top-50 is
     computed when every record has candidate_yield_ranks (parallel to
     candidates, rank 1 = highest yield) and counts a record when the
     predicted item's rank is within ceil(len(candidates)/2). Predictions
@@ -279,8 +279,8 @@ def eval_selection(records: list[dict]) -> tuple[dict, list[dict]]:
     details = []
     for record in records:
         candidates = record["candidates"]
-        predicted = record["predicted_item"]
-        gold = record["gold_item"]
+        predicted = record["prediction"]
+        gold = record["reference"]
         flagged = predicted not in candidates
         row = {
             "id": record.get("id"),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from ._jsonl import id_order
+from ._jsonl import dumps, id_order
 from .fingerprint import BitFingerprint, FingerprintSpec, fingerprint
 from .molgraph import Atom, Molecule, canonical_smiles, parse_smiles
 from .molgraph.elements import allowed_valences, fill_hydrogens
@@ -160,7 +160,8 @@ def resample_test_set(
     are dropped first; the rest are filtered to max-train-similarity <=
     band[1], sorted ascending (ties in id_order), and the first n selected.
     band[0] is diagnostic only: the selection rule is "lowest similarities",
-    so the lower bound never filters.
+    so the lower bound never filters. A candidate id that repeats raises
+    ValueError, since the report names the selected candidates by id.
     """
     if not candidates:
         raise ValueError("empty candidate pool")
@@ -173,7 +174,11 @@ def resample_test_set(
 
     rejected_overlap = 0
     scored: list[tuple[float, tuple]] = []  # (similarity, id_order(id))
+    ids: set[str | int] = set()
     for rid, key, fp in candidates:
+        if rid in ids:
+            raise ValueError(f"candidate id {dumps(rid)} repeats")
+        ids.add(rid)
         if key in train_keys:
             rejected_overlap += 1
             continue

@@ -24,45 +24,31 @@ class TemplateError(ValueError):
     """Unknown task, missing placeholder, or unextractable instruction."""
 
 
-@dataclass(frozen=True)
-class TaskTemplate:
-    """One instruction template with named placeholders."""
-
-    task: str
-    system_prompt: str
-    instruction_pattern: str
-    output_pattern: str
-    molecule_slots: tuple[str, ...] = ()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TaskTemplate":
-        return cls(
-            task=data["task"],
-            system_prompt=data["system"],
-            instruction_pattern=data["instruction"],
-            output_pattern=data["output"],
-            molecule_slots=tuple(data.get("molecule_slots", ())),
-        )
-
-
 @dataclass
 class TemplateRegistry:
-    """Task -> template variants; variant 0 is the shipped one."""
+    """Task -> its variants, each an object of the registry file; variant 0 is
+    the shipped one."""
 
-    _templates: dict[str, list[TaskTemplate]] = field(default_factory=dict)
+    _templates: dict[str, list[dict]] = field(default_factory=dict)
 
-    def register(self, template: TaskTemplate) -> None:
-        self._templates.setdefault(template.task, []).append(template)
+    def register(self, template: dict) -> None:
+        """Add a variant: {"task", "system", "instruction", "output"} and an
+        optional "molecule_slots" list."""
+        for key in ("task", "system", "instruction", "output"):
+            template[key]  # KeyError names a missing key
+        if not isinstance(template.get("molecule_slots", []), list):
+            raise TypeError(f"molecule_slots must be a list, got {template['molecule_slots']!r}")
+        self._templates.setdefault(template["task"], []).append(template)
 
     def load_file(self, path: str | Path) -> None:
-        for entry in json.loads(Path(path).read_text(encoding="utf-8")):
-            self.register(TaskTemplate.from_dict(entry))
+        for template in json.loads(Path(path).read_text(encoding="utf-8")):
+            self.register(template)
 
     @property
     def tasks(self) -> tuple[str, ...]:
         return tuple(self._templates)
 
-    def get(self, task: str, variant: int = 0, seed: int | str | None = None) -> TaskTemplate:
+    def get(self, task: str, variant: int = 0, seed: int | str | None = None) -> dict:
         """A task's variant; a seed, when given, draws the variant instead."""
         variants = self._templates.get(task)
         if not variants:
@@ -83,12 +69,9 @@ def builtin_registry() -> TemplateRegistry:
     global _BUILTIN
     if _BUILTIN is None:
         registry = TemplateRegistry()
-        data = json.loads(
-            resources.files("rxnkit").joinpath("data/templates.json")
-            .read_text(encoding="utf-8")
-        )
-        for entry in data:
-            registry.register(TaskTemplate.from_dict(entry))
+        for template in json.loads(resources.files("rxnkit").joinpath("data/templates.json")
+                                   .read_text(encoding="utf-8")):
+            registry.register(template)
         _BUILTIN = registry
     return _BUILTIN
 
@@ -142,7 +125,7 @@ def render(
                     f"task {task!r}: placeholder {name!r} is not bound"
                 )
             value = bindings[name]
-            use_sentinel = sentinel_molecules and name in template.molecule_slots
+            use_sentinel = sentinel_molecules and name in template.get("molecule_slots", ())
             if use_sentinel:
                 # One sidecar entry per sentinel token emitted.
                 items = value if isinstance(value, (list, tuple)) else [value]
@@ -153,26 +136,27 @@ def render(
 
     result = {
         "task": task,
-        "system": template.system_prompt,
-        "instruction": fill(template.instruction_pattern),
+        "system": template["system"],
+        "instruction": fill(template["instruction"]),
     }
-    output_names = _PLACEHOLDER_RE.findall(template.output_pattern)
+    output_names = _PLACEHOLDER_RE.findall(template["output"])
     if all(name in bindings for name in output_names):
-        result["output"] = fill(template.output_pattern)
+        result["output"] = fill(template["output"])
     if sentinel_molecules:
         result["molecules"] = molecules
     return result
 
 
-def extraction_regex(template: TaskTemplate) -> re.Pattern:
+def extraction_regex(template: dict) -> re.Pattern:
     """Compile the instruction pattern into a slot-capturing regex."""
+    pattern = template["instruction"]
     parts = ["^"]
     pos = 0
-    for match in _PLACEHOLDER_RE.finditer(template.instruction_pattern):
-        parts.append(re.escape(template.instruction_pattern[pos : match.start()]))
+    for match in _PLACEHOLDER_RE.finditer(pattern):
+        parts.append(re.escape(pattern[pos : match.start()]))
         parts.append(f"(?P<{match.group(1)}>.+?)")
         pos = match.end()
-    parts.append(re.escape(template.instruction_pattern[pos:]))
+    parts.append(re.escape(pattern[pos:]))
     parts.append("$")
     return re.compile("".join(parts), re.DOTALL)
 

@@ -368,7 +368,7 @@ class TestCriterion7LeakageAudit:
 
 class TestCriterion8CorpusFilters:
     def test_filter_arithmetic_and_reconstruction(self):
-        from rxnkit.corpus import AnnotatedProcedure, Rejection, build_interleaved, reconstruct
+        from rxnkit.corpus import build_interleaved, reconstruct
 
         rng = random.Random(8)
         stream = []
@@ -377,36 +377,36 @@ class TestCriterion8CorpusFilters:
         for i in range(keep):
             n_words = rng.randint(5, 50)
             text = " ".join(f"w{j}" for j in range(n_words)) + " X Y"
-            stream.append(AnnotatedProcedure(
-                id=f"keep{i}", text=text,
-                entities=((len(text) - 3, len(text) - 2, "CCO"),
-                          (len(text) - 1, len(text), "CCN")),
-            ))
+            stream.append({
+                "id": f"keep{i}", "text": text,
+                "entities": [{"span": [len(text) - 3, len(text) - 2], "smiles": "CCO"},
+                             {"span": [len(text) - 1, len(text)], "smiles": "CCN"}],
+            })
         for i in range(k_entities):
             text = "e " * 30
-            stream.append(AnnotatedProcedure(
-                id=f"ent{i}", text=text,
-                entities=tuple((2 * j, 2 * j + 1, "C") for j in range(21)),
-            ))
+            stream.append({
+                "id": f"ent{i}", "text": text,
+                "entities": [{"span": [2 * j, 2 * j + 1], "smiles": "C"} for j in range(21)],
+            })
         for i in range(m_tokens):
             text = "t " * 1100 + "X"
-            stream.append(AnnotatedProcedure(
-                id=f"tok{i}", text=text,
-                entities=((len(text) - 1, len(text), "O"),),
-            ))
+            stream.append({
+                "id": f"tok{i}", "text": text,
+                "entities": [{"span": [len(text) - 1, len(text)], "smiles": "O"}],
+            })
         for i in range(no_entity):
-            stream.append(AnnotatedProcedure(id=f"no{i}", text="nothing", entities=()))
+            stream.append({"id": f"no{i}", "text": "nothing", "entities": []})
         rng.shuffle(stream)
 
         kept = []
         for proc in stream:
             outcome = build_interleaved(proc, entity_limit=20, token_limit=1024)
-            if not isinstance(outcome, Rejection):
+            if not isinstance(outcome, str):  # a string is the reason it is rejected
                 kept.append((proc, outcome))
         total = len(stream)
         assert len(kept) == total - k_entities - m_tokens - no_entity
         for proc, record in kept:
-            assert reconstruct(record) == proc.text
+            assert reconstruct(record) == proc["text"]
         _passes(8, f"kept = {total} - {k_entities} - {m_tokens} - {no_entity} "
                    f"= {len(kept)}; reconstruction byte-exact for every kept record")
 

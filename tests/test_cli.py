@@ -180,7 +180,7 @@ class TestValidateFpSimScaffold:
         assert run(["fp", "--fp-kind", "key", "--key-table", str(table),
                     "--in", str(mols), "--out", str(out)]) == 0
         assert [r["fp"] for r in read_jsonl(out)] == ["2:01", "2:02", "2:01"]
-        assert sum(not isinstance(p, fp_module.KeyTable) for p in loads) == 1
+        assert loads == [str(table)]
 
     def test_fp_malformed_key_table_is_fatal(self, tmp_path, mols, capsys):
         table = tmp_path / "keys.txt"
@@ -300,6 +300,66 @@ class TestCorpusCommands:
                            "error": f"entity span must be a list of two integers, got {span!r}"}
                           for i, span in enumerate(spans) if i]
         assert [r["id"] for r in read_jsonl(out)] == ["p0"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_stats_report_bytes(self, tmp_path, workers):
+        # Entity counts 1, 2 and 12 and a token bin past 1023: the report's
+        # histograms in the order it writes them.
+        src, stats = tmp_path / "procs.jsonl", tmp_path / "stats.json"
+        long_text = "w " * 1100 + "X"
+        write_jsonl(src, [
+            {"id": "two", "text": "add X and Y", "entities": [
+                {"span": [4, 5], "smiles": "CCO"}, {"span": [10, 11], "smiles": "O"}]},
+            {"id": "twelve", "text": "x " * 12, "entities": [
+                {"span": [2 * i, 2 * i + 1], "smiles": "C" * (i + 1)} for i in range(12)]},
+            {"id": "long", "text": long_text, "entities": [
+                {"span": [len(long_text) - 1, len(long_text)], "smiles": "CCO"}]},
+            {"id": "mid", "text": "w " * 200 + "X", "entities": [
+                {"span": [400, 401], "smiles": "N"}]},
+            {"id": "none", "text": "nothing here", "entities": []},
+        ])
+        assert run(["corpus", "interleave", "--in", str(src), "--out", os.devnull,
+                    "--stats", str(stats), "--entity-limit", "30", "--token-limit", "5000",
+                    "--workers", workers]) == 0
+        report = json.loads(stats.read_text())
+        assert list(report["entity_histogram"]) == ["1", "2", "12"]
+        assert list(report["token_histogram"]) == ["0-127", "1024-1151", "128-255"]
+        assert digest(stats) == (
+            "c941156b6bbf26591581585c3b09cd788bc8d2481f6f4513bbb43bd4c84f5740")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rows_of_records_with_several_faults(self, tmp_path, capsys, workers):
+        # The spans are checked first, then the id, the text and the span
+        # order, all before the limits.
+        src, out = tmp_path / "procs.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(src, [
+            {"text": "add ethanol", "entities": [{"span": [4.5, 11], "smiles": "CCO"}]},
+            {"id": "no-text", "entities": [{"span": [0, 1], "smiles": "C"}]},
+            {"id": "order", "text": "x " * 5, "entities": [
+                {"span": [2, 3], "smiles": "C"}, {"span": [0, 1], "smiles": "C"}]},
+            {"id": "no-smiles", "text": "add ethanol", "entities": [{"span": [4, 11]}]},
+            {"id": "ok", "text": "add ethanol", "entities": [{"span": [4, 11], "smiles": "CCO"}]},
+        ])
+        assert run(["corpus", "interleave", "--in", str(src), "--out", str(out),
+                    "--entity-limit", "1", "--workers", workers]) == 0
+        assert json.loads(capsys.readouterr().err)["record_errors"] == [
+            {"line": 1, "error": "entity span must be a list of two integers, got [4.5, 11]"},
+            {"line": 2, "id": "no-text", "error": "'text'"},
+            {"line": 3, "id": "order", "error": "procedure 'order': entity spans must be "
+                                                "ascending, non-overlapping, and inside the text"},
+            {"line": 4, "id": "no-smiles", "error": "'smiles'"}]
+        assert [r["id"] for r in read_jsonl(out)] == ["ok"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_row_has_no_id_when_the_record_has_none(self, tmp_path, capsys, workers):
+        src = tmp_path / "procs.jsonl"
+        bad = {"text": "add ethanol", "entities": [{"span": [4], "smiles": "CCO"}]}
+        write_jsonl(src, [bad, {"id": None, **bad}])
+        assert run(["corpus", "interleave", "--in", str(src), "--out", os.devnull,
+                    "--workers", workers]) == 0
+        error = "entity span must be a list of two integers, got [4]"
+        assert json.loads(capsys.readouterr().err)["record_errors"] == [
+            {"line": 1, "error": error}, {"line": 2, "id": None, "error": error}]
 
     # Each subcommand: a record without its id, and the rows it gives.
     ECHO = {"interleave": ({"text": "add ethanol", "entities": [
@@ -481,7 +541,7 @@ class TestSplitAndLeakcheck:
         out = tmp_path / "leak.json"
         assert run(["leakcheck", "--split", f"a={a}", "--split", f"b={b}",
                     "--out", str(out), "--workers", workers]) == 0
-        rows = [{"line": line, "id": None, "error": "'id'"} for line in (1, 2)]
+        rows = [{"line": line, "error": "'id'"} for line in (1, 2)]
         assert json.loads(capsys.readouterr().err)["record_errors"] == rows
         assert json.loads(out.read_text()) == {
             "cross": [{"splits": ["a", "b"], "count": 1, "pairs": [["None", "y"]]}],
@@ -503,6 +563,19 @@ class TestSplitAndLeakcheck:
             {"line": 9, "id": True, "error": not_id + "true"}]
         assert [s["id"] for s in json.loads(out.read_text())["selected"]] == [
             1, 2, 10, "1", "None", "True", "a", "b"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_split_candidate_id_that_repeats_is_a_run_error(self, tmp_path, capsys, workers):
+        t, c, out = tmp_path / "t.jsonl", tmp_path / "c.jsonl", tmp_path / "split.json"
+        write_jsonl(t, [{"id": "t", "smiles": "C1CCCCC1"}])
+        write_jsonl(c, [{"id": "c", "smiles": "c1ccccc1O"}, {"smiles": "c1ccccc1"},
+                        {"id": "c", "smiles": "c1ccncc1"}])
+        assert run(["split", "--candidates", str(c), "--train", str(t), "--band", "0:1",
+                    "--n", "5", "--out", str(out), "--workers", workers]) == 2
+        rows, error = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert rows["record_errors"] == [{"line": 2, "error": "'id'"}]
+        assert error == {"error": 'candidate id "c" repeats'}
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_leakcheck_ids_are_keys_as_given(self, tmp_path, capsys, workers):
@@ -666,13 +739,16 @@ class TestRenderAndEval:
         assert not variants.exists()
         assert got.read_bytes() == want.read_bytes()
 
-    @pytest.mark.parametrize("bad", ["malformed", "missing", "not_a_list"])
+    @pytest.mark.parametrize("bad", ["malformed", "missing", "not_a_list", "slots_not_a_list"])
     def test_render_bad_templates_file_is_fatal(self, tmp_path, capsys, monkeypatch, bad):
         templates = tmp_path / "t.json"
         if bad == "malformed":
             templates.write_text("{bad")
         elif bad == "not_a_list":
             templates.write_text("[1]")
+        elif bad == "slots_not_a_list":  # a string is no list of slot names
+            templates.write_text(json.dumps([{"task": "forward", "system": "s", "instruction": "i",
+                                              "output": "o", "molecule_slots": "reactants"}]))
         src = tmp_path / "bind.jsonl"
         write_jsonl(src, [{"id": i, "reactants": ["r"], "products": ["p"]} for i in range(2)])
         out = tmp_path / "rend.jsonl"
@@ -684,6 +760,19 @@ class TestRenderAndEval:
         assert error.startswith("cannot load templates: ")
         if bad == "missing":
             assert "No such file or directory" in error
+        if bad == "slots_not_a_list":
+            assert error.endswith("molecule_slots must be a list, got 'reactants'")
+        assert not out.exists()
+
+    def test_render_template_without_system_is_fatal(self, tmp_path, capsys):
+        templates, out = tmp_path / "t.json", tmp_path / "rend.jsonl"
+        templates.write_text(json.dumps([{"task": "forward", "instruction": "i", "output": "o"}]))
+        src = tmp_path / "bind.jsonl"
+        write_jsonl(src, [{"id": 0, "reactants": ["r"], "products": ["p"]}])
+        assert run(["render", "--task", "forward", "--in", str(src), "--out", str(out),
+                    "--templates", str(templates)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "cannot load templates: 'system'"}
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -1095,8 +1184,7 @@ class TestBadRecords:
              "error": "bad JSON: Expecting value: line 1 column 1 (char 0)"},
             {"split": "a", "line": 3, "id": "m",
              "error": "record 'm' has neither 'rxn' nor 'smiles'"},
-            {"split": "a", "line": 4, "id": None,
-             "error": "reaction SMILES must be a string, not int"}]
+            {"split": "a", "line": 4, "error": "reaction SMILES must be a string, not int"}]
         assert report["errors"] == [{"split": s, **row} for s, row in zip("bbaaa", errors)]
 
     @pytest.mark.parametrize("command", ["split", "leakcheck"])
@@ -1387,10 +1475,10 @@ class TestEvalBadPairs:
         assert json.loads(capsys.readouterr().err)["record_errors"] == [
             {"line": 4, "id": None, "error": not_id + "null"},
             {"line": 6, "id": True, "error": not_id + "true"},
-            {"line": 7, "id": None, "error": "'id'"},
+            {"line": 7, "error": "'id'"},
             {"line": 5, "id": None, "error": not_id + "null"},
             {"line": 6, "id": True, "error": not_id + "true"},
-            {"line": 7, "id": None, "error": "'id'"}]
+            {"line": 7, "error": "'id'"}]
         report = json.loads(out.read_text())
         metric, perfect = ID_PERFECT[task]
         assert (report["sample_count"], report["metrics"][metric]) == (4, perfect)
@@ -1620,8 +1708,10 @@ class TestErrorRowOrder:
         write_jsonl(paths["REF"], [{"id": "r", "smiles": "CCO"}])
         _, prediction = EVAL_PAIR.get(name.removeprefix("eval-"), (None, None))
         write_jsonl(paths["PRED"], [{"id": "a", "prediction": prediction}])
-        good = json.dumps(good)  # twice, as eval reg needs two pairs
-        paths["MIXED"].write_text(f'{good}\n{{"id": "m"}}\nnot json\n{good}\n')
+        # Twice, as eval reg needs two pairs: eval repeats the reference id, as
+        # references may; split gives the second candidate its own id, as it must.
+        twice = [json.dumps({**good, "id": rid}) for rid in ("ab" if name == "split" else "aa")]
+        paths["MIXED"].write_text(f'{twice[0]}\n{{"id": "m"}}\nnot json\n{twice[1]}\n')
         for stem, path in paths.items():
             argv = [a.replace(stem, str(path)) for a in argv]
         out = tmp_path / "out"

@@ -3,8 +3,6 @@
 import pytest
 
 from rxnkit.corpus import (
-    AnnotatedProcedure,
-    Rejection,
     build_interleaved,
     build_name_conversion,
     default_tokenizer,
@@ -15,9 +13,8 @@ from rxnkit.molgraph import canonicalize
 
 
 def proc(pid, text, entities):
-    return AnnotatedProcedure(
-        id=pid, text=text, entities=tuple((s, e, sm) for s, e, sm in entities)
-    )
+    return {"id": pid, "text": text,
+            "entities": [{"span": [s, e], "smiles": sm} for s, e, sm in entities]}
 
 
 class TestTokenizer:
@@ -53,8 +50,7 @@ class TestBuildInterleaved:
         text = "x " * 25
         entities = [(2 * i, 2 * i + 1, "C") for i in range(21)]
         rec = build_interleaved(proc("p3", text, entities))
-        assert isinstance(rec, Rejection)
-        assert rec.reason == "ENTITY_LIMIT"
+        assert rec == "ENTITY_LIMIT"
 
     def test_exactly_at_entity_limit_kept(self):
         text = "x " * 25
@@ -64,21 +60,18 @@ class TestBuildInterleaved:
 
     def test_no_entity_rejected(self):
         rec = build_interleaved(proc("p5", "no molecules here", []))
-        assert isinstance(rec, Rejection)
-        assert rec.reason == "NO_ENTITY"
+        assert rec == "NO_ENTITY"
 
     def test_token_limit(self):
         text = "word " * 30 + "X"
         rec = build_interleaved(
             proc("p6", text, [(len(text) - 1, len(text), "C")]), token_limit=30
         )
-        assert isinstance(rec, Rejection)
-        assert rec.reason == "TOKEN_LIMIT"
+        assert rec == "TOKEN_LIMIT"
 
     def test_parse_fail(self):
         rec = build_interleaved(proc("p7", "Add X.", [(4, 5, "C(C")]))
-        assert isinstance(rec, Rejection)
-        assert rec.reason == "PARSE_FAIL"
+        assert rec == "PARSE_FAIL"
 
     def test_graph_attached(self):
         rec = build_interleaved(proc("p8", "X", [(0, 1, "O=C=O")]))
@@ -86,18 +79,19 @@ class TestBuildInterleaved:
 
     def test_span_invariant_enforced(self):
         with pytest.raises(ValueError):
-            proc("p9", "short", [(0, 3, "C"), (2, 4, "C")])
+            build_interleaved(proc("p9", "short", [(0, 3, "C"), (2, 4, "C")]))
         with pytest.raises(ValueError):
-            proc("p10", "short", [(0, 99, "C")])
+            build_interleaved(proc("p10", "short", [(0, 99, "C")]))
 
     @pytest.mark.parametrize("span", [[4.9, 11.2], [4, 11, 99], [4], [True, 11], [4, "11"],
                                       "4,11", {"0": 4, "1": 11}])
     def test_span_must_be_two_integers(self, span):
         record = {"id": "p", "text": "add ethanol", "entities": [{"span": span, "smiles": "CCO"}]}
         with pytest.raises(ValueError, match="entity span must be a list of two integers"):
-            AnnotatedProcedure.from_dict(record)
+            build_interleaved(record)
         record["entities"][0]["span"] = [4, 11]
-        assert AnnotatedProcedure.from_dict(record).entities == ((4, 11, "CCO"),)
+        (mol,) = [seg for seg in build_interleaved(record)["segments"] if seg["kind"] == "mol"]
+        assert (mol["surface"], mol["smiles"]) == ("ethanol", "CCO")
 
     def test_adjacent_entities_no_empty_text_segment(self):
         rec = build_interleaved(proc("p11", "XY", [(0, 1, "C"), (1, 2, "O")]))
@@ -143,7 +137,7 @@ class TestFilterAndStat:
     def test_empty_stream(self):
         kept, stats = filter_and_stat([])
         assert list(kept) == []
-        assert stats.to_dict()["kept"] == 0
+        assert stats["kept"] == 0
 
     def test_synthetic_stream_counts(self):
         stream = []
@@ -158,9 +152,8 @@ class TestFilterAndStat:
             text = "w " * 40 + "X"
             stream.append(proc(f"t{i}", text, [(len(text) - 1, len(text), "C")]))
         stream.append(proc("n0", "nothing", []))  # no entity
-        kept, stats = filter_and_stat(build_interleaved(p, token_limit=30) for p in stream)
+        kept, report = filter_and_stat(build_interleaved(p, token_limit=30) for p in stream)
         kept_list = list(kept)
-        report = stats.to_dict()
         assert len(kept_list) == 6
         assert report["kept"] == 6
         assert report["rejected"] == {"ENTITY_LIMIT": 2, "NO_ENTITY": 1, "TOKEN_LIMIT": 3}
@@ -173,7 +166,7 @@ class TestFilterAndStat:
         ]
         kept, stats = filter_and_stat(map(build_interleaved, stream))
         list(kept)
-        assert stats.to_dict()["unique_molecule_count"] == 2
+        assert stats["unique_molecule_count"] == 2
 
     def test_filter_monotonicity(self):
         stream = [

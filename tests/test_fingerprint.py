@@ -185,12 +185,22 @@ class TestKeys:
             return parse(text, source)
 
         monkeypatch.setattr(fp_module, "_parse_key_table", counting)
-        spec = FingerprintSpec(kind="key", key_table=str(path))
+        table = load_key_table(path)
+        spec = FingerprintSpec(kind="key", key_table=table)
         mols = [parse_smiles(s) for s in corpus[:100]]
         fps = [fingerprint(mol, spec) for mol in mols]
-        assert parses == [str(path)]
-        loaded = FingerprintSpec(kind="key", key_table=load_key_table(path))
-        assert fps == [fingerprint(mol, loaded) for mol in mols]
+        assert parses == [str(path)]  # a spec holds the loaded table
+        assert fps == [key_fingerprint(mol, table) for mol in mols]
+
+    def test_spec_takes_only_a_loaded_table(self, tmp_path):
+        from rxnkit.fingerprint import KeyTable
+
+        with pytest.raises(TypeError, match="^key_table must be a KeyTable .* not str$"):
+            FingerprintSpec(kind="key", key_table=str(tmp_path / "keys.txt"))
+        # An empty table is the table given, not a cue for the shipped one.
+        spec = FingerprintSpec(kind="key", key_table=KeyTable(entries=()))
+        with pytest.raises(ValueError, match="width must be positive"):
+            fingerprint(parse_smiles("CCO"), spec)
 
 
 class TestInvariance:

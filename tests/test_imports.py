@@ -175,6 +175,24 @@ def test_no_id_is_made_a_string():
     assert found == []
 
 
+def json_converters(root: Path) -> list[str]:
+    """Class.method for each to_dict, from_dict or to_json a class under root defines."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and item.name in ("to_dict", "from_dict", "to_json")]
+    return found
+
+
+def test_no_class_converts_json():
+    # A record is the JSON object docs/formats.md shows, with no class between
+    # it and the library.
+    assert json_converters(SRC) == []
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     done = python(
         "import sys, rxnkit.cli; from rxnkit.fingerprint import load_key_table; "

@@ -203,8 +203,8 @@ class TestSelection:
     def _record(self, rid, gold, pred, candidates, ranks=None):
         rec = {
             "id": rid,
-            "gold_item": gold,
-            "predicted_item": pred,
+            "reference": gold,
+            "prediction": pred,
             "candidates": candidates,
         }
         if ranks is not None:

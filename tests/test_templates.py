@@ -8,7 +8,6 @@ import pytest
 
 from rxnkit.templates import (
     TASKS,
-    TaskTemplate,
     TemplateError,
     TemplateRegistry,
     builtin_registry,
@@ -170,17 +169,9 @@ class TestRegistry:
         registry = TemplateRegistry()
         base = builtin_registry().get("forward")
         registry.register(base)
-        registry.register(
-            TaskTemplate(
-                task="forward",
-                system_prompt=base.system_prompt,
-                instruction_pattern="Predict the product of {reactants}.",
-                output_pattern=base.output_pattern,
-                molecule_slots=base.molecule_slots,
-            )
-        )
+        registry.register({**base, "instruction": "Predict the product of {reactants}."})
         seen = {
-            registry.get("forward", seed=s).instruction_pattern for s in range(16)
+            registry.get("forward", seed=s)["instruction"] for s in range(16)
         }
         assert len(seen) == 2
         assert registry.get("forward", seed=3) == registry.get("forward", seed=3)
@@ -214,4 +205,4 @@ class TestRegistry:
         )
         registry = TemplateRegistry()
         registry.load_file(path)
-        assert registry.get("forward").system_prompt == "s"
+        assert registry.get("forward")["system"] == "s"
