@@ -68,8 +68,12 @@ def id_order(rid: str | int) -> tuple[bool, str | int]:
     return isinstance(rid, str), rid
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """json.dumps(obj, sort_keys=True, separators=(",", ":")), from one encoder."""
+    return _ENCODER.encode(obj)
 
 
 def _staged_target(path: str | Path) -> str | None:

@@ -38,8 +38,8 @@ def build_interleaved(
 
     The record holds the id, the text and molecule segments in source order
     and the entity and token counts under "stats". A record that breaks the
-    schema raises, before any rejection: its entity spans are checked, then
-    its id and text, then the span order.
+    schema raises, before any rejection: its entity spans and SMILES strings
+    are checked, then its id and text, then the span order.
     """
     entities = []
     for entity in record.get("entities", ()):
@@ -47,7 +47,10 @@ def build_interleaved(
         if not (isinstance(span, list) and len(span) == 2
                 and all(type(end) is int for end in span)):  # bool is not an end
             raise ValueError(f"entity span must be a list of two integers, got {span!r}")
-        entities.append((*span, str(entity["smiles"])))
+        smiles = entity["smiles"]
+        if not isinstance(smiles, str):
+            raise ValueError(f"SMILES must be a string, not {type(smiles).__name__}")
+        entities.append((*span, smiles))
     rid, text = record["id"], record["text"]
     last = 0
     for start, end, _ in entities:

@@ -1,8 +1,10 @@
 """Bit fingerprints: circular environments, bond paths, structural keys.
 
 All hashing is a fixed 64-bit FNV-1a over canonical byte encodings, so bits
-are stable across platforms, runs, and atom renumberings. Bit vectors are
-int masks and serialize as "width:hex" of the little-endian mask bytes.
+are stable across platforms, runs, and atom renumberings. Each distinct
+encoding is hashed once per molecule, and a path key continues its prefix's
+hash. Bit vectors are int masks and serialize as "width:hex" of the
+little-endian mask bytes.
 """
 
 from __future__ import annotations
@@ -20,10 +22,15 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a(data: bytes) -> int:
-    h = _FNV_OFFSET
+def fnv1a(data: bytes, h: int = _FNV_OFFSET, mask: int = _MASK64) -> int:
+    """FNV-1a of data, continued from the state h of the bytes before it.
+
+    A mask of 2**k - 1 keeps only the low k bits of the state, which are all
+    that decide h % 2**k: every step's XOR and product carries upward only.
+    """
+    prime = _FNV_PRIME & mask
     for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+        h = ((h ^ byte) * prime) & mask
     return h
 
 
@@ -107,35 +114,43 @@ def circular_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> 
 
     Bits accumulate over radii, so the radius-r fingerprint is a superset of
     the radius-(r-1) one for the same molecule and width.
+
+    An environment is keyed at radius 0 by the atom's invariants, and at
+    radius r by its radius-(r-1) hash with the sorted (bond code, neighbour
+    hash) pairs. Each distinct key is spelled out and hashed once per call,
+    however many atoms share it, and each distinct hash sets one bit.
     """
     spec = spec or FingerprintSpec(kind="circular")
     ring = mol.ring_membership
     degrees = mol.degrees
-    env = [
-        fnv1a(
-            b"%d|%d|%d|%d|%d"
-            % (a.atomic_number, degrees[i], a.formal_charge,
-               a.implicit_hydrogens, ring[i])
-        )
-        for i, a in enumerate(mol.atoms)
-    ]
+    hashes: dict[tuple, int] = {}
+    env = []
+    for i, a in enumerate(mol.atoms):
+        key = (a.atomic_number, degrees[i], a.formal_charge, a.implicit_hydrogens, ring[i])
+        h = hashes.get(key)
+        if h is None:
+            h = hashes[key] = fnv1a(b"%d|%d|%d|%d|%d" % key)
+        env.append(h)
     adj = [
         [(bond_code(mol.bond_between(i, w)), w) for w in mol.neighbors[i]]
         for i in range(len(mol.atoms))
     ]
-    bits = 0
-    for radius in range(spec.radius + 1):
-        if radius:
-            nxt = []
-            for i in range(len(mol.atoms)):
+    for _ in range(spec.radius):
+        nxt = []
+        for i, nbrs in enumerate(adj):
+            key = (env[i], tuple(sorted([(code, env[w]) for code, w in nbrs])))
+            h = hashes.get(key)
+            if h is None:
                 parts = [env[i].to_bytes(8, "big")]
-                for code, w in sorted((code, env[w]) for code, w in adj[i]):
+                for code, w in key[1]:
                     parts.append(code.to_bytes(1, "big"))
                     parts.append(w.to_bytes(8, "big"))
-                nxt.append(fnv1a(b"".join(parts)))
-            env = nxt
-        for h in env:
-            bits |= 1 << (h % spec.width)
+                h = hashes[key] = fnv1a(b"".join(parts))
+            nxt.append(h)
+        env = nxt
+    bits = 0
+    for h in hashes.values():
+        bits |= 1 << (h % spec.width)
     return BitFingerprint(width=spec.width, bits=bits)
 
 
@@ -147,50 +162,63 @@ def path_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> BitF
 
     The walk is a loop over an explicit stack. It carries the label sequence
     of the path as an interned id, extended by one "|bond code|atom label"
-    step per bond, so a step costs one dict lookup whatever the path length;
-    each distinct sequence is spelled out and hashed once, at the end.
-    Every walk extends its start atom by at least one bond.
+    step per bond, so a step costs one dict lookup whatever the path length.
+    A new sequence is spelled forward and in reverse, and its FNV state is
+    its prefix's carried over the new step's bytes alone. It sets its bit
+    when it has min_path bonds or more and its forward spelling is not
+    greater than its reverse: every path is walked from both ends, so that
+    is the direction-minimal key. Every walk extends its start atom by at
+    least one bond.
     """
     spec = spec or FingerprintSpec(kind="path")
+    width = spec.width
+    # A power-of-two width needs only the low bits of each state.
+    mask = (width - 1) & _MASK64 if not width & (width - 1) else _MASK64
     labels = [
         b"%d.%d.%d" % (a.atomic_number, a.is_aromatic, a.formal_charge)
         for a in mol.atoms
     ]
-    steps: list[list[tuple[int, bytes]]] = [[] for _ in mol.atoms]
+    steps: list[list[tuple[int, bytes, bytes]]] = [[] for _ in mol.atoms]
     for bond in mol.bonds:
         code = b"|%d|" % bond_code(bond)
-        steps[bond.a].append((bond.b, code + labels[bond.b]))
-        steps[bond.b].append((bond.a, code + labels[bond.a]))
+        steps[bond.a].append((bond.b, code + labels[bond.b], labels[bond.b] + code))
+        steps[bond.b].append((bond.a, code + labels[bond.a], labels[bond.a] + code))
 
     # Label sequences are interned as they grow: ids maps (id, step) to the
-    # id of the extended sequence, spelled holds each id's bytes; id 0 is
-    # the empty sequence, which a start atom's label extends.
+    # id of the extended sequence, and each id has its forward and reverse
+    # spelling and its FNV state; id 0 is the empty sequence, which a start
+    # atom's label extends.
     ids: dict[tuple[int, bytes], int] = {}
-    spelled = [b""]
+    forward, reverse, states = [b""], [b""], [_FNV_OFFSET & mask]
+    bits = 0
 
-    def extend(sid: int, step: bytes) -> int:
+    def extend(sid: int, step: bytes, back: bytes, n_bonds: int) -> int:
+        nonlocal bits
         key = (sid, step)
         new = ids.get(key)
         if new is None:
-            new = ids[key] = len(spelled)
-            spelled.append(spelled[sid] + step)
+            new = ids[key] = len(states)
+            f, r = forward[sid] + step, back + reverse[sid]
+            h = fnv1a(step, states[sid], mask)
+            forward.append(f)
+            reverse.append(r)
+            states.append(h)
+            if n_bonds >= spec.min_path and f <= r:
+                bits |= 1 << (h % width)
         return new
 
-    emitted: set[int] = set()
     on_path = [False] * len(mol.atoms)
     for start in range(len(mol.atoms)):
         path = [start]
-        seqs = [extend(0, labels[start])]
+        seqs = [extend(0, labels[start], labels[start], 0)]
         walks = [iter(steps[start])]
         on_path[start] = True
         while walks:
-            for w, step in walks[-1]:
+            for w, step, back in walks[-1]:
                 if on_path[w]:
                     continue
-                sid = extend(seqs[-1], step)
                 n_bonds = len(path)
-                if n_bonds >= spec.min_path and start < w:
-                    emitted.add(sid)
+                sid = extend(seqs[-1], step, back, n_bonds)
                 if n_bonds < spec.max_path:
                     path.append(w)
                     seqs.append(sid)
@@ -201,15 +229,7 @@ def path_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> BitF
                 walks.pop()
                 seqs.pop()
                 on_path[path.pop()] = False
-
-    keys = set()
-    for sid in emitted:
-        forward = spelled[sid]
-        keys.add(min(forward, b"|".join(forward.split(b"|")[::-1])))
-    bits = 0
-    for key in keys:
-        bits |= 1 << (fnv1a(key) % spec.width)
-    return BitFingerprint(width=spec.width, bits=bits)
+    return BitFingerprint(width=width, bits=bits)
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,8 @@ def score_generation(
 
     A reference that does not parse raises ValueError("invalid reference:
     ..."). An invalid prediction gives a row that is neither valid nor exact
-    and has no fingerprint similarities.
+    and has no fingerprint similarities; an exact one has similarities of
+    1.0, with neither side fingerprinted.
     """
     pred = str(record["prediction"])
     ref = str(record["reference"])
@@ -127,7 +128,9 @@ def score_generation(
     row["valid"] = True
     row["exact"] = canonical_smiles(pred_mol) == ref_canonical
     for kind, spec in specs.items():
-        row[f"fts_{kind}"] = tanimoto(fingerprint(pred_mol, spec), fingerprint(ref_mol, spec))
+        # Equal canonical SMILES spell the same graph: every similarity is 1.0.
+        row[f"fts_{kind}"] = 1.0 if row["exact"] else tanimoto(
+            fingerprint(pred_mol, spec), fingerprint(ref_mol, spec))
     return row, pred, ref
 
 

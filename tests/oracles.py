@@ -6,14 +6,15 @@ confusion-entropy / Matthews-coefficient formulas expanded term by term, and
 canonical ranking that re-sorts every atom in every refinement round. The
 earlier, recursive key and path fingerprints are kept here as references:
 they evaluate every atom predicate per pattern and per candidate, and
-respell and rehash every path. So are the two hand-written sub-molecule
-builders that ``Molecule.subgraph`` replaced, and the frozenset fingerprint
-with its bit-loop serialization, set Tanimoto and similarity scan that the
-int bitmask replaced, the multi-pass Molecule builder with its bridge
-search that the one-pass builder replaced, and the Hueckel perception that
-tested every ring triple of a molecule at once, on cycles searched from
-every ring edge, before fused systems and lone rings were taken one at a
-time.
+respell and rehash every path. So is the circular fingerprint that hashes
+every atom's environment at every radius, repeats and all. So are the two
+hand-written sub-molecule builders that ``Molecule.subgraph`` replaced, and
+the frozenset fingerprint with its bit-loop serialization, set Tanimoto and
+similarity scan that the int bitmask replaced, the multi-pass Molecule
+builder with its bridge search that the one-pass builder replaced, and the
+Hueckel perception that tested every ring triple of a molecule at once, on
+cycles searched from every ring edge, before fused systems and lone rings
+were taken one at a time.
 """
 
 from __future__ import annotations
@@ -381,6 +382,30 @@ def reference_path_fingerprint(mol, spec=None) -> BitFingerprint:
 
     for start in range(len(mol.atoms)):
         extend([start], {start})
+    return BitFingerprint(width=spec.width, bits=mask_of(bits))
+
+
+def reference_circular_fingerprint(mol, spec=None) -> BitFingerprint:
+    """Environment bits by hashing every atom's environment at every radius."""
+    spec = spec or FingerprintSpec(kind="circular")
+    env = [
+        fnv1a(b"%d|%d|%d|%d|%d" % (a.atomic_number, mol.degrees[i], a.formal_charge,
+                                   a.implicit_hydrogens, mol.ring_membership[i]))
+        for i, a in enumerate(mol.atoms)
+    ]
+    bits = set(h % spec.width for h in env)
+    for _ in range(spec.radius):
+        nxt = []
+        for i in range(len(mol.atoms)):
+            parts = [env[i].to_bytes(8, "big")]
+            for code, h in sorted(
+                (bond_code(mol.bond_between(i, w)), env[w]) for w in mol.neighbors[i]
+            ):
+                parts.append(code.to_bytes(1, "big"))
+                parts.append(h.to_bytes(8, "big"))
+            nxt.append(fnv1a(b"".join(parts)))
+        env = nxt
+        bits.update(h % spec.width for h in env)
     return BitFingerprint(width=spec.width, bits=mask_of(bits))
 
 

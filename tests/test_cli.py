@@ -351,6 +351,24 @@ class TestCorpusCommands:
         assert [r["id"] for r in read_jsonl(out)] == ["ok"]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_smiles_that_is_not_a_string_is_an_error_row(self, tmp_path, capsys, workers):
+        # Checked with the schema, before the limits: not a PARSE_FAIL.
+        src, stats = tmp_path / "procs.jsonl", tmp_path / "stats.json"
+        write_jsonl(src, [
+            {"id": "int", "text": "add X and Y", "entities": [
+                {"span": [4, 5], "smiles": "CCO"}, {"span": [10, 11], "smiles": 5}]},
+            {"id": "null", "text": "x " * 3, "entities": [
+                {"span": [0, 1], "smiles": None}, {"span": [4, 5], "smiles": "C"}]},
+            {"id": "ok", "text": "add ethanol", "entities": [{"span": [4, 11], "smiles": "CCO"}]},
+        ])
+        assert run(["corpus", "interleave", "--in", str(src), "--out", os.devnull,
+                    "--stats", str(stats), "--entity-limit", "1", "--workers", workers]) == 0
+        assert json.loads(capsys.readouterr().err)["record_errors"] == [
+            {"line": 1, "id": "int", "error": "SMILES must be a string, not int"},
+            {"line": 2, "id": "null", "error": "SMILES must be a string, not NoneType"}]
+        assert json.loads(stats.read_text())["rejected"] == {}
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
     def test_row_has_no_id_when_the_record_has_none(self, tmp_path, capsys, workers):
         src = tmp_path / "procs.jsonl"
         bad = {"text": "add ethanol", "entities": [{"span": [4], "smiles": "CCO"}]}

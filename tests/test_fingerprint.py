@@ -5,11 +5,13 @@ import re
 
 import pytest
 
+from rxnkit import fingerprint as fp_module
 from rxnkit.fingerprint import (
     BitFingerprint,
     FingerprintSpec,
     circular_fingerprint,
     fingerprint,
+    fnv1a,
     key_fingerprint,
     load_key_table,
     path_fingerprint,
@@ -22,6 +24,7 @@ from conftest import random_smiles, shuffled
 from oracles import (
     SetFingerprint,
     mask_of,
+    reference_circular_fingerprint,
     reference_key_fingerprint,
     reference_max_similarity_to_set,
     reference_path_fingerprint,
@@ -98,6 +101,22 @@ class TestCircular:
                 cur = circular_fingerprint(mol, FingerprintSpec(radius=r)).bits
                 assert prev & ~cur == 0
                 prev = cur
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_chain_hashes_each_distinct_environment_once(self, monkeypatch, radius):
+        # A 384-atom chain has r + 2 distinct environments at radius r:
+        # the ends, r atoms next to them, and the middle.
+        hashed = []
+
+        def counting(data, *state):
+            hashed.append(data)
+            return fnv1a(data, *state)
+
+        monkeypatch.setattr(fp_module, "fnv1a", counting)
+        mol = parse_smiles("C" * 384)
+        spec = FingerprintSpec(radius=radius)
+        assert circular_fingerprint(mol, spec) == reference_circular_fingerprint(mol, spec)
+        assert len(hashed) == len(set(hashed)) == sum(r + 2 for r in range(radius + 1))
 
     def test_differs_between_molecules(self):
         a = circular_fingerprint(parse_smiles("CCO"))
@@ -354,7 +373,8 @@ CUSTOM_KEYS = """\
 
 
 class TestReferenceEquality:
-    """The loop-based key and path fingerprints equal the recursive references."""
+    """The loop-based key and path fingerprints equal the recursive references,
+    and the circular fingerprint the one that hashes every environment."""
 
     WINDOWS = [(1, 7), (1, 3), (2, 5)]
 
@@ -387,6 +407,34 @@ class TestReferenceEquality:
             ref = reference_path_fingerprint(mol).serialize()
             assert path_fingerprint(mol).serialize() == ref
             assert path_fingerprint(shuffled(mol, rng)).serialize() == ref
+
+    # Widths that are not powers of two, widths below a byte's 256 values,
+    # and paths of at least 2, 3 and 7 bonds.
+    PATH_SPECS = [(1000, 1, 7), (2047, 1, 7), (16, 1, 7), (1, 1, 7),
+                  (2048, 2, 7), (1000, 3, 5), (16, 2, 4), (64, 7, 7)]
+
+    @pytest.mark.parametrize("width, lo, hi", PATH_SPECS)
+    def test_path_widths_and_windows(self, corpus, width, lo, hi):
+        rng = random.Random(width * 100 + lo * 10 + hi)
+        spec = FingerprintSpec(kind="path", width=width, min_path=lo, max_path=hi)
+        smiles = corpus[::3] + [random_smiles(rng, 5, 20) for _ in range(40)]
+        for s in smiles:
+            mol = parse_smiles(s)
+            ref = reference_path_fingerprint(mol, spec)
+            assert path_fingerprint(mol, spec) == ref
+            assert path_fingerprint(shuffled(mol, rng), spec) == ref
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_circular_on_corpus_and_renumbered_molecules(self, corpus, radius):
+        rng = random.Random(radius)
+        specs = [FingerprintSpec(radius=radius, width=w) for w in (2048, 1000, 16)]
+        smiles = corpus + [random_smiles(rng) for _ in range(60)]
+        for i, s in enumerate(smiles):
+            mol = parse_smiles(s)
+            spec = specs[i % len(specs)]
+            ref = reference_circular_fingerprint(mol, spec)
+            assert circular_fingerprint(mol, spec) == ref
+            assert circular_fingerprint(shuffled(mol, rng), spec) == ref
 
     def test_custom_key_table(self, tmp_path, corpus):
         path = tmp_path / "keys.txt"

@@ -1,5 +1,6 @@
 """JSONL helpers, atomic output and the order-stable parallel map."""
 
+import json
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -12,6 +13,7 @@ from rxnkit._jsonl import (
     TEMP_SUFFIX,
     Workers,
     atomic_output,
+    dumps,
     iter_lines,
     parallel_map,
     read_record,
@@ -111,6 +113,18 @@ class TestReadRecord:
             "record is not an object",
             "bad JSON: Expecting value: line 1 column 6 (char 5)",
             "record is not an object"]
+
+
+class TestDumps:
+    @pytest.mark.parametrize("obj", [
+        {"text": "caf\u00e9 \u6c34 \U0001f9ea \ud800", "esc": "\"\\\n\t\x00"},
+        [0.1, -0.0, 1e308, 1.5e-320, float("nan"), float("inf"), float("-inf"), 3, True, None],
+        {"b": [{"z": [], "a": {}}, [[1, [2]], "x"]], "a": {"d": {"c": [None]}}},
+        {10: "ten", 2: "two", -1: [1, {3: "c", 1: "a"}]},
+        "plain", 7, None,
+    ])
+    def test_equals_compact_sorted_json_dumps(self, obj):
+        assert dumps(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class TestAtomicOutput:

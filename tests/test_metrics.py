@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from rxnkit import metrics as metrics_module
 from rxnkit.fingerprint import FingerprintSpec, fingerprint, tanimoto
 from rxnkit.metrics import (
     bleu,
@@ -21,8 +22,10 @@ from rxnkit.metrics import (
     matthews_corrcoef,
     score_generation,
 )
-from rxnkit.molgraph import parse_smiles
+from rxnkit.molgraph import canonical_smiles, parse_smiles
+from rxnkit.molgraph.canon import _write_fragment
 
+from conftest import shuffled
 from oracles import brute_cen, brute_mcc, recursive_levenshtein
 
 
@@ -261,6 +264,40 @@ class TestGeneration:
         assert m["levenshtein_mean"] == 0.0
         assert m["validity"] == 1.0
         assert m["fts_path"] == m["fts_key"] == m["fts_circular"] == 1.0
+
+    def test_exact_pair_is_not_fingerprinted(self, monkeypatch):
+        calls = []
+
+        def counting(mol, spec):
+            calls.append(spec.kind)
+            return fingerprint(mol, spec)
+
+        monkeypatch.setattr(metrics_module, "fingerprint", counting)
+        specs = generation_specs()
+        row, _, _ = score_generation({"id": 1, "prediction": "OCC", "reference": "CCO"}, specs)
+        assert row["exact"] and calls == []
+        assert row["fts_path"] == row["fts_key"] == row["fts_circular"] == 1.0
+        row, _, _ = score_generation({"id": 2, "prediction": "CCN", "reference": "CCO"}, specs)
+        assert not row["exact"] and sorted(calls) == sorted(list(specs) * 2)
+
+    def test_equal_canonical_smiles_have_equal_fingerprints(self, corpus):
+        # The rule an exact pair's similarities of 1.0 rest on, over
+        # renumbered twins and twins spelled from a random atom order.
+        rng = random.Random(11)
+        specs = generation_specs()
+        agreed = 0
+        for s in corpus:
+            mol = parse_smiles(s)
+            order = list(range(len(mol)))
+            rng.shuffle(order)
+            respelled = ".".join(_write_fragment(mol, order, f) for f in mol.fragments)
+            for twin in (shuffled(mol, rng), parse_smiles(respelled)):
+                if canonical_smiles(twin) != canonical_smiles(mol):
+                    continue
+                agreed += 1
+                for spec in specs.values():
+                    assert tanimoto(fingerprint(twin, spec), fingerprint(mol, spec)) == 1.0
+        assert agreed > len(corpus)
 
     def test_invalid_prediction_handling(self):
         records = [
