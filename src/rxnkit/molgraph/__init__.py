@@ -5,7 +5,6 @@ from .canon import (
     canonical_smiles,
     molecular_formula,
     to_graph_record,
-    validate,
 )
 from .model import (
     Atom,
@@ -35,3 +34,14 @@ __all__ = [
 def canonicalize(text: str) -> str:
     """Parse SMILES text and return its canonical form."""
     return canonical_smiles(parse_smiles(text))
+
+
+def validate(text: str) -> dict:
+    """The {"status", "detail"} of SMILES text, without raising (docs/formats.md)."""
+    try:
+        parse_smiles(text)
+    except SmilesSyntaxError as exc:
+        return {"status": "syntax_error", "detail": str(exc)}
+    except ChemistryError as exc:
+        return {"status": "chemistry_error", "detail": str(exc)}
+    return {"status": "valid", "detail": ""}

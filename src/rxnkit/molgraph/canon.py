@@ -31,10 +31,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 
-from .elements import BARE_ATOMS, fill_hydrogens, takes_double_bond
-from .model import ChemistryError, H_SLOT, Molecule, SmilesSyntaxError, bond_code
-
-_FLIP = {"@": "@@", "@@": "@", "/": "\\", "\\": "/"}
+from .elements import BARE_ATOMS, allowed_valences, hydrogens_to_fill, takes_double_bond
+from .model import FLIP_DIRECTION, H_SLOT, ChemistryError, Molecule, bond_code
 
 
 def canonical_ranks(mol: Molecule) -> list[int]:
@@ -167,9 +165,6 @@ def canonical_smiles(mol: Molecule) -> str:
                            for frag in mol.fragments))
 
 
-_FLIP_TABLE = str.maketrans("/\\", "\\/")
-
-
 def _normalize_directions(fragment: str) -> str:
     """Pick a fixed representative among direction-flip equivalent strings.
 
@@ -179,7 +174,7 @@ def _normalize_directions(fragment: str) -> str:
     """
     if "/" not in fragment and "\\" not in fragment:
         return fragment
-    return min(fragment, fragment.translate(_FLIP_TABLE))
+    return min(fragment, fragment.translate(FLIP_DIRECTION))
 
 
 def _write_fragment(mol: Molecule, ranks: list[int], frag: tuple[int, ...]) -> str:
@@ -268,7 +263,7 @@ def _write_fragment(mol: Molecule, ranks: list[int], frag: tuple[int, ...]) -> s
 def _bond_str(mol: Molecule, u: int, v: int) -> str:
     bond = mol.bond_between(u, v)
     if bond.stereo is not None:
-        return bond.stereo if bond.stereo_from == u else _FLIP[bond.stereo]
+        return bond.stereo if bond.a == u else bond.stereo.translate(FLIP_DIRECTION)
     if bond.is_aromatic:
         return ""
     if bond.order == 1:
@@ -293,7 +288,7 @@ def _inferred_bare_h(mol: Molecule, v: int) -> int:
                 explicit_multiple = True
     if a.is_aromatic and takes_double_bond(a.atomic_number, 0, sigma, explicit_multiple, True):
         sigma += 1
-    return fill_hydrogens(a.atomic_number, 0, sigma)
+    return hydrogens_to_fill(allowed_valences(a.atomic_number), sigma)
 
 
 def _atom_token(
@@ -306,11 +301,11 @@ def _atom_token(
 ) -> str:
     a = mol.atoms[v]
     sym = a.symbol.lower() if a.is_aromatic else a.symbol
-    tag = mol.chiral_tags[v]
+    chirality = mol.chirality[v]
     bare_ok = (
         a.formal_charge == 0
         and a.isotope is None
-        and tag is None
+        and chirality is None
         and a.atomic_number != 1
         and sym in BARE_ATOMS
         and a.implicit_hydrogens == _inferred_bare_h(mol, v)
@@ -318,8 +313,7 @@ def _atom_token(
     if bare_ok:
         return sym
 
-    if tag is not None:
-        tag = _adjusted_tag(mol, v, par, openings, closings, children)
+    tag = chirality and _adjusted_tag(mol, v, par, openings, closings, children)
 
     parts = ["["]
     if a.isotope is not None:
@@ -358,10 +352,7 @@ def _adjusted_tag(
     permutation between the input-declared order and the written order flips
     it. Unresolvable annotations (e.g. >1 implicit H) are dropped.
     """
-    stored = mol.stereo_order[v]
-    tag = mol.chiral_tags[v]
-    if stored is None:
-        return None
+    tag, stored = mol.chirality[v]
     a = mol.atoms[v]
     out: list[int] = []
     if par is not None:
@@ -375,7 +366,9 @@ def _adjusted_tag(
     out.extend(children[v])
     if sorted(out) != sorted(stored):
         return None
-    return tag if _perm_parity(list(stored), out) == 0 else _FLIP[tag]
+    if _perm_parity(list(stored), out) == 0:
+        return tag
+    return "@@" if tag == "@" else "@"
 
 
 def _perm_parity(src: list[int], dst: list[int]) -> int:
@@ -451,16 +444,3 @@ def to_graph_record(mol: Molecule) -> dict:
         for b in mol.bonds
     )
     return {"nodes": nodes, "edges": edges}
-
-
-def validate(text: str) -> dict:
-    """The {"status", "detail"} of SMILES text, without raising (docs/formats.md)."""
-    from .perception import parse_smiles as _parse
-
-    try:
-        _parse(text)
-    except SmilesSyntaxError as exc:
-        return {"status": "syntax_error", "detail": str(exc)}
-    except ChemistryError as exc:
-        return {"status": "chemistry_error", "detail": str(exc)}
-    return {"status": "valid", "detail": ""}

@@ -30,8 +30,8 @@ BRACKET_ATOMS.update({sym: atom for sym, atom in BARE_ATOMS.items() if atom[1]})
 BRACKET_ATOMS.update({"se": (34, True), "as": (33, True)})
 
 # Allowed total valences for the neutral element (standard organic subset).
-# Atoms whose shifted element falls outside this table accept any valence
-# and are flagged with a warning instead of rejected.
+# Atoms whose shifted element falls outside this table accept any valence,
+# unchecked.
 VALENCES: dict[int, tuple[int, ...]] = {
     1: (1,),             # H
     5: (3,),             # B
@@ -63,18 +63,15 @@ def allowed_valences(atomic_number: int, charge: int = 0) -> tuple[int, ...] | N
     return table
 
 
-def fill_hydrogens(atomic_number: int, charge: int, bond_order_sum: int) -> int:
-    """Implicit hydrogens a bare (unbracketed) atom receives.
+def hydrogens_to_fill(allowed: tuple[int, ...] | None, bond_order_sum: int) -> int:
+    """Implicit hydrogens a bare (unbracketed) atom receives, given its
+    allowed valences.
 
     Fills up to the smallest allowed valence that is >= the bond-order sum;
-    zero when the bond-order sum already exceeds every allowed valence (the
-    valence check will reject such atoms separately).
+    zero for an untabulated element (None), or when the bond-order sum
+    already exceeds every allowed valence (the valence check rejects such
+    atoms separately).
     """
-    return hydrogens_to_fill(allowed_valences(atomic_number, charge), bond_order_sum)
-
-
-def hydrogens_to_fill(allowed: tuple[int, ...] | None, bond_order_sum: int) -> int:
-    """fill_hydrogens for a caller that already holds the allowed valences."""
     if allowed is None:
         return 0
     for valence in allowed:

@@ -49,9 +49,9 @@ class Bond:
     """An undirected bond between two atom indices.
 
     ``order`` is the kekule order (1/2/3); aromatic bonds keep the order the
-    kekule assignment gave them and carry ``is_aromatic``. Directional single
-    bonds ('/' or '\\') remember the atom the symbol was written from so the
-    writer can re-emit them in the declared sense.
+    kekule assignment gave them and carry ``is_aromatic``. ``stereo`` is the
+    direction of a directional single bond ('/' or '\\') read from ``a`` to
+    ``b``; read from ``b`` to ``a`` it is the other symbol (FLIP_DIRECTION).
     """
 
     a: int
@@ -59,7 +59,6 @@ class Bond:
     order: int
     is_aromatic: bool
     stereo: str | None
-    stereo_from: int | None
 
     def __init__(
         self,
@@ -68,12 +67,8 @@ class Bond:
         order: int = SINGLE,
         is_aromatic: bool = False,
         stereo: str | None = None,
-        stereo_from: int | None = None,
     ) -> None:
-        self.__dict__.update(
-            a=a, b=b, order=order, is_aromatic=is_aromatic, stereo=stereo,
-            stereo_from=stereo_from,
-        )
+        self.__dict__.update(a=a, b=b, order=order, is_aromatic=is_aromatic, stereo=stereo)
 
     def key(self) -> tuple[int, int]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
@@ -86,27 +81,26 @@ def bond_code(bond: Bond) -> int:
 
 # Marker used in stereo neighbor-order lists for an in-bracket hydrogen.
 H_SLOT = -1
+# A direction mark read the other way round: str.translate table.
+FLIP_DIRECTION = str.maketrans("/\\", "\\/")
 
 
 class Molecule:
     """Attributed undirected graph of atoms and bonds.
 
-    Do not mutate ``atoms``/``bonds`` after construction; every operation in
-    this package treats molecules as values.
+    ``chirality`` holds one entry per atom: None, or the atom's tag ('@' or
+    '@@') with the order its neighbours were written in, H_SLOT standing for
+    an in-bracket hydrogen. Do not mutate ``atoms``/``bonds`` after
+    construction; every operation in this package treats molecules as values.
     """
 
-    __slots__ = (
-        "atoms", "bonds", "chiral_tags", "stereo_order", "problems",
-        "__dict__",
-    )
+    __slots__ = ("atoms", "bonds", "chirality", "__dict__")
 
     def __init__(
         self,
         atoms: tuple[Atom, ...],
         bonds: tuple[Bond, ...],
-        chiral_tags: tuple[str | None, ...] | None = None,
-        stereo_order: tuple[tuple[int, ...] | None, ...] | None = None,
-        problems: tuple[str, ...] = (),
+        chirality: tuple[tuple[str, tuple[int, ...]] | None, ...] | None = None,
         ring_bonds: frozenset[tuple[int, int]] | None = None,
         neighbors: tuple[tuple[int, ...], ...] | None = None,
         bond_lookup: dict[tuple[int, int], Bond] | None = None,
@@ -114,9 +108,7 @@ class Molecule:
     ) -> None:
         self.atoms = atoms
         self.bonds = bonds
-        self.chiral_tags = chiral_tags or (None,) * len(atoms)
-        self.stereo_order = stereo_order or (None,) * len(atoms)
-        self.problems = problems
+        self.chirality = chirality or (None,) * len(atoms)
         # A builder that has already derived some of the structure below
         # hands it in, so the cached properties never derive it again. It
         # must equal what they would derive from ``bonds``.
@@ -198,13 +190,12 @@ class Molecule:
     def subgraph(self, atoms: list[int] | tuple[int, ...]) -> "Molecule":
         """The given atoms, in the given order, and the bonds among them.
 
-        Chirality is dropped: it is stated relative to neighbours that may
-        be left out. Directional bonds keep their direction.
+        Stereo is dropped, chirality and bond directions alike: each is
+        stated relative to neighbours that may be left out.
         """
         new_of_old = {old: new for new, old in enumerate(atoms)}
         bonds = tuple(
-            Bond(new_of_old[b.a], new_of_old[b.b], b.order, b.is_aromatic, b.stereo,
-                 new_of_old.get(b.stereo_from))
+            Bond(new_of_old[b.a], new_of_old[b.b], b.order, b.is_aromatic)
             for b in self.bonds
             if b.a in new_of_old and b.b in new_of_old
         )

@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .elements import BARE_ATOMS, BRACKET_ATOMS
-from .model import H_SLOT, SmilesSyntaxError
+from .model import FLIP_DIRECTION, H_SLOT, SmilesSyntaxError
 
-_BOND_ORDERS = {"-": 1, "=": 2, "#": 3}
+# The order of each bond symbol; ':' and an unwritten bond are resolved in
+# perception, and '/' and '\\' are directions of a single bond.
+BOND_ORDERS = {"-": 1, "=": 2, "#": 3}
 # ASCII digits only: str.isdigit() also admits digits int() rejects or reads
 # as 0-9 from other scripts.
 DIGITS = frozenset("0123456789")
@@ -44,8 +46,7 @@ class BondDraft:
     a: int
     b: int
     symbol: str | None = None  # None = unspecified (single or aromatic)
-    stereo: str | None = None
-    stereo_from: int | None = None
+    stereo: str | None = None  # '/' or '\\' read from a to b
 
 
 @dataclass
@@ -85,7 +86,7 @@ def parse_draft(text: str) -> MolDraft:
             raise fail("ring bond digit with no current atom")
         if digit in open_rings:
             other, osym, ostereo, oslot = open_rings.pop(digit)
-            sym, stereo, stereo_from = osym, ostereo, (other if ostereo else None)
+            sym, stereo = osym, ostereo
             if pending is not None or pending_stereo is not None:
                 if sym is not None or stereo is not None:
                     csym, cstereo = pending, pending_stereo
@@ -96,14 +97,15 @@ def parse_draft(text: str) -> MolDraft:
                     if not agree:
                         raise fail(f"conflicting bond symbols on ring bond {digit}")
                 else:
-                    sym, stereo = pending, pending_stereo
-                    stereo_from = prev if stereo else None
+                    # A mark at the closing atom reads from prev to other.
+                    sym = pending
+                    stereo = pending_stereo and pending_stereo.translate(FLIP_DIRECTION)
             if other == prev:
                 raise SmilesSyntaxError("ring bond connects an atom to itself")
             # An atom's slots name every atom bonded to it so far.
             if other in atoms[prev].slots:
                 raise SmilesSyntaxError(f"duplicate bond between atoms {other} and {prev}")
-            bonds.append(BondDraft(other, prev, sym, stereo, stereo_from))
+            bonds.append(BondDraft(other, prev, sym, stereo))
             atoms[other].slots[oslot] = prev
             atoms[prev].slots.append(other)
         else:
@@ -121,8 +123,7 @@ def parse_draft(text: str) -> MolDraft:
             atoms.append(atom)
             if prev is not None:
                 # A bond to a new atom can be neither a loop nor a duplicate.
-                bonds.append(BondDraft(prev, idx, pending, pending_stereo,
-                                       prev if pending_stereo else None))
+                bonds.append(BondDraft(prev, idx, pending, pending_stereo))
                 atoms[prev].slots.append(idx)
                 # The preceding atom is the first stereo slot, ahead of any
                 # bracket H recorded while the atom itself was parsed.
@@ -164,7 +165,7 @@ def parse_draft(text: str) -> MolDraft:
             prev = None
             atom_seen_in_fragment = False
             i += 1
-        elif ch in _BOND_ORDERS or ch == ":":
+        elif ch in BOND_ORDERS or ch == ":":
             if pending is not None or pending_stereo is not None:
                 raise fail("two consecutive bond symbols")
             pending = ch

@@ -24,9 +24,8 @@ from .model import (
     Molecule,
     _non_bridge_edges,
 )
-from .parser import MolDraft, parse_draft
+from .parser import BOND_ORDERS, MolDraft, parse_draft
 
-_ORDER_OF_SYMBOL = {"-": 1, "=": 2, "#": 3, "/": 1, "\\": 1}
 _MULTI = -2  # sentinel: atom has several multiple bonds (not conjugatable)
 
 
@@ -45,7 +44,6 @@ def molecule_from_draft(draft: MolDraft) -> Molecule:
         _fold_explicit_h(draft)
     datoms, dbonds = draft.atoms, draft.bonds
     n = len(datoms)
-    problems: list[str] = []
 
     # One pass over the bonds: orders, aromatic candidates, adjacency in
     # bond order, and each bond's (low, high) key.
@@ -64,7 +62,7 @@ def molecule_from_draft(draft: MolDraft) -> Molecule:
             orders.append(1)
             candidate.append(True)
         else:
-            orders.append(_ORDER_OF_SYMBOL[symbol])
+            orders.append(BOND_ORDERS[symbol])
             candidate.append(False)
         neighbors[x].append(y)
         neighbors[y].append(x)
@@ -116,11 +114,7 @@ def molecule_from_draft(draft: MolDraft) -> Molecule:
             h += hydrogens_to_fill(allowed, bond_sum[idx] + h)
         implicit.append(h)
         total = bond_sum[idx] + h
-        if allowed is None:
-            problems.append(
-                f"atom {idx} ({a.atomic_number}) has no valence entry; unchecked"
-            )
-        elif total not in allowed:
+        if allowed is not None and total not in allowed:
             raise ChemistryError(
                 f"valence {total} not allowed for atom {idx} "
                 f"(element {a.atomic_number}, charge {a.charge:+d})"
@@ -133,16 +127,15 @@ def molecule_from_draft(draft: MolDraft) -> Molecule:
         for a, h, aromatic in zip(datoms, implicit, declared)
     )
     bonds = tuple(
-        Bond(b.a, b.b, order, aromatic, b.stereo, b.stereo_from)
+        Bond(b.a, b.b, order, aromatic, b.stereo)
         for b, order, aromatic in zip(dbonds, orders, aromatic_bond)
     )
-    tags = tuple(a.chiral for a in datoms)
-    stereo = tuple(
-        tuple(a.slots) if a.chiral else None for a in datoms  # type: ignore[misc]
+    chirality = tuple(
+        (a.chiral, tuple(a.slots)) if a.chiral else None for a in datoms  # type: ignore[misc]
     )
     nbrs = tuple(map(tuple, neighbors))
     return Molecule(
-        atoms, bonds, tags, stereo, tuple(problems), ring_bonds=ring_keys,
+        atoms, bonds, chirality, ring_bonds=ring_keys,
         neighbors=nbrs, bond_lookup=dict(zip(keys, bonds)), degrees=tuple(map(len, nbrs)),
     )
 
@@ -210,8 +203,6 @@ def _fold_explicit_h(draft: MolDraft) -> None:
             continue
         b.a = remap[b.a]
         b.b = remap[b.b]
-        if b.stereo_from is not None:
-            b.stereo_from = remap[b.stereo_from]
         new_bonds.append(b)
     draft.atoms = new_atoms
     draft.bonds = new_bonds
@@ -413,13 +404,21 @@ def _perceive_huckel(
     for members in systems.values():
         for ring in members:
             try_union([ring])
-        fused = [[bool(r[1] & s[1]) for s in members] for r in members]
-        for i, j in combinations(range(len(members)), 2):
-            if fused[i][j]:
-                try_union([members[i], members[j]])
-        for i, j, k in combinations(range(len(members)), 3):
-            if fused[i][j] + fused[i][k] + fused[j][k] >= 2:
-                try_union([members[i], members[j], members[k]])
+        on_edge: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for i, (_, edge_set) in enumerate(members):
+            for key in edge_set:
+                on_edge[key].append(i)
+        fused = [{j for key in edge_set for j in on_edge[key]} - {i}
+                 for i, (_, edge_set) in enumerate(members)]
+        for i, near in enumerate(fused):
+            for j in near:
+                if i < j:
+                    try_union([members[i], members[j]])
+        # A triple with two fused pairs has a ring fused to both others.
+        triples = {tuple(sorted((i, j, k)))
+                   for i, near in enumerate(fused) for j, k in combinations(near, 2)}
+        for triple in triples:
+            try_union([members[x] for x in triple])
         if len(members) > 3:
             try_union(members)
 

@@ -2,8 +2,8 @@
 
 The scaffold of a molecule is its ring systems plus the linkers connecting
 them: degree-1 atoms are deleted iteratively unless double-bonded to a ring
-atom, hydrogens are refilled, and the result is canonicalized. Acyclic
-molecules map to the empty sentinel.
+atom, hydrogens are refilled, and the result is canonicalized. A scaffold
+carries no stereo. Acyclic molecules map to the empty sentinel.
 
 Note on empty scaffolds: an acyclic record's scaffold fingerprint has no
 bits, and two empty fingerprints score Tanimoto 1.0, so acyclic candidates
@@ -18,7 +18,7 @@ from itertools import combinations, product
 from ._jsonl import dumps, id_order
 from .fingerprint import BitFingerprint, FingerprintSpec, fingerprint
 from .molgraph import Atom, Molecule, canonical_smiles, parse_smiles
-from .molgraph.elements import allowed_valences, fill_hydrogens
+from .molgraph.elements import allowed_valences, hydrogens_to_fill
 from .reaction import Reaction, key_of_roles, parse_reaction, reaction_key, role_smiles
 
 EMPTY_SCAFFOLD = "∅"  # ∅
@@ -48,6 +48,8 @@ def scaffold_molecule(mol: Molecule) -> Molecule | None:
             if degree[other] <= 1:
                 leaves.append(other)
     order = [idx for idx, keep in enumerate(kept) if keep]
+    # The sub-molecule carries no stereo: pruning can remove the neighbours a
+    # chirality tag or a direction mark is stated against.
     sub = mol.subgraph(order)
     order_sum = [0] * len(sub)
     for b in sub.bonds:
@@ -55,9 +57,8 @@ def scaffold_molecule(mol: Molecule) -> Molecule | None:
         order_sum[b.b] += b.order
     atoms = []
     for a, orders in zip(sub.atoms, order_sum):
-        h = a.implicit_hydrogens
-        if allowed_valences(a.atomic_number, a.formal_charge) is not None:
-            h = fill_hydrogens(a.atomic_number, a.formal_charge, orders)
+        allowed = allowed_valences(a.atomic_number, a.formal_charge)
+        h = a.implicit_hydrogens if allowed is None else hydrogens_to_fill(allowed, orders)
         atoms.append(Atom(a.atomic_number, a.formal_charge, h, a.is_aromatic, a.isotope))
     # Pruning never removes a ring atom, so the ring bonds are the molecule's.
     new_of_old = {old: new for new, old in enumerate(order)}

@@ -26,10 +26,18 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .molgraph.elements import BARE_ATOMS
-from .molgraph.model import Molecule
+from .molgraph.model import AROMATIC_CODE, Molecule, bond_code
 from .molgraph.parser import DIGITS, read_charge, read_digits, read_ring_number, read_symbol
 
-_BOND_KINDS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic", "~": "any"}
+# A pattern bond kind is the set of bond codes (bond_code) it admits.
+_BOND_KINDS = {
+    "-": frozenset({1}),
+    "=": frozenset({2}),
+    "#": frozenset({3}),
+    ":": frozenset({AROMATIC_CODE}),
+    "~": frozenset({1, 2, 3, AROMATIC_CODE}),
+}
+_UNWRITTEN = frozenset({1, AROMATIC_CODE})  # single or aromatic
 
 
 class PatternSyntaxError(ValueError):
@@ -42,14 +50,14 @@ class Pattern:
 
     text: str
     atoms: tuple[tuple, ...]
-    bonds: tuple[tuple[int, int, str], ...]
+    bonds: tuple[tuple[int, int, frozenset[int]], ...]
     # Per pattern atom, its (neighbour, bond kind) pairs in bond order.
-    adjacency: tuple[tuple[tuple[int, str], ...], ...] = field(
+    adjacency: tuple[tuple[tuple[int, frozenset[int]], ...], ...] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        adj: list[list[tuple[int, str]]] = [[] for _ in self.atoms]
+        adj: list[list[tuple[int, frozenset[int]]]] = [[] for _ in self.atoms]
         for a, b, kind in self.bonds:
             adj[a].append((b, kind))
             adj[b].append((a, kind))
@@ -65,15 +73,15 @@ def parse_pattern(text: str) -> Pattern:
         raise PatternSyntaxError("empty pattern")
     s = text.strip()
     atoms: list[tuple] = []
-    bonds: list[tuple[int, int, str]] = []
+    bonds: list[tuple[int, int, frozenset[int]]] = []
     bond_keys: set[tuple[int, int]] = set()
     prev: int | None = None
-    pending: str | None = None
+    pending: frozenset[int] | None = None
     stack: list[int] = []
-    open_rings: dict[int, tuple[int, str | None]] = {}
+    open_rings: dict[int, tuple[int, frozenset[int] | None]] = {}
     i, n = 0, len(s)
 
-    def add_bond(a: int, b: int, kind: str) -> None:
+    def add_bond(a: int, b: int, kind: frozenset[int]) -> None:
         key = (a, b) if a < b else (b, a)
         if a == b or key in bond_keys:
             raise PatternSyntaxError(f"bad ring bond in pattern {s!r}")
@@ -83,7 +91,7 @@ def parse_pattern(text: str) -> Pattern:
     def attach(idx: int) -> None:
         nonlocal pending
         if prev is not None:
-            add_bond(prev, idx, pending or "default")
+            add_bond(prev, idx, pending or _UNWRITTEN)
         elif pending is not None:
             raise PatternSyntaxError(f"dangling bond in pattern {s!r}")
         pending = None
@@ -113,7 +121,7 @@ def parse_pattern(text: str) -> Pattern:
                 raise PatternSyntaxError(f"ring digit before any atom in {s!r}")
             if digit in open_rings:
                 other, okind = open_rings.pop(digit)
-                kind = okind or pending or "default"
+                kind = okind or pending or _UNWRITTEN
                 if okind and pending and okind != pending:
                     raise PatternSyntaxError(f"conflicting ring bond in {s!r}")
                 add_bond(other, prev, kind)
@@ -235,20 +243,6 @@ def _total_h(mol: Molecule, idx: int) -> int:
     return mol.atoms[idx].implicit_hydrogens + explicit
 
 
-def _bond_matches(kind: str, bond) -> bool:
-    if kind == "any":
-        return True
-    if kind == "aromatic":
-        return bond.is_aromatic
-    if kind == "default":
-        return bond.is_aromatic or bond.order == 1
-    if kind == "single":
-        return bond.order == 1 and not bond.is_aromatic
-    if kind == "double":
-        return bond.order == 2 and not bond.is_aromatic
-    return bond.order == 3 and not bond.is_aromatic  # triple
-
-
 _ALL = ()  # memo key of the mask of every atom
 
 
@@ -293,7 +287,7 @@ def _predicate_mask(pred: tuple, memo: dict) -> int:
     return mask
 
 
-def _bond_neighbors(kind: str, mol: Molecule, memo: dict) -> tuple[list, list]:
+def _bond_neighbors(kind: frozenset[int], mol: Molecule, memo: dict) -> tuple[list, list]:
     """Per atom, the neighbours a bond kind admits: lists in neighbour order
     and bit masks; memoized per molecule."""
     hit = memo.get(kind)
@@ -302,7 +296,7 @@ def _bond_neighbors(kind: str, mol: Molecule, memo: dict) -> tuple[list, list]:
         masks = [0] * len(mol.atoms)
         # Bond order is the order Molecule.neighbors lists neighbours in.
         for bond in mol.bonds:
-            if _bond_matches(kind, bond):
+            if bond_code(bond) in kind:
                 a, b = bond.a, bond.b
                 lists[a].append(b)
                 lists[b].append(a)

@@ -104,21 +104,22 @@ def random_smiles(rng: random.Random, n_min: int = 5, n_max: int = 32) -> str:
 def renumbered(mol: Molecule, order: list[int]) -> Molecule:
     """mol with its atoms permuted: new atom i is old atom order[i].
 
-    Molecule.subgraph of a permutation keeps every bond; the chirality it
-    drops is put back here, the stereo neighbour orders remapped, so the
-    result denotes the same (stereo-)molecule.
+    Every bond keeps its direction and every chirality entry its tag, with
+    the stereo neighbour orders remapped, so the result denotes the same
+    (stereo-)molecule. Molecule.subgraph would drop that stereo.
     """
     if sorted(order) != list(range(len(mol))):
         raise ValueError("order must be a permutation of atom indices")
-    sub = mol.subgraph(order)
     new_of_old = {old: new for new, old in enumerate(order)}
-    stereo = tuple(
-        None if mol.stereo_order[old] is None
-        else tuple(s if s == H_SLOT else new_of_old[s] for s in mol.stereo_order[old])
+    bonds = tuple(Bond(new_of_old[b.a], new_of_old[b.b], b.order, b.is_aromatic, b.stereo)
+                  for b in mol.bonds)
+    chirality = tuple(
+        None if mol.chirality[old] is None
+        else (mol.chirality[old][0],
+              tuple(s if s == H_SLOT else new_of_old[s] for s in mol.chirality[old][1]))
         for old in order
     )
-    tags = tuple(mol.chiral_tags[old] for old in order)
-    return Molecule(sub.atoms, sub.bonds, tags, stereo, mol.problems)
+    return Molecule(tuple(mol.atoms[old] for old in order), bonds, chirality)
 
 
 def shuffled(mol: Molecule, rng: random.Random) -> Molecule:

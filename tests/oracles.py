@@ -27,17 +27,16 @@ from itertools import permutations
 
 from rxnkit.fingerprint import BitFingerprint, FingerprintSpec, fnv1a
 from rxnkit.molgraph import Molecule
-from rxnkit.molgraph.elements import allowed_valences, fill_hydrogens
+from rxnkit.molgraph.elements import allowed_valences, hydrogens_to_fill
 from rxnkit.molgraph.model import Atom, Bond, ChemistryError, bond_code
-from rxnkit.molgraph.parser import MolDraft
+from rxnkit.molgraph.parser import BOND_ORDERS, MolDraft
 from rxnkit.molgraph.perception import (
     _MULTI,
-    _ORDER_OF_SYMBOL,
     _fold_explicit_h,
     _kekulize,
     _shortest_paths,
 )
-from rxnkit.substructure import _bond_matches, _total_h
+from rxnkit.substructure import _total_h
 
 
 def _atom_matches(pred: tuple, mol: Molecule, idx: int) -> bool:
@@ -78,7 +77,7 @@ def all_injections_matches(pattern, mol) -> set[frozenset[int]]:
             continue
         for a, b, kind in pattern.bonds:
             bond = mol.bond_between(image[a], image[b])
-            if bond is None or not _bond_matches(kind, bond):
+            if bond is None or bond_code(bond) not in kind:
                 ok = False
                 break
         if ok:
@@ -250,7 +249,7 @@ def backtracking_matches(pattern, mol, max_matches=None) -> list[tuple[int, ...]
             j0, kind0 = anchored[0]
             pool = [
                 w for w in mol.neighbors[mapping[j0]]
-                if _bond_matches(kind0, mol.bond_between(mapping[j0], w))
+                if bond_code(mol.bond_between(mapping[j0], w)) in kind0
             ]
         else:
             pool = candidates[p]
@@ -261,7 +260,7 @@ def backtracking_matches(pattern, mol, max_matches=None) -> list[tuple[int, ...]
             ok = True
             for j, kind in anchored:
                 bond = mol.bond_between(mapping[j], m)
-                if bond is None or not _bond_matches(kind, bond):
+                if bond is None or bond_code(bond) not in kind:
                     ok = False
                     break
             if not ok:
@@ -410,12 +409,11 @@ def reference_circular_fingerprint(mol, spec=None) -> BitFingerprint:
 
 
 def reference_fragment_molecule(mol, frag_atoms) -> Molecule:
-    """The given atoms, in the given order, and their bonds; no chirality."""
+    """The given atoms, in the given order, and their bonds; no stereo."""
     remap = {old: new for new, old in enumerate(frag_atoms)}
     atoms = tuple(mol.atoms[i] for i in frag_atoms)
     bonds = tuple(
-        Bond(remap[b.a], remap[b.b], b.order, b.is_aromatic, b.stereo,
-             None if b.stereo_from is None else remap.get(b.stereo_from))
+        Bond(remap[b.a], remap[b.b], b.order, b.is_aromatic)
         for b in mol.bonds
         if b.a in remap and b.b in remap
     )
@@ -423,7 +421,8 @@ def reference_fragment_molecule(mol, frag_atoms) -> Molecule:
 
 
 def reference_scaffold_molecule(mol) -> Molecule | None:
-    """Murcko scaffold: prune degree-1 atoms, keep the rest, refill hydrogens."""
+    """Murcko scaffold: prune degree-1 atoms, keep the rest, refill hydrogens;
+    no stereo."""
     if not any(mol.ring_membership):
         return None
     kept = set(range(len(mol.atoms)))
@@ -456,8 +455,6 @@ def reference_scaffold_molecule(mol) -> Molecule | None:
         if b.a in kept and b.b in kept:
             bonds.append(Bond(
                 a=remap[b.a], b=remap[b.b], order=b.order, is_aromatic=b.is_aromatic,
-                stereo=b.stereo,
-                stereo_from=None if b.stereo_from is None else remap.get(b.stereo_from),
             ))
             order_sum[b.a] += b.order
             order_sum[b.b] += b.order
@@ -465,8 +462,9 @@ def reference_scaffold_molecule(mol) -> Molecule | None:
     for old in sorted(kept):
         a = mol.atoms[old]
         h = a.implicit_hydrogens
-        if allowed_valences(a.atomic_number, a.formal_charge) is not None:
-            h = fill_hydrogens(a.atomic_number, a.formal_charge, order_sum[old])
+        allowed = allowed_valences(a.atomic_number, a.formal_charge)
+        if allowed is not None:
+            h = hydrogens_to_fill(allowed, order_sum[old])
         atoms.append(Atom(
             atomic_number=a.atomic_number, formal_charge=a.formal_charge,
             implicit_hydrogens=h, is_aromatic=a.is_aromatic, isotope=a.isotope,
@@ -485,7 +483,6 @@ def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
     """
     _fold_explicit_h(draft)
     n = len(draft.atoms)
-    problems: list[str] = []
 
     orders = [0] * len(draft.bonds)
     candidate = [False] * len(draft.bonds)  # may become aromatic
@@ -500,7 +497,7 @@ def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
             colon[bi] = True
             orders[bi] = 1
         else:
-            orders[bi] = _ORDER_OF_SYMBOL[b.symbol]
+            orders[bi] = BOND_ORDERS[b.symbol]
 
     neighbors: list[list[int]] = [[] for _ in range(n)]
     incident: list[list[int]] = [[] for _ in range(n)]
@@ -548,8 +545,8 @@ def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
     for idx, a in enumerate(draft.atoms):
         bond_sum = sum(orders[bi] for bi in incident[idx]) + a.folded_h
         if a.explicit_h is None:
-            implicit[idx] = a.folded_h + fill_hydrogens(
-                a.atomic_number, a.charge, bond_sum
+            implicit[idx] = a.folded_h + hydrogens_to_fill(
+                allowed_valences(a.atomic_number, a.charge), bond_sum
             )
         else:
             implicit[idx] = a.explicit_h + a.folded_h
@@ -557,11 +554,7 @@ def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
     for idx, a in enumerate(draft.atoms):
         allowed = allowed_valences(a.atomic_number, a.charge)
         total = sum(orders[bi] for bi in incident[idx]) + implicit[idx]
-        if allowed is None:
-            problems.append(
-                f"atom {idx} ({a.atomic_number}) has no valence entry; unchecked"
-            )
-        elif total not in allowed:
+        if allowed is not None and total not in allowed:
             raise ChemistryError(
                 f"valence {total} not allowed for atom {idx} "
                 f"(element {a.atomic_number}, charge {a.charge:+d})"
@@ -586,15 +579,13 @@ def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
             order=orders[bi],
             is_aromatic=aromatic_bond[bi],
             stereo=b.stereo,
-            stereo_from=b.stereo_from,
         )
         for bi, b in enumerate(draft.bonds)
     )
-    tags = tuple(a.chiral for a in draft.atoms)
-    stereo = tuple(
-        tuple(a.slots) if a.chiral else None for a in draft.atoms  # type: ignore[misc]
+    chirality = tuple(
+        (a.chiral, tuple(a.slots)) if a.chiral else None for a in draft.atoms
     )
-    return Molecule(atoms, bonds, tags, stereo, tuple(problems), ring_bonds=ring_keys)
+    return Molecule(atoms, bonds, chirality, ring_bonds=ring_keys)
 
 
 def reference_non_bridge_edges(

@@ -4,6 +4,7 @@ unused: every public def, class and method is reached from the CLI, a demo,
 the benchmark or the documentation."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -199,6 +200,34 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         "load_key_table(); print('numpy' in sys.modules)"
     )
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+def module_constant(path: Path, name: str):
+    """The literal value a module assigns to name at its top level, read
+    without importing the module."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def test_trace_targets_resolve():
+    # The benchmark's tracer wraps each (module, attribute, span) target; a
+    # target that moved or was renamed is otherwise seen only as a span that
+    # no call reached in a traced run.
+    targets = module_constant(ROOT / "perfbench" / "trace.py", "TARGETS")
+    missing = []
+    for module, attribute, _ in targets:
+        owner = importlib.import_module(module)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attribute}")
+    assert missing == []
+    spans = {span for _, _, span in targets}
+    uses = module_constant(ROOT / "perfbench" / "run.py", "USES")
+    assert {span for used in uses.values() for span in used} <= spans
 
 
 MOLS = ["OCC", "c1ccccc1CC", "CC(=O)Oc1ccccc1C(=O)O", "C1CCOC1", "c1ccncc1C", "C1CC2CCC1CC2"]

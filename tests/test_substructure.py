@@ -117,6 +117,23 @@ class TestMatching:
         assert find_matches(parse_pattern("C=C"), mol, max_matches=1)
         assert not find_matches(parse_pattern("C-C"), mol, max_matches=1)
 
+    # Each pattern bond against a single, double, triple and aromatic bond.
+    BOND_TABLE = {
+        "-": (True, False, False, False),
+        "=": (False, True, False, False),
+        "#": (False, False, True, False),
+        ":": (False, False, False, True),
+        "~": (True, True, True, True),
+        "": (True, False, False, True),
+    }
+
+    @pytest.mark.parametrize("bond", sorted(BOND_TABLE))
+    def test_pattern_bond_table(self, bond):
+        molecules = ["CC", "C=C", "C#C", "c1ccccc1"]
+        got = tuple(bool(find_matches(parse_pattern(f"[#6]{bond}[#6]"), parse_smiles(s)))
+                    for s in molecules)
+        assert got == self.BOND_TABLE[bond]
+
     def test_default_bond_matches_aromatic(self):
         benzene = parse_smiles("c1ccccc1")
         assert find_matches(parse_pattern("[#6][#6]"), benzene, max_matches=1)
@@ -189,7 +206,7 @@ class TestBacktrackingReference:
         pat = Pattern(
             text="[#8].[#6]~[#7]",
             atoms=(("elem", 8), ("elem", 6), ("elem", 7)),
-            bonds=((1, 2, "any"),),
+            bonds=((1, 2, frozenset({1, 2, 3, 4})),),
         )
         for s in ["OCCN", "OCC(N)CO", "CCN", "c1ccncc1O"]:
             mol = parse_smiles(s)
@@ -201,11 +218,12 @@ class TestBacktrackingReference:
 
     def test_pattern_adjacency_built_at_parse(self):
         pat = parse_pattern("C1CC1=O")
+        unwritten, double = frozenset({1, 4}), frozenset({2})
         assert pat.adjacency == (
-            ((1, "default"), (2, "default")),
-            ((0, "default"), (2, "default")),
-            ((1, "default"), (0, "default"), (3, "double")),
-            ((2, "double"),),
+            ((1, unwritten), (2, unwritten)),
+            ((0, unwritten), (2, unwritten)),
+            ((1, unwritten), (0, unwritten), (3, double)),
+            ((2, double),),
         )
 
     def test_long_chain_key_does_not_recurse(self, tmp_path):
