@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .molgraph.model import Molecule, bond_code
 from .molgraph.parser import read_digits
-from .substructure import Pattern, find_matches, parse_pattern
+from .substructure import Pattern, compile_keys, key_bits, parse_pattern
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -131,10 +131,11 @@ def circular_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> 
         if h is None:
             h = hashes[key] = fnv1a(b"%d|%d|%d|%d|%d" % key)
         env.append(h)
-    adj = [
-        [(bond_code(mol.bond_between(i, w)), w) for w in mol.neighbors[i]]
-        for i in range(len(mol.atoms))
-    ]
+    adj: list[list[tuple[int, int]]] = [[] for _ in mol.atoms]
+    for bond in mol.bonds:
+        code = bond_code(bond)
+        adj[bond.a].append((code, bond.b))
+        adj[bond.b].append((code, bond.a))
     for _ in range(spec.radius):
         nxt = []
         for i, nbrs in enumerate(adj):
@@ -193,24 +194,24 @@ def path_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> BitF
     bits = 0
 
     def extend(sid: int, step: bytes, back: bytes, n_bonds: int) -> int:
+        """The id of a new sequence, sequence sid extended by step."""
         nonlocal bits
-        key = (sid, step)
-        new = ids.get(key)
-        if new is None:
-            new = ids[key] = len(states)
-            f, r = forward[sid] + step, back + reverse[sid]
-            h = fnv1a(step, states[sid], mask)
-            forward.append(f)
-            reverse.append(r)
-            states.append(h)
-            if n_bonds >= spec.min_path and f <= r:
-                bits |= 1 << (h % width)
+        new = ids[(sid, step)] = len(states)
+        f, r = forward[sid] + step, back + reverse[sid]
+        h = fnv1a(step, states[sid], mask)
+        forward.append(f)
+        reverse.append(r)
+        states.append(h)
+        if n_bonds >= spec.min_path and f <= r:
+            bits |= 1 << (h % width)
         return new
 
     on_path = [False] * len(mol.atoms)
     for start in range(len(mol.atoms)):
+        label = labels[start]
         path = [start]
-        seqs = [extend(0, labels[start], labels[start], 0)]
+        sid = ids.get((0, label))
+        seqs = [extend(0, label, label, 0) if sid is None else sid]
         walks = [iter(steps[start])]
         on_path[start] = True
         while walks:
@@ -218,7 +219,9 @@ def path_fingerprint(mol: Molecule, spec: FingerprintSpec | None = None) -> BitF
                 if on_path[w]:
                     continue
                 n_bonds = len(path)
-                sid = extend(seqs[-1], step, back, n_bonds)
+                sid = ids.get((seqs[-1], step))
+                if sid is None:
+                    sid = extend(seqs[-1], step, back, n_bonds)
                 if n_bonds < spec.max_path:
                     path.append(w)
                     seqs.append(sid)
@@ -237,6 +240,13 @@ class KeyTable:
     """Ordered structural keys; bit i is row i of the table."""
 
     entries: tuple[tuple[int, Pattern, int], ...] = field(repr=False)
+    # The entries sorted by how substructure.key_bits answers them.
+    compiled: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "compiled", compile_keys(
+            (pattern, min_count) for _, pattern, min_count in self.entries
+        ))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -298,9 +308,4 @@ def _table_number(column: str, field: str) -> int:
 
 def key_fingerprint(mol: Molecule, table: KeyTable) -> BitFingerprint:
     """Bit i set iff the molecule matches key i at least min_count times."""
-    bits = 0
-    for i, (_, pattern, min_count) in enumerate(table.entries):
-        hits = find_matches(pattern, mol, max_matches=min_count)
-        if len(hits) >= min_count:
-            bits |= 1 << i
-    return BitFingerprint(width=len(table), bits=bits)
+    return BitFingerprint(width=len(table), bits=key_bits(table.compiled, mol))

@@ -19,11 +19,21 @@ round.
 Stereo annotations never participate in ranking and are re-emitted in
 their input-declared sense.
 
-Known stereo limitation: meso compounds whose tied stereocenters are swapped
-by a mirror automorphism may serialize to either of two geometry-equal
-strings depending on input numbering (tetrahedral tags cannot be flip-
-normalized without merging true enantiomers). Cis/trans direction symbols
-are flip-normalized per fragment and fully invariant.
+Known limitations: the output can depend on the input numbering.
+- Meso compounds whose tied stereocenters are swapped by a mirror
+  automorphism may serialize to either of two geometry-equal strings
+  (tetrahedral tags cannot be flip-normalized without merging true
+  enantiomers).
+- Cis/trans direction symbols are flip-normalized per fragment, but a mark
+  on a bond that is not stereogenic is kept: over 100 random renumberings,
+  `C/C=C(/C)C` gives 2 strings (`C/C=C(/C)C`, `C/C=C(C)/C`). So does a
+  tetrahedral mark on an atom that is not a stereocentre: `C[C@H](C)O`
+  gives `C[C@H](C)O` and `C[C@@H](C)O`. See ROADMAP item 14.
+- The tie-break splits off the lowest-index atom of the first tied cell,
+  which is canonical only when that cell is one automorphism orbit. It is
+  not for dispiro[2.0.2.2]octane: `C1CC11CCC11CC1` gives 2 strings over
+  100 renumberings (`C1CC11CCC11CC1`, `C1CC2(CC2)C11CC1`), and the cage
+  cuneane (`C12C3C1C1C4C2C3C14`) gives 3 over 200. See ROADMAP item 11.
 """
 
 from __future__ import annotations

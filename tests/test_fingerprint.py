@@ -450,3 +450,110 @@ class TestReferenceEquality:
             assert key_fingerprint(mol, table) == ref
             assert key_fingerprint(shuffled(mol, rng), table) == ref
         assert set_bits.bit_count() == len(table)  # every key is hit somewhere
+
+
+# One- and two-atom keys, answered from the predicate and bond-kind masks.
+SHORTCUT_KEYS = """\
+1\t[#6]~[#6]\t2
+2\t[#6]=[#8]\t2
+3\t[#6]:[#6]\t1
+4\t[#8]\t3
+"""
+
+
+def counting_find_matches(monkeypatch) -> list:
+    """Patch substructure.find_matches to record the pattern of each call."""
+    from rxnkit import substructure
+
+    calls = []
+    find = substructure.find_matches
+
+    def counting(pattern, mol, max_matches=None):
+        calls.append(pattern)
+        return find(pattern, mol, max_matches)
+
+    monkeypatch.setattr(substructure, "find_matches", counting)
+    return calls
+
+
+class TestKeyShortcuts:
+    @pytest.mark.parametrize("smiles, expected", [
+        ("CC", set()),
+        ("CCC", {0}),  # two C~C bonds
+        ("O=C=O", {1}),  # two C=O bonds share the carbon
+        ("c1ccccc1", {0, 2}),
+        ("C1CCCCC1", {0}),  # no aromatic bond
+        ("OCCO", set()),
+        ("OCC(O)CO", {0, 3}),
+    ])
+    def test_against_reference_without_a_search(self, tmp_path, monkeypatch,
+                                                smiles, expected):
+        path = tmp_path / "keys.txt"
+        path.write_text(SHORTCUT_KEYS)
+        table = load_key_table(path)
+        calls = counting_find_matches(monkeypatch)
+        rng = random.Random(smiles)
+        mol = parse_smiles(smiles)
+        ref = reference_key_fingerprint(mol, table)
+        assert ref.bits == mask_of(expected)
+        for twin in (mol, shuffled(mol, rng), shuffled(mol, rng)):
+            assert key_fingerprint(twin, table) == ref
+        assert calls == []
+
+    def test_two_atoms_without_a_bond_are_searched(self, monkeypatch):
+        from rxnkit.fingerprint import KeyTable
+        from rxnkit.substructure import Pattern
+
+        # Any oxygen with any other carbon: a count no bond mask gives.
+        pattern = Pattern(text="[#8].[#6]", atoms=(("elem", 8), ("elem", 6)), bonds=())
+        table = KeyTable(entries=((1, pattern, 4),))
+        calls = counting_find_matches(monkeypatch)
+        rng = random.Random(4)
+        for smiles, bit in [("CO", 0), ("OCCO", 1), ("CCCO", 0), ("CCCCO", 1)]:
+            mol = parse_smiles(smiles)
+            ref = reference_key_fingerprint(mol, table)
+            assert ref.bits == bit
+            assert key_fingerprint(mol, table) == ref
+            assert key_fingerprint(shuffled(mol, rng), table) == ref
+        assert calls == [pattern] * 8
+
+    def test_shipped_table_searches_only_larger_keys(self, monkeypatch, corpus):
+        table = load_key_table()
+        larger = [pattern for _, pattern, _ in table.entries if len(pattern) > 2]
+        assert len(larger) == 48
+        calls = counting_find_matches(monkeypatch)
+        for s in corpus[:30]:
+            key_fingerprint(parse_smiles(s), table)
+            assert calls == larger
+            calls.clear()
+        empty = parse_smiles("CCO").subgraph([])
+        assert key_fingerprint(empty, table).bits == 0
+        assert calls == []
+
+    def test_filled_memo_gives_fresh_matches(self, corpus):
+        from rxnkit.substructure import find_matches, parse_pattern
+
+        from test_substructure import PATTERNS
+
+        table = load_key_table()
+        patterns = [pattern for _, pattern, _ in table.entries]
+        patterns += [parse_pattern(p) for p in PATTERNS]
+        for s in corpus[:40]:
+            used = parse_smiles(s)
+            key_fingerprint(used, table)
+            for pattern in patterns:
+                for limit in (None, 1, 3):
+                    assert find_matches(pattern, used, limit) == find_matches(
+                        pattern, parse_smiles(s), limit), (pattern.text, s, limit)
+
+    def test_pickled_table_gives_the_same_bits(self, tmp_path, corpus):
+        import pickle
+
+        path = tmp_path / "keys.txt"
+        path.write_text(CUSTOM_KEYS)
+        table = load_key_table(path)
+        loaded = pickle.loads(pickle.dumps(table))
+        assert loaded == table
+        for s in corpus[:40]:
+            mol = parse_smiles(s)
+            assert key_fingerprint(mol, loaded) == key_fingerprint(mol, table)

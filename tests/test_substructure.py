@@ -231,3 +231,55 @@ class TestBacktrackingReference:
         table.write_text("1\t" + "C" * 1100 + "\t1\n")
         keys = load_key_table(table)
         assert key_fingerprint(parse_smiles("C" * 1300), keys).bits == 1
+
+
+class TestInternedSlots:
+    def test_equal_predicates_share_a_slot(self):
+        a, b = parse_pattern("[#8]~[#6]=[#8]"), parse_pattern("[#6]=[#8]")
+        assert a.slots[0] == a.slots[2] == b.slots[1]
+        assert a.slots[1] == b.slots[0] != b.slots[1]
+
+    def test_pickled_pattern_takes_the_slots_of_the_loading_process(self, monkeypatch):
+        import pickle
+
+        from rxnkit import substructure
+
+        pattern = parse_pattern("[#7,#8]~[#6]=[#8]")
+        mol = parse_smiles("CC(=O)NCC(=O)O")
+        expected = find_matches(pattern, mol)
+        data = pickle.dumps(pattern)
+        # A process that interned other predicates first numbers them otherwise.
+        monkeypatch.setattr(substructure, "_SLOTS", {})
+        monkeypatch.setattr(substructure, "_RULES", [])
+        parse_pattern("[#16]~[#9]")
+        loaded = pickle.loads(data)
+        assert loaded == pattern and loaded.slots != pattern.slots
+        assert find_matches(loaded, parse_smiles("CC(=O)NCC(=O)O")) == expected
+
+    def test_one_plan_per_atom_order(self, corpus):
+        pattern = parse_pattern("[#6]~[#8]~[#6]=[#8]")
+        for s in corpus:
+            find_matches(pattern, parse_smiles(s))
+        assert pattern.plans
+        for order, steps in pattern.plans.items():
+            assert sorted(order) == [0, 1, 2, 3]
+            assert [p for p, _ in steps] == list(order)
+
+    def test_pruned_candidates_keep_the_embeddings(self, corpus):
+        # Rings joined by a chain, whose chain atoms need not lie on a ring,
+        # and stars, whose centres need three or four neighbours.
+        patterns = [parse_pattern(p) for p in (
+            "C1CC1CC1CC1", "c1ccccc1CCc1ccccc1", "[#6](~[#6])(~[#6])(~[#6])~[#6]",
+            "[R]~[!R](~[#8])~[R]", "[#6]1~[#6]~[#6]2~[#6]~[#6]~[#6]~[#6]2~[#6]1",
+        )]
+        smiles = corpus[:40] + ["C1CC1CC1CC1", "c1ccc(cc1)CCc1ccccc1", "CC(C)(C)C(C)(C)C",
+                                "OC(C1CC1)C1CCC1", "C1CCC2CCCCC2C1"]
+        rng = random.Random(8)
+        for s in smiles:
+            mol = parse_smiles(s)
+            for twin in (mol, shuffled(mol, rng)):
+                for pat in patterns:
+                    for limit in (None, 1):
+                        assert find_matches(pat, twin, limit) == backtracking_matches(
+                            pat, twin, limit), (pat.text, s, limit)
+        assert find_matches(patterns[0], parse_smiles("C1CC1CC1CC1"))
