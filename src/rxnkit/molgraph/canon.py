@@ -14,7 +14,24 @@ work grows near-linearly with molecule size. When no cell splits and ties
 remain, the lowest-index atom of the first tied cell is split off in front
 of it and refinement resumes. Labels order cells as dense ranks would, so
 the ranks are those of Morgan refinement that re-ranks every atom each
-round.
+round. A round allocates only the touched set, its cells' key groups and
+the new cells: the largest part stays in the cell's own set, and the
+untouched atoms are keyed by one of them.
+
+``Molecule.ranks`` keeps a molecule's ranks, so its SMILES and its graph
+record share one refinement.
+
+The writer makes one pass over the bonds and builds three tables: each
+atom's neighbours sorted by rank, each with the bond's text read from that
+atom (a direction mark flipped for the far end); each atom's bond-order
+sum, an aromatic bond counted as 1; and whether a non-aromatic multiple
+bond meets it. An atom without a chiral tag is written from its Atom, sum
+and flag alone, through a bounded cache. A depth-first walk from each
+fragment's lowest-ranked atom, children in rank order, fixes the parent,
+branches and ring bonds; atoms are then written in walk order. Ring
+numbers run 1-9 and %10-%99, the lowest free one reused; a molecule that
+needs more than 99 at once is refused (ChemistryError), as %(nnn) is not
+read back.
 
 Stereo annotations never participate in ranking and are re-emitted in
 their input-declared sense.
@@ -40,13 +57,18 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
+from functools import lru_cache
 
 from .elements import BARE_ATOMS, allowed_valences, hydrogens_to_fill, takes_double_bond
-from .model import FLIP_DIRECTION, H_SLOT, ChemistryError, Molecule, bond_code
+from .model import FLIP_DIRECTION, H_SLOT, Atom, ChemistryError, Molecule, bond_code
 
 
 def canonical_ranks(mol: Molecule) -> list[int]:
-    """Dense 0..n-1 ranks, invariant under any renumbering of the input."""
+    """Dense 0..n-1 ranks, invariant under any renumbering of the input.
+
+    ``Molecule.ranks`` keeps them with the molecule, so that writing its
+    SMILES and its graph record refines once.
+    """
     n = len(mol.atoms)
     if n == 0:
         return []
@@ -84,59 +106,78 @@ def canonical_ranks(mol: Molecule) -> list[int]:
             cell_of[i] = c
         pos += len(atoms)
 
-    def key_of(i: int) -> tuple[int, ...]:
-        return tuple(sorted([code + start[cell_of[j]] for code, j in adj[i]]))
-
     def refine(changed) -> None:
         while changed:
             # Only neighbours of atoms that moved to a new cell are re-keyed.
             touched: set[int] = set()
             for v in changed:
                 touched.update(neighbors[v])
-            by_cell: dict[int, list[int]] = defaultdict(list)
+            by_cell: dict[int, list[int]] = {}
             for w in touched:
                 c = cell_of[w]
                 if len(members[c]) > 1:
-                    by_cell[c].append(w)
+                    atoms = by_cell.get(c)
+                    if atoms is None:
+                        by_cell[c] = [w]
+                    else:
+                        atoms.append(w)
             # Every split of a round is computed from the labels at its start.
             splits = []
             for c, atoms in by_cell.items():
-                groups: dict[tuple[int, ...], list[int]] = defaultdict(list)
+                groups: dict[tuple[int, ...], list[int]] = {}
                 for i in atoms:
-                    groups[key_of(i)].append(i)
+                    key = tuple(sorted([code + start[cell_of[j]] for code, j in adj[i]]))
+                    group = groups.get(key)
+                    if group is None:
+                        groups[key] = [i]
+                    else:
+                        group.append(i)
+                cell = members[c]
                 rest_key = None
-                if len(atoms) < len(members[c]):
+                rest_size = 0
+                if len(atoms) < len(cell):
                     # The untouched atoms still share one key; one stands for all.
-                    rest_key = key_of(next(i for i in members[c] if i not in touched))
-                    groups.setdefault(rest_key, [])
+                    for i in cell:
+                        if i not in touched:
+                            break
+                    rest_key = tuple(sorted([code + start[cell_of[j]] for code, j in adj[i]]))
+                    if rest_key not in groups:
+                        groups[rest_key] = []
+                    # The rest part: the untouched atoms and the touched
+                    # ones keyed as they are.
+                    rest_size = len(cell) - len(atoms) + len(groups[rest_key])
                 if len(groups) > 1:
-                    splits.append((c, groups, rest_key))
+                    splits.append((c, groups, rest_key, rest_size))
 
             changed = []
-            for c, groups, rest_key in splits:
-                parts = {k: set(g) for k, g in groups.items() if k != rest_key}
-                if rest_key is not None:
-                    cell = members[c]
-                    for part in parts.values():
-                        cell -= part
-                    parts[rest_key] = cell
-                # The largest part keeps the cell; only the others are new.
-                order = sorted(parts)
-                keep = max(order, key=lambda k: len(parts[k]))
-                members[c] = parts[keep]
+            for c, groups, rest_key, rest_size in splits:
+                cell = members[c]
+                order = sorted(groups)
+                # The largest part (the first in order, of equal ones) keeps
+                # the cell; only the others are new.
+                keep = None
+                best = 0
+                for k in order:
+                    size = rest_size if k == rest_key else len(groups[k])
+                    if size > best:
+                        keep, best = k, size
+                if keep != rest_key and rest_key is not None:
+                    rest = cell.difference(*[groups[k] for k in order if k != rest_key])
                 pos = start[c]
                 for k in order:
-                    part = parts[k]
                     if k == keep:
-                        cid = c
-                    else:
-                        cid = len(start)
-                        start.append(0)
-                        members.append(part)
-                        for i in part:
-                            cell_of[i] = cid
-                        changed.extend(part)
-                    start[cid] = pos
+                        start[c] = pos
+                        cell_at[pos] = c
+                        pos += best
+                        continue
+                    part = rest if k == rest_key else set(groups[k])
+                    cell.difference_update(part)
+                    cid = len(start)
+                    start.append(pos)
+                    members.append(part)
+                    for i in part:
+                        cell_of[i] = cid
+                    changed.extend(part)
                     cell_at[pos] = cid
                     pos += len(part)
 
@@ -170,9 +211,8 @@ def canonical_smiles(mol: Molecule) -> str:
     """
     if len(mol) == 0:
         raise ChemistryError("cannot write SMILES for an empty molecule")
-    ranks = canonical_ranks(mol)
-    return ".".join(sorted(_normalize_directions(_write_fragment(mol, ranks, frag))
-                           for frag in mol.fragments))
+    return ".".join(sorted(_normalize_directions(text)
+                           for text in _write_fragments(mol, mol.ranks)))
 
 
 def _normalize_directions(fragment: str) -> str:
@@ -187,155 +227,169 @@ def _normalize_directions(fragment: str) -> str:
     return min(fragment, fragment.translate(FLIP_DIRECTION))
 
 
-def _write_fragment(mol: Molecule, ranks: list[int], frag: tuple[int, ...]) -> str:
-    root = min(frag, key=lambda i: ranks[i])
-
-    # Structure pass: deterministic DFS with children ordered by rank.
-    disc = {root: 0}
-    parent: dict[int, int | None] = {root: None}
-    children: dict[int, list[int]] = defaultdict(list)
-    openings: dict[int, list[int]] = defaultdict(list)  # earlier atom -> later partners
-    closings: dict[int, list[int]] = defaultdict(list)  # later atom -> earlier partners
-    edge_used: set[tuple[int, int]] = set()
-    iters = {root: iter(sorted(mol.neighbors[root], key=lambda x: ranks[x]))}
-    stack = [root]
-    while stack:
-        v = stack[-1]
-        descended = False
-        for w in iters[v]:
-            if w == parent[v]:
-                continue
-            key = (v, w) if v < w else (w, v)
-            if w in disc:
-                if key in edge_used:
-                    continue
-                edge_used.add(key)
-                openings[w].append(v)
-                closings[v].append(w)
-                continue
-            edge_used.add(key)
-            disc[w] = len(disc)
-            parent[w] = v
-            children[v].append(w)
-            iters[w] = iter(sorted(mol.neighbors[w], key=lambda x: ranks[x]))
-            stack.append(w)
-            descended = True
-            break
-        if not descended:
-            stack.pop()
-
-    # Emission pass.
-    out: list[str] = []
-    digit_of: dict[tuple[int, int], int] = {}
-    freed: list[int] = []
-    next_digit = 1
-
-    def alloc() -> int:
-        nonlocal next_digit
-        if freed:
-            return heapq.heappop(freed)
-        d = next_digit
-        next_digit += 1
-        return d
-
-    def fmt(d: int) -> str:
-        return str(d) if d <= 9 else f"%{d:02d}"
-
-    work: list[tuple] = [("atom", root, None)]
-    while work:
-        item = work.pop()
-        if item[0] == "text":
-            out.append(item[1])
-            continue
-        _, v, par = item
-        token = "" if par is None else _bond_str(mol, par, v)
-        token += _atom_token(mol, v, par, openings, closings, children)
-        for u in closings[v]:
-            d = digit_of.pop((u, v) if u < v else (v, u))
-            token += fmt(d)
-            heapq.heappush(freed, d)
-        for w in openings[v]:
-            d = alloc()
-            digit_of[(v, w) if v < w else (w, v)] = d
-            token += _bond_str(mol, v, w) + fmt(d)
-        out.append(token)
-        kids = children[v]
-        for i in reversed(range(len(kids))):
-            if i == len(kids) - 1:
-                work.append(("atom", kids[i], v))
-            else:
-                work.append(("text", ")"))
-                work.append(("atom", kids[i], v))
-                work.append(("text", "("))
-    return "".join(out)
+# Ring-closure labels by number; a number above 99 would need the %(nnn)
+# syntax, which the parser does not read.
+_RING_LABELS = tuple(str(d) if d <= 9 else f"%{d}" for d in range(100))
 
 
-def _bond_str(mol: Molecule, u: int, v: int) -> str:
-    bond = mol.bond_between(u, v)
-    if bond.stereo is not None:
-        return bond.stereo if bond.a == u else bond.stereo.translate(FLIP_DIRECTION)
-    if bond.is_aromatic:
-        return ""
-    if bond.order == 1:
-        if mol.atoms[u].is_aromatic and mol.atoms[v].is_aromatic:
-            return "-"
-        return ""
-    return "=" if bond.order == 2 else "#"
+def _write_fragments(mol: Molecule, ranks) -> list[str]:
+    """The SMILES of each fragment of ``mol`` (in ``mol.fragments`` order),
+    written from its lowest-ranked atom, neighbours visited in rank order.
 
-
-def _inferred_bare_h(mol: Molecule, v: int) -> int:
-    """Hydrogens a re-parse would infer if this atom were written bare."""
-    a = mol.atoms[v]
-    sigma = 0
-    explicit_multiple = False
-    for w in mol.neighbors[v]:
-        bond = mol.bond_between(v, w)
+    ``ranks`` must give each atom a distinct number.
+    """
+    atoms = mol.atoms
+    n = len(atoms)
+    # One pass over the bonds: each atom's neighbours as (rank, atom, bond
+    # text read from this atom), its bond-order sum with an aromatic bond
+    # counted as 1, and whether a non-aromatic multiple bond meets it.
+    adj: list[list[tuple[int, int, str]]] = [[] for _ in range(n)]
+    valence = [0] * n
+    multiple = [False] * n
+    for bond in mol.bonds:
+        a = bond.a
+        b = bond.b
+        stereo = bond.stereo
         if bond.is_aromatic:
-            sigma += 1
+            valence[a] += 1
+            valence[b] += 1
+            text = ""
         else:
-            sigma += bond.order
-            if bond.order >= 2:
-                explicit_multiple = True
-    if a.is_aromatic and takes_double_bond(a.atomic_number, 0, sigma, explicit_multiple, True):
-        sigma += 1
-    return hydrogens_to_fill(allowed_valences(a.atomic_number), sigma)
+            order = bond.order
+            valence[a] += order
+            valence[b] += order
+            if order == 1:
+                text = "-" if atoms[a].is_aromatic and atoms[b].is_aromatic else ""
+            else:
+                multiple[a] = multiple[b] = True
+                text = "=" if order == 2 else "#"
+        if stereo is None:
+            adj[a].append((ranks[b], b, text))
+            adj[b].append((ranks[a], a, text))
+        else:
+            adj[a].append((ranks[b], b, stereo))
+            adj[b].append((ranks[a], a, stereo.translate(FLIP_DIRECTION)))
+    for nbrs in adj:
+        nbrs.sort()
+
+    # Structure pass: a depth-first walk of each fragment from its
+    # lowest-ranked atom. ``disc`` is an atom's place in the walk, which is
+    # also the order atoms are written in. A bond to an atom found earlier,
+    # other than the parent, is a ring bond, seen first from its later atom.
+    chirality = mol.chirality
+    disc = [-1] * n
+    parent = [-1] * n
+    up_text = [""] * n  # bond text from the parent
+    last_child = [-1] * n
+    closings: dict[int, list[int]] = {}  # later atom -> earlier partners
+    openings: dict[int, list[tuple[int, str]]] = {}  # earlier atom -> (later, text)
+    walk: list[int] = []
+    bounds = []
+    for frag in mol.fragments:
+        root = min(frag, key=ranks.__getitem__)
+        bounds.append(len(walk))
+        disc[root] = len(walk)
+        walk.append(root)
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, untried = stack[-1]
+            for _, w, text in untried:
+                if disc[w] < 0:
+                    disc[w] = len(walk)
+                    walk.append(w)
+                    parent[w] = v
+                    up_text[w] = text
+                    last_child[v] = w
+                    stack.append((w, iter(adj[w])))
+                    break
+                if disc[w] < disc[v] and w != parent[v]:
+                    closings.setdefault(v, []).append(w)
+                    openings.setdefault(w, []).append((v, text.translate(FLIP_DIRECTION)))
+            else:
+                stack.pop()
+    bounds.append(n)
+
+    # Emission pass, atoms in walk order. A child other than the first
+    # closes its elder sibling's branch; a child other than the last opens
+    # its own.
+    out: list[str] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        parts: list[str] = []
+        digit_of: dict[tuple[int, int], int] = {}
+        freed: list[int] = []
+        next_digit = 1
+        for v in walk[lo:hi]:
+            p = parent[v]
+            if p >= 0:
+                if disc[v] != disc[p] + 1:
+                    parts.append(")")
+                if last_child[p] != v:
+                    parts.append("(")
+                parts.append(up_text[v])
+            if chirality[v] is None:
+                parts.append(_atom_token(atoms[v], valence[v], multiple[v]))
+            else:
+                later = closings.get(v, []) + [w for w, _ in openings.get(v, ())]
+                later += [w for _, w, _ in adj[v] if parent[w] == v]
+                parts.append(_bracket_token(atoms[v], _adjusted_tag(mol, v, p, later)))
+            if v in closings:
+                for u in closings[v]:
+                    d = digit_of.pop((u, v))
+                    parts.append(_RING_LABELS[d])
+                    heapq.heappush(freed, d)
+            if v in openings:
+                for w, text in openings[v]:
+                    if freed:
+                        d = heapq.heappop(freed)
+                    else:
+                        d = next_digit
+                        next_digit += 1
+                        if d > 99:
+                            raise ChemistryError(
+                                "cannot write SMILES with more than 99 ring-closure "
+                                "numbers open at once")
+                    digit_of[(v, w)] = d
+                    parts.append(text)
+                    parts.append(_RING_LABELS[d])
+        out.append("".join(parts))
+    return out
 
 
-def _atom_token(
-    mol: Molecule,
-    v: int,
-    par: int | None,
-    openings: dict[int, list[int]],
-    closings: dict[int, list[int]],
-    children: dict[int, list[int]],
-) -> str:
-    a = mol.atoms[v]
-    sym = a.symbol.lower() if a.is_aromatic else a.symbol
-    chirality = mol.chirality[v]
-    bare_ok = (
-        a.formal_charge == 0
-        and a.isotope is None
-        and chirality is None
-        and a.atomic_number != 1
-        and sym in BARE_ATOMS
-        and a.implicit_hydrogens == _inferred_bare_h(mol, v)
-    )
-    if bare_ok:
-        return sym
+@lru_cache(maxsize=1024)
+def _atom_token(atom: Atom, valence: int, multiple: bool) -> str:
+    """How an atom without a chiral tag is written: bare when a re-parse of
+    the bare symbol would give it its hydrogen count, else in brackets.
+    ``valence`` is its bond-order sum, an aromatic bond counted as 1;
+    ``multiple``, whether a non-aromatic multiple bond meets it.
 
-    tag = chirality and _adjusted_tag(mol, v, par, openings, closings, children)
+    Atoms are shared values, so few keys recur; the cache is bounded, so
+    unusual atoms evict entries and never grow it.
+    """
+    sym = atom.symbol.lower() if atom.is_aromatic else atom.symbol
+    if (atom.formal_charge == 0 and atom.isotope is None and atom.atomic_number != 1
+            and sym in BARE_ATOMS):
+        sigma = valence
+        if atom.is_aromatic and takes_double_bond(atom.atomic_number, 0, sigma, multiple, True):
+            sigma += 1
+        if atom.implicit_hydrogens == hydrogens_to_fill(allowed_valences(atom.atomic_number),
+                                                        sigma):
+            return sym
+    return _bracket_token(atom, None)
 
+
+def _bracket_token(atom: Atom, tag: str | None) -> str:
+    sym = atom.symbol.lower() if atom.is_aromatic else atom.symbol
     parts = ["["]
-    if a.isotope is not None:
-        parts.append(str(a.isotope))
+    if atom.isotope is not None:
+        parts.append(str(atom.isotope))
     parts.append(sym)
     if tag:
         parts.append(tag)
-    if a.implicit_hydrogens == 1:
+    if atom.implicit_hydrogens == 1:
         parts.append("H")
-    elif a.implicit_hydrogens > 1:
-        parts.append(f"H{a.implicit_hydrogens}")
-    q = a.formal_charge
+    elif atom.implicit_hydrogens > 1:
+        parts.append(f"H{atom.implicit_hydrogens}")
+    q = atom.formal_charge
     if q == 1:
         parts.append("+")
     elif q == -1:
@@ -348,32 +402,25 @@ def _atom_token(
     return "".join(parts)
 
 
-def _adjusted_tag(
-    mol: Molecule,
-    v: int,
-    par: int | None,
-    openings: dict[int, list[int]],
-    closings: dict[int, list[int]],
-    children: dict[int, list[int]],
-) -> str | None:
+def _adjusted_tag(mol: Molecule, v: int, par: int, later: list[int]) -> str | None:
     """Chiral tag re-expressed for the writer's neighbor order.
 
-    The tag's sense depends on the order neighbors are listed; an odd
-    permutation between the input-declared order and the written order flips
-    it. Unresolvable annotations (e.g. >1 implicit H) are dropped.
+    The written order is the parent (``par``, -1 for none), an in-bracket
+    hydrogen, then ``later``: the ring-closure partners and the children in
+    the order they are written. An odd permutation between the
+    input-declared order and the written order flips the tag. Unresolvable
+    annotations (e.g. >1 implicit H) are dropped.
     """
     tag, stored = mol.chirality[v]
     a = mol.atoms[v]
     out: list[int] = []
-    if par is not None:
+    if par >= 0:
         out.append(par)
     if a.implicit_hydrogens == 1:
         out.append(H_SLOT)
     elif a.implicit_hydrogens > 1:
         return None
-    out.extend(closings[v])
-    out.extend(openings[v])
-    out.extend(children[v])
+    out.extend(later)
     if sorted(out) != sorted(stored):
         return None
     if _perm_parity(list(stored), out) == 0:
@@ -438,7 +485,7 @@ def to_graph_record(mol: Molecule) -> dict:
     nodes: [atomic_number, formal_charge, implicit_hydrogens, aromatic, degree]
     edges: [i, j, order_code] with i < j in rank space, sorted
     """
-    ranks = canonical_ranks(mol)
+    ranks = mol.ranks
     degrees = mol.degrees
     nodes: list[list] = [None] * len(mol.atoms)  # type: ignore
     for i, a in enumerate(mol.atoms):

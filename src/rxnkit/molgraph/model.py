@@ -158,6 +158,13 @@ class Molecule:
         return tuple(flags)
 
     @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """The canonical ranks of ``canon.canonical_ranks``, refined once."""
+        from .canon import canonical_ranks  # canon imports this module
+
+        return tuple(canonical_ranks(self))
+
+    @cached_property
     def match_memo(self) -> dict:
         """Memo of the substructure matcher, kept with the molecule it describes.
 

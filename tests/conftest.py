@@ -177,3 +177,28 @@ def corpus() -> list[str]:
     rng = random.Random(20240613)
     generated = [random_smiles(rng) for _ in range(120)]
     return [canonical_smiles(parse_smiles(s)) for s in CURATED_SMILES] + generated
+
+
+def ladder_polymer(n: int) -> str:
+    """SMILES of the ladder polymer of n carbons (n even): two chains of n / 2
+    joined by a rung at each position, a row of fused four-rings.
+
+    It is spelled along a zig-zag path that takes rungs and rails in turn;
+    each rail bond off the path joins atoms three apart as a ring bond, so
+    no ring number above 2 is needed.
+    """
+    tokens = []
+    number_at: dict[int, int] = {}  # path position -> ring number opened there
+    free = [2, 1]
+    for p in range(n):
+        token = "C"
+        if p % 2 and p >= 3:
+            number = number_at.pop(p - 3)
+            token += str(number)
+            free.append(number)
+        if p % 2 == 0 and p + 3 < n:
+            number = free.pop()
+            number_at[p] = number
+            token += str(number)
+        tokens.append(token)
+    return "".join(tokens)

@@ -14,11 +14,14 @@ similarity scan that the int bitmask replaced, the multi-pass Molecule
 builder with its bridge search that the one-pass builder replaced, and the
 Hueckel perception that tested every ring triple of a molecule at once, on
 cycles searched from every ring edge, before fused systems and lone rings
-were taken one at a time.
+were taken one at a time. So is the SMILES writer that looked up each bond
+as it wrote it, re-summed each atom's bond orders to decide whether it could
+be written bare, and walked a tagged work stack.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -27,8 +30,14 @@ from itertools import permutations
 
 from rxnkit.fingerprint import BitFingerprint, FingerprintSpec, fnv1a
 from rxnkit.molgraph import Molecule
-from rxnkit.molgraph.elements import allowed_valences, hydrogens_to_fill
-from rxnkit.molgraph.model import Atom, Bond, ChemistryError, bond_code
+from rxnkit.molgraph.canon import _adjusted_tag
+from rxnkit.molgraph.elements import (
+    BARE_ATOMS,
+    allowed_valences,
+    hydrogens_to_fill,
+    takes_double_bond,
+)
+from rxnkit.molgraph.model import FLIP_DIRECTION, Atom, Bond, ChemistryError, bond_code
 from rxnkit.molgraph.parser import BOND_ORDERS, MolDraft
 from rxnkit.molgraph.perception import (
     _MULTI,
@@ -36,7 +45,16 @@ from rxnkit.molgraph.perception import (
     _kekulize,
     _shortest_paths,
 )
-from rxnkit.substructure import _total_h
+
+
+def _hydrogen_count(mol: Molecule, idx: int) -> int:
+    """Implicit hydrogens plus the hydrogen atoms bonded to the atom."""
+    count = mol.atoms[idx].implicit_hydrogens
+    for bond in mol.bonds:
+        if idx in (bond.a, bond.b):
+            other = bond.b if bond.a == idx else bond.a
+            count += mol.atoms[other].atomic_number == 1
+    return count
 
 
 def _atom_matches(pred: tuple, mol: Molecule, idx: int) -> bool:
@@ -51,7 +69,7 @@ def _atom_matches(pred: tuple, mol: Molecule, idx: int) -> bool:
     if kind == "deg":
         return mol.degrees[idx] == pred[1]
     if kind == "h":
-        return _total_h(mol, idx) == pred[1]
+        return _hydrogen_count(mol, idx) == pred[1]
     if kind == "charge":
         return mol.atoms[idx].formal_charge == pred[1]
     if kind == "not":
@@ -772,3 +790,169 @@ def reference_small_cycles(
                 seen.add(fr)
                 out.append((frozenset(path), fr))
     return out
+
+
+def reference_write_fragment(mol: Molecule, ranks: list[int], frag: tuple[int, ...]) -> str:
+    """SMILES of one fragment: a depth-first walk from its lowest-ranked atom,
+    children in rank order, each bond looked up as it is written, and ring
+    numbers from 1 up, the lowest free one reused. It has no limit: ring
+    number 100 comes out as `%100`, which reads back as rings 10 and 0."""
+    root = min(frag, key=lambda i: ranks[i])
+
+    # Structure pass: deterministic DFS with children ordered by rank.
+    disc = {root: 0}
+    parent: dict[int, int | None] = {root: None}
+    children: dict[int, list[int]] = defaultdict(list)
+    openings: dict[int, list[int]] = defaultdict(list)  # earlier atom -> later partners
+    closings: dict[int, list[int]] = defaultdict(list)  # later atom -> earlier partners
+    edge_used: set[tuple[int, int]] = set()
+    iters = {root: iter(sorted(mol.neighbors[root], key=lambda x: ranks[x]))}
+    stack = [root]
+    while stack:
+        v = stack[-1]
+        descended = False
+        for w in iters[v]:
+            if w == parent[v]:
+                continue
+            key = (v, w) if v < w else (w, v)
+            if w in disc:
+                if key in edge_used:
+                    continue
+                edge_used.add(key)
+                openings[w].append(v)
+                closings[v].append(w)
+                continue
+            edge_used.add(key)
+            disc[w] = len(disc)
+            parent[w] = v
+            children[v].append(w)
+            iters[w] = iter(sorted(mol.neighbors[w], key=lambda x: ranks[x]))
+            stack.append(w)
+            descended = True
+            break
+        if not descended:
+            stack.pop()
+
+    # Emission pass.
+    out: list[str] = []
+    digit_of: dict[tuple[int, int], int] = {}
+    freed: list[int] = []
+    next_digit = 1
+
+    def alloc() -> int:
+        nonlocal next_digit
+        if freed:
+            return heapq.heappop(freed)
+        d = next_digit
+        next_digit += 1
+        return d
+
+    def fmt(d: int) -> str:
+        return str(d) if d <= 9 else f"%{d:02d}"
+
+    work: list[tuple] = [("atom", root, None)]
+    while work:
+        item = work.pop()
+        if item[0] == "text":
+            out.append(item[1])
+            continue
+        _, v, par = item
+        token = "" if par is None else _reference_bond_str(mol, par, v)
+        token += _reference_atom_token(mol, v, par, openings, closings, children)
+        for u in closings[v]:
+            d = digit_of.pop((u, v) if u < v else (v, u))
+            token += fmt(d)
+            heapq.heappush(freed, d)
+        for w in openings[v]:
+            d = alloc()
+            digit_of[(v, w) if v < w else (w, v)] = d
+            token += _reference_bond_str(mol, v, w) + fmt(d)
+        out.append(token)
+        kids = children[v]
+        for i in reversed(range(len(kids))):
+            if i == len(kids) - 1:
+                work.append(("atom", kids[i], v))
+            else:
+                work.append(("text", ")"))
+                work.append(("atom", kids[i], v))
+                work.append(("text", "("))
+    return "".join(out)
+
+
+def _reference_bond_str(mol: Molecule, u: int, v: int) -> str:
+    bond = mol.bond_between(u, v)
+    if bond.stereo is not None:
+        return bond.stereo if bond.a == u else bond.stereo.translate(FLIP_DIRECTION)
+    if bond.is_aromatic:
+        return ""
+    if bond.order == 1:
+        if mol.atoms[u].is_aromatic and mol.atoms[v].is_aromatic:
+            return "-"
+        return ""
+    return "=" if bond.order == 2 else "#"
+
+
+def _reference_inferred_bare_h(mol: Molecule, v: int) -> int:
+    """Hydrogens a re-parse would infer if this atom were written bare."""
+    a = mol.atoms[v]
+    sigma = 0
+    explicit_multiple = False
+    for w in mol.neighbors[v]:
+        bond = mol.bond_between(v, w)
+        if bond.is_aromatic:
+            sigma += 1
+        else:
+            sigma += bond.order
+            if bond.order >= 2:
+                explicit_multiple = True
+    if a.is_aromatic and takes_double_bond(a.atomic_number, 0, sigma, explicit_multiple, True):
+        sigma += 1
+    return hydrogens_to_fill(allowed_valences(a.atomic_number), sigma)
+
+
+def _reference_atom_token(
+    mol: Molecule,
+    v: int,
+    par: int | None,
+    openings: dict[int, list[int]],
+    closings: dict[int, list[int]],
+    children: dict[int, list[int]],
+) -> str:
+    a = mol.atoms[v]
+    sym = a.symbol.lower() if a.is_aromatic else a.symbol
+    chirality = mol.chirality[v]
+    bare_ok = (
+        a.formal_charge == 0
+        and a.isotope is None
+        and chirality is None
+        and a.atomic_number != 1
+        and sym in BARE_ATOMS
+        and a.implicit_hydrogens == _reference_inferred_bare_h(mol, v)
+    )
+    if bare_ok:
+        return sym
+
+    later = closings[v] + openings[v] + children[v]
+    tag = chirality and _adjusted_tag(mol, v, -1 if par is None else par, later)
+
+    parts = ["["]
+    if a.isotope is not None:
+        parts.append(str(a.isotope))
+    parts.append(sym)
+    if tag:
+        parts.append(tag)
+    if a.implicit_hydrogens == 1:
+        parts.append("H")
+    elif a.implicit_hydrogens > 1:
+        parts.append(f"H{a.implicit_hydrogens}")
+    q = a.formal_charge
+    if q == 1:
+        parts.append("+")
+    elif q == -1:
+        parts.append("-")
+    elif q > 1:
+        parts.append(f"+{q}")
+    elif q < -1:
+        parts.append(f"-{-q}")
+    parts.append("]")
+    return "".join(parts)

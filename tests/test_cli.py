@@ -19,7 +19,7 @@ import pytest
 from rxnkit import _jsonl
 from rxnkit.cli import main
 
-from conftest import kekule_acene
+from conftest import kekule_acene, ladder_polymer
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -98,6 +98,26 @@ class TestCanon:
         assert strict_row(capsys, src) == {
             "line": 1, "id": "x", "error": "unbalanced parentheses: missing ')'"}
         assert not out.exists()
+
+    def test_more_than_99_open_ring_numbers_is_an_error_row(self, tmp_path, capsys):
+        # The 400-carbon ladder polymer needs ring number 100 in canonical
+        # order; `%100` would read back as another molecule.
+        src = tmp_path / "ladder.jsonl"
+        write_jsonl(src, [{"id": "a", "smiles": "CCO"},
+                          {"id": "ladder", "smiles": ladder_polymer(400)},
+                          {"id": "b", "smiles": ladder_polymer(396)}])
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}.jsonl"
+            assert run(["canon", "--in", str(src), "--out", str(out),
+                        "--workers", workers]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().err))
+        assert outputs[0] == outputs[1]
+        assert [r["id"] for r in read_jsonl(tmp_path / "out1.jsonl")] == ["a", "b"]
+        assert json.loads(outputs[0][1]) == {"record_errors": [{
+            "line": 2, "id": "ladder",
+            "error": "cannot write SMILES with more than 99 ring-closure numbers open at once",
+        }], "count": 1}
 
     def test_schema_error_points_to_line(self, tmp_path, capsys):
         src = tmp_path / "bad.jsonl"

@@ -9,7 +9,7 @@ from rxnkit.corpus import (
     filter_and_stat,
     reconstruct,
 )
-from rxnkit.molgraph import canonicalize
+from rxnkit.molgraph import canon, canonicalize
 
 
 def proc(pid, text, entities):
@@ -189,3 +189,25 @@ class TestFilterAndStat:
         originals = {"a": "Mix X with Y carefully.", "b": "Heat Z."}
         for rec in kept:
             assert reconstruct(rec) == originals[rec["id"]]
+
+
+class TestRanksOncePerEntity:
+    """An entity's canonical SMILES and its graph record share one ranking."""
+
+    def test_one_refinement_per_entity(self, monkeypatch):
+        refined = []
+        refine = canon.canonical_ranks
+
+        def counting(mol):
+            refined.append(mol)
+            return refine(mol)
+
+        monkeypatch.setattr(canon, "canonical_ranks", counting)
+        text = "Dissolve A in B, then add C dropwise."
+        rec = build_interleaved(proc("p", text, [(9, 10, "CCO"), (14, 15, "O"),
+                                                 (26, 27, "c1ccccc1O")]))
+        assert [s["kind"] for s in rec["segments"]].count("mol") == 3
+        assert len(refined) == 3 and len({id(mol) for mol in refined}) == 3
+        refined.clear()
+        rows = build_name_conversion({"id": "m", "smiles": "OCC", "iupac": "ethanol"})
+        assert len(rows) == 5 and len(refined) == 1

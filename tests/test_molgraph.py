@@ -24,16 +24,24 @@ from rxnkit.molgraph import (
     validate,
 )
 from rxnkit.fingerprint import circular_fingerprint
-from rxnkit.molgraph import Atom, Bond, Molecule, model, perception
+from rxnkit.molgraph import Atom, Bond, Molecule, canon, model, perception
 from rxnkit.molgraph.parser import parse_draft
 from rxnkit.scaffold import EMPTY_SCAFFOLD, murcko_scaffold
 
-from conftest import CURATED_SMILES, build_random_molecule, kekule_acene, renumbered, shuffled
+from conftest import (
+    CURATED_SMILES,
+    build_random_molecule,
+    kekule_acene,
+    ladder_polymer,
+    renumbered,
+    shuffled,
+)
 from oracles import (
     full_resort_ranks,
     reference_molecule_from_draft,
     reference_non_bridge_edges,
     reference_small_cycles,
+    reference_write_fragment,
 )
 
 
@@ -327,6 +335,94 @@ class TestRanking:
         out = canonical_smiles(mol)
         assert time.perf_counter() - t0 < budget_s
         assert canonicalize(out) == out
+
+
+# Stereo, charges, isotopes, an aromatic-aromatic single bond and several
+# fragments: each token and bond text the writer can produce.
+WRITER_CASES = [
+    "N[C@@H](C)C(=O)O",
+    "N[C@H](C)C(=O)O",
+    "[C@@H](F)(Cl)Br",
+    "F[C@]1(Cl)CCCC1",
+    "C[C@@H]1CC[C@H](O)CC1",
+    "OC[C@@H](O)[C@@H](O)[C@H](O)[C@H](O)CO",
+    "F/C=C/F",
+    "C/C=C\\C",
+    "F/C=C/1.F1",
+    "F/C=C1.F\\1",
+    "C/1=C/CCCCCC1",
+    "C1CCC/C=C/CC1",
+    "C/C=C/C1CC/C(=C/C)CC1",
+    "c1ccccc1-c1ccccc1",
+    "c1ccc(-c2ccncc2)cc1",
+    "[NH4+].CC(=O)[O-]",
+    "C[N+](C)(C)C.[Cl-]",
+    "[Fe+3].[O-2]",
+    "[13CH4]",
+    "[2H]OC",
+    "[13CH3][C@@H]1CC[C@H](O)CC1/C=C/Br",
+    "[Na+].[Cl-].CCO.c1ccccc1",
+    "c1cc[nH]c1",
+    "O=S(=O)(O)O",
+    "N#Cc1ccccc1",
+    kekule_acene(12),
+    ladder_polymer(60),
+]
+
+
+def written_both_ways(mol: Molecule, ranks) -> tuple[list[str], list[str]]:
+    return (canon._write_fragments(mol, ranks),
+            [reference_write_fragment(mol, ranks, frag) for frag in mol.fragments])
+
+
+class TestWriterMatchesReference:
+    """The writer's tables give the strings of the writer that looked each
+    bond up, byte for byte, under canonical and random ranks."""
+
+    def check(self, smiles_list, rng, orders=3):
+        for s in smiles_list:
+            mol = parse_smiles(s)
+            new, old = written_both_ways(mol, mol.ranks)
+            assert new == old, s
+            for _ in range(orders):
+                ranks = list(range(len(mol)))
+                rng.shuffle(ranks)
+                new, old = written_both_ways(mol, ranks)
+                assert new == old, s
+
+    def test_corpus(self, corpus):
+        self.check(corpus, random.Random(41))
+
+    def test_size_ladder(self):
+        self.check(ladder_smiles(), random.Random(42), orders=1)
+
+    def test_symmetric_molecules(self):
+        self.check(SYMMETRIC_SMILES, random.Random(43))
+
+    def test_stereo_charge_isotope_and_fragment_cases(self):
+        self.check(WRITER_CASES, random.Random(44), orders=10)
+        # The cases reach ring numbers above 9.
+        assert "%1" in canonical_smiles(parse_smiles(ladder_polymer(60)))
+
+
+class TestRingNumberLimit:
+    """Ring numbers above 99 would need %(nnn), which the parser does not
+    read: `%100` reads back as ring 10 and ring 0, another molecule."""
+
+    def test_ninety_nine_open_ring_numbers_are_written(self):
+        out = canonical_smiles(parse_smiles(ladder_polymer(396)))
+        assert "%99" in out
+        assert canonicalize(out) == out
+
+    def test_a_hundredth_is_refused(self):
+        mol = parse_smiles(ladder_polymer(400))
+        assert (len(mol.atoms), len(mol.bonds)) == (400, 598)
+        with pytest.raises(ChemistryError, match="more than 99 ring-closure numbers"):
+            canonical_smiles(mol)
+        # The reference writer has no limit; its `%100` reads back as another molecule.
+        (old,) = [reference_write_fragment(mol, mol.ranks, frag) for frag in mol.fragments]
+        assert "%100" in old
+        assert len(parse_smiles(old).bonds) == 599
 
 
 class TestFormula:

@@ -112,12 +112,12 @@ def spellings(smiles: str, count: int, rng: random.Random) -> list[str]:
     """SMILES of one molecule written from random atom orders: the writer's
     depth-first walk led by random ranks instead of canonical ones."""
     mol = parse_smiles(smiles)
-    (frag,) = mol.fragments
     out = []
     for _ in range(count):
         ranks = list(range(len(mol)))
         rng.shuffle(ranks)
-        out.append(canon._write_fragment(mol, ranks, frag))
+        (text,) = canon._write_fragments(mol, ranks)
+        out.append(text)
     return out
 
 
