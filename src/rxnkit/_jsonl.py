@@ -46,8 +46,8 @@ def read_record(line: str) -> dict:
         byte = ord(line[exc.start]) - 0xDC00
         raise ValueError(f"not UTF-8: byte 0x{byte:02x} at character {exc.start + 1}") from None
     try:
-        record = json.loads(line.strip())
-    except json.JSONDecodeError as exc:
+        record = loads(line.strip())
+    except ValueError as exc:
         raise ValueError(f"bad JSON: {exc}") from None
     if not isinstance(record, dict):
         raise ValueError("record is not an object")
@@ -74,6 +74,19 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 def dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, separators=(",", ":")), from one encoder."""
     return _ENCODER.encode(obj)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("a number that is not finite is not JSON")
+    return value
+
+
+# json.loads from one decoder that refuses NaN and Infinity, and 1e999 (read
+# as infinity): RFC 8259 has no such values, and a record holding one would
+# be written back out as a line that is not JSON.
+loads = json.JSONDecoder(parse_constant=_finite, parse_float=_finite).decode
 
 
 def _staged_target(path: str | Path) -> str | None:

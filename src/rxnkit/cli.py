@@ -11,7 +11,6 @@ count. Per-record failures are collected and reported on stderr unless
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -22,6 +21,7 @@ from ._jsonl import (
     Workers,
     dumps,
     iter_lines,
+    loads,
     parallel_map,
     read_record,
     record_id,
@@ -226,7 +226,7 @@ def _apply_config(parser, args, argv) -> Run:
     """
     try:
         with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = loads(fh.read())
     except (OSError, ValueError, RecursionError) as exc:
         raise Fatal(f"cannot read config {args.config}: {exc}")
     if not isinstance(config, dict):

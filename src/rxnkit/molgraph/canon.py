@@ -26,12 +26,13 @@ atom's neighbours sorted by rank, each with the bond's text read from that
 atom (a direction mark flipped for the far end); each atom's bond-order
 sum, an aromatic bond counted as 1; and whether a non-aromatic multiple
 bond meets it. An atom without a chiral tag is written from its Atom, sum
-and flag alone, through a bounded cache. A depth-first walk from each
-fragment's lowest-ranked atom, children in rank order, fixes the parent,
-branches and ring bonds; atoms are then written in walk order. Ring
-numbers run 1-9 and %10-%99, the lowest free one reused; a molecule that
-needs more than 99 at once is refused (ChemistryError), as %(nnn) is not
-read back.
+and flag alone, through a bounded cache. The ranks are a permutation,
+and the atoms are taken in rank order: each one not yet walked starts a
+fragment, walked depth-first with children in rank order, so fragments
+come in rank order. The walk fixes the parent, branches and ring bonds;
+atoms are written in walk order. Ring numbers run 1-9 and %10-%99, the
+lowest free one reused; a molecule that needs more than 99 at once is
+refused (ChemistryError), as %(nnn) is not read back.
 
 Stereo annotations never participate in ranking and are re-emitted in
 their input-declared sense.
@@ -233,10 +234,10 @@ _RING_LABELS = tuple(str(d) if d <= 9 else f"%{d}" for d in range(100))
 
 
 def _write_fragments(mol: Molecule, ranks) -> list[str]:
-    """The SMILES of each fragment of ``mol`` (in ``mol.fragments`` order),
-    written from its lowest-ranked atom, neighbours visited in rank order.
+    """The SMILES of each fragment of ``mol``, in the rank order of its
+    lowest-ranked atom, written from that atom, neighbours in rank order.
 
-    ``ranks`` must give each atom a distinct number.
+    ``ranks`` must be a permutation of ``range(len(mol))``, as ``mol.ranks`` is.
     """
     atoms = mol.atoms
     n = len(atoms)
@@ -272,10 +273,13 @@ def _write_fragments(mol: Molecule, ranks) -> list[str]:
     for nbrs in adj:
         nbrs.sort()
 
-    # Structure pass: a depth-first walk of each fragment from its
-    # lowest-ranked atom. ``disc`` is an atom's place in the walk, which is
-    # also the order atoms are written in. A bond to an atom found earlier,
-    # other than the parent, is a ring bond, seen first from its later atom.
+    # Structure pass: each atom not yet walked, in rank order, is the root of
+    # a depth-first walk of its fragment. ``disc`` is an atom's place in the
+    # walk, which is also the order atoms are written in. A bond to an atom
+    # found earlier, other than the parent, is a ring bond, seen from its later atom.
+    by_rank = [0] * n
+    for i, r in enumerate(ranks):
+        by_rank[r] = i
     chirality = mol.chirality
     disc = [-1] * n
     parent = [-1] * n
@@ -285,8 +289,9 @@ def _write_fragments(mol: Molecule, ranks) -> list[str]:
     openings: dict[int, list[tuple[int, str]]] = {}  # earlier atom -> (later, text)
     walk: list[int] = []
     bounds = []
-    for frag in mol.fragments:
-        root = min(frag, key=ranks.__getitem__)
+    for root in by_rank:
+        if disc[root] >= 0:
+            continue
         bounds.append(len(walk))
         disc[root] = len(walk)
         walk.append(root)

@@ -1,8 +1,8 @@
 """Core molecular-graph types.
 
 Molecules are immutable after construction and safe to share across workers;
-all derived structure (adjacency, ring membership, fragments) is computed
-once and cached.
+derived structure that two layers read (adjacency, degrees, ring bonds and
+membership, ranks) is computed once and cached.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .elements import SYMBOL
 
-SINGLE, DOUBLE, TRIPLE = 1, 2, 3
+SINGLE = 1
 AROMATIC_CODE = 4  # order code of aromatic bonds in to_graph_record edges
 
 
@@ -70,9 +70,6 @@ class Bond:
     ) -> None:
         self.__dict__.update(a=a, b=b, order=order, is_aromatic=is_aromatic, stereo=stereo)
 
-    def key(self) -> tuple[int, int]:
-        return (self.a, self.b) if self.a < self.b else (self.b, self.a)
-
 
 def bond_code(bond: Bond) -> int:
     """Order code of a bond in ranking and hashing: AROMATIC_CODE or 1/2/3."""
@@ -103,7 +100,6 @@ class Molecule:
         chirality: tuple[tuple[str, tuple[int, ...]] | None, ...] | None = None,
         ring_bonds: frozenset[tuple[int, int]] | None = None,
         neighbors: tuple[tuple[int, ...], ...] | None = None,
-        bond_lookup: dict[tuple[int, int], Bond] | None = None,
         degrees: tuple[int, ...] | None = None,
     ) -> None:
         self.atoms = atoms
@@ -117,8 +113,6 @@ class Molecule:
             derived["ring_bonds"] = ring_bonds
         if neighbors is not None:
             derived["neighbors"] = neighbors
-        if bond_lookup is not None:
-            derived["bond_lookup"] = bond_lookup
         if degrees is not None:
             derived["degrees"] = degrees
 
@@ -134,20 +128,14 @@ class Molecule:
         return tuple(tuple(n) for n in nbrs)
 
     @cached_property
-    def bond_lookup(self) -> dict[tuple[int, int], Bond]:
-        return {bond.key(): bond for bond in self.bonds}
-
-    def bond_between(self, a: int, b: int) -> Bond | None:
-        return self.bond_lookup.get((a, b) if a < b else (b, a))
-
-    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(n) for n in self.neighbors)
 
     @cached_property
     def ring_bonds(self) -> frozenset[tuple[int, int]]:
         """Keys of bonds that lie on some cycle (non-bridge edges)."""
-        return _non_bridge_edges(self.neighbors, self.bond_lookup)
+        return _non_bridge_edges(
+            self.neighbors, [(b.a, b.b) if b.a < b.b else (b.b, b.a) for b in self.bonds])
 
     @cached_property
     def ring_membership(self) -> tuple[bool, ...]:
@@ -173,26 +161,6 @@ class Molecule:
         many patterns against one molecule derives each of them once.
         """
         return {}
-
-    @cached_property
-    def fragments(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components, each as a sorted tuple of atom indices."""
-        seen = [False] * len(self.atoms)
-        out: list[tuple[int, ...]] = []
-        for start in range(len(self.atoms)):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.neighbors[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            out.append(tuple(sorted(comp)))
-        return tuple(out)
 
     def subgraph(self, atoms: list[int] | tuple[int, ...]) -> "Molecule":
         """The given atoms, in the given order, and the bonds among them.

@@ -136,7 +136,7 @@ def molecule_from_draft(draft: MolDraft) -> Molecule:
     nbrs = tuple(map(tuple, neighbors))
     return Molecule(
         atoms, bonds, chirality, ring_bonds=ring_keys,
-        neighbors=nbrs, bond_lookup=dict(zip(keys, bonds)), degrees=tuple(map(len, nbrs)),
+        neighbors=nbrs, degrees=tuple(map(len, nbrs)),
     )
 
 
@@ -382,45 +382,34 @@ def _perceive_huckel(
             for key in m[1]:
                 aromatic_bond[edge_index[key]] = True
 
-    # Fused systems: one union-find, each ring joined to the first ring seen
-    # on each of its edges. Rings of different systems share no edge, and
-    # try_union only sets flags, so the order of the tests does not matter.
-    parent = list(range(len(candidates)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    first_ring: dict[tuple[int, int], int] = {}
+    # fused[i]: the rings that share an edge with ring i. try_union only
+    # sets flags, so the order of the tests does not matter.
+    on_edge: dict[tuple[int, int], list[int]] = defaultdict(list)
     for i, (_, edge_set) in enumerate(candidates):
         for key in edge_set:
-            parent[find(i)] = find(first_ring.setdefault(key, i))
-    systems: dict[int, list] = defaultdict(list)
-    for i, ring in enumerate(candidates):
-        systems[find(i)].append(ring)
-
-    for members in systems.values():
-        for ring in members:
-            try_union([ring])
-        on_edge: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for i, (_, edge_set) in enumerate(members):
-            for key in edge_set:
-                on_edge[key].append(i)
-        fused = [{j for key in edge_set for j in on_edge[key]} - {i}
-                 for i, (_, edge_set) in enumerate(members)]
-        for i, near in enumerate(fused):
-            for j in near:
-                if i < j:
-                    try_union([members[i], members[j]])
-        # A triple with two fused pairs has a ring fused to both others.
-        triples = {tuple(sorted((i, j, k)))
-                   for i, near in enumerate(fused) for j, k in combinations(near, 2)}
-        for triple in triples:
-            try_union([members[x] for x in triple])
-        if len(members) > 3:
-            try_union(members)
+            on_edge[key].append(i)
+    fused = [{j for key in edge_set for j in on_edge[key]} - {i}
+             for i, (_, edge_set) in enumerate(candidates)]
+    for i, near in enumerate(fused):
+        try_union([candidates[i]])
+        for j in near:
+            if i < j:
+                try_union([candidates[i], candidates[j]])
+    # A triple with two fused pairs has a ring fused to both others.
+    triples = {tuple(sorted((i, j, k)))
+               for i, near in enumerate(fused) for j, k in combinations(near, 2)}
+    for triple in triples:
+        try_union([candidates[x] for x in triple])
+    # Whole fused systems of more than 3 rings: the connected components of fused.
+    unseen = set(range(len(candidates)))
+    while unseen:
+        system = [unseen.pop()]
+        for x in system:
+            near = fused[x] & unseen
+            unseen -= near
+            system.extend(near)
+        if len(system) > 3:
+            try_union([candidates[x] for x in system])
 
 
 def _small_cycles(
@@ -438,7 +427,7 @@ def _small_cycles(
     for u, v in sorted(ring_keys):
         if u in lone:
             continue  # the one cycle through each edge is already found
-        for path in _shortest_paths(u, v, ring_adj, skip=(u, v)):
+        for path in _shortest_paths(u, v, ring_adj):
             edges = {(u, v)}
             for x, y in zip(path, path[1:]):
                 edges.add((x, y) if x < y else (y, x))
@@ -451,15 +440,11 @@ def _small_cycles(
     return out
 
 
-def _shortest_paths(
-    u: int,
-    v: int,
-    adj: dict[int, list[int]],
-    skip: tuple[int, int],
-    cap: int = 32,
-) -> list[list[int]]:
-    """Every shortest u-v path avoiding the skipped edge (up to cap)."""
-    s0, s1 = skip
+_PATH_CAP = 32  # the most shortest paths one ring edge contributes cycles through
+
+
+def _shortest_paths(u: int, v: int, adj: dict[int, list[int]]) -> list[list[int]]:
+    """Every shortest u-v path that avoids the edge u-v (up to _PATH_CAP)."""
     dist = {u: 0}
     preds: dict[int, list[int]] = defaultdict(list)
     frontier = [u]
@@ -467,7 +452,7 @@ def _shortest_paths(
         nxt = []
         for x in frontier:
             for y in adj[x]:
-                if (x == s0 and y == s1) or (x == s1 and y == s0):
+                if x == u and y == v:  # v is reached, never expanded
                     continue
                 if y not in dist:
                     dist[y] = dist[x] + 1
@@ -485,7 +470,7 @@ def _shortest_paths(
     paths: list[list[int]] = []
     acc: list[int] = []
     stack = [(v, 0)]
-    while stack and len(paths) < cap:
+    while stack and len(paths) < _PATH_CAP:
         node, depth = stack.pop()
         del acc[depth:]
         if node == u:

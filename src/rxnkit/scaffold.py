@@ -30,23 +30,24 @@ def scaffold_molecule(mol: Molecule) -> Molecule | None:
     if not any(in_ring):
         return None
     # Peel leaves from a worklist: a chain atom goes once at most one
-    # neighbour is left, unless that is a ring atom it is multiply bonded to.
-    # Ring atoms keep two ring neighbours, so they are never leaves.
+    # neighbour is left, unless it is held: multiply bonded to a ring atom.
+    # Ring atoms keep two ring neighbours, so they are never leaves, and a
+    # held leaf's one neighbour left is that ring atom.
     degree = list(mol.degrees)
+    held = {x for b in mol.bonds if b.order >= 2
+            for x, y in ((b.a, b.b), (b.b, b.a)) if in_ring[y]}
     kept = [True] * len(degree)
     leaves = [idx for idx, d in enumerate(degree) if d <= 1]
     while leaves:
         idx = leaves.pop()
-        if not kept[idx]:
-            continue
-        left = [other for other in mol.neighbors[idx] if kept[other]]
-        if left and in_ring[left[0]] and mol.bond_between(idx, left[0]).order >= 2:
-            continue  # exocyclic multiple bond to a ring is retained
+        if not kept[idx] or idx in held:
+            continue  # an exocyclic multiple bond to a ring is retained
         kept[idx] = False
-        for other in left:
-            degree[other] -= 1
-            if degree[other] <= 1:
-                leaves.append(other)
+        for other in mol.neighbors[idx]:
+            if kept[other]:
+                degree[other] -= 1
+                if degree[other] <= 1:
+                    leaves.append(other)
     order = [idx for idx, keep in enumerate(kept) if keep]
     # The sub-molecule carries no stereo: pruning can remove the neighbours a
     # chirality tag or a direction mark is stated against.

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from ._jsonl import loads
+
 _PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 MOLECULE_SENTINEL = "<molecule>"
 
@@ -41,7 +43,7 @@ class TemplateRegistry:
         self._templates.setdefault(template["task"], []).append(template)
 
     def load_file(self, path: str | Path) -> None:
-        for template in json.loads(Path(path).read_text(encoding="utf-8")):
+        for template in loads(Path(path).read_text(encoding="utf-8")):
             self.register(template)
 
     @property
@@ -69,8 +71,8 @@ def builtin_registry() -> TemplateRegistry:
     global _BUILTIN
     if _BUILTIN is None:
         registry = TemplateRegistry()
-        for template in json.loads(resources.files("rxnkit").joinpath("data/templates.json")
-                                   .read_text(encoding="utf-8")):
+        for template in loads(resources.files("rxnkit").joinpath("data/templates.json")
+                              .read_text(encoding="utf-8")):
             registry.register(template)
         _BUILTIN = registry
     return _BUILTIN

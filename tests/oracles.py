@@ -14,7 +14,8 @@ similarity scan that the int bitmask replaced, the multi-pass Molecule
 builder with its bridge search that the one-pass builder replaced, and the
 Hueckel perception that tested every ring triple of a molecule at once, on
 cycles searched from every ring edge, before fused systems and lone rings
-were taken one at a time. So is the SMILES writer that looked up each bond
+were taken one at a time; its shortest-path search is a frozen copy, with
+the skipped edge and the cap as parameters. So is the SMILES writer that looked up each bond
 as it wrote it, re-summed each atom's bond orders to decide whether it could
 be written bare, and walked a tagged work stack.
 """
@@ -39,12 +40,46 @@ from rxnkit.molgraph.elements import (
 )
 from rxnkit.molgraph.model import FLIP_DIRECTION, Atom, Bond, ChemistryError, bond_code
 from rxnkit.molgraph.parser import BOND_ORDERS, MolDraft
-from rxnkit.molgraph.perception import (
-    _MULTI,
-    _fold_explicit_h,
-    _kekulize,
-    _shortest_paths,
-)
+from rxnkit.molgraph.perception import _MULTI, _fold_explicit_h, _kekulize
+
+
+@lru_cache(maxsize=16)
+def _bonds_by_pair(mol: Molecule) -> dict[tuple[int, int], Bond]:
+    table = {}
+    for bond in mol.bonds:
+        table[bond.a, bond.b] = table[bond.b, bond.a] = bond
+    return table
+
+
+def bond_between(mol: Molecule, a: int, b: int) -> Bond | None:
+    """The bond joining atoms a and b, or None."""
+    return _bonds_by_pair(mol).get((a, b))
+
+
+def bond_keys(mol: Molecule) -> list[tuple[int, int]]:
+    """Each bond's (low, high) atom pair, in bond order."""
+    return [(b.a, b.b) if b.a < b.b else (b.b, b.a) for b in mol.bonds]
+
+
+def reference_fragments(mol: Molecule) -> list[tuple[int, ...]]:
+    """Connected components, each a sorted tuple of atom indices, in the
+    order of their lowest atom index."""
+    seen: set[int] = set()
+    out = []
+    for start in range(len(mol.atoms)):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in mol.neighbors[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        out.append(tuple(sorted(comp)))
+    return out
 
 
 def _hydrogen_count(mol: Molecule, idx: int) -> int:
@@ -94,7 +129,7 @@ def all_injections_matches(pattern, mol) -> set[frozenset[int]]:
         if not ok:
             continue
         for a, b, kind in pattern.bonds:
-            bond = mol.bond_between(image[a], image[b])
+            bond = bond_between(mol, image[a], image[b])
             if bond is None or bond_code(bond) not in kind:
                 ok = False
                 break
@@ -267,7 +302,7 @@ def backtracking_matches(pattern, mol, max_matches=None) -> list[tuple[int, ...]
             j0, kind0 = anchored[0]
             pool = [
                 w for w in mol.neighbors[mapping[j0]]
-                if bond_code(mol.bond_between(mapping[j0], w)) in kind0
+                if bond_code(bond_between(mol, mapping[j0], w)) in kind0
             ]
         else:
             pool = candidates[p]
@@ -277,7 +312,7 @@ def backtracking_matches(pattern, mol, max_matches=None) -> list[tuple[int, ...]
                 continue
             ok = True
             for j, kind in anchored:
-                bond = mol.bond_between(mapping[j], m)
+                bond = bond_between(mol, mapping[j], m)
                 if bond is None or bond_code(bond) not in kind:
                     ok = False
                     break
@@ -375,7 +410,7 @@ def reference_path_fingerprint(mol, spec=None) -> BitFingerprint:
         seq = []
         for i, atom in enumerate(path):
             if i:
-                bond = mol.bond_between(path[i - 1], atom)
+                bond = bond_between(mol, path[i - 1], atom)
                 seq.append(b"%d" % bond_code(bond))
             seq.append(labels[atom])
         forward = b"|".join(seq)
@@ -416,7 +451,7 @@ def reference_circular_fingerprint(mol, spec=None) -> BitFingerprint:
         for i in range(len(mol.atoms)):
             parts = [env[i].to_bytes(8, "big")]
             for code, h in sorted(
-                (bond_code(mol.bond_between(i, w)), env[w]) for w in mol.neighbors[i]
+                (bond_code(bond_between(mol, i, w)), env[w]) for w in mol.neighbors[i]
             ):
                 parts.append(code.to_bytes(1, "big"))
                 parts.append(h.to_bytes(8, "big"))
@@ -454,7 +489,7 @@ def reference_scaffold_molecule(mol) -> Molecule | None:
                 continue
             if nbrs:
                 (other,) = nbrs
-                bond = mol.bond_between(idx, other)
+                bond = bond_between(mol, idx, other)
                 if bond.order >= 2 and mol.ring_membership[other]:
                     continue
             elif mol.ring_membership[idx]:
@@ -526,9 +561,7 @@ def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
         incident[b.a].append(bi)
         incident[b.b].append(bi)
         keys.append((b.a, b.b) if b.a < b.b else (b.b, b.a))
-    ring_keys = reference_non_bridge_edges(
-        n, tuple(tuple(x) for x in neighbors), dict.fromkeys(keys)
-    )
+    ring_keys = reference_non_bridge_edges(n, tuple(tuple(x) for x in neighbors), keys)
 
     # Non-ring bonds cannot be aromatic: demote defaults, reject ':'.
     for bi in range(len(draft.bonds)):
@@ -609,9 +642,9 @@ def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
 def reference_non_bridge_edges(
     n: int,
     neighbors: tuple[tuple[int, ...], ...],
-    bond_lookup: dict[tuple[int, int], Bond],
+    keys: list[tuple[int, int]],
 ) -> frozenset[tuple[int, int]]:
-    """Edges on cycles, found by subtracting bridges (iterative Tarjan)."""
+    """The bond keys on cycles, found by subtracting bridges (iterative Tarjan)."""
     disc = [-1] * n
     low = [0] * n
     bridges: set[tuple[int, int]] = set()
@@ -640,7 +673,7 @@ def reference_non_bridge_edges(
                     if low[v] > disc[parent]:
                         key = (parent, v) if parent < v else (v, parent)
                         bridges.add(key)
-    return frozenset(key for key in bond_lookup if key not in bridges)
+    return frozenset(key for key in keys if key not in bridges)
 
 
 def reference_perceive_huckel(
@@ -781,7 +814,7 @@ def reference_small_cycles(
     out = []
     seen: set[frozenset[tuple[int, int]]] = set()
     for u, v in sorted(ring_keys):
-        for path in _shortest_paths(u, v, ring_adj, skip=(u, v)):
+        for path in reference_shortest_paths(u, v, ring_adj, skip=(u, v)):
             edges = {(u, v)}
             for x, y in zip(path, path[1:]):
                 edges.add((x, y) if x < y else (y, x))
@@ -790,6 +823,51 @@ def reference_small_cycles(
                 seen.add(fr)
                 out.append((frozenset(path), fr))
     return out
+
+
+def reference_shortest_paths(
+    u: int,
+    v: int,
+    adj: dict[int, list[int]],
+    skip: tuple[int, int],
+    cap: int = 32,
+) -> list[list[int]]:
+    """Every shortest u-v path avoiding the skipped edge (up to cap)."""
+    s0, s1 = skip
+    dist = {u: 0}
+    preds: dict[int, list[int]] = defaultdict(list)
+    frontier = [u]
+    while frontier and v not in dist:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if (x == s0 and y == s1) or (x == s1 and y == s0):
+                    continue
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    preds[y].append(x)
+                    nxt.append(y)
+                elif dist[y] == dist[x] + 1:
+                    preds[y].append(x)
+        frontier = nxt
+    if v not in dist:
+        return []
+
+    # Depth-first from v back to u over the predecessor lists, as a loop:
+    # stack entries are (node, its distance from v), and acc holds the
+    # nodes from v up to, not including, the node popped last.
+    paths: list[list[int]] = []
+    acc: list[int] = []
+    stack = [(v, 0)]
+    while stack and len(paths) < cap:
+        node, depth = stack.pop()
+        del acc[depth:]
+        if node == u:
+            paths.append([u] + acc[::-1])
+            continue
+        acc.append(node)
+        stack.extend((p, depth + 1) for p in reversed(preds[node]))
+    return paths
 
 
 def reference_write_fragment(mol: Molecule, ranks: list[int], frag: tuple[int, ...]) -> str:
@@ -880,7 +958,7 @@ def reference_write_fragment(mol: Molecule, ranks: list[int], frag: tuple[int, .
 
 
 def _reference_bond_str(mol: Molecule, u: int, v: int) -> str:
-    bond = mol.bond_between(u, v)
+    bond = bond_between(mol, u, v)
     if bond.stereo is not None:
         return bond.stereo if bond.a == u else bond.stereo.translate(FLIP_DIRECTION)
     if bond.is_aromatic:
@@ -898,7 +976,7 @@ def _reference_inferred_bare_h(mol: Molecule, v: int) -> int:
     sigma = 0
     explicit_multiple = False
     for w in mol.neighbors[v]:
-        bond = mol.bond_between(v, w)
+        bond = bond_between(mol, v, w)
         if bond.is_aromatic:
             sigma += 1
         else:

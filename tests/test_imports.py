@@ -176,6 +176,34 @@ def test_no_id_is_made_a_string():
     assert found == []
 
 
+def json_reads(source: str) -> list[int]:
+    """The lines of the source that call json.load or json.loads, or import
+    either from json.
+
+    Records and files are read through _jsonl.loads, whose one decoder
+    refuses NaN and Infinity, which json.loads reads and dumps writes back.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                and node.func.attr in ("load", "loads")):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "json"
+              and any(alias.name in ("load", "loads") for alias in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_jsonl_reads_json():
+    assert json_reads('json.loads(t)\njson.load(fh)\nfrom json import loads\n'
+                      'json.dumps(x)\nloads(t)\nx.json.loads(t)') == [1, 2, 3]
+    found = [f"{path.relative_to(SRC).as_posix()}:{line}"
+             for path in sorted((SRC / "rxnkit").rglob("*.py")) if path.name != "_jsonl.py"
+             for line in json_reads(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 def json_converters(root: Path) -> list[str]:
     """Class.method for each to_dict, from_dict or to_json a class under root defines."""
     found = []

@@ -37,8 +37,10 @@ from conftest import (
     shuffled,
 )
 from oracles import (
+    bond_keys,
     full_resort_ranks,
     reference_molecule_from_draft,
+    reference_fragments,
     reference_non_bridge_edges,
     reference_small_cycles,
     reference_write_fragment,
@@ -65,7 +67,7 @@ class TestParse:
 
     def test_multi_fragment(self):
         mol = parse_smiles("CC(=O)O.OCC")
-        assert len(mol.fragments) == 2
+        assert len(reference_fragments(mol)) == 2
 
     def test_bracket_features(self):
         mol = parse_smiles("[13CH3][O-]")
@@ -157,7 +159,7 @@ class TestParse:
         canonical_smiles(mol)
         assert len(calls) == 1
         assert mol.ring_bonds == reference_non_bridge_edges(len(mol), mol.neighbors,
-                                                            mol.bond_lookup)
+                                                            bond_keys(mol))
         # Molecules built another way still find their ring bonds lazily.
         again = renumbered(mol, list(reversed(range(len(mol)))))
         assert "ring_bonds" not in vars(again)
@@ -371,8 +373,11 @@ WRITER_CASES = [
 
 
 def written_both_ways(mol: Molecule, ranks) -> tuple[list[str], list[str]]:
+    """The writer's fragments, and the reference's in the rank order of their
+    lowest-ranked atoms."""
+    frags = sorted(reference_fragments(mol), key=lambda frag: min(ranks[i] for i in frag))
     return (canon._write_fragments(mol, ranks),
-            [reference_write_fragment(mol, ranks, frag) for frag in mol.fragments])
+            [reference_write_fragment(mol, ranks, frag) for frag in frags])
 
 
 class TestWriterMatchesReference:
@@ -399,6 +404,15 @@ class TestWriterMatchesReference:
     def test_symmetric_molecules(self):
         self.check(SYMMETRIC_SMILES, random.Random(43))
 
+    @pytest.mark.parametrize("text", ["[NH4+].CC(=O)[O-]", "[Na+].[Cl-]"])
+    def test_fragments_come_in_rank_order(self, text):
+        # Not in atom-index order, which a renumbering changes.
+        mol = parse_smiles(text)
+        rng = random.Random(45)
+        written = {tuple(canon._write_fragments(again, again.ranks))
+                   for again in (shuffled(mol, rng) for _ in range(24))}
+        assert len(written) == 1
+
     def test_stereo_charge_isotope_and_fragment_cases(self):
         self.check(WRITER_CASES, random.Random(44), orders=10)
         # The cases reach ring numbers above 9.
@@ -420,7 +434,8 @@ class TestRingNumberLimit:
         with pytest.raises(ChemistryError, match="more than 99 ring-closure numbers"):
             canonical_smiles(mol)
         # The reference writer has no limit; its `%100` reads back as another molecule.
-        (old,) = [reference_write_fragment(mol, mol.ranks, frag) for frag in mol.fragments]
+        (old,) = [reference_write_fragment(mol, mol.ranks, frag)
+                  for frag in reference_fragments(mol)]
         assert "%100" in old
         assert len(parse_smiles(old).bonds) == 599
 
@@ -561,7 +576,6 @@ class TestOnePassBuilder:
             nbrs[b.a].append(b.b)
             nbrs[b.b].append(b.a)
         assert got.neighbors == tuple(map(tuple, nbrs)), text
-        assert list(got.bond_lookup.items()) == [(b.key(), b) for b in got.bonds], text
         assert got.degrees == tuple(map(len, nbrs)), text
         return True
 
@@ -602,7 +616,7 @@ class TestOnePassBuilder:
         for text in corpus:
             mol = shuffled(parse_smiles(text), rng)
             assert mol.ring_bonds == reference_non_bridge_edges(len(mol), mol.neighbors,
-                                                                mol.bond_lookup)
+                                                                bond_keys(mol))
 
     def test_shared_atoms_are_bounded(self):
         perception._shared_atom.cache_clear()
@@ -676,7 +690,7 @@ class TestDerivedOnce:
         monkeypatch.setattr(perception, "_non_bridge_edges", counting)
         monkeypatch.setattr(model, "_non_bridge_edges", counting)
         derived = []
-        for name in ("neighbors", "bond_lookup", "degrees"):
+        for name in ("neighbors", "degrees"):
             def derive(self, _derive=vars(Molecule)[name].func, _name=name):
                 derived.append((_name, self))
                 return _derive(self)
@@ -690,6 +704,9 @@ class TestDerivedOnce:
         assert murcko_scaffold(mol) != EMPTY_SCAFFOLD
         assert scans == []
         assert [name for name, of in derived if of is mol] == []
+        # Only tables that more than one layer reads are kept with the molecule.
+        assert set(vars(mol)) == {"ring_bonds", "neighbors", "degrees", "ring_membership",
+                                  "ranks"}
 
 
 class TestAsciiDigits:
