@@ -12,6 +12,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import replace
 
+from ._jsonl import dumps
 from .fingerprint import FingerprintSpec, fingerprint, tanimoto
 from .molgraph import ChemistryError, SmilesSyntaxError, canonical_smiles, parse_smiles
 
@@ -107,13 +108,15 @@ def score_generation(
     """The detail row of a {id, prediction, reference} record, with the
     record's prediction and reference texts; specs are generation_specs.
 
-    A reference that does not parse raises ValueError("invalid reference:
-    ..."). An invalid prediction gives a row that is neither valid nor exact
-    and has no fingerprint similarities; an exact one has similarities of
-    1.0, with neither side fingerprinted.
+    A text that is not a string, or a reference that does not parse, raises
+    ValueError. An invalid prediction gives a row that is neither valid nor
+    exact and has no fingerprint similarities; an exact one has similarities
+    of 1.0, with neither side fingerprinted.
     """
-    pred = str(record["prediction"])
-    ref = str(record["reference"])
+    pred, ref = record["prediction"], record["reference"]
+    for field, text in (("prediction", pred), ("reference", ref)):
+        if type(text) is not str:
+            raise ValueError(f"{field} must be a string, got {dumps(text)}")
     try:
         ref_mol = parse_smiles(ref)
         ref_canonical = canonical_smiles(ref_mol)

@@ -27,12 +27,13 @@ atom (a direction mark flipped for the far end); each atom's bond-order
 sum, an aromatic bond counted as 1; and whether a non-aromatic multiple
 bond meets it. An atom without a chiral tag is written from its Atom, sum
 and flag alone, through a bounded cache. The ranks are a permutation,
-and the atoms are taken in rank order: each one not yet walked starts a
-fragment, walked depth-first with children in rank order, so fragments
-come in rank order. The walk fixes the parent, branches and ring bonds;
-atoms are written in walk order. Ring numbers run 1-9 and %10-%99, the
-lowest free one reused; a molecule that needs more than 99 at once is
-refused (ChemistryError), as %(nnn) is not read back.
+and the atoms are taken in rank order: each one not yet walked is the root
+of a fragment, walked depth-first with children in rank order. The walk
+fixes the parent, branches and ring bonds; atoms are written in walk order,
+a root starting the next fragment. Ring numbers run 1-9 and %10-%99 from
+one pool, the lowest free one reused: a fragment closes every ring it
+opens, so each numbers its rings from 1. A molecule that needs more than 99
+at once is refused (ChemistryError), as %(nnn) is not read back.
 
 Stereo annotations never participate in ranking and are re-emitted in
 their input-declared sense.
@@ -71,8 +72,6 @@ def canonical_ranks(mol: Molecule) -> list[int]:
     SMILES and its graph record refines once.
     """
     n = len(mol.atoms)
-    if n == 0:
-        return []
     ring = mol.ring_membership
     degrees = mol.degrees
     neighbors = mol.neighbors
@@ -288,11 +287,9 @@ def _write_fragments(mol: Molecule, ranks) -> list[str]:
     closings: dict[int, list[int]] = {}  # later atom -> earlier partners
     openings: dict[int, list[tuple[int, str]]] = {}  # earlier atom -> (later, text)
     walk: list[int] = []
-    bounds = []
     for root in by_rank:
         if disc[root] >= 0:
             continue
-        bounds.append(len(walk))
         disc[root] = len(walk)
         walk.append(root)
         stack = [(root, iter(adj[root]))]
@@ -312,52 +309,51 @@ def _write_fragments(mol: Molecule, ranks) -> list[str]:
                     openings.setdefault(w, []).append((v, text.translate(FLIP_DIRECTION)))
             else:
                 stack.pop()
-    bounds.append(n)
 
-    # Emission pass, atoms in walk order. A child other than the first
-    # closes its elder sibling's branch; a child other than the last opens
-    # its own.
-    out: list[str] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        parts: list[str] = []
-        digit_of: dict[tuple[int, int], int] = {}
-        freed: list[int] = []
-        next_digit = 1
-        for v in walk[lo:hi]:
-            p = parent[v]
-            if p >= 0:
-                if disc[v] != disc[p] + 1:
-                    parts.append(")")
-                if last_child[p] != v:
-                    parts.append("(")
-                parts.append(up_text[v])
-            if chirality[v] is None:
-                parts.append(_atom_token(atoms[v], valence[v], multiple[v]))
-            else:
-                later = closings.get(v, []) + [w for w, _ in openings.get(v, ())]
-                later += [w for _, w, _ in adj[v] if parent[w] == v]
-                parts.append(_bracket_token(atoms[v], _adjusted_tag(mol, v, p, later)))
-            if v in closings:
-                for u in closings[v]:
-                    d = digit_of.pop((u, v))
-                    parts.append(_RING_LABELS[d])
-                    heapq.heappush(freed, d)
-            if v in openings:
-                for w, text in openings[v]:
-                    if freed:
-                        d = heapq.heappop(freed)
-                    else:
-                        d = next_digit
-                        next_digit += 1
-                        if d > 99:
-                            raise ChemistryError(
-                                "cannot write SMILES with more than 99 ring-closure "
-                                "numbers open at once")
-                    digit_of[(v, w)] = d
-                    parts.append(text)
-                    parts.append(_RING_LABELS[d])
-        out.append("".join(parts))
-    return out
+    # Emission pass, atoms in walk order; a root starts the next fragment. A
+    # child other than the first closes its elder sibling's branch; a child
+    # other than the last opens its own.
+    fragments: list[list[str]] = []
+    digit_of: dict[tuple[int, int], int] = {}
+    freed: list[int] = []
+    next_digit = 1
+    for v in walk:
+        p = parent[v]
+        if p < 0:
+            parts: list[str] = []
+            fragments.append(parts)
+        else:
+            if disc[v] != disc[p] + 1:
+                parts.append(")")
+            if last_child[p] != v:
+                parts.append("(")
+            parts.append(up_text[v])
+        if chirality[v] is None:
+            parts.append(_atom_token(atoms[v], valence[v], multiple[v]))
+        else:
+            later = closings.get(v, []) + [w for w, _ in openings.get(v, ())]
+            later += [w for _, w, _ in adj[v] if parent[w] == v]
+            parts.append(_bracket_token(atoms[v], _adjusted_tag(mol, v, p, later)))
+        if v in closings:
+            for u in closings[v]:
+                d = digit_of.pop((u, v))
+                parts.append(_RING_LABELS[d])
+                heapq.heappush(freed, d)
+        if v in openings:
+            for w, text in openings[v]:
+                if freed:
+                    d = heapq.heappop(freed)
+                else:
+                    d = next_digit
+                    next_digit += 1
+                    if d > 99:
+                        raise ChemistryError(
+                            "cannot write SMILES with more than 99 ring-closure "
+                            "numbers open at once")
+                digit_of[(v, w)] = d
+                parts.append(text)
+                parts.append(_RING_LABELS[d])
+    return ["".join(parts) for parts in fragments]
 
 
 @lru_cache(maxsize=1024)

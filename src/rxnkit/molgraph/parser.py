@@ -19,6 +19,7 @@ from .model import FLIP_DIRECTION, H_SLOT, SmilesSyntaxError
 # The order of each bond symbol; ':' and an unwritten bond are resolved in
 # perception, and '/' and '\\' are directions of a single bond.
 BOND_ORDERS = {"-": 1, "=": 2, "#": 3}
+DIRECTIONS = frozenset("/\\")
 # ASCII digits only: str.isdigit() also admits digits int() rejects or reads
 # as 0-9 from other scripts.
 DIGITS = frozenset("0123456789")
@@ -70,50 +71,41 @@ def parse_draft(text: str) -> MolDraft:
     n = len(s)
     i = 0
     prev: int | None = None
-    pending: str | None = None          # bond symbol waiting for its far atom
-    pending_stereo: str | None = None   # '/' or '\\' (a single-bond flavor)
+    pending: str | None = None  # the bond symbol waiting for its far atom, '/' or '\\' too
     stack: list[int] = []
-    # open ring digits: digit -> (atom, bond symbol or None, stereo, slot pos)
-    open_rings: dict[int, tuple[int, str | None, str | None, int]] = {}
-    atom_seen_in_fragment = False
+    # open ring digits: digit -> (atom, its bond symbol or None, slot pos)
+    open_rings: dict[int, tuple[int, str | None, int]] = {}
 
     def fail(msg: str) -> SmilesSyntaxError:
         return SmilesSyntaxError(f"{msg} (position {i} in {s!r})")
 
     def close_or_open_ring(digit: int) -> None:
-        nonlocal pending, pending_stereo
+        nonlocal pending
         if prev is None:
             raise fail("ring bond digit with no current atom")
         if digit in open_rings:
-            other, osym, ostereo, oslot = open_rings.pop(digit)
-            sym, stereo = osym, ostereo
-            if pending is not None or pending_stereo is not None:
-                if sym is not None or stereo is not None:
-                    csym, cstereo = pending, pending_stereo
-                    agree = (sym == csym and stereo is None and cstereo is None) or (
-                        sym is None and csym is None
-                        and stereo is not None and cstereo is not None
-                        and stereo != cstereo)
-                    if not agree:
-                        raise fail(f"conflicting bond symbols on ring bond {digit}")
-                else:
-                    # A mark at the closing atom reads from prev to other.
-                    sym = pending
-                    stereo = pending_stereo and pending_stereo.translate(FLIP_DIRECTION)
+            other, mark, oslot = open_rings.pop(digit)
+            if pending is not None:
+                # A closing direction, flipped, reads from other as the opening
+                # mark does: the ends agree on equal symbols or opposite directions.
+                closing = pending.translate(FLIP_DIRECTION)
+                if mark is None:
+                    mark = closing
+                elif mark != closing:
+                    raise fail(f"conflicting bond symbols on ring bond {digit}")
             if other == prev:
                 raise SmilesSyntaxError("ring bond connects an atom to itself")
             # An atom's slots name every atom bonded to it so far.
             if other in atoms[prev].slots:
                 raise SmilesSyntaxError(f"duplicate bond between atoms {other} and {prev}")
-            bonds.append(BondDraft(other, prev, sym, stereo))
+            bonds.append(_bond(other, prev, mark))
             atoms[other].slots[oslot] = prev
             atoms[prev].slots.append(other)
         else:
             slot = len(atoms[prev].slots)
             atoms[prev].slots.append(None)
-            open_rings[digit] = (prev, pending, pending_stereo, slot)
+            open_rings[digit] = (prev, pending, slot)
         pending = None
-        pending_stereo = None
 
     while i < n:
         ch = s[i]
@@ -123,29 +115,27 @@ def parse_draft(text: str) -> MolDraft:
             atoms.append(atom)
             if prev is not None:
                 # A bond to a new atom can be neither a loop nor a duplicate.
-                bonds.append(BondDraft(prev, idx, pending, pending_stereo))
+                bonds.append(_bond(prev, idx, pending))
                 atoms[prev].slots.append(idx)
                 # The preceding atom is the first stereo slot, ahead of any
                 # bracket H recorded while the atom itself was parsed.
                 atom.slots.insert(0, prev)
-            elif pending is not None or pending_stereo is not None:
+            elif pending is not None:
                 raise fail("bond symbol with no preceding atom")
             pending = None
-            pending_stereo = None
             prev = idx
-            atom_seen_in_fragment = True
             i = j
         elif ch == "(":
             if prev is None:
                 raise fail("branch with no preceding atom")
-            if pending is not None or pending_stereo is not None:
+            if pending is not None:
                 raise fail("bond symbol before '('")
             stack.append(prev)
             i += 1
         elif ch == ")":
             if not stack:
                 raise fail("unbalanced parentheses: unexpected ')'")
-            if pending is not None or pending_stereo is not None:
+            if pending is not None:
                 raise fail("dangling bond symbol before ')'")
             prev = stack.pop()
             i += 1
@@ -156,24 +146,18 @@ def parse_draft(text: str) -> MolDraft:
             close_or_open_ring(ring)
             i = j
         elif ch == ".":
-            if pending is not None or pending_stereo is not None:
+            if pending is not None:
                 raise fail("bond symbol before '.'")
             if stack:
                 raise fail("'.' inside a branch")
-            if not atom_seen_in_fragment:
+            if prev is None:
                 raise fail("empty fragment before '.'")
             prev = None
-            atom_seen_in_fragment = False
             i += 1
-        elif ch in BOND_ORDERS or ch == ":":
-            if pending is not None or pending_stereo is not None:
+        elif ch in BOND_ORDERS or ch in ":/\\":
+            if pending is not None:
                 raise fail("two consecutive bond symbols")
             pending = ch
-            i += 1
-        elif ch in "/\\":
-            if pending is not None or pending_stereo is not None:
-                raise fail("two consecutive bond symbols")
-            pending_stereo = ch
             i += 1
         else:
             raise fail(f"unexpected character {ch!r}")
@@ -183,11 +167,17 @@ def parse_draft(text: str) -> MolDraft:
     if open_rings:
         digits = ", ".join(str(d) for d in sorted(open_rings))
         raise SmilesSyntaxError(f"ring bond {digits} never closed")
-    if pending is not None or pending_stereo is not None:
+    if pending is not None:
         raise SmilesSyntaxError("dangling bond symbol at end of input")
-    if not atom_seen_in_fragment:
+    if prev is None:
         raise SmilesSyntaxError("empty fragment after '.'")
     return mol
+
+
+def _bond(a: int, b: int, mark: str | None) -> BondDraft:
+    """The draft of the bond a-b written with mark: a direction is a single
+    bond's stereo read from a to b, any other mark its symbol."""
+    return BondDraft(a, b, None, mark) if mark in DIRECTIONS else BondDraft(a, b, mark)
 
 
 def read_digits(s: str, i: int, stop: int | None = None) -> tuple[int | None, int]:

@@ -153,59 +153,42 @@ def _shared_atom(
 
 
 def _fold_explicit_h(draft: MolDraft) -> None:
-    """Fold plain single-bonded [H] atoms into the heavy atom's H count."""
-    incident: dict[int, list[int]] = defaultdict(list)
-    for bi, b in enumerate(draft.bonds):
-        incident[b.a].append(bi)
-        incident[b.b].append(bi)
+    """Fold plain single-bonded [H] atoms into the heavy atom's H count.
 
-    removed_atoms: set[int] = set()
-    removed_bonds: set[int] = set()
-    for idx, a in enumerate(draft.atoms):
-        if (
-            a.atomic_number != 1
-            or a.isotope is not None
-            or a.charge
-            or a.chiral
-            or a.aromatic
-            or (a.explicit_h not in (None, 0))
-        ):
-            continue
-        blist = incident.get(idx, [])
-        if len(blist) != 1:
-            continue
-        bond = draft.bonds[blist[0]]
-        if bond.symbol not in (None, "-") or bond.stereo:
-            continue
-        partner = bond.b if bond.a == idx else bond.a
-        if draft.atoms[partner].atomic_number == 1:
-            continue
-        p = draft.atoms[partner]
-        p.folded_h += 1
-        p.slots[p.slots.index(idx)] = H_SLOT
-        removed_atoms.add(idx)
-        removed_bonds.add(blist[0])
+    An atom's slots name every atom bonded to it, so an [H] with one slot
+    has one bond. When that bond is plain and joins a heavy atom, the [H]
+    leaves the draft with its bond, and the heavy atom's slot for it becomes
+    H_SLOT. The atoms and bonds left keep their order.
+    """
+    atoms = draft.atoms
+    folded: set[int] = set()
+    bonds = []
+    for b in draft.bonds:
+        h, heavy = (b.a, b.b) if atoms[b.a].atomic_number == 1 else (b.b, b.a)
+        a = atoms[h]
+        if (a.atomic_number == 1 and atoms[heavy].atomic_number != 1 and len(a.slots) == 1
+                and b.symbol in (None, "-") and not b.stereo and a.isotope is None
+                and not (a.charge or a.chiral or a.aromatic or a.explicit_h)):
+            p = atoms[heavy]
+            p.folded_h += 1
+            p.slots[p.slots.index(h)] = H_SLOT
+            folded.add(h)
+        else:
+            bonds.append(b)
 
-    if not removed_atoms:
+    if not folded:
         return
     remap: dict[int, int] = {}
-    new_atoms = []
-    for idx, a in enumerate(draft.atoms):
-        if idx in removed_atoms:
-            continue
-        remap[idx] = len(new_atoms)
-        new_atoms.append(a)
-    for a in new_atoms:
+    for idx in range(len(atoms)):
+        if idx not in folded:
+            remap[idx] = len(remap)
+    draft.atoms = [atoms[idx] for idx in remap]
+    for a in draft.atoms:
         a.slots = [s if s == H_SLOT else remap[s] for s in a.slots]
-    new_bonds = []
-    for bi, b in enumerate(draft.bonds):
-        if bi in removed_bonds:
-            continue
+    for b in bonds:
         b.a = remap[b.a]
         b.b = remap[b.b]
-        new_bonds.append(b)
-    draft.atoms = new_atoms
-    draft.bonds = new_bonds
+    draft.bonds = bonds
 
 
 def _kekulize(
@@ -368,12 +351,8 @@ def _perceive_huckel(
 
     def try_union(members: list[tuple[frozenset[int], frozenset[tuple[int, int]]]]) -> None:
         atoms_u: frozenset[int] = frozenset().union(*(m[0] for m in members))
-        total = 0
-        for a in atoms_u:
-            c = contribution(a, atoms_u)
-            if c is None:
-                return
-            total += c
+        # Every atom of a candidate ring contributes, whatever the union.
+        total = sum(contribution(a, atoms_u) for a in atoms_u)
         if total < 2 or total % 4 != 2:
             return
         for a in atoms_u:
@@ -461,12 +440,11 @@ def _shortest_paths(u: int, v: int, adj: dict[int, list[int]]) -> list[list[int]
                 elif dist[y] == dist[x] + 1:
                     preds[y].append(x)
         frontier = nxt
-    if v not in dist:
-        return []
 
-    # Depth-first from v back to u over the predecessor lists, as a loop:
-    # stack entries are (node, its distance from v), and acc holds the
-    # nodes from v up to, not including, the node popped last.
+    # u-v is a ring edge, so v is reached. Depth-first from v back to u
+    # over the predecessor lists, as a loop: stack entries are (node, its
+    # distance from v), and acc holds the nodes from v up to, not
+    # including, the node popped last.
     paths: list[list[int]] = []
     acc: list[int] = []
     stack = [(v, 0)]

@@ -17,7 +17,9 @@ cycles searched from every ring edge, before fused systems and lone rings
 were taken one at a time; its shortest-path search is a frozen copy, with
 the skipped edge and the cap as parameters. So is the SMILES writer that looked up each bond
 as it wrote it, re-summed each atom's bond orders to decide whether it could
-be written bare, and walked a tagged work stack.
+be written bare, and walked a tagged work stack. The [H] fold, the kekule
+matching and the chiral-tag parity these builders call are frozen copies
+too, so no oracle shares a private helper with the code it checks.
 """
 
 from __future__ import annotations
@@ -31,16 +33,21 @@ from itertools import permutations
 
 from rxnkit.fingerprint import BitFingerprint, FingerprintSpec, fnv1a
 from rxnkit.molgraph import Molecule
-from rxnkit.molgraph.canon import _adjusted_tag
 from rxnkit.molgraph.elements import (
     BARE_ATOMS,
     allowed_valences,
     hydrogens_to_fill,
     takes_double_bond,
 )
-from rxnkit.molgraph.model import FLIP_DIRECTION, Atom, Bond, ChemistryError, bond_code
+from rxnkit.molgraph.model import (
+    FLIP_DIRECTION,
+    H_SLOT,
+    Atom,
+    Bond,
+    ChemistryError,
+    bond_code,
+)
 from rxnkit.molgraph.parser import BOND_ORDERS, MolDraft
-from rxnkit.molgraph.perception import _MULTI, _fold_explicit_h, _kekulize
 
 
 @lru_cache(maxsize=16)
@@ -530,11 +537,12 @@ def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
 
     Keyword-built Atoms and Bonds, separate hydrogen and valence loops, and
     ring bonds found on tuple copies of the adjacency. The [H] fold and
-    kekulization are the library's own, unchanged by the one-pass builder;
-    the fold runs here on every draft, not only on drafts with a hydrogen
-    atom. Hueckel perception is the all-rings-at-once reference below.
+    kekulization are frozen copies of the library's as the one-pass builder
+    found them; the fold runs here on every draft, not only on drafts with
+    a hydrogen atom. Hueckel perception is the all-rings-at-once reference
+    below.
     """
-    _fold_explicit_h(draft)
+    reference_fold_explicit_h(draft)
     n = len(draft.atoms)
 
     orders = [0] * len(draft.bonds)
@@ -590,7 +598,7 @@ def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
                 f"aromatic atom {idx} is not part of an aromatic ring"
             )
 
-    _kekulize(draft, orders, candidate, incident)
+    reference_kekulize(draft, orders, candidate, incident)
 
     implicit = [0] * n
     for idx, a in enumerate(draft.atoms):
@@ -639,6 +647,149 @@ def reference_molecule_from_draft(draft: MolDraft) -> Molecule:
     return Molecule(atoms, bonds, chirality, ring_bonds=ring_keys)
 
 
+def reference_fold_explicit_h(draft: MolDraft) -> None:
+    """Fold plain single-bonded [H] atoms into the heavy atom's H count: a
+    bond table per atom, and the folded atoms and bonds collected in sets
+    that the remap then skips."""
+    incident: dict[int, list[int]] = defaultdict(list)
+    for bi, b in enumerate(draft.bonds):
+        incident[b.a].append(bi)
+        incident[b.b].append(bi)
+
+    removed_atoms: set[int] = set()
+    removed_bonds: set[int] = set()
+    for idx, a in enumerate(draft.atoms):
+        if (
+            a.atomic_number != 1
+            or a.isotope is not None
+            or a.charge
+            or a.chiral
+            or a.aromatic
+            or (a.explicit_h not in (None, 0))
+        ):
+            continue
+        blist = incident.get(idx, [])
+        if len(blist) != 1:
+            continue
+        bond = draft.bonds[blist[0]]
+        if bond.symbol not in (None, "-") or bond.stereo:
+            continue
+        partner = bond.b if bond.a == idx else bond.a
+        if draft.atoms[partner].atomic_number == 1:
+            continue
+        p = draft.atoms[partner]
+        p.folded_h += 1
+        p.slots[p.slots.index(idx)] = H_SLOT
+        removed_atoms.add(idx)
+        removed_bonds.add(blist[0])
+
+    if not removed_atoms:
+        return
+    remap: dict[int, int] = {}
+    new_atoms = []
+    for idx, a in enumerate(draft.atoms):
+        if idx in removed_atoms:
+            continue
+        remap[idx] = len(new_atoms)
+        new_atoms.append(a)
+    for a in new_atoms:
+        a.slots = [s if s == H_SLOT else remap[s] for s in a.slots]
+    new_bonds = []
+    for bi, b in enumerate(draft.bonds):
+        if bi in removed_bonds:
+            continue
+        b.a = remap[b.a]
+        b.b = remap[b.b]
+        new_bonds.append(b)
+    draft.atoms = new_atoms
+    draft.bonds = new_bonds
+
+
+def reference_kekulize(
+    draft: MolDraft,
+    orders: list[int],
+    candidate: list[bool],
+    incident: list[list[int]],
+) -> None:
+    """Assign kekule orders inside declared-aromatic systems: a perfect
+    matching over candidate bonds between the atoms ``takes_double_bond``
+    names, found depth-first, the most constrained free atom first."""
+    must: set[int] = set()
+    for idx, a in enumerate(draft.atoms):
+        if not a.aromatic:
+            continue
+        bonds = incident[idx]
+        sigma = (a.explicit_h or 0) + a.folded_h + sum(
+            1 if candidate[bi] else orders[bi] for bi in bonds)
+        explicit_multiple = any(orders[bi] >= 2 and not candidate[bi] for bi in bonds)
+        if takes_double_bond(a.atomic_number, a.charge, sigma, explicit_multiple,
+                             a.explicit_h is None):
+            must.add(idx)
+
+    if not must:
+        return
+    adj: dict[int, list[int]] = {a: [] for a in must}
+    for bi, b in enumerate(draft.bonds):
+        if candidate[bi] and b.a in must and b.b in must:
+            adj[b.a].append(b.b)
+            adj[b.b].append(b.a)
+
+    # The next atom to pair is the free atom with the fewest free neighbours,
+    # ties broken by index; a heap holds (free neighbours, atom) entries, and
+    # stale ones are skipped.
+    match: dict[int, int] = {}
+    free_deg = {a: len(adj[a]) for a in must}
+    heap = [(d, a) for a, d in free_deg.items()]
+    heapq.heapify(heap)
+
+    def pair(a: int, b: int, step: int) -> None:
+        for x in (a, b):
+            for y in adj[x]:
+                free_deg[y] += step
+                heapq.heappush(heap, (free_deg[y], y))
+
+    def most_constrained() -> int | None:
+        while heap:
+            d, x = heap[0]
+            if x not in match and free_deg[x] == d:
+                return x
+            heapq.heappop(heap)
+        return None
+
+    first = most_constrained()
+    stack = [] if first is None else [(first, iter(adj[first]))]
+    solved = first is None
+    while stack and not solved:
+        a, options = stack[-1]
+        if a in match:  # the partner tried last led nowhere: undo it
+            b = match.pop(a)
+            del match[b]
+            pair(a, b, 1)
+        for b in options:
+            if b in match:
+                continue
+            match[a] = b
+            match[b] = a
+            pair(a, b, -1)
+            nxt = most_constrained()
+            if nxt is None:
+                solved = True
+            else:
+                stack.append((nxt, iter(adj[nxt])))
+            break
+        else:
+            stack.pop()
+
+    if not solved:
+        raise ChemistryError(
+            "cannot kekulize declared aromatic system "
+            "(is a pyrrole-type nitrogen missing its [nH]?)"
+        )
+    for bi, b in enumerate(draft.bonds):
+        if candidate[bi] and match.get(b.a) == b.b:
+            orders[bi] = 2
+
+
 def reference_non_bridge_edges(
     n: int,
     neighbors: tuple[tuple[int, ...], ...],
@@ -676,6 +827,9 @@ def reference_non_bridge_edges(
     return frozenset(key for key in keys if key not in bridges)
 
 
+REFERENCE_MULTI = -2  # sentinel: atom has several multiple bonds (not conjugatable)
+
+
 def reference_perceive_huckel(
     draft: MolDraft,
     orders: list[int],
@@ -702,19 +856,19 @@ def reference_perceive_huckel(
     if not has_ring_double:
         return
 
-    # Unique double-bond partner per atom; _MULTI disqualifies.
+    # Unique double-bond partner per atom; REFERENCE_MULTI disqualifies.
     partner = [None] * len(draft.atoms)
     for bi, b in enumerate(draft.bonds):
         if orders[bi] == 2:
             for x, y in ((b.a, b.b), (b.b, b.a)):
-                partner[x] = y if partner[x] is None else _MULTI
+                partner[x] = y if partner[x] is None else REFERENCE_MULTI
         elif orders[bi] == 3:
-            partner[b.a] = _MULTI
-            partner[b.b] = _MULTI
+            partner[b.a] = REFERENCE_MULTI
+            partner[b.b] = REFERENCE_MULTI
 
     def contribution(idx: int, union: frozenset[int]) -> int | None:
         p = partner[idx]
-        if p == _MULTI:
+        if p == REFERENCE_MULTI:
             return None
         if p is not None:
             return 1 if p in union else 0
@@ -1011,7 +1165,7 @@ def _reference_atom_token(
         return sym
 
     later = closings[v] + openings[v] + children[v]
-    tag = chirality and _adjusted_tag(mol, v, -1 if par is None else par, later)
+    tag = chirality and reference_adjusted_tag(mol, v, -1 if par is None else par, later)
 
     parts = ["["]
     if a.isotope is not None:
@@ -1034,3 +1188,46 @@ def _reference_atom_token(
         parts.append(f"-{-q}")
     parts.append("]")
     return "".join(parts)
+
+
+def reference_adjusted_tag(mol: Molecule, v: int, par: int, later: list[int]) -> str | None:
+    """Chiral tag re-expressed for the written neighbour order: the parent
+    (``par``, -1 for none), an in-bracket hydrogen, then ``later``. An odd
+    permutation of the declared order flips the tag; a centre with more than
+    one hydrogen, or whose written neighbours are not the declared ones,
+    loses it."""
+    tag, stored = mol.chirality[v]
+    a = mol.atoms[v]
+    out: list[int] = []
+    if par >= 0:
+        out.append(par)
+    if a.implicit_hydrogens == 1:
+        out.append(H_SLOT)
+    elif a.implicit_hydrogens > 1:
+        return None
+    out.extend(later)
+    if sorted(out) != sorted(stored):
+        return None
+    if reference_perm_parity(list(stored), out) == 0:
+        return tag
+    return "@@" if tag == "@" else "@"
+
+
+def reference_perm_parity(src: list[int], dst: list[int]) -> int:
+    """0 when dst is an even permutation of src, 1 when odd, by counting
+    inversions."""
+    perm = []
+    used = [False] * len(dst)
+    for x in src:
+        for j, y in enumerate(dst):
+            if not used[j] and y == x:
+                used[j] = True
+                perm.append(j)
+                break
+    inversions = sum(
+        1
+        for i in range(len(perm))
+        for j in range(i + 1, len(perm))
+        if perm[i] > perm[j]
+    )
+    return inversions % 2

@@ -524,6 +524,11 @@ class TestSplitAndLeakcheck:
             assert json.loads(capsys.readouterr().err) == {
                 "error": f"--band must look like 0.5:0.6, got {band!r}"}
             assert not out.exists()
+        assert run(["split", "--candidates", str(t), "--train", str(t), "--band=0.6:0.5",
+                    "--n", "1", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "--band low must be <= high, got '0.6:0.5'"}
+        assert not out.exists()
 
     def test_n_below_one_is_fatal_before_fingerprinting(self, tmp_path, capsys, monkeypatch):
         t = tmp_path / "t.jsonl"
@@ -1548,6 +1553,36 @@ class TestEvalBadPairs:
         assert strict_row(capsys, ref) == {
             "line": 1, "id": 1, "error": "invalid reference: ring bond 1 never closed"}
         assert not out.exists()
+
+    def test_gen_texts_that_are_not_strings_are_error_rows(self, tmp_path, capsys):
+        # Not scored as their Python spellings "None", "5" and "['CCO']".
+        ref, pred = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(ref, [{"id": i, "reference": "CCO"} for i in range(1, 4)]
+                    + [{"id": 4, "reference": 5}, {"id": 5, "reference": "CCO"}])
+        write_jsonl(pred, [{"id": 1, "prediction": None}, {"id": 2, "prediction": 5},
+                           {"id": 3, "prediction": ["CCO"]}, {"id": 4, "prediction": "C"},
+                           {"id": 5, "prediction": "OCC"}])
+        not_text = "prediction must be a string, got "
+        rows = [{"line": 1, "id": 1, "error": not_text + "null"},
+                {"line": 2, "id": 2, "error": not_text + "5"},
+                {"line": 3, "id": 3, "error": not_text + '["CCO"]'},
+                {"line": 4, "id": 4, "error": "reference must be a string, got 5"}]
+        outputs = set()
+        for workers in ("1", "2"):
+            out, details = tmp_path / f"m{workers}.json", tmp_path / f"d{workers}.jsonl"
+            assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref), "--out", str(out),
+                        "--details", str(details), "--workers", workers]) == 0
+            err = capsys.readouterr().err
+            assert json.loads(err)["record_errors"] == rows
+            assert json.loads(details.read_text()) == {
+                "exact": True, "fts_circular": 1.0, "fts_key": 1.0, "fts_path": 1.0, "id": 5,
+                "levenshtein": 2, "valid": True}
+            outputs.add((err, out.read_text().replace(str(details), "DETAILS"),
+                         details.read_text()))
+        assert len(outputs) == 1
+        assert run(["eval", "gen", "--pred", str(pred), "--ref", str(ref),
+                    "--out", str(tmp_path / "strict.json"), "--strict"]) == 1
+        assert strict_row(capsys, ref) == rows[0]
 
     @staticmethod
     def id_files(tmp_path, task, refs, preds):

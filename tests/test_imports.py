@@ -204,6 +204,25 @@ def test_only_jsonl_reads_json():
     assert found == []
 
 
+def private_rxnkit_imports(source: str) -> list[str]:
+    """The names starting with '_' that the source imports from rxnkit."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[0] == "rxnkit"
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_oracles_import_nothing_private():
+    # An oracle that calls a private helper of the code it checks cannot
+    # catch a slip in that helper.
+    assert private_rxnkit_imports(
+        "from rxnkit.molgraph.canon import _adjusted_tag\n"
+        "from rxnkit.molgraph import Molecule, _x\nfrom json import _default_decoder\n"
+        "from rxnkitx import _y\nfrom . import _z") == ["_adjusted_tag", "_x"]
+    oracles = Path(__file__).resolve().parent / "oracles.py"
+    assert private_rxnkit_imports(oracles.read_text(encoding="utf-8")) == []
+
+
 def json_converters(root: Path) -> list[str]:
     """Class.method for each to_dict, from_dict or to_json a class under root defines."""
     found = []

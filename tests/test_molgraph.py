@@ -83,6 +83,8 @@ class TestParse:
         assert molecular_formula(parse_smiles("[H][H]")) == "H2"
         mol = parse_smiles("[2H]OC")
         assert len(mol.atoms) == 3  # isotopic hydrogen kept as a node
+        # The folded H makes a CH2: its chiral tag cannot be kept.
+        assert canonicalize("[C@H]([H])(F)Cl") == "[CH2](F)Cl"
 
     def test_percent_ring_numbers(self):
         assert canonicalize("C%10CCCCC%10") == canonicalize("C1CCCCC1")
@@ -119,6 +121,40 @@ class TestParse:
         with pytest.raises(SmilesSyntaxError) as err:
             parse_smiles(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("=C", "bond symbol with no preceding atom (position 1 in '=C')"),
+        ("C=(C)", "bond symbol before '(' (position 2 in 'C=(C)')"),
+        ("C(C=)C", "dangling bond symbol before ')' (position 4 in 'C(C=)C')"),
+        ("C=.C", "bond symbol before '.' (position 2 in 'C=.C')"),
+        ("C(.C)", "'.' inside a branch (position 2 in 'C(.C)')"),
+        (".C", "empty fragment before '.' (position 0 in '.C')"),
+        ("C..C", "empty fragment before '.' (position 2 in 'C..C')"),
+        ("C.", "empty fragment after '.'"),
+        ("C==C", "two consecutive bond symbols (position 2 in 'C==C')"),
+        ("C=/C", "two consecutive bond symbols (position 2 in 'C=/C')"),
+        ("C//C", "two consecutive bond symbols (position 2 in 'C//C')"),
+        ("C=", "dangling bond symbol at end of input"),
+        ("C11", "ring bond connects an atom to itself"),
+        ("C/1CCCC/1", "conflicting bond symbols on ring bond 1 (position 8 in 'C/1CCCC/1')"),
+        ("C=1CCCC-1", "conflicting bond symbols on ring bond 1 (position 8 in 'C=1CCCC-1')"),
+        ("C=1CCCC/1", "conflicting bond symbols on ring bond 1 (position 8 in 'C=1CCCC/1')"),
+    ])
+    def test_draft_error_messages(self, text, message):
+        with pytest.raises(SmilesSyntaxError) as err:
+            parse_draft(text)
+        assert (type(err.value), str(err.value)) == (SmilesSyntaxError, message)
+
+    @pytest.mark.parametrize("text, bond", [
+        # Two opposite directions agree: the opening mark, read from atom 0.
+        ("C/1CCCC\\1", (0, 4, None, "/")),
+        # A mark at the closing atom alone reads from it, so it is flipped.
+        ("F/C=C1.Br/1", (2, 3, None, "\\")),
+        ("F/C=C/1.Br\\1", (2, 3, None, "/")),
+    ])
+    def test_ring_closure_direction_marks(self, text, bond):
+        ring_bond = parse_draft(text).bonds[-1]
+        assert (ring_bond.a, ring_bond.b, ring_bond.symbol, ring_bond.stereo) == bond
 
     @pytest.mark.parametrize("text, bonds", [("C1.C1", 1), ("C1C2.C12", 3), ("C12C(C1)C2", 5)])
     def test_ring_closures_that_are_new_bonds(self, text, bonds):
@@ -364,6 +400,9 @@ WRITER_CASES = [
     "[2H]OC",
     "[13CH3][C@@H]1CC[C@H](O)CC1/C=C/Br",
     "[Na+].[Cl-].CCO.c1ccccc1",
+    "C1CC1.C1CC1",
+    "[C@H]([H])(F)Cl",
+    "c1ccccc1.C1CCC2CC2C1",
     "c1cc[nH]c1",
     "O=S(=O)(O)O",
     "N#Cc1ccccc1",
@@ -518,7 +557,8 @@ ONE_PASS_CASES = {
     "fold": ["C([H])([H])([H])[H]", "[H][H]", "[2H]OC", "[H]C#N", "[H]/C=C/[H]", "[H+]",
              "[H-].[Na+]", "[H][C@@](F)(Cl)Br", "F[C@@]([H])(Cl)Br", "C1([H])CC1",
              "[H]c1ccccc1", "[H]N([H])C", "[H][H][H]", "[H]", "[H]O[H]", "[H]=C",
-             "[H]1CC1", "[H][2H]", "[H]Cl.[H]Br", "[H]C1=CC=CC=C1[H]"],
+             "[H]1CC1", "[H][2H]", "[H]Cl.[H]Br", "[H]C1=CC=CC=C1[H]", "[H]1.C1",
+             "[H]%10.C%10", "[H]-C", "[H]\\C=C/F", "[H][C@H](F)Cl", "C[H].[H]C"],
     "kekule": ["C1=CC=CC=C1", "C1=CC=C2C=CC=CC2=C1", "C1=CC=CC=CC=C1", "O=C1C=CC=C1",
                "C1=CNC=C1", "C1=COC=C1", "C1=CC=C(C=C1)C1=CC=CC=C1", "C1=CC2=CC=CC=CC2=C1",
                "C1=CC=C(C=C1)" * 4, "C1=C" + "C=C" * 20 + "1", "[O-][N+](=O)C1=CC=CC=C1",

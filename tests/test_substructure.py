@@ -58,6 +58,11 @@ class TestParsePattern:
         with pytest.raises(PatternSyntaxError):
             parse_pattern(text)
 
+    def test_conflicting_ring_bond(self):
+        with pytest.raises(PatternSyntaxError) as err:
+            parse_pattern("C-1CC=1")
+        assert str(err.value) == "conflicting ring bond in 'C-1CC=1'"
+
     def test_charges_read_as_in_smiles(self):
         texts = ("+", "++", "+2", "-", "--")
         charges = [parse_pattern(f"[{text}]").atoms[0] for text in texts]
@@ -110,6 +115,7 @@ class TestMatching:
         mol = parse_smiles("CC1CCC1")
         assert len(find_matches(parse_pattern("[#6&R]"), mol)) == 4
         assert len(find_matches(parse_pattern("[#6&!R]"), mol)) == 1
+        assert find_matches(parse_pattern("[R0]"), parse_smiles("CC1CC1")) == [(0,)]
 
     def test_any_bond(self):
         mol = parse_smiles("C=C")
