@@ -6,19 +6,19 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import shutil
 import stat
 import sys
 import tempfile
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager, suppress
 from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
-CHUNK = 64  # items per pool task
+CHUNK = 64  # items per chunk sent to a worker
 TEMP_SUFFIX = ".rxnkit-tmp"  # the name ending of an output still being written
 
 
@@ -157,8 +157,8 @@ def write_json(path: str | Path | None, obj) -> None:
 
 
 def _exit_with_parent() -> None:
-    """Pool initializer: a thread ends the worker once the parent it started
-    with (the CLI, or a fork server that ends with it) has died."""
+    """A thread ends this worker once the parent it started with (the CLI, or
+    a fork server that ends with it) has died."""
     parent = os.getppid()
 
     def watch() -> None:
@@ -169,38 +169,129 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+def _serve(pipe) -> None:
+    """A worker: func over the items of each chunk it is sent, until it is sent None.
+
+    The first chunk of a map comes with the map's func, which the worker keeps
+    for the chunks after it. What func raises, or a result that cannot be
+    pickled, goes back in place of the chunk's results, to be raised there.
+    """
+    _exit_with_parent()
+    func = None
+    while (task := pipe.recv()) is not None:
+        sent, chunk = task
+        if sent is not None:
+            func = sent
+        try:
+            reply = True, [func(item) for item in chunk]
+        except BaseException as exc:  # re-raised by the caller of parallel_map
+            reply = False, exc
+        try:
+            pipe.send(reply)
+        except Exception as exc:  # send pickles first, so nothing was sent
+            pipe.send((False, pickle.PicklingError(f"a result could not be sent back: {exc!r}")))
+
+
 class Workers:
-    """The worker processes of a run: a pool of n, started on first use.
+    """The worker processes of a run: n of them, started on first use.
 
     With n == 1 no process is started and parallel_map runs in this one.
-    close() ends and joins the pool, so no worker outlives its owner, and a
-    worker whose owner dies without closing it ends itself.
+    Each worker has one pipe, which the calling thread alone drives: there
+    is no helper thread. close() ends and joins the workers, so no worker
+    outlives its owner, and a worker whose owner dies without closing it
+    ends itself.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self._pool = None
+        self._pipes: dict = {}  # this end of each worker's pipe -> the worker's Process
+        self._busy: dict = {}  # pipe -> sequence number of the chunk its worker holds
 
-    def pool(self):
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(processes=self.n, initializer=_exit_with_parent)
-        return self._pool
+    def _idle_pipes(self) -> list:
+        """Every worker's pipe, the workers started if there are none, and no
+        chunk left out (the results of a map closed early are dropped)."""
+        if not self._pipes:
+            for _ in range(self.n):
+                here, there = multiprocessing.Pipe()
+                worker = multiprocessing.Process(target=_serve, args=(there,), daemon=True)
+                worker.start()
+                there.close()
+                self._pipes[here] = worker
+        self._drain()
+        return list(self._pipes)
+
+    def _drain(self) -> None:
+        for pipe in self._busy:
+            with suppress(EOFError, OSError):
+                pipe.recv_bytes()  # dropped unread
+        self._busy.clear()
+
+    def map_chunks(self, func: Callable, chunks: Iterator[list]) -> Iterator:
+        """func over the items of each chunk, in chunk order, on the workers.
+
+        A chunk goes to an idle worker, with func if that worker has not had
+        it in this map. At most 2 * n chunks are out or held here before
+        their results are yielded. Before each chunk's results are yielded
+        the replies that have arrived are taken, so a worker that is done
+        gets its next chunk first. Only an idle worker is sent a chunk, so
+        neither end of a pipe can block the other. One map runs at a time.
+        """
+        from multiprocessing.connection import wait
+
+        idle = self._idle_pipes()
+        fresh = set(idle)  # the workers without func
+        replies = {}  # sequence number -> (ok, results or exception) not yet yielded
+        sent = yielded = 0
+        while True:
+            while idle and sent - yielded < 2 * self.n:
+                chunk = next(chunks, None)
+                if chunk is None:
+                    break
+                pipe = idle.pop()
+                pipe.send((func if pipe in fresh else None, chunk))
+                fresh.discard(pipe)
+                self._busy[pipe] = sent
+                sent += 1
+            if yielded == sent:
+                return
+            ready = wait(list(self._busy), 0 if yielded in replies else None) if self._busy else []
+            for pipe in ready:
+                sequence = self._busy.pop(pipe)  # not busy, even if recv fails
+                try:
+                    replies[sequence] = pipe.recv()
+                except EOFError:
+                    raise ChildProcessError("a worker ended before it sent its results") from None
+                idle.append(pipe)
+            if ready:
+                continue
+            ok, results = replies.pop(yielded)
+            yielded += 1
+            if not ok:
+                raise results
+            yield from results
 
     def close(self, kill: bool = False) -> None:
-        """Let the workers finish the chunks they were given, then end them.
+        """Let the workers finish the chunks they hold, then end them.
 
-        A worker killed while it sends a result leaves the result queue's
-        lock held, and Pool.terminate() then waits on that lock for ever;
-        parallel_map keeps at most 2 * n chunks in flight, so waiting for
-        them is bounded. kill=True (an interrupt) terminates at once.
+        Each is sent None, as with fork every worker holds this end of the
+        pipes of the workers started before it, so no pipe reads as closed.
+        A result still out is received and dropped, since a worker blocked
+        sending it would never read the None. kill=True (an interrupt)
+        terminates them at once.
         """
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
+        pipes, self._pipes = self._pipes, {}
+        for pipe, worker in pipes.items():
             if kill:
-                pool.terminate()
+                worker.terminate()
             else:
-                pool.close()
-            pool.join()
+                with suppress(OSError):
+                    pipe.send(None)
+        if not kill:
+            self._drain()
+        self._busy.clear()
+        for pipe, worker in pipes.items():
+            worker.join()
+            pipe.close()
 
     def __enter__(self) -> Workers:
         return self
@@ -209,16 +300,27 @@ class Workers:
         self.close(kill=exc_type is not None and not issubclass(exc_type, Exception))
 
 
+def _guided(items: list, parts: int) -> Iterator[list]:
+    """items in chunks of ceil(remaining / parts), at least one item each
+    (guided self-scheduling): large chunks first, single items last."""
+    start = 0
+    while start < len(items):
+        end = start + math.ceil((len(items) - start) / parts)
+        yield items[start:end]
+        start = end
+
+
 def parallel_map(func: Callable, items: Iterable, workers: Workers) -> Iterator:
-    """func over items, in input order, on the workers' pool when there are several.
+    """func over items, in input order, on the workers when there are several.
 
     The input is pulled as the results are consumed, so memory stays bounded
     whatever its length. Up to n * CHUNK items are read ahead: an input that
-    ends within them is split evenly, so every worker gets a share; a longer
-    one goes out in chunks of CHUNK with at most 2 * n chunks in flight, so no
-    more than 2 * n * CHUNK items are pulled ahead of the result yielded.
-    Results are identical for any worker count, as func is a pure function
-    of its item.
+    ends within them is dealt in guided chunks of ceil(remaining / (2 * n))
+    items, so every worker gets a share and none waits long for the last;
+    a longer one goes out in chunks of CHUNK. At most 2 * n chunks are out
+    or held, so no more than 2 * n * CHUNK items are pulled ahead of the
+    result yielded. Results are identical for any worker count, as func is
+    a pure function of its item.
     """
     items = iter(items)
     if workers.n == 1:
@@ -228,13 +330,9 @@ def parallel_map(func: Callable, items: Iterable, workers: Workers) -> Iterator:
     if len(head) <= 1:
         yield from map(func, head)
         return
-    size = CHUNK if len(head) == workers.n * CHUNK else math.ceil(len(head) / workers.n)
-    stream = chain(head, items)
-    chunks = iter(lambda: list(islice(stream, size)), [])
-    pool, pending = workers.pool(), deque()
-    for chunk in chunks:
-        pending.append(pool.map_async(func, chunk, chunksize=len(chunk)))
-        if len(pending) == 2 * workers.n:
-            yield from pending.popleft().get()
-    while pending:
-        yield from pending.popleft().get()
+    if len(head) < workers.n * CHUNK:
+        chunks = _guided(head, 2 * workers.n)
+    else:
+        stream = chain(head, items)
+        chunks = iter(lambda: list(islice(stream, CHUNK)), [])
+    yield from workers.map_chunks(func, chunks)

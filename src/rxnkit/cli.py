@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from functools import partial
 from itertools import chain
@@ -73,9 +74,9 @@ def main(argv: list[str] | None = None) -> int:
         if run.workers is None:
             env = os.environ.get("RXNKIT_WORKERS", "1")
             try:
-                run.workers = int(env)
-            except ValueError:
-                raise Fatal(f"RXNKIT_WORKERS must be an integer, got {env!r}") from None
+                run.workers = _integer(env)
+            except argparse.ArgumentTypeError as exc:
+                raise Fatal(f"RXNKIT_WORKERS {exc}") from None
         if run.workers < 1:
             raise Fatal(f"workers must be at least 1, got {run.workers}")
         with Workers(run.workers) as run.pool:  # no worker outlives the run
@@ -88,6 +89,16 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """The value of an integer option: ASCII digits after an optional sign.
+
+    int() alone would also read 1_0 as 10 and the Arabic-Indic 2 (U+0662) as 2.
+    """
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rxnkit",
@@ -98,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, fp: bool = False, kind: bool = True) -> None:
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=_integer, default=None,
                        help="worker processes (env RXNKIT_WORKERS, default 1)")
         p.add_argument("--strict", action="store_true",
                        help="fail fast on the first bad record")
@@ -107,10 +118,10 @@ def _build_parser() -> argparse.ArgumentParser:
             if kind:  # eval gen computes all three kinds
                 p.add_argument("--fp-kind", choices=["circular", "path", "key"],
                                default=None)
-            p.add_argument("--radius", type=int, default=None)
-            p.add_argument("--width", type=int, default=None)
-            p.add_argument("--min-path", type=int, default=None)
-            p.add_argument("--max-path", type=int, default=None)
+            p.add_argument("--radius", type=_integer, default=None)
+            p.add_argument("--width", type=_integer, default=None)
+            p.add_argument("--min-path", type=_integer, default=None)
+            p.add_argument("--max-path", type=_integer, default=None)
             p.add_argument("--key-table", default=None)
 
     p = sub.add_parser("canon", help="canonicalize molecule records")
@@ -149,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--band", default="0.5:0.6", help="low:high similarity band")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     common(p, fp=True)
     p.set_defaults(handler=_cmd_split)
 
@@ -169,8 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--stats", default=None, help="also write a stats JSON")
-    p.add_argument("--entity-limit", type=int, default=DEFAULT_ENTITY_LIMIT)
-    p.add_argument("--token-limit", type=int, default=DEFAULT_TOKEN_LIMIT)
+    p.add_argument("--entity-limit", type=_integer, default=DEFAULT_ENTITY_LIMIT)
+    p.add_argument("--token-limit", type=_integer, default=DEFAULT_TOKEN_LIMIT)
     common(p)
     p.set_defaults(handler=_cmd_interleave)
 
@@ -187,9 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--templates", default=None,
                    help="JSON registry file with extra template variants")
-    p.add_argument("--variant", type=int, default=None,
+    p.add_argument("--variant", type=_integer, default=None,
                    help="the task's variant, counted from 0 (default 0)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_integer, default=None,
                    help="per-record seeded choice among a task's variants, "
                         "in place of --variant")
     p.add_argument("--sentinel", action="store_true",
@@ -212,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--details", default=None, help="per-sample detail JSONL")
         common(p, fp=name == "gen", kind=False)
         if name == "cls":
-            p.add_argument("--n-classes", type=int, default=None)
+            p.add_argument("--n-classes", type=_integer, default=None)
         p.set_defaults(handler=handler)
 
     return parser
@@ -242,7 +253,8 @@ def _apply_config(parser, args, argv) -> Run:
         elif action.choices:
             ok, want = value in action.choices, f"one of {action.choices}"
         else:
-            ok, want = type(value) is (action.type or str), (action.type or str).__name__
+            kind = int if action.type is _integer else str
+            ok, want = type(value) is kind, kind.__name__
         if not ok:
             raise Fatal(f"config {args.config}: {key!r} must be {want}, got {value!r}")
         args.parser.set_defaults(**{action.dest: value})

@@ -275,8 +275,10 @@ def eval_selection(records: list[dict]) -> tuple[dict, list[dict]]:
     computed when every record has candidate_yield_ranks (parallel to
     candidates, rank 1 = highest yield) and counts a record when the
     predicted item's rank is within ceil(len(candidates)/2). Predictions
-    outside the candidate list score incorrect and are flagged. The caller
-    checks that candidates is a list and the ranks one int per candidate.
+    outside the candidate list score incorrect and are flagged. Two values
+    match when their JSON text is the same (dumps), so true is not 1 and 1
+    is not 1.0. The caller checks that candidates is a list and the ranks
+    one int per candidate.
     """
     if not records:
         raise ValueError("no selection records")
@@ -284,9 +286,9 @@ def eval_selection(records: list[dict]) -> tuple[dict, list[dict]]:
 
     details = []
     for record in records:
-        candidates = record["candidates"]
-        predicted = record["prediction"]
-        gold = record["reference"]
+        candidates = [dumps(candidate) for candidate in record["candidates"]]
+        predicted = dumps(record["prediction"])
+        gold = dumps(record["reference"])
         flagged = predicted not in candidates
         row = {
             "id": record.get("id"),

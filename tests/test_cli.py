@@ -959,6 +959,34 @@ class TestRenderAndEval:
         assert metrics["selection_top1"] == 0.0
         assert metrics["selection_top50"] == 1.0
 
+    def test_eval_sel_matches_by_json_type_and_value(self, tmp_path, monkeypatch):
+        # true is not 1, false is not 0 and 1 is not 1.0, in the candidates,
+        # against the reference and in the rank lookup.
+        refs = [
+            {"reference": True, "candidates": [True, "CCO"], "candidate_yield_ranks": [2, 1]},
+            {"reference": "CCO", "candidates": ["CCO", 0], "candidate_yield_ranks": [1, 2]},
+            {"reference": 1.0, "candidates": [1, 1.0], "candidate_yield_ranks": [1, 2]},
+            {"reference": True, "candidates": [1, True], "candidate_yield_ranks": [1, 2]},
+            {"reference": [1, True], "candidates": [[True, 1], [1, True]],
+             "candidate_yield_ranks": [1, 2]},
+        ]
+        preds = [1, False, 1, True, [1, True]]
+        monkeypatch.chdir(tmp_path)  # the report names its details path
+        write_jsonl("ref.jsonl", [{"id": i, **ref} for i, ref in enumerate(refs)])
+        write_jsonl("pred.jsonl", [{"id": i, "prediction": p} for i, p in enumerate(preds)])
+        outputs = []
+        for workers in ("1", "2"):
+            assert run(["eval", "sel", "--pred", "pred.jsonl", "--ref", "ref.jsonl",
+                        "--out", "m.json", "--details", "d.jsonl", "--workers", workers]) == 0
+            outputs.append((Path("m.json").read_bytes(), Path("d.jsonl").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert [(row["top1"], row["not_in_candidates"], row["top50"])
+                for row in read_jsonl("d.jsonl")] == [
+            (False, True, False), (False, True, False), (False, False, True),
+            (True, False, False), (True, False, False)]
+        assert json.loads(outputs[0][0])["metrics"] == {"selection_top1": 0.4,
+                                                        "selection_top50": 0.2}
+
     @pytest.mark.parametrize("task", sorted(EVAL_PINS))
     def test_eval_report_and_details_bytes(self, tmp_path, monkeypatch, task):
         refs, preds, report_sha, details_sha = EVAL_PINS[task]
@@ -1764,6 +1792,32 @@ class TestConfigErrors:
         assert json.loads(line) == {"error": "RXNKIT_WORKERS must be an integer, got 'abc'"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, value", [
+        ("env", "1_0"), ("env", "\u0662"), ("env", " 2"), ("--workers", "1_0"),
+        ("--workers", "\u0662"), ("--radius", "\u0661"), ("--width", "6_4"),
+        ("--n", "\uff11")])
+    def test_integer_options_take_ascii_digits_only(self, tmp_path, mols, capsys,
+                                                    monkeypatch, source, value):
+        # int() reads 1_0 as 10, and U+0662 (Arabic-Indic two) as 2.
+        out = tmp_path / "o.json"
+        argv = ["fp", "--in", str(mols), "--out", str(out)]
+        if source == "--n":
+            argv = ["split", "--candidates", str(mols), "--train", str(mols), "--out", str(out)]
+        if source == "env":
+            monkeypatch.setenv("RXNKIT_WORKERS", value)
+        else:
+            argv += [source, value]
+        if source == "env":
+            assert run(argv) == 2
+            assert json.loads(capsys.readouterr().err) == {
+                "error": f"RXNKIT_WORKERS must be an integer, got {value!r}"}
+        else:
+            with pytest.raises(SystemExit) as exit_:  # argparse's usage error
+                run(argv)
+            assert exit_.value.code == 2
+            assert f"argument {source}: must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["corpus", "interleave"],
                                          ["corpus", "interleave", "--stats", "STATS"]])
     @pytest.mark.parametrize("flag", ["--entity-limit", "--token-limit"])
@@ -2044,14 +2098,15 @@ class TestAtomicOutput:
 class TestOnePoolPerRun:
     @pytest.fixture
     def pools(self, monkeypatch):
+        """The worker processes started, one entry each."""
         made = []
-        pool = multiprocessing.Pool
+        process = multiprocessing.Process
 
         def counting(*args, **kwargs):
-            made.append(args or kwargs)
-            return pool(*args, **kwargs)
+            made.append(kwargs)
+            return process(*args, **kwargs)
 
-        monkeypatch.setattr(multiprocessing, "Pool", counting)
+        monkeypatch.setattr(multiprocessing, "Process", counting)
         return made
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -2070,7 +2125,7 @@ class TestOnePoolPerRun:
         }[command]
         out = tmp_path / "out"
         assert run(argv + ["--out", str(out), "--workers", str(workers)]) == 0
-        assert len(pools) == (workers > 1)
+        assert len(pools) == (workers if workers > 1 else 0)  # one set per run
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("outcome", ["ok", "strict", "fatal"])

@@ -241,6 +241,37 @@ def test_no_class_converts_json():
     assert json_converters(SRC) == []
 
 
+def process_names(source: str) -> list[str]:
+    """'import <module>' for each import of multiprocessing, and 'Pool' for
+    each name, attribute or imported name spelled Pool, in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            found += ["Pool" for alias in node.names if alias.name == "Pool"]
+        else:
+            modules = []
+            if (isinstance(node, ast.Name) and node.id == "Pool"
+                    or isinstance(node, ast.Attribute) and node.attr == "Pool"):
+                found.append("Pool")
+        found += [f"import {m}" for m in modules if m.partition(".")[0] == "multiprocessing"]
+    return found
+
+
+def test_only_jsonl_owns_processes():
+    # One module starts, drives and ends the worker processes, without a
+    # multiprocessing.Pool and the helper threads it runs.
+    assert process_names("import multiprocessing.pool\nfrom multiprocessing import Pool\n"
+                         "from multiprocessing.connection import wait\nx = mp.Pool(2)") == [
+        "import multiprocessing.pool", "Pool", "import multiprocessing",
+        "import multiprocessing.connection", "Pool"]
+    found = {path.relative_to(SRC).as_posix(): process_names(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "rxnkit").rglob("*.py"))}
+    assert {path: names for path, names in found.items() if names} == {
+        "rxnkit/_jsonl.py": ["import multiprocessing", "import multiprocessing.connection"]}
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     done = python(
         "import sys, rxnkit.cli; from rxnkit.fingerprint import load_key_table; "

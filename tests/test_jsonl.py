@@ -2,9 +2,12 @@
 
 import json
 import multiprocessing
-import multiprocessing.pool
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,8 @@ from rxnkit._jsonl import (
     write_jsonl,
 )
 
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
 
 def _pid_after_a_nap(item):
     time.sleep(0.2)
@@ -28,6 +33,29 @@ def _pid_after_a_nap(item):
 
 def _square(item):
     return item * item
+
+
+def _negate(item):
+    return -item
+
+
+def _pid_slow_first(item):
+    if item == 0:
+        time.sleep(1.0)
+    return os.getpid()
+
+
+class _CountedSquare:
+    """_square, counting in this process how often it is pickled."""
+
+    reduced = 0
+
+    def __reduce__(self):
+        type(self).reduced += 1
+        return _CountedSquare, ()
+
+    def __call__(self, item):
+        return item * item
 
 
 class TestParallelMap:
@@ -63,7 +91,7 @@ class TestParallelMap:
 
     def test_no_pool_until_one_is_needed(self, monkeypatch):
         made = []
-        monkeypatch.setattr(multiprocessing, "Pool", lambda *a, **k: made.append(a))
+        monkeypatch.setattr(multiprocessing, "Process", lambda *a, **k: made.append(a))
         with Workers(2) as pool:
             assert list(parallel_map(_square, [3], pool)) == [9]
         with Workers(1) as pool:
@@ -77,18 +105,112 @@ class TestParallelMap:
         assert multiprocessing.active_children() == []
 
     def test_an_error_lets_the_chunks_in_flight_finish(self, monkeypatch):
-        """Killing a worker that is sending a result can hang Pool.terminate()."""
+        """An error ends the workers once they have sent what they hold; only
+        an interrupt terminates them."""
 
-        def terminate(pool):
+        def terminate(worker):
             raise AssertionError("terminate() with chunks in flight")
 
-        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+        monkeypatch.setattr(multiprocessing.Process, "terminate", terminate)
         with pytest.raises(RuntimeError):
             with Workers(2) as pool:
                 results = parallel_map(_square, range(1000), pool)
                 assert next(results) == 0
                 raise RuntimeError("the consumer fails")
         assert multiprocessing.active_children() == []
+
+    def test_a_slow_first_record_leaves_the_rest_to_the_other_worker(self):
+        # 12 items are dealt as chunks of 3, 3, 2, 1, 1, 1, 1: while the
+        # first worker naps on item 0, the other takes the next three
+        # chunks, up to the 2 * n chunks that may be out or held.
+        with Workers(2) as workers:
+            pids = list(parallel_map(_pid_slow_first, range(12), workers))
+        assert len(set(pids[3:9])) == 1
+        assert pids[3] != pids[0]
+
+    def test_the_function_is_pickled_once_per_worker_per_map(self):
+        _CountedSquare.reduced = 0
+        with Workers(2) as workers:
+            for maps in (1, 2):
+                got = list(parallel_map(_CountedSquare(), range(1000), workers))
+                assert got == [i * i for i in range(1000)]
+                assert _CountedSquare.reduced == 2 * maps
+
+    @pytest.mark.parametrize("func, error, then", [
+        ("stop", "Stop", "[3, 2, 1]"), ("unpicklable", "PicklingError", "[3, 2, 1]"),
+        ("unloadable", "TypeError", "[3, 2, 1]"), ("dies", "ChildProcessError", "BrokenPipeError")])
+    def test_a_failed_chunk_raises_in_the_caller(self, func, error, then):
+        """A row function that raises BaseException, whose result cannot be
+        pickled or unpickled, or that ends its worker, fails the map; a child
+        process bounds the wait."""
+        script = (
+            "import multiprocessing, os, sys\n"
+            "from rxnkit._jsonl import Workers, parallel_map\n"
+            "class Stop(BaseException): pass\n"
+            "def stop(item):\n"
+            "    if item == 5: raise Stop(item)\n"
+            "    return item\n"
+            "def unpicklable(item):\n"
+            "    return (lambda: item) if item == 5 else item\n"
+            "class Odd(Exception):\n"
+            "    def __init__(self, a, b): super().__init__(a)\n"
+            "def unloadable(item):  # Odd(5, 0) pickles, but Odd(5) cannot be made\n"
+            "    if item == 5: raise Odd(item, 0)\n"
+            "    return item\n"            "def dies(item):\n"
+            "    if item == 5: os._exit(3)\n"
+            "    return item\n"
+            "workers = Workers(2)\n"
+            "try:\n"
+            "    list(parallel_map(globals()[sys.argv[1]], range(300), workers))\n"
+            "except BaseException as exc:\n"
+            "    print(type(exc).__name__)\n"
+            "try:  # the workers still serve, but for one that died\n"
+            "    print(list(parallel_map(abs, range(-3, 0), workers)))\n"
+            "except OSError as exc:\n"
+            "    print(type(exc).__name__)\n"
+            "workers.close()\n"
+            "print(len(multiprocessing.active_children()))\n"
+        )
+        proc = subprocess.Popen([sys.executable, "-c", script, func], env=SRC_ENV,
+                                start_new_session=True, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, text=True)
+        try:
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)  # the workers with it
+                proc.wait()
+        assert out == f"{error}\n{then}\n0\n"
+
+    def test_a_map_closed_early_leaves_no_result_to_the_next(self):
+        with Workers(2) as workers:
+            first = parallel_map(_square, range(1000), workers)
+            assert next(first) == 0
+            first.close()  # chunks are still out
+            assert list(parallel_map(_negate, range(300), workers)) == [-i for i in range(300)]
+            assert list(parallel_map(_negate, range(5), workers)) == [-i for i in range(5)]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_other_start_methods_give_the_fork_results(self, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        sizes = [0, 1, 2, 12, 129, 300]
+        items = [{"n": i, "s": "x" * (i % 7)} for i in range(max(sizes))]
+        with Workers(2) as workers:
+            want = [list(parallel_map(dumps, items[:n], workers)) for n in sizes]
+        child = (
+            "import json, multiprocessing, sys\n"
+            "from rxnkit._jsonl import Workers, dumps, parallel_map\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "items, sizes = json.loads(sys.argv[2])\n"
+            "with Workers(2) as workers:\n"
+            "    print(json.dumps([list(parallel_map(dumps, items[:n], workers))"
+            " for n in sizes]))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", child, method, json.dumps([items, sizes])],
+                              env=SRC_ENV, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == want
 
 
 def _record_or_error(line):
