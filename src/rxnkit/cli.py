@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from functools import partial
 from itertools import chain
@@ -66,7 +65,8 @@ class Fatal(Exception):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     run = parser.parse_args(argv, Run())
     try:
         if run.config:
@@ -94,139 +94,57 @@ def _integer(text: str) -> int:
 
     int() alone would also read 1_0 as 10 and the Arabic-Indic 2 (U+0662) as 2.
     """
-    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
     return int(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of argv, with the subparsers of only the subcommand it names.
+
+    A level whose word is missing or unknown, or follows an option such as
+    -h, gets every subparser, so help and usage errors read the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="rxnkit",
         description="Molecule, reaction, corpus, and evaluation pipelines.",
     )
     parser.add_argument("--config", help="JSON file with default option values; "
                         "it comes before the subcommand")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, fp: bool = False, kind: bool = True) -> None:
-        p.add_argument("--workers", type=_integer, default=None,
-                       help="worker processes (env RXNKIT_WORKERS, default 1)")
-        p.add_argument("--strict", action="store_true",
-                       help="fail fast on the first bad record")
-        p.set_defaults(parser=p)  # for --config to check its keys against
-        if fp:
-            if kind:  # eval gen computes all three kinds
-                p.add_argument("--fp-kind", choices=["circular", "path", "key"],
-                               default=None)
-            p.add_argument("--radius", type=_integer, default=None)
-            p.add_argument("--width", type=_integer, default=None)
-            p.add_argument("--min-path", type=_integer, default=None)
-            p.add_argument("--max-path", type=_integer, default=None)
-            p.add_argument("--key-table", default=None)
-
-    p = sub.add_parser("canon", help="canonicalize molecule records")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(handler=partial(_run_records, fn=_canon))
-
-    p = sub.add_parser("validate", help="classify SMILES validity")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(handler=partial(_run_records, fn=_validate))
-
-    p = sub.add_parser("fp", help="fingerprint molecule records")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default=None)
-    common(p, fp=True)
-    p.set_defaults(handler=_cmd_fp)
-
-    p = sub.add_parser("sim", help="max similarity of each record to a reference set")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--out", default=None)
-    common(p, fp=True)
-    p.set_defaults(handler=_cmd_sim)
-
-    p = sub.add_parser("scaffold", help="Murcko scaffold keys")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(handler=partial(_run_records, fn=_scaffold))
-
-    p = sub.add_parser("split", help="scaffold-similarity test-set resampling")
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--band", default="0.5:0.6", help="low:high similarity band")
-    p.add_argument("--n", type=_integer, required=True)
-    common(p, fp=True)
-    p.set_defaults(handler=_cmd_split)
-
-    p = sub.add_parser("leakcheck", help="cross-split duplicate audit")
-    p.add_argument("--split", action="append", required=True,
-                   metavar="NAME=PATH", help="repeatable named split")
-    p.add_argument("--out", default=None)
-    p.add_argument("--merge-agents", action="store_true",
-                   help="fold reagents into reactants when keying")
-    common(p)
-    p.set_defaults(handler=_cmd_leakcheck)
-
-    corpus = sub.add_parser("corpus", help="pretraining corpus construction")
-    corpus_sub = corpus.add_subparsers(dest="corpus_command", required=True)
-
-    p = corpus_sub.add_parser("interleave", help="build interleaved records")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--stats", default=None, help="also write a stats JSON")
-    p.add_argument("--entity-limit", type=_integer, default=DEFAULT_ENTITY_LIMIT)
-    p.add_argument("--token-limit", type=_integer, default=DEFAULT_TOKEN_LIMIT)
-    common(p)
-    p.set_defaults(handler=_cmd_interleave)
-
-    p = corpus_sub.add_parser("nameconv", help="expand name-conversion tasks")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(handler=partial(_run_records, fn=_nameconv))
-
-    p = sub.add_parser("render", help="render instruction templates")
-    p.add_argument("--task", required=True)
-    p.add_argument("--in", dest="input", required=True,
-                   help="JSONL of binding records (non-id fields bind slots)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--templates", default=None,
-                   help="JSON registry file with extra template variants")
-    p.add_argument("--variant", type=_integer, default=None,
-                   help="the task's variant, counted from 0 (default 0)")
-    p.add_argument("--seed", type=_integer, default=None,
-                   help="per-record seeded choice among a task's variants, "
-                        "in place of --variant")
-    p.add_argument("--sentinel", action="store_true",
-                   help="render molecule slots as sentinels with sidecar SMILES")
-    common(p)
-    p.set_defaults(handler=_cmd_render)
-
-    ev = sub.add_parser("eval", help="downstream evaluation metrics")
-    ev_sub = ev.add_subparsers(dest="eval_command", required=True)
-    for name, handler in (
-        ("gen", _cmd_eval_gen),
-        ("cls", _cmd_eval_cls),
-        ("reg", _cmd_eval_reg),
-        ("sel", _cmd_eval_sel),
-    ):
-        p = ev_sub.add_parser(name)
-        p.add_argument("--pred", required=True)
-        p.add_argument("--ref", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--details", default=None, help="per-sample detail JSONL")
-        common(p, fp=name == "gen", kind=False)
-        if name == "cls":
-            p.add_argument("--n-classes", type=_integer, default=None)
-        p.set_defaults(handler=handler)
-
+    _add_subparsers(parser, "command", _COMMANDS, _after_config(argv))
     return parser
+
+
+def _after_config(argv: list[str]) -> list[str]:
+    """argv past its leading --config options, in each spelling argparse takes:
+    --config VALUE, --config=VALUE, and the prefixes of --config from --c."""
+    i = 0
+    while i < len(argv):
+        flag, eq, _ = argv[i].partition("=")
+        if len(flag) < 3 or not "--config".startswith(flag):
+            break
+        i += 1 if eq else 2
+    return argv[i:]
+
+
+def _add_subparsers(parser: argparse.ArgumentParser, dest: str, table: dict,
+                    rest: list[str]) -> None:
+    """The subparsers of table under parser: the one rest starts with, or all."""
+    word = rest[0] if rest else None
+    found = word in table
+    # The usage line spells every name, built or not, as argparse would. Only
+    # when the word is found: with a metavar, argparse's errors name the
+    # argument by it in place of dest.
+    sub = parser.add_subparsers(dest=dest, required=True,
+                                metavar="{" + ",".join(table) + "}" if found else None)
+    for name in [word] if found else table:
+        help_text, add = table[name]
+        p = sub.add_parser(name, help=help_text) if help_text else sub.add_parser(name)
+        if isinstance(add, dict):
+            _add_subparsers(p, f"{name}_command", add, rest[1:] if found else [])
+        else:
+            add(p)
 
 
 def _apply_config(parser, args, argv) -> Run:
@@ -544,6 +462,8 @@ def _regression_value(value) -> float:
 
 
 def _cmd_eval_cls(run):
+    if run.n_classes is not None and run.n_classes < 2:  # checked before any file is read
+        raise Fatal(f"--n-classes must be >= 2, got {run.n_classes}")
     labeled = _join_by_id(run, lambda _, ref, pred: (
         _class_label(ref["reference"], run.n_classes),
         _class_label(pred["prediction"], run.n_classes)))
@@ -574,6 +494,134 @@ def _selection_pair(lineno, ref, pred) -> dict:
 
 def _cmd_eval_sel(run):
     _write_report(run, "selection", *eval_selection(_join_by_id(run, _selection_pair)))
+
+
+# --- the parser's subcommands -------------------------------------------------
+
+def _add_common(p: argparse.ArgumentParser, fp: bool = False, kind: bool = True) -> None:
+    p.add_argument("--workers", type=_integer, default=None,
+                   help="worker processes (env RXNKIT_WORKERS, default 1)")
+    p.add_argument("--strict", action="store_true",
+                   help="fail fast on the first bad record")
+    p.set_defaults(parser=p)  # for --config to check its keys against
+    if fp:
+        if kind:  # eval gen computes all three kinds
+            p.add_argument("--fp-kind", choices=["circular", "path", "key"],
+                           default=None)
+        p.add_argument("--radius", type=_integer, default=None)
+        p.add_argument("--width", type=_integer, default=None)
+        p.add_argument("--min-path", type=_integer, default=None)
+        p.add_argument("--max-path", type=_integer, default=None)
+        p.add_argument("--key-table", default=None)
+
+
+def _add_records(p, fn) -> None:
+    """A subcommand that writes the rows fn returns for each input record."""
+    p.add_argument("--in", dest="input", required=True)
+    p.add_argument("--out", default=None)
+    _add_common(p)
+    p.set_defaults(handler=partial(_run_records, fn=fn))
+
+
+def _add_fp(p) -> None:
+    p.add_argument("--in", dest="input", required=True)
+    p.add_argument("--out", default=None)
+    _add_common(p, fp=True)
+    p.set_defaults(handler=_cmd_fp)
+
+
+def _add_sim(p) -> None:
+    p.add_argument("--in", dest="input", required=True)
+    p.add_argument("--ref", required=True)
+    p.add_argument("--out", default=None)
+    _add_common(p, fp=True)
+    p.set_defaults(handler=_cmd_sim)
+
+
+def _add_split(p) -> None:
+    p.add_argument("--candidates", required=True)
+    p.add_argument("--train", required=True)
+    p.add_argument("--out", default=None)
+    p.add_argument("--band", default="0.5:0.6", help="low:high similarity band")
+    p.add_argument("--n", type=_integer, required=True)
+    _add_common(p, fp=True)
+    p.set_defaults(handler=_cmd_split)
+
+
+def _add_leakcheck(p) -> None:
+    p.add_argument("--split", action="append", required=True,
+                   metavar="NAME=PATH", help="repeatable named split")
+    p.add_argument("--out", default=None)
+    p.add_argument("--merge-agents", action="store_true",
+                   help="fold reagents into reactants when keying")
+    _add_common(p)
+    p.set_defaults(handler=_cmd_leakcheck)
+
+
+def _add_interleave(p) -> None:
+    p.add_argument("--in", dest="input", required=True)
+    p.add_argument("--out", default=None)
+    p.add_argument("--stats", default=None, help="also write a stats JSON")
+    p.add_argument("--entity-limit", type=_integer, default=DEFAULT_ENTITY_LIMIT)
+    p.add_argument("--token-limit", type=_integer, default=DEFAULT_TOKEN_LIMIT)
+    _add_common(p)
+    p.set_defaults(handler=_cmd_interleave)
+
+
+def _add_render(p) -> None:
+    p.add_argument("--task", required=True)
+    p.add_argument("--in", dest="input", required=True,
+                   help="JSONL of binding records (non-id fields bind slots)")
+    p.add_argument("--out", default=None)
+    p.add_argument("--templates", default=None,
+                   help="JSON registry file with extra template variants")
+    p.add_argument("--variant", type=_integer, default=None,
+                   help="the task's variant, counted from 0 (default 0)")
+    p.add_argument("--seed", type=_integer, default=None,
+                   help="per-record seeded choice among a task's variants, "
+                        "in place of --variant")
+    p.add_argument("--sentinel", action="store_true",
+                   help="render molecule slots as sentinels with sidecar SMILES")
+    _add_common(p)
+    p.set_defaults(handler=_cmd_render)
+
+
+def _add_eval(p, handler, fp: bool = False) -> None:
+    p.add_argument("--pred", required=True)
+    p.add_argument("--ref", required=True)
+    p.add_argument("--out", default=None)
+    p.add_argument("--details", default=None, help="per-sample detail JSONL")
+    _add_common(p, fp=fp, kind=False)
+    p.set_defaults(handler=handler)
+
+
+def _add_eval_cls(p) -> None:
+    _add_eval(p, _cmd_eval_cls)
+    p.add_argument("--n-classes", type=_integer, default=None)
+
+
+# name -> (help, add): add(p) gives the subcommand's parser p its options and
+# handler; a table in place of add is a level of subcommands of its own.
+_COMMANDS = {
+    "canon": ("canonicalize molecule records", partial(_add_records, fn=_canon)),
+    "validate": ("classify SMILES validity", partial(_add_records, fn=_validate)),
+    "fp": ("fingerprint molecule records", _add_fp),
+    "sim": ("max similarity of each record to a reference set", _add_sim),
+    "scaffold": ("Murcko scaffold keys", partial(_add_records, fn=_scaffold)),
+    "split": ("scaffold-similarity test-set resampling", _add_split),
+    "leakcheck": ("cross-split duplicate audit", _add_leakcheck),
+    "corpus": ("pretraining corpus construction", {
+        "interleave": ("build interleaved records", _add_interleave),
+        "nameconv": ("expand name-conversion tasks", partial(_add_records, fn=_nameconv)),
+    }),
+    "render": ("render instruction templates", _add_render),
+    "eval": ("downstream evaluation metrics", {
+        "gen": (None, partial(_add_eval, handler=_cmd_eval_gen, fp=True)),
+        "cls": (None, _add_eval_cls),
+        "reg": (None, partial(_add_eval, handler=_cmd_eval_reg)),
+        "sel": (None, partial(_add_eval, handler=_cmd_eval_sel)),
+    }),
+}
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """CLI pipelines: schemas, exit codes, determinism across worker counts."""
 
+import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from rxnkit import _jsonl
+from rxnkit import _jsonl, cli
 from rxnkit.cli import main
 
 from conftest import kekule_acene, ladder_polymer
@@ -1795,7 +1797,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("source, value", [
         ("env", "1_0"), ("env", "\u0662"), ("env", " 2"), ("--workers", "1_0"),
         ("--workers", "\u0662"), ("--radius", "\u0661"), ("--width", "6_4"),
-        ("--n", "\uff11")])
+        ("--n", "\uff11"), ("--workers", "+"), ("--workers", "-"), ("--workers", "+-1"),
+        ("env", ""), ("env", "+2"), ("--radius", "007")])
     def test_integer_options_take_ascii_digits_only(self, tmp_path, mols, capsys,
                                                     monkeypatch, source, value):
         # int() reads 1_0 as 10, and U+0662 (Arabic-Indic two) as 2.
@@ -1807,6 +1810,10 @@ class TestConfigErrors:
             monkeypatch.setenv("RXNKIT_WORKERS", value)
         else:
             argv += [source, value]
+        if value in ("+2", "007"):  # a sign and leading zeros are ASCII digits too
+            assert run(argv) == 0
+            assert out.exists()
+            return
         if source == "env":
             assert run(argv) == 2
             assert json.loads(capsys.readouterr().err) == {
@@ -1831,6 +1838,25 @@ class TestConfigErrors:
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line) == {"error": f"{flag} must be >= 0, got -1"}
         assert not out.exists() and not stats.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_n_classes_below_two_is_fatal(self, tmp_path, capsys, monkeypatch, source, n):
+        ref, pred, out = tmp_path / "ref.jsonl", tmp_path / "pred.jsonl", tmp_path / "m.json"
+        write_jsonl(ref, [{"id": 0, "reference": 0}])
+        write_jsonl(pred, [{"id": 0, "prediction": 0}])
+        monkeypatch.setattr("rxnkit.cli.iter_lines", None)  # no file may be read
+        argv = ["eval", "cls", "--pred", str(pred), "--ref", str(ref), "--out", str(out)]
+        if source == "flag":
+            argv += ["--n-classes", str(n)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"n-classes": n}))
+            argv = ["--config", str(config)] + argv
+        assert run(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": f"--n-classes must be >= 2, got {n}"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_config_nested_too_deep_is_fatal(self, tmp_path, mols, capsys, workers):
@@ -2236,3 +2262,75 @@ class TestBoundedMemory:
 
         peak(200)  # first-call allocations (imports, caches) are not per record
         assert peak(20_000) <= 1.5 * peak(2_000)
+
+
+def _named(handler):
+    """A handler by name: a partial by its function and keyword functions."""
+    if isinstance(handler, functools.partial):
+        return handler.func.__name__, {k: v.__name__ for k, v in handler.keywords.items()}
+    return handler.__name__
+
+
+# Help at each level, words missing, unknown or after help, unknown and
+# abbreviated options, --config spellings and a missing required option.
+PARSER_CASES = [
+    ["-h"], ["canon", "-h"], ["corpus", "-h"], ["corpus", "interleave", "-h"], ["eval", "-h"],
+    ["eval", "gen", "-h"], ["-h", "canon"], ["eval", "-h", "gen"],
+    [], ["cannon"], ["eval"], ["eval", "bogus"], ["cannon", "--in", "canon"],
+    ["canon", "--in", "x", "--bogus"],
+    ["eval", "gen", "--pred", "p", "--ref", "r", "--fp-kind", "key"],
+    ["--config", "c.json", "canon", "--in", "x"], ["--conf", "c.json", "canon", "--in", "x"],
+    ["--config=c.json", "canon", "--in", "x"], ["--config", "-x", "canon", "--in", "x"],
+    ["canon", "--in", "x", "--work", "2"], ["canon", "--in=x"], ["canon"],
+]
+
+
+class TestParserBuild:
+    @pytest.mark.parametrize("argv, parsers", [
+        (["canon"], 2), (["--conf=CONFIG", "canon"], 2), (["--config", "CONFIG", "canon"], 2),
+        (["corpus", "interleave"], 3), (["eval", "gen"], 3)])
+    def test_a_call_builds_only_its_parsers(self, tmp_path, mols, monkeypatch, argv, parsers):
+        config = tmp_path / "config.json"
+        config.write_text('{"workers": 1}')
+        argv = [a.replace("CONFIG", str(config)) for a in argv]
+        write_jsonl(tmp_path / "procs.jsonl", [{"id": "a", "text": "add ethanol", "entities": [
+            {"span": [4, 11], "smiles": "CCO"}]}])
+        write_jsonl(tmp_path / "pred.jsonl", [{"id": "a", "prediction": "OCC"}])
+        write_jsonl(tmp_path / "ref.jsonl", [{"id": "a", "reference": "CCO"}])
+        files = {"canon": ["--in", str(mols)],
+                 "interleave": ["--in", str(tmp_path / "procs.jsonl")],
+                 "gen": ["--pred", str(tmp_path / "pred.jsonl"),
+                         "--ref", str(tmp_path / "ref.jsonl")]}[argv[-1]]
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(argv + files + ["--out", str(tmp_path / "out")]) == 0
+        assert len(built) == parsers, built
+
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "-")
+    def test_help_and_usage_errors_read_as_with_every_parser(self, capsys, argv):
+        def parse(parser):
+            try:
+                parsed, code = vars(parser.parse_args(argv, cli.Run())), None
+                parsed.update(parser=parsed["parser"].prog, handler=_named(parsed["handler"]))
+            except SystemExit as exc:
+                parsed, code = None, exc.code
+            return code, *capsys.readouterr(), parsed
+
+        lazy, full = parse(cli._build_parser(argv)), parse(cli._build_parser([]))
+        assert lazy == full
+
+    def test_module_help(self, monkeypatch):
+        env = dict(os.environ, COLUMNS="80")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-m", "rxnkit.cli", "-h"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        monkeypatch.setenv("COLUMNS", "80")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == cli._build_parser([]).format_help()
