@@ -104,7 +104,8 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser of argv, with the subparsers of only the subcommand it names.
 
     A level whose word is missing or unknown, or follows an option such as
-    -h, gets every subparser, so help and usage errors read the same either way.
+    -h or --config, gets every subparser, so help and usage errors read the
+    same either way.
     """
     parser = argparse.ArgumentParser(
         prog="rxnkit",
@@ -112,20 +113,8 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file with default option values; "
                         "it comes before the subcommand")
-    _add_subparsers(parser, "command", _COMMANDS, _after_config(argv))
+    _add_subparsers(parser, "command", _COMMANDS, argv)
     return parser
-
-
-def _after_config(argv: list[str]) -> list[str]:
-    """argv past its leading --config options, in each spelling argparse takes:
-    --config VALUE, --config=VALUE, and the prefixes of --config from --c."""
-    i = 0
-    while i < len(argv):
-        flag, eq, _ = argv[i].partition("=")
-        if len(flag) < 3 or not "--config".startswith(flag):
-            break
-        i += 1 if eq else 2
-    return argv[i:]
 
 
 def _add_subparsers(parser: argparse.ArgumentParser, dest: str, table: dict,
